@@ -72,6 +72,14 @@ def write_csv(path_or_buf, header: Sequence[str], rows: Sequence[Sequence]) -> N
 # configuration and curve types
 # ---------------------------------------------------------------------------
 
+SCHEME_KINDS = ("first-return", "extendible")
+
+
+def _check_scheme_kind(kind: str) -> None:
+    if kind not in SCHEME_KINDS:
+        raise DomainError(f"unknown scheme kind {kind!r}")
+
+
 @dataclass(frozen=True)
 class ScanConfig:
     map: IntervalMap
@@ -85,17 +93,15 @@ class ScanConfig:
     depth: int = 12                      # tower truncation R
     cap: int = 12                        # inducing time cap T
     tolerance: float = 1e-10
-    out_path: str | None = None
 
     def __post_init__(self):
+        _check_scheme_kind(self.scheme_kind)
         if not self.t_min < self.t_max:
             raise DomainError("t_min must be < t_max")
         if self.steps < 2:
             raise DomainError("steps must be >= 2")
-        if self.tolerance <= 0:
+        if not self.tolerance > 0:
             raise DomainError("tolerance must be > 0")
-        if self.scheme_kind not in ("first-return", "extendible"):
-            raise DomainError(f"unknown scheme kind {self.scheme_kind!r}")
 
     def t_grid(self) -> list[float]:
         span = self.t_max - self.t_min
@@ -137,9 +143,17 @@ class PressureCurve:
         return buf.getvalue()
 
 
+def _scheme_options(obj) -> dict:
+    """The build_scheme keywords, read off a ScanConfig or parsed arguments."""
+    return {k: getattr(obj, k) for k in
+            ("scheme_kind", "x_point", "x_depth", "delta", "depth", "cap")}
+
+
 def default_base_cylinder(m: IntervalMap, x_point: float | None,
                           x_depth: int) -> tuple[float, float]:
     """The depth-d cylinder containing x_point (whole domain at depth 0)."""
+    if x_depth < 0:
+        raise DomainError(f"x_depth must be >= 0, got {x_depth}")
     if x_depth == 0:
         return m.domain
     if x_point is None:
@@ -152,12 +166,15 @@ def default_base_cylinder(m: IntervalMap, x_point: float | None,
     return (cyl.lo, cyl.hi)
 
 
-def build_scheme(config: ScanConfig) -> InducingScheme:
-    x = default_base_cylinder(config.map, config.x_point, config.x_depth)
-    if config.scheme_kind == "extendible":
-        return extendible_return_scheme(config.map, x, config.delta, config.cap)
-    tower = build_tower(config.map, config.depth)
-    return first_return_scheme(tower, (0, x), config.cap)
+def build_scheme(m: IntervalMap, *, scheme_kind: str, x_point: float | None,
+                 x_depth: int, delta: float, depth: int,
+                 cap: int) -> InducingScheme:
+    """The chosen inducing scheme on the depth-x_depth cylinder at x_point."""
+    _check_scheme_kind(scheme_kind)
+    x = default_base_cylinder(m, x_point, x_depth)
+    if scheme_kind == "extendible":
+        return extendible_return_scheme(m, x, delta, cap)
+    return first_return_scheme(build_tower(m, depth), (0, x), cap)
 
 
 def scan_pressure(config: ScanConfig,
@@ -169,7 +186,7 @@ def scan_pressure(config: ScanConfig,
     row and the scan continues.
     """
     if scheme is None:
-        scheme = build_scheme(config)
+        scheme = build_scheme(config.map, **_scheme_options(config))
     curve = PressureCurve()
     nan = math.nan
     for t in config.t_grid():
@@ -244,7 +261,7 @@ def detect_phase_transition(curve: PressureCurve) -> TransitionReport:
 # Markov matrix oracle
 # ---------------------------------------------------------------------------
 
-def markov_oracle(m: IntervalMap, t: float, tol: float = 1e-12) -> float:
+def markov_oracle(m: IntervalMap, t: float) -> float:
     """log spectral radius of the weighted transition matrix.
 
     Applies to Markov piecewise-linear maps only: every branch affine,
@@ -272,39 +289,44 @@ def markov_oracle(m: IntervalMap, t: float, tol: float = 1e-12) -> float:
         for b in range(n):
             if atoms[b][0] >= img_lo - 1e-9 and atoms[b][1] <= img_hi + 1e-9:
                 mat[a, b] = slopes[a] ** (-t)
-    v = np.ones(n) / n
-    lam_prev = 0.0
-    for _ in range(200_000):
-        w = mat @ v
-        lam = float(w.sum())
-        if lam <= 0:
-            raise NumericError("transition matrix is nilpotent on the support")
-        v = w / lam
-        if abs(lam - lam_prev) <= tol * max(1.0, lam):
-            # one confirming pass at the tighter scale
-            w2 = mat @ v
-            lam2 = float(w2.sum())
-            if abs(lam2 - lam) <= tol * max(1.0, lam):
-                return math.log(lam2)
-        lam_prev = lam
-    raise NumericError("power iteration did not converge")
+    radius = float(np.max(np.abs(np.linalg.eigvals(mat))))
+    if radius <= 0.0:
+        raise NumericError("transition matrix is nilpotent on the support")
+    return math.log(radius)
 
 
 # ---------------------------------------------------------------------------
 # command line
 # ---------------------------------------------------------------------------
 
+def _finite(text: str) -> float:
+    """argparse type: a float that is neither NaN nor infinite."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return value
+
+
+def _positive(text: str) -> float:
+    """argparse type: a finite float > 0."""
+    if (value := _finite(text)) > 0:
+        return value
+    raise argparse.ArgumentTypeError(f"must be > 0, got {text!r}")
+
+
 def _add_scheme_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--scheme", choices=("first-return", "extendible"),
+    p.add_argument("--scheme", dest="scheme_kind", choices=SCHEME_KINDS,
                    default="first-return")
-    p.add_argument("--x-point", type=float, default=None,
+    p.add_argument("--x-point", type=_finite, default=None,
                    help="point whose cylinder is the inducing base")
     p.add_argument("--x-depth", type=int, default=1,
                    help="cylinder depth of the inducing base (0 = whole domain)")
-    p.add_argument("--delta", type=float, default=0.5)
+    p.add_argument("--delta", type=_finite, default=0.5)
     p.add_argument("--depth", type=int, default=12, help="tower truncation R")
     p.add_argument("--cap", type=int, default=12, help="inducing time cap T")
-    p.add_argument("--tol", type=float, default=1e-10)
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -324,16 +346,18 @@ def _parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("pressure", help="solve the pressure at one t")
     p.add_argument("--map", required=True)
-    p.add_argument("--t", type=float, required=True)
+    p.add_argument("--t", type=_finite, required=True)
     _add_scheme_args(p)
+    p.add_argument("--tol", type=_positive, default=1e-10)
     p.add_argument("--json", default=None)
 
     p = sub.add_parser("scan", help="pressure curve over a t-grid")
     p.add_argument("--map", required=True)
-    p.add_argument("--t-min", type=float, required=True)
-    p.add_argument("--t-max", type=float, required=True)
+    p.add_argument("--t-min", type=_finite, required=True)
+    p.add_argument("--t-max", type=_finite, required=True)
     p.add_argument("--steps", type=int, required=True)
     _add_scheme_args(p)
+    p.add_argument("--tol", type=_positive, default=1e-10)
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("diagnose", help="hypothesis diagnostics")
@@ -346,17 +370,8 @@ def _parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle", help="Markov matrix pressure oracle")
     p.add_argument("--map", required=True)
-    p.add_argument("--t", type=float, required=True)
+    p.add_argument("--t", type=_finite, required=True)
     return ap
-
-
-def _scan_config(args) -> ScanConfig:
-    m = load_map(args.map)
-    return ScanConfig(m, args.t_min, args.t_max, args.steps,
-                      scheme_kind=args.scheme, x_point=args.x_point,
-                      x_depth=args.x_depth, delta=args.delta,
-                      depth=args.depth, cap=args.cap, tolerance=args.tol,
-                      out_path=args.out)
 
 
 def run(argv: Sequence[str]) -> int:
@@ -391,12 +406,7 @@ def _dispatch(args) -> int:
         return 0
 
     if args.command == "induce":
-        m = load_map(args.map)
-        cfg = ScanConfig(m, 0.0, 1.0, 2, scheme_kind=args.scheme,
-                         x_point=args.x_point, x_depth=args.x_depth,
-                         delta=args.delta, depth=args.depth, cap=args.cap,
-                         tolerance=args.tol)
-        scheme = build_scheme(cfg)
+        scheme = build_scheme(load_map(args.map), **_scheme_options(args))
         print(f"scheme: {len(scheme.branches)} branches on "
               f"[{_fmt(scheme.x_lo)}, {_fmt(scheme.x_hi)}], "
               f"escape<={_fmt(scheme.escaping_mass_bound)}, "
@@ -408,12 +418,7 @@ def _dispatch(args) -> int:
         return 0
 
     if args.command == "pressure":
-        m = load_map(args.map)
-        cfg = ScanConfig(m, args.t, args.t + 1.0, 2, scheme_kind=args.scheme,
-                         x_point=args.x_point, x_depth=args.x_depth,
-                         delta=args.delta, depth=args.depth, cap=args.cap,
-                         tolerance=args.tol)
-        scheme = build_scheme(cfg)
+        scheme = build_scheme(load_map(args.map), **_scheme_options(args))
         res = equilibrium_shift_solve(scheme, args.t, args.tol)
         print(f"P_+ bracket: [{_fmt(res.s_lo)}, {_fmt(res.s_hi)}]  "
               f"zero-entropy bound: {_fmt(res.zero_entropy_bound)}")
@@ -423,11 +428,12 @@ def _dispatch(args) -> int:
         return 0
 
     if args.command == "scan":
-        cfg = _scan_config(args)
+        cfg = ScanConfig(load_map(args.map), args.t_min, args.t_max, args.steps,
+                         tolerance=args.tol, **_scheme_options(args))
         curve = scan_pressure(cfg)
         report = detect_phase_transition(curve)
-        if cfg.out_path:
-            with open(cfg.out_path, "w", encoding="utf-8", newline="\n") as fh:
+        if args.out:
+            with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
                 fh.write(curve.to_csv())
         else:
             sys.stdout.write(curve.to_csv())

@@ -16,7 +16,9 @@ import numpy as np
 
 from .errors import CriticalOrbitError, DomainError
 from .inducing import InducingScheme, validate_scheme
-from .interval_map import IntervalMap, derivative_along, eval_orbit
+from .interval_map import (IntervalMap, derivative_along, derivative_along_word,
+                           eval_orbit, pullback_word)
+from .thermo import _fit_line
 
 
 # ---------------------------------------------------------------------------
@@ -39,14 +41,6 @@ class GrowthVerdict:
     records: tuple[GrowthRecord, ...]
     verdict: str                     # "CE" | "polynomial" | "neither"
     beta_threshold: float
-
-
-def _fit_line(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
-    slope, _ = np.polyfit(x, y, 1)
-    fit = np.polyval(np.polyfit(x, y, 1), x)
-    ss_tot = float(np.sum((y - y.mean()) ** 2))
-    r2 = 1.0 - float(np.sum((y - fit) ** 2)) / ss_tot if ss_tot > 0 else 1.0
-    return float(slope), r2
 
 
 def critical_orbit_growth(m: IntervalMap, n_max: int, t0: float,
@@ -91,9 +85,7 @@ def critical_orbit_growth(m: IntervalMap, n_max: int, t0: float,
         for r in records)
     poly_ok = bool(records) and all(
         not math.isnan(r.beta) and r.beta > threshold for r in records)
-    if not records:
-        verdict = "CE"  # no vanishing-derivative critical points at all
-    elif ce_ok:
+    if ce_ok or not records:  # no turning point leaves nothing to disprove CE
         verdict = "CE"
     elif poly_ok:
         verdict = "polynomial"
@@ -269,7 +261,6 @@ def variation_decay(scheme: InducingScheme, t: float, n_max: int = 6,
     branches = sorted(scheme.branches, key=lambda b: -b.length)[:branch_cap]
     if not branches:
         raise DomainError("scheme has no branches")
-    from .interval_map import derivative_along_word, pullback_word
 
     def osc_on(br, lo: float, hi: float) -> float:
         xs = [lo + (hi - lo) * k / 6 for k in range(7)]

@@ -15,6 +15,7 @@ system carries the Gibbs property computed here.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -31,7 +32,8 @@ from .errors import (
 from .inducing import InducingScheme
 from .interval_map import derivative_along_word, eval_along_word, pullback_word
 from .symbolic import DEGEN_TOL, periodic_point
-from .thermo import Bracket, ThermoModel, induced_potential, with_shift
+from .thermo import (Bracket, ThermoModel, gurevich_pressure,
+                     induced_potential, with_shift)
 
 
 @dataclass(frozen=True)
@@ -157,7 +159,7 @@ def gibbs_ratio_check(solution: GibbsSolution, depth: int,
     for d in range(1, depth + 1):
         total = n ** d
         if total <= word_cap:
-            words = _all_words(n, d)
+            words = itertools.product(range(n), repeat=d)
         else:
             words = rng.integers(0, n, size=(word_cap, d)).tolist()
         for w in words:
@@ -183,13 +185,6 @@ def gibbs_ratio_check(solution: GibbsSolution, depth: int,
     return k_best
 
 
-def _all_words(n: int, d: int) -> list[list[int]]:
-    words = [[i] for i in range(n)]
-    for _ in range(d - 1):
-        words = [w + [j] for w in words for j in range(n)]
-    return words
-
-
 # ---------------------------------------------------------------------------
 # projection to the interval
 # ---------------------------------------------------------------------------
@@ -207,7 +202,7 @@ class IntervalMeasure:
         self.scheme = scheme
         self.solution = solution
         self.depth = depth
-        self._tau = self._tau_mean_bracket()
+        self.tau_mean = self._tau_mean_bracket()
 
     def _tau_mean_bracket(self) -> Bracket:
         model = self.solution.model
@@ -222,10 +217,6 @@ class IntervalMeasure:
                     "inducing time not integrable within the truncation bound")
             hi += extra / self.solution.lam_lo
         return Bracket(lo, hi)
-
-    @property
-    def tau_mean(self) -> Bracket:
-        return self._tau
 
     def base_mass(self, lo: float, hi: float, _depth: int | None = None) -> Bracket:
         """Bracket on mu_F of [lo, hi] intersected with the base X."""
@@ -291,7 +282,7 @@ class IntervalMeasure:
                 part = self.base_mass(min(xa, xb), max(xa, xb))
                 num_lo += part.lo
                 num_hi += part.hi
-        tau = self._tau
+        tau = self.tau_mean
         lo = min(max(num_lo / tau.hi, 0.0), 1.0)
         hi = min(num_hi / tau.lo, 1.0) if tau.lo > 0 else 1.0
         return Bracket(lo, hi)
@@ -301,14 +292,8 @@ def project_measure(scheme: InducingScheme, solution: GibbsSolution,
                     targets: Sequence, depth: int = 60) -> list[Bracket]:
     """mu(A) for each target interval or cylinder A, as brackets."""
     measure = IntervalMeasure(scheme, solution, depth=depth)
-    out = []
-    for target in targets:
-        if hasattr(target, "lo"):
-            out.append(measure.value(target.lo, target.hi))
-        else:
-            a, b = target
-            out.append(measure.value(a, b))
-    return out
+    spans = [(a.lo, a.hi) if hasattr(a, "lo") else a for a in targets]
+    return [measure.value(lo, hi) for lo, hi in spans]
 
 
 # ---------------------------------------------------------------------------
@@ -392,13 +377,11 @@ def zero_entropy_competitor(scheme: InducingScheme, t: float,
     """Best atomic lower bound max over periodic orbits of -t*lyap(orbit)."""
     m = scheme.map
     best = -math.inf
-    words: list[tuple[int, ...]] = [()]
-    for _ in range(max_period):
-        words = [w + (a,) for w in words for a in range(m.n_branches)]
-        for w in words:
+    for period in range(1, max_period + 1):
+        for w in itertools.product(range(m.n_branches), repeat=period):
             pp = periodic_point(m, w)
             if pp is not None and pp.multiplier > 0:
-                best = max(best, -t * math.log(pp.multiplier) / len(w))
+                best = max(best, -t * math.log(pp.multiplier) / period)
     return best
 
 
@@ -407,6 +390,8 @@ def _edge_bisect(f, lo: float, hi: float, tol: float) -> float:
     a, b = lo, hi
     while b - a > tol:
         c = 0.5 * (a + b)
+        if c == a or c == b:  # no float left strictly inside [a, b]
+            break
         if f(c) <= 0.0:
             b = c
         else:
@@ -427,15 +412,15 @@ def equilibrium_shift_solve(scheme: InducingScheme, t: float,
     width.  The solved S is the pressure estimate of the original
     potential at this t, relative to the chosen scheme.
     """
+    if not 0.0 < tolerance < math.inf:
+        raise DomainError(f"tolerance must be finite and > 0, got {tolerance!r}")
     model0 = induced_potential(scheme, t, 0.0)
 
     def p_low(s: float) -> float:
-        from .thermo import gurevich_pressure
-        return gurevich_pressure(with_shift(model0, s), n_max=1).lower
+        return gurevich_pressure(with_shift(model0, s)).lower
 
     def p_up(s: float) -> float:
-        from .thermo import gurevich_pressure
-        return gurevich_pressure(with_shift(model0, s), n_max=1).upper
+        return gurevich_pressure(with_shift(model0, s)).upper
 
     zeb = zero_entropy_competitor(scheme, t)
 
@@ -464,8 +449,11 @@ def equilibrium_shift_solve(scheme: InducingScheme, t: float,
 
     edge_hi = _edge_bisect(p_up, s_left, s_right, tol=tolerance)
     edge_lo = _edge_bisect(p_low, s_left, s_right, tol=tolerance)
-    s_lo = min(edge_lo, edge_hi) - 0.5 * tolerance
-    s_hi = max(edge_lo, edge_hi) + 0.5 * tolerance
+    # the float-evaluated bounds place their roots only to a few ulps
+    pad = max(0.5 * tolerance,
+              8.0 * math.ulp(max(1.0, abs(edge_lo), abs(edge_hi))))
+    s_lo = min(edge_lo, edge_hi) - pad
+    s_hi = max(edge_lo, edge_hi) + pad
     solution = solve_gibbs(with_shift(model0, 0.5 * (s_lo + s_hi)), n_keep=n_keep)
     return ShiftSolveResult(s_lo, s_hi, solution, zeb)
 

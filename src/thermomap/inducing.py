@@ -13,13 +13,12 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .errors import DomainError, ResourceError
 from .hofbauer import HofbauerTower
 from .interval_map import (
     IntervalMap,
-    derivative_along,
     derivative_along_word,
     eval_along_word,
     pullback_word,
@@ -90,15 +89,22 @@ class InducingScheme:
         return sum(b.length for b in self.branches)
 
 
-def _sample_derivative(m: IntervalMap, branch_word: tuple[int, ...],
-                       lo: float, hi: float, n_inner: int = 9
-                       ) -> tuple[float, float, float]:
-    """(inf, sup, midpoint) of |Df^tau| on [lo, hi], sampled."""
+def _sample_derivative(m: IntervalMap,
+                       word_at: Callable[[float], tuple[int, ...]],
+                       lo: float, hi: float, n_inner: int = 9,
+                       edge: float = 1e-12) -> tuple[float, float, float]:
+    """(inf, sup, midpoint) of |Df^tau| on [lo, hi], sampled.
+
+    ``word_at(x)`` names the branch word at each sample, so a branch that
+    spans several cylinders of one monotone piece is followed piece by
+    piece. The two end samples sit a relative ``edge`` inside the interval.
+    """
     length = hi - lo
-    xs = [lo + length * 1e-12, hi - length * 1e-12]
+    xs = [lo + length * edge, hi - length * edge]
     xs += [lo + length * k / (n_inner + 1) for k in range(1, n_inner + 1)]
-    vals = [derivative_along_word(m, branch_word, x) for x in xs]
-    mid = derivative_along_word(m, branch_word, 0.5 * (lo + hi))
+    vals = [derivative_along_word(m, word_at(x), x) for x in xs]
+    x_mid = 0.5 * (lo + hi)
+    mid = derivative_along_word(m, word_at(x_mid), x_mid)
     return min(vals), max(vals), mid
 
 
@@ -187,7 +193,8 @@ def first_return_scheme(tower: HofbauerTower,
                     node = tower.nodes[node_i]
                     ext_a = pullback_word(m, word, node.lo)
                     ext_b = pullback_word(m, word, node.hi)
-                    dlo, dhi, dmid = _sample_derivative(m, word, b_lo, b_hi)
+                    dlo, dhi, dmid = _sample_derivative(
+                        m, lambda _x: word, b_lo, b_hi)
                     branches.append(SchemeBranch(
                         b_lo, b_hi, len(word), word,
                         min(ext_a, ext_b), max(ext_a, ext_b),
@@ -332,7 +339,8 @@ def extendible_return_scheme(m: IntervalMap, x: tuple[float, float] | Cylinder,
                 continue
             ea, eb = pull(piece, y_lo), pull(piece, y_hi)
             word = _word_at(piece, 0.5 * (b_lo + b_hi))
-            dlo, dhi, dmid = _sample_derivative_runtime(m, j, b_lo, b_hi)
+            dlo, dhi, dmid = _sample_derivative(
+                m, lambda xx: _word_at(piece, xx), b_lo, b_hi, edge=1e-9)
             branches.append(SchemeBranch(
                 b_lo, b_hi, j, word, min(ea, eb), max(ea, eb), dlo, dhi, dmid))
             uncovered.remove(b_lo, b_hi)
@@ -351,16 +359,6 @@ def _word_at(piece: list[Cylinder], x: float) -> tuple[int, ...]:
         if cyl.lo - 1e-12 <= x <= cyl.hi + 1e-12:
             return cyl.word
     return piece[0].word
-
-
-def _sample_derivative_runtime(m: IntervalMap, j: int, lo: float, hi: float,
-                               n_inner: int = 9) -> tuple[float, float, float]:
-    length = hi - lo
-    xs = [lo + length * 1e-9, hi - length * 1e-9]
-    xs += [lo + length * k / (n_inner + 1) for k in range(1, n_inner + 1)]
-    vals = [derivative_along(m, xx, j) for xx in xs]
-    mid = derivative_along(m, 0.5 * (lo + hi), j)
-    return min(vals), max(vals), mid
 
 
 # ---------------------------------------------------------------------------

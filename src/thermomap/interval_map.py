@@ -435,12 +435,15 @@ _FIXTURES: dict[str, Callable[[], IntervalMap]] = {
 def _parse_number(tok: str, path: str) -> float:
     tok = tok.strip()
     frac = re.fullmatch(r"(-?\d+)\s*/\s*(\d+)", tok)
-    if frac:
-        return float(frac.group(1)) / float(frac.group(2))
     try:
-        return float(tok)
+        value = float(frac.group(1)) / float(frac.group(2)) if frac else float(tok)
     except ValueError:
         raise SchemaError(f"{path}: not a number: {tok!r}") from None
+    except ZeroDivisionError:
+        raise SchemaError(f"{path}: zero denominator: {tok!r}") from None
+    if not math.isfinite(value):
+        raise SchemaError(f"{path}: not a finite number: {tok!r}")
+    return value
 
 
 def parse_map_spec(text: str) -> IntervalMap:

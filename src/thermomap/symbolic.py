@@ -94,17 +94,8 @@ def refine(m: IntervalMap, n: int, cap: int = 200_000) -> list[Cylinder]:
     """The partition P_n into n-cylinders, ordered left to right."""
     if n < 1:
         raise DomainError("refinement depth must be >= 1")
-    level = _level_one(m)
-    for _ in range(n - 1):
-        nxt: list[Cylinder] = []
-        for cyl in level:
-            nxt.extend(_children(m, cyl))
-            if len(nxt) > cap:
-                raise ResourceError(
-                    f"cylinder cap {cap} exceeded at depth {len(cyl.word) + 1}",
-                    count=len(nxt))
-        level = nxt
-    level.sort(key=lambda c: c.lo)
+    for level in refine_levels(m, n, cap=cap):
+        pass
     return level
 
 
@@ -118,7 +109,9 @@ def refine_levels(m: IntervalMap, n_max: int,
         for cyl in level:
             nxt.extend(_children(m, cyl))
             if len(nxt) > cap:
-                raise ResourceError("cylinder cap exceeded", count=len(nxt))
+                raise ResourceError(
+                    f"cylinder cap {cap} exceeded at depth {len(cyl.word) + 1}",
+                    count=len(nxt))
         level = nxt
         yield sorted(level, key=lambda c: c.lo)
 

@@ -8,6 +8,7 @@ reported as an interval, never a bare point estimate.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 from typing import Sequence
@@ -16,7 +17,7 @@ import numpy as np
 
 from .errors import DegenerateBranchError, DomainError
 from .inducing import InducingScheme
-from .symbolic import laps_entropy
+from .symbolic import laps_entropy, periodic_point
 
 
 @dataclass(frozen=True)
@@ -145,11 +146,8 @@ def tail_info_for(scheme: InducingScheme, lap_depth: int = 10,
         lens[b.tau] = lens.get(b.tau, 0.0) + b.length
     ns = np.array(sorted(lens))
     ys = np.log(np.array([lens[n] for n in ns]))
-    if len(ns) >= 3:
-        slope, intercept = np.polyfit(ns.astype(float), ys, 1)
-        alpha_len = max(-float(slope), 0.0)
-    else:
-        alpha_len, intercept = 0.0, 0.0
+    alpha_len = (max(-_fit_line(ns.astype(float), ys)[0], 0.0)
+                 if len(ns) >= 3 else 0.0)
     log_c_len = float(max(ys + alpha_len * ns))
     lam_max = max(b.df_hi ** (1.0 / b.tau) for b in scheme.branches)
     info = TailInfo(scheme.truncation, log_c, h, log_c_len, alpha_len,
@@ -234,8 +232,7 @@ def partition_function(model: ThermoModel, n: int, base: int) -> Bracket:
         raise DomainError("n must be >= 1")
     if base < 0 or base >= model.n:
         return Bracket(0.0, 0.0)
-    w_sum_lo = float(model.w_lo.sum())
-    w_sum_hi = float(model.w_hi.sum()) + model.tail_weight()
+    w_sum_lo, w_sum_hi = model.weight_sum()
     lo = float(model.w_lo[base]) * max(w_sum_lo, 0.0) ** (n - 1)
     hi = (math.inf if math.isinf(w_sum_hi) and n > 1
           else float(model.w_hi[base]) * w_sum_hi ** (n - 1))
@@ -264,8 +261,6 @@ def partition_function_exact(model: ThermoModel, n: int, base: int,
     base branch, so it is only for small families (cross-checking the
     bracket path).
     """
-    from .symbolic import periodic_point
-
     scheme = model.scheme
     if scheme is None:
         raise DomainError("exact evaluation needs a geometric scheme")
@@ -273,15 +268,10 @@ def partition_function_exact(model: ThermoModel, n: int, base: int,
         raise DomainError("word count exceeds cap")
     m = scheme.map
     total = 0.0
-    words = [[base]]
-    for _ in range(n - 1):
-        words = [w + [j] for w in words for j in range(model.n)]
-    for w in words:
-        f_word: tuple[int, ...] = ()
-        tau_total = 0
-        for i in w:
-            f_word += scheme.branches[i].word
-            tau_total += scheme.branches[i].tau
+    for rest in itertools.product(range(model.n), repeat=n - 1):
+        brs = [scheme.branches[i] for i in (base,) + rest]
+        f_word = sum((b.word for b in brs), ())
+        tau_total = sum(b.tau for b in brs)
         pp = periodic_point(m, f_word)
         if pp is None:
             continue
@@ -298,7 +288,6 @@ def partition_function_exact(model: ThermoModel, n: int, base: int,
 class PressureBracket:
     lower: float
     upper: float
-    n_used: int
     tail_bound: float
 
     @property
@@ -317,46 +306,40 @@ class PressureBracket:
         return self.lower - slack <= v <= self.upper + slack
 
 
-def gurevich_pressure(model: ThermoModel, n_max: int = 8,
-                      base: int | None = None) -> PressureBracket:
+def gurevich_pressure(model: ThermoModel) -> PressureBracket:
     """Bracket on the exponential growth rate of Z_n.
 
-    Lower side: log of the lower weight sum, refined by finite-n values
-    through almost-subadditivity.  Upper side: log of the upper weight
-    sum plus the truncation tail; +inf signals a divergent weight sum.
+    On a full shift Z_n = w_base * W^(n-1) for the weight sum W, so the
+    Gurevich pressure is exactly log W.  The bracket is the log of the
+    lower and upper weight sums, the upper one including the truncation
+    tail; +inf signals a divergent weight sum.
     """
-    if base is None:
-        base = model.default_base()
     w_lo, w_hi = model.weight_sum()
-    tail = model.tail_weight()
     lower = math.log(w_lo) if w_lo > 0 else -math.inf
-    n_used = 1
-    for n in range(2, n_max + 1):
-        z = partition_function(model, n, base)
-        if z.lo > 0.0:
-            cand = (math.log(z.lo) - model.log_b) / n
-            if cand > lower:
-                lower = cand
-                n_used = n
-    upper = math.log(w_hi) if math.isfinite(w_hi) else math.inf
-    return PressureBracket(lower, upper, n_used, tail)
+    if w_hi == 0.0:  # every weight underflowed
+        upper = -math.inf
+    else:
+        upper = math.log(w_hi) if math.isfinite(w_hi) else math.inf
+    return PressureBracket(lower, upper, model.tail_weight())
+
+
+def _as_model(model_or_scheme, t: float | None) -> ThermoModel:
+    """A model as given, or a scheme's induced potential at t and S = 0."""
+    if isinstance(model_or_scheme, ThermoModel):
+        return model_or_scheme
+    if t is None:
+        raise DomainError("t is required when passing a scheme")
+    return induced_potential(model_or_scheme, t, 0.0)
 
 
 def pressure_vs_shift(scheme_or_model, t: float | None,
-                      s_grid: Sequence[float],
-                      n_max: int = 6) -> list[tuple[float, PressureBracket]]:
+                      s_grid: Sequence[float]) -> list[tuple[float, PressureBracket]]:
     """Pressure brackets along an ascending grid of shifts."""
     s_grid = list(s_grid)
     if any(b <= a for a, b in zip(s_grid, s_grid[1:])):
         raise DomainError("shift grid must be ascending")
-    if isinstance(scheme_or_model, ThermoModel):
-        base_model = scheme_or_model
-    else:
-        if t is None:
-            raise DomainError("t is required when passing a scheme")
-        base_model = induced_potential(scheme_or_model, t, 0.0)
-    return [(s, gurevich_pressure(with_shift(base_model, s), n_max=n_max))
-            for s in s_grid]
+    base_model = _as_model(scheme_or_model, t)
+    return [(s, gurevich_pressure(with_shift(base_model, s))) for s in s_grid]
 
 
 # ---------------------------------------------------------------------------
@@ -389,12 +372,7 @@ def p_star_discriminant(model_or_scheme, t: float | None = None,
     discriminant is the boundary value of the pressure: log of the sum
     at p*, +inf-flagged when the fitted polynomial part is not summable.
     """
-    if isinstance(model_or_scheme, ThermoModel):
-        model = model_or_scheme
-    else:
-        if t is None:
-            raise DomainError("t is required when passing a scheme")
-        model = induced_potential(model_or_scheme, t, 0.0)
+    model = _as_model(model_or_scheme, t)
     ns, a_n = _tau_grouped_weights(model)
     keep = a_n > 0
     ns, a_n = ns[keep], a_n[keep]
@@ -483,12 +461,13 @@ class TailRecord:
     finite_support: bool = False
 
 
-def _linear_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
+def _fit_line(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
+    """Least-squares slope of y against x, and the R^2 of the line."""
     slope, intercept = np.polyfit(x, y, 1)
     fit = slope * x + intercept
     ss_tot = float(np.sum((y - y.mean()) ** 2))
     r2 = 1.0 - float(np.sum((y - fit) ** 2)) / ss_tot if ss_tot > 0 else 1.0
-    return float(slope), float(intercept), r2
+    return float(slope), r2
 
 
 def tail_classify(masses: Sequence[float], min_points: int = 8,
@@ -508,14 +487,14 @@ def tail_classify(masses: Sequence[float], min_points: int = 8,
         last = int(np.nonzero(pos)[0][-1]) if n_pos else -1
         prefix = bool(np.all(pos[:last + 1]))
         if n_pos >= 2 and prefix:
-            slope, _, r2 = _linear_fit(ns[pos], np.log(arr[pos]))
+            slope, r2 = _fit_line(ns[pos], np.log(arr[pos]))
             return TailRecord("exponential", -slope, math.nan, r2,
                               finite_support=True)
         return TailRecord("inconclusive", math.nan, math.nan, math.nan,
                           finite_support=n_pos < 2)
     x, y = ns[pos], np.log(arr[pos])
-    slope_e, _, r2_e = _linear_fit(x, y)
-    slope_p, _, r2_p = _linear_fit(np.log(x), y)
+    slope_e, r2_e = _fit_line(x, y)
+    slope_p, r2_p = _fit_line(np.log(x), y)
     if max(r2_e, r2_p) < r2_floor:
         return TailRecord("inconclusive", math.nan, math.nan, max(r2_e, r2_p))
     if r2_e >= r2_p:

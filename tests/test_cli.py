@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from thermomap import cli
 from thermomap.cli import (
     CurveRow,
     PressureCurve,
@@ -12,6 +13,7 @@ from thermomap.cli import (
     scan_pressure,
 )
 from thermomap.errors import DomainError, NotApplicableError
+from thermomap.interval_map import parse_map_spec
 
 from conftest import LOG_GOLDEN
 
@@ -32,6 +34,16 @@ class TestMarkovOracle:
         for t in (-0.5, 0.3, 1.2):
             assert markov_oracle(tent_map, t) == pytest.approx(
                 (1 - t) * math.log(2.0), abs=1e-11)
+
+    @pytest.mark.parametrize("t", [0.0, 0.5, 2.0])
+    def test_period_two_matrix(self, t):
+        # eigenvalues +-lambda share the spectral radius, which power
+        # iteration cannot separate
+        m = parse_map_spec("kind = plinear\nbreakpoints = 0, 1/3, 2/3, 1\n"
+                           "images = [1/3,1], [0,1/3], [0,1/3]\n"
+                           "orientations = 1, 1, 1\n")
+        assert markov_oracle(m, t) == pytest.approx(
+            (1 - t) * math.log(2.0) / 2, abs=1e-12)
 
     def test_not_applicable_for_quadratic(self, quad_map):
         with pytest.raises(NotApplicableError):
@@ -88,6 +100,10 @@ class TestScanPressure:
             ScanConfig(tent_map, 0.0, 1.0, 1)
         with pytest.raises(DomainError):
             ScanConfig(tent_map, 0.0, 1.0, 5, tolerance=0.0)
+        with pytest.raises(DomainError):
+            ScanConfig(tent_map, 0.0, 1.0, 5, tolerance=math.nan)
+        with pytest.raises(DomainError, match="unknown scheme kind"):
+            ScanConfig(tent_map, 0.0, 1.0, 5, scheme_kind="bogus")
 
 
 def synthetic_curve(f, t_lo, t_hi, n):
@@ -140,6 +156,47 @@ class TestRunCli:
 
     def test_bad_map_exits_two(self, capsys):
         assert run(["oracle", "--map", "nonexistent", "--t", "0"]) == 2
+
+    @pytest.mark.parametrize("argv, option", [
+        (["pressure", "--t", "nan"], "--t"),
+        (["pressure", "--t", "0", "--tol", "nan"], "--tol"),
+        (["oracle", "--t", "inf"], "--t"),
+        (["scan", "--t-min=-inf", "--t-max", "1", "--steps", "3"], "--t-min"),
+        (["scan", "--t-min", "0", "--t-max", "nan", "--steps", "3"], "--t-max"),
+        (["induce", "--delta", "inf"], "--delta"),
+        (["induce", "--x-point", "nan"], "--x-point"),
+    ])
+    def test_non_finite_option_exits_two(self, capsys, argv, option):
+        assert run(argv[:1] + ["--map", "tent2"] + argv[1:]) == 2
+        assert f"argument {option}:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["pressure", "--t", "0", "--tol", "0"],
+        ["pressure", "--t", "0", "--tol=-1e-10"],
+        ["scan", "--t-min", "0", "--t-max", "1", "--steps", "3", "--tol", "0"],
+    ])
+    def test_non_positive_tolerance_exits_two(self, monkeypatch, capsys, argv):
+        # rejected by the parser, before the map is loaded
+        def no_load(name):
+            raise AssertionError("map loaded")
+        monkeypatch.setattr(cli, "load_map", no_load)
+        assert run(argv[:1] + ["--map", "tent2"] + argv[1:]) == 2
+        assert "argument --tol: must be > 0" in capsys.readouterr().err
+
+    def test_negative_x_depth_exits_two(self, capsys):
+        assert run(["pressure", "--map", "tent2", "--t", "0", "--x-depth", "-1"]) == 2
+        assert "x_depth must be >= 0" in capsys.readouterr().err
+
+    def test_zero_denominator_in_map_spec_exits_two(self, tmp_path, capsys):
+        spec = tmp_path / "m.map"
+        spec.write_text("kind = plinear\nbreakpoints = 0, 1/0, 1\n"
+                        "images = [0,1], [0,1]\n")
+        assert run(["oracle", "--map", str(spec), "--t", "0"]) == 2
+        assert "zero denominator" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("t", ["1e5", "1e308"])
+    def test_underflowing_weights_exit_three(self, capsys, t):
+        assert run(["pressure", "--map", "tent2", "--t", t]) == 3
 
     def test_oracle_quadratic_exits_three(self, capsys):
         assert run(["oracle", "--map", "quad4", "--t", "1"]) == 3

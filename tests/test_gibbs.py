@@ -1,9 +1,11 @@
 import math
+import signal
 
 import numpy as np
 import pytest
 
 import thermomap as tm
+from thermomap.errors import DomainError
 from thermomap.thermo import synthetic_model
 
 from conftest import ACIP_LYAP, LOG_GOLDEN
@@ -145,6 +147,23 @@ class TestShiftSolve:
     def test_tent_t07(self, tent_trivial_scheme):
         res = tm.equilibrium_shift_solve(tent_trivial_scheme, 0.7, 1e-10)
         assert res.mid == pytest.approx(0.3 * math.log(2.0), abs=1e-9)
+
+    def test_tolerance_below_float_spacing_returns(self, tent_trivial_scheme):
+        def expire(signum, frame):
+            raise TimeoutError("edge bisection did not stop")
+        previous = signal.signal(signal.SIGALRM, expire)
+        signal.alarm(30)
+        try:
+            res = tm.equilibrium_shift_solve(tent_trivial_scheme, 0.0, 1e-20)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert res.bracket.contains(math.log(2.0))
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf])
+    def test_non_finite_tolerance_rejected(self, tent_trivial_scheme, tol):
+        with pytest.raises(DomainError):
+            tm.equilibrium_shift_solve(tent_trivial_scheme, 0.0, tol)
 
     def test_equilibrium_identity(self, golden_scheme):
         for t in (0.0, 0.5, 1.0):

@@ -3,7 +3,7 @@ import pytest
 import thermomap as tm
 from thermomap.errors import DomainError
 from thermomap.inducing import SchemeBranch
-from thermomap.interval_map import eval_along_word
+from thermomap.interval_map import derivative_along, eval_along_word
 
 
 def tower_first_return_time(tower, c_lo, c_hi, x, t_cap=50):
@@ -114,6 +114,22 @@ class TestExtendibleReturn:
     def test_neighbourhood_must_fit(self, tent_map):
         with pytest.raises(DomainError):
             tm.extendible_return_scheme(tent_map, (0.0, 0.5), 2.0, 4)
+
+    def test_derivative_bounds_across_a_join(self):
+        # f is continuous and increasing across 1/4 with slopes 1.2 and 2.8,
+        # so a monotone piece of f^j, hence one branch, spans two words
+        m = tm.make_plinear([0, 0.25, 0.5, 1], [(0, 0.3), (0.3, 1), (0, 1)],
+                            [1, 1, -1])
+        spans = 0
+        for x in [(0.0, 0.5), (0.1, 0.4), (0.5, 1.0), (0.6, 0.9)]:
+            sch = tm.extendible_return_scheme(m, x, 0.25, 6)
+            for b in sch.branches:
+                ds = [derivative_along(m, b.lo + (b.hi - b.lo) * k / 50, b.tau)
+                      for k in range(1, 50)]
+                assert b.df_lo <= min(ds) * (1 + 1e-12)
+                assert max(ds) <= b.df_hi * (1 + 1e-12)
+                spans += max(ds) > min(ds)
+        assert spans > 0
 
     def test_escape_monotone(self, tent_map):
         e4 = tm.extendible_return_scheme(tent_map, (0.0, 0.5), 0.5, 4)

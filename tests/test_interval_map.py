@@ -126,6 +126,13 @@ class TestParseMapSpec:
             tm.parse_map_spec(text)
         assert "branches[0]" in str(exc.value)
 
+    @pytest.mark.parametrize("point", ["1/0", "0/0", "inf", "nan"])
+    def test_non_finite_number_rejected(self, point):
+        text = f"kind = plinear\nbreakpoints = 0, {point}, 1\nimages = [0,1], [0,1]\n"
+        with pytest.raises(SchemaError) as exc:
+            tm.parse_map_spec(text)
+        assert "breakpoints" in str(exc.value)
+
     def test_missing_kind(self):
         with pytest.raises(SchemaError):
             tm.parse_map_spec("s = 2\n")

@@ -100,11 +100,20 @@ class TestGurevichPressure:
         assert pb.mid == pytest.approx((1.0 - t) * math.log(2.0), abs=1e-11)
         assert pb.width <= 1e-11
 
-    def test_base_independence(self, golden_scheme):
-        model = tm.induced_potential(golden_scheme, 0.5, 0.1)
-        pb0 = tm.gurevich_pressure(model, base=0)
-        pb1 = tm.gurevich_pressure(model, base=1)
-        assert max(pb0.lower, pb1.lower) <= min(pb0.upper, pb1.upper) + 1e-12
+    @pytest.mark.parametrize("fixture_name",
+                             ["golden_scheme", "tent_trivial_scheme",
+                              "quad_scheme"])
+    def test_finite_n_never_beats_weight_sum(self, fixture_name, request):
+        # Z_n = w_base * W^(n-1) on a full shift, so no base and no finite n
+        # gives a lower bound above log W
+        scheme = request.getfixturevalue(fixture_name)
+        model = tm.induced_potential(scheme, 0.5, 0.1)
+        lower = tm.gurevich_pressure(model).lower
+        for base in range(model.n):
+            for n in range(1, 9):
+                z = tm.partition_function(model, n, base)
+                if z.lo > 0.0:
+                    assert (math.log(z.lo) - model.log_b) / n <= lower + 1e-12
 
 
 class TestPressureVsShift:
