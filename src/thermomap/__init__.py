@@ -62,7 +62,6 @@ from .inducing import (
 )
 from .thermo import (
     Bracket,
-    PressureBracket,
     ThermoModel,
     gurevich_pressure,
     induced_potential,

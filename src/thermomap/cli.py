@@ -102,6 +102,9 @@ class ScanConfig:
             raise DomainError("steps must be >= 2")
         if not self.tolerance > 0:
             raise DomainError("tolerance must be > 0")
+        if not math.isfinite((self.t_max - self.t_min) * (self.steps - 1)):
+            raise DomainError("t-grid overflows: (t_max - t_min) * (steps - 1) "
+                              "is not finite")
 
     def t_grid(self) -> list[float]:
         span = self.t_max - self.t_min
@@ -192,11 +195,6 @@ def scan_pressure(config: ScanConfig,
     for t in config.t_grid():
         try:
             res = equilibrium_shift_solve(scheme, t, config.tolerance)
-            if res.solution is None:
-                curve.rows.append(CurveRow(t, res.s_lo, res.s_hi,
-                                           res.zero_entropy_bound,
-                                           "error:one-sided", nan, nan, nan, nan))
-                continue
             ab = abramov_quantities(scheme, res.solution)
             tail = tail_classify(mass_by_tau(res.solution))
             rate = tail.rate if tail.kind == "exponential" else tail.exponent
@@ -422,7 +420,7 @@ def _dispatch(args) -> int:
         res = equilibrium_shift_solve(scheme, args.t, args.tol)
         print(f"P_+ bracket: [{_fmt(res.s_lo)}, {_fmt(res.s_hi)}]  "
               f"zero-entropy bound: {_fmt(res.zero_entropy_bound)}")
-        if args.json and res.solution is not None:
+        if args.json:
             with open(args.json, "w", encoding="utf-8") as fh:
                 fh.write(solution_to_json(res.solution))
         return 0

@@ -31,9 +31,15 @@ from .errors import (
 )
 from .inducing import InducingScheme
 from .interval_map import derivative_along_word, eval_along_word, pullback_word
-from .symbolic import DEGEN_TOL, periodic_point
+from .symbolic import DEGEN_TOL
 from .thermo import (Bracket, ThermoModel, gurevich_pressure,
                      induced_potential, with_shift)
+
+
+#: Largest branch family refined by the depth-2 power iteration.
+REFINE_CAP = 256
+#: Relative residual at which the depth-2 power iteration stops.
+RESIDUAL_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -56,62 +62,45 @@ class GibbsSolution:
         return Bracket(math.log(self.lam_lo), hi)
 
 
-def solve_gibbs(model: ThermoModel, n_keep: int | None = None,
-                refine_cap: int = 256, residual_tol: float = 1e-10) -> GibbsSolution:
+def solve_gibbs(model: ThermoModel) -> GibbsSolution:
     """Leading eigendata of the induced transfer operator.
 
-    Keeps the n_keep largest-weight branches (all by default); the
-    dropped and beyond-cap weight goes into the eigenvalue bracket.
+    The beyond-cap tail weight goes into the eigenvalue bracket.
     """
-    w_sum_lo, w_sum_hi = model.weight_sum()
-    if not math.isfinite(w_sum_hi) and model.tail is not None and \
+    lam_lo, lam_hi = model.weight_sum()
+    if not math.isfinite(lam_hi) and model.tail is not None and \
             not math.isfinite(model.tail_weight()):
         raise InfinitePressureError("weight sum diverges at this shift")
     n = model.n
-    if n_keep is None or n_keep >= n:
-        kept = np.arange(n)
-    else:
-        order = np.argsort(model.w_pt)[::-1]
-        kept = np.sort(order[:n_keep])
-    w_pt = model.w_pt[kept]
-    lam = float(w_pt.sum())
-    lam_lo = float(model.w_lo[kept].sum())
-    lam_hi = w_sum_hi  # full family: dropped branches and the tail included
-    masses = w_pt / lam
-    rho = np.ones(len(kept))
+    lam = float(model.w_pt.sum())
+    masses = model.w_pt / lam
+    rho = np.ones(n)
     conformal = masses.copy()
     residual = 0.0
 
     nontrivial = model.scheme is not None and \
         model.scheme.measured_distortion() > 1.0 + 1e-12
-    if nontrivial and len(kept) <= refine_cap:
-        lam_r, rho, conformal, residual = _depth2_power_iteration(
-            model, kept, residual_tol)
+    if nontrivial and n <= REFINE_CAP:
+        lam, rho, conformal, residual = _depth2_power_iteration(model)
         masses = rho * conformal
         masses = masses / masses.sum()
-        lam = lam_r
-    mass_lo = np.minimum(model.w_lo[kept] / max(lam_hi, lam), 1.0) \
-        if math.isfinite(lam_hi) else np.zeros(len(kept))
-    mass_hi = np.minimum(model.w_hi[kept] / lam_lo, 1.0)
+    mass_lo = np.minimum(model.w_lo / max(lam_hi, lam), 1.0) \
+        if math.isfinite(lam_hi) else np.zeros(n)
+    mass_hi = np.minimum(model.w_hi / lam_lo, 1.0)
     return GibbsSolution(model, lam, lam_lo, lam_hi, masses, mass_lo, mass_hi,
-                         conformal, rho, len(kept), residual)
+                         conformal, rho, n, residual)
 
 
-def _depth2_power_iteration(model: ThermoModel, kept: np.ndarray,
-                            residual_tol: float) -> tuple[float, np.ndarray, np.ndarray, float]:
+def _depth2_power_iteration(model: ThermoModel) -> tuple[float, np.ndarray, np.ndarray, float]:
     """Power-iterate the operator on branch-constant functions using
     weights evaluated at depth-2 cylinder midpoints."""
-    scheme = model.scheme
-    m = scheme.map
-    n = len(kept)
-    B = np.empty((n, n))
-    for jj, j in enumerate(kept):
-        target_mid = scheme.branches[j].midpoint
-        for ii, i in enumerate(kept):
-            br = scheme.branches[i]
-            x_ij = pullback_word(m, br.word, target_mid)
-            df = derivative_along_word(m, br.word, x_ij)
-            B[jj, ii] = df ** (-model.t) * math.exp(-br.tau * model.shift)
+    branches = model.scheme.branches
+    t = model.t
+    # scalar ** and math.exp: numpy's vectorised versions differ in the last bit
+    decay = [math.exp(-br.tau * model.shift) for br in branches]
+    B = np.array([[df ** (-t) * d for df, d in zip(row, decay)]
+                  for row in model.scheme.depth2_derivatives])
+    n = len(branches)
     rho = np.ones(n) / n
     mvec = np.ones(n) / n
     lam = 1.0
@@ -121,8 +110,8 @@ def _depth2_power_iteration(model: ThermoModel, kept: np.ndarray,
         rho_new /= lam
         m_new = B.T @ mvec
         m_new /= m_new.sum()
-        if float(np.max(np.abs(B @ rho_new - lam * rho_new))) <= residual_tol * lam \
-                and float(np.max(np.abs(rho_new - rho))) <= residual_tol:
+        if float(np.max(np.abs(B @ rho_new - lam * rho_new))) <= RESIDUAL_TOL * lam \
+                and float(np.max(np.abs(rho_new - rho))) <= RESIDUAL_TOL:
             rho, mvec = rho_new, m_new
             break
         rho, mvec = rho_new, m_new
@@ -231,8 +220,6 @@ class IntervalMeasure:
         acc_lo = 0.0
         acc_hi = 0.0
         for i, br in enumerate(scheme.branches):
-            if i >= len(self.solution.masses):
-                break
             p, q = max(lo, br.lo), min(hi, br.hi)
             if q - p <= DEGEN_TOL:
                 continue
@@ -259,9 +246,7 @@ class IntervalMeasure:
         m = scheme.map
         num_lo = 0.0
         num_hi = 0.0
-        for i, br in enumerate(scheme.branches):
-            if i >= len(self.solution.masses):
-                break
+        for br in scheme.branches:
             for k in range(br.tau):
                 head = br.word[:k]
                 u = eval_along_word(m, head, br.lo)
@@ -359,9 +344,8 @@ def abramov_quantities(scheme: InducingScheme,
 class ShiftSolveResult:
     s_lo: float
     s_hi: float
-    solution: GibbsSolution | None
+    solution: GibbsSolution
     zero_entropy_bound: float
-    one_sided: str | None = None
 
     @property
     def bracket(self) -> Bracket:
@@ -372,17 +356,10 @@ class ShiftSolveResult:
         return 0.5 * (self.s_lo + self.s_hi)
 
 
-def zero_entropy_competitor(scheme: InducingScheme, t: float,
-                            max_period: int = 3) -> float:
+def zero_entropy_competitor(scheme: InducingScheme, t: float) -> float:
     """Best atomic lower bound max over periodic orbits of -t*lyap(orbit)."""
-    m = scheme.map
-    best = -math.inf
-    for period in range(1, max_period + 1):
-        for w in itertools.product(range(m.n_branches), repeat=period):
-            pp = periodic_point(m, w)
-            if pp is not None and pp.multiplier > 0:
-                best = max(best, -t * math.log(pp.multiplier) / period)
-    return best
+    return max((-t * lm / p for lm, p in scheme.periodic_orbits),
+               default=-math.inf)
 
 
 def _edge_bisect(f, lo: float, hi: float, tol: float) -> float:
@@ -400,10 +377,7 @@ def _edge_bisect(f, lo: float, hi: float, tol: float) -> float:
 
 
 def equilibrium_shift_solve(scheme: InducingScheme, t: float,
-                            tolerance: float = 1e-10,
-                            s_min: float | None = None,
-                            s_max: float | None = None,
-                            n_keep: int | None = None) -> ShiftSolveResult:
+                            tolerance: float = 1e-10) -> ShiftSolveResult:
     """Solve P_G(Psi_S) = 0 for the shift S by bracket-aware bisection.
 
     Monotone continuity of S -> P_G(Psi_S) justifies bisection; the two
@@ -417,32 +391,26 @@ def equilibrium_shift_solve(scheme: InducingScheme, t: float,
     model0 = induced_potential(scheme, t, 0.0)
 
     def p_low(s: float) -> float:
-        return gurevich_pressure(with_shift(model0, s)).lower
+        return gurevich_pressure(with_shift(model0, s)).lo
 
     def p_up(s: float) -> float:
-        return gurevich_pressure(with_shift(model0, s)).upper
+        return gurevich_pressure(with_shift(model0, s)).hi
 
     zeb = zero_entropy_competitor(scheme, t)
 
     # find s_right with upper < 0
-    s_right = 1.0 if s_max is None else s_max
+    s_right = 1.0
     for _ in range(80):
         if p_up(s_right) < 0.0:
             break
-        if s_max is not None and s_right >= s_max:
-            return ShiftSolveResult(s_max, math.inf, None, zeb,
-                                    one_sided=f"P >= {s_max}")
         s_right = max(2.0 * abs(s_right), s_right + 1.0)
     else:
         raise InfinitePressureError("upper pressure bound never went negative")
     # find s_left with lower > 0
-    s_left = -1.0 if s_min is None else s_min
+    s_left = -1.0
     for _ in range(80):
         if p_low(s_left) > 0.0:
             break
-        if s_min is not None and s_left <= s_min:
-            return ShiftSolveResult(-math.inf, s_min, None, zeb,
-                                    one_sided=f"P <= {s_min}")
         s_left = -max(2.0 * abs(s_left), abs(s_left) + 1.0)
     else:
         raise InfinitePressureError("lower pressure bound never went positive")
@@ -454,7 +422,7 @@ def equilibrium_shift_solve(scheme: InducingScheme, t: float,
               8.0 * math.ulp(max(1.0, abs(edge_lo), abs(edge_hi))))
     s_lo = min(edge_lo, edge_hi) - pad
     s_hi = max(edge_lo, edge_hi) + pad
-    solution = solve_gibbs(with_shift(model0, 0.5 * (s_lo + s_hi)), n_keep=n_keep)
+    solution = solve_gibbs(with_shift(model0, 0.5 * (s_lo + s_hi)))
     return ShiftSolveResult(s_lo, s_hi, solution, zeb)
 
 

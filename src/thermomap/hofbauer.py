@@ -10,7 +10,7 @@ consumers can see where mass escapes the truncation.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import DomainError, ResourceError
 from .interval_map import IntervalMap
@@ -27,7 +27,6 @@ class TowerDomain:
     hi: float
     level: int
     is_stub: bool = False
-    witnesses: set = field(default_factory=set)
 
     @property
     def interval(self) -> tuple[float, float]:
@@ -88,8 +87,7 @@ class HofbauerTower:
         return sum(weights.values())
 
 
-def build_tower(m: IntervalMap, R: int, node_cap: int = 10_000,
-                witness_cap: int = 8) -> HofbauerTower:
+def build_tower(m: IntervalMap, R: int, node_cap: int = 10_000) -> HofbauerTower:
     """Breadth-first tower construction up to level R.
 
     complete=True means every node's successors are known, i.e. the
@@ -99,7 +97,6 @@ def build_tower(m: IntervalMap, R: int, node_cap: int = 10_000,
         raise DomainError("truncation level must be >= 0")
     dlo, dhi = m.domain
     nodes: list[TowerDomain] = [TowerDomain(0, dlo, dhi, 0)]
-    nodes[0].witnesses.add(((), 0))
     edges: dict[tuple[int, int], int] = {}
 
     def find(lo: float, hi: float) -> int | None:
@@ -136,12 +133,6 @@ def build_tower(m: IntervalMap, R: int, node_cap: int = 10_000,
                     else:
                         nxt.append(j)
                 edges[(i, a)] = j
-                dst = nodes[j]
-                if len(dst.witnesses) < witness_cap:
-                    for (w, n) in list(src.witnesses)[:witness_cap]:
-                        if len(dst.witnesses) >= witness_cap:
-                            break
-                        dst.witnesses.add((w + (a,), n + 1))
         frontier = nxt
         level += 1
     complete = not any_stub and not frontier

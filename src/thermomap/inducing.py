@@ -10,9 +10,11 @@ reported, never silently dropped.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Sequence
 
 from .errors import DomainError, ResourceError
@@ -23,7 +25,8 @@ from .interval_map import (
     eval_along_word,
     pullback_word,
 )
-from .symbolic import Cylinder, DEGEN_TOL, monotone_pieces, refine_levels
+from .symbolic import (Cylinder, DEGEN_TOL, monotone_pieces, periodic_point,
+                       refine_levels)
 
 #: Relative tolerance for onto/containment checks, in units of |X|.
 ONTO_RTOL = 1e-9
@@ -85,8 +88,29 @@ class InducingScheme:
     def measured_distortion(self) -> float:
         return max((b.distortion for b in self.branches), default=1.0)
 
-    def covered_length(self) -> float:
-        return sum(b.length for b in self.branches)
+    # Geometry that does not depend on t, computed once and shared by every
+    # solve on this scheme; a scheme must not be changed after it is built.
+
+    @cached_property
+    def depth2_derivatives(self) -> list[list[float]]:
+        """Entry [j][i] is |DF_i| at the F_i-preimage of branch j's midpoint."""
+        m = self.map
+        return [[derivative_along_word(m, bi.word,
+                                       pullback_word(m, bi.word, bj.midpoint))
+                 for bi in self.branches]
+                for bj in self.branches]
+
+    @cached_property
+    def periodic_orbits(self) -> list[tuple[float, int]]:
+        """(log multiplier, period) of the map's orbits of period <= 3."""
+        m = self.map
+        orbits = []
+        for period in range(1, 4):
+            for w in itertools.product(range(m.n_branches), repeat=period):
+                pp = periodic_point(m, w)
+                if pp is not None and pp.multiplier > 0:
+                    orbits.append((math.log(pp.multiplier), period))
+        return orbits
 
 
 def _sample_derivative(m: IntervalMap,

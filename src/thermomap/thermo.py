@@ -207,14 +207,19 @@ def synthetic_model(weights: Sequence[float], taus: Sequence[int] | None = None,
 
 
 def with_shift(model: ThermoModel, shift: float) -> ThermoModel:
-    """The same model at a different potential shift S."""
-    with np.errstate(over="ignore", under="ignore"):
+    """The same model at a different potential shift S.
+
+    A weight that underflowed to 0 (or overflowed) times a factor that
+    overflowed (or underflowed) is unknown: 0 in w_lo and w_pt, +inf in w_hi.
+    """
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
         factor = np.exp(-model.taus * (shift - model.shift))
-        return replace(model,
-                       w_lo=model.w_lo * factor,
-                       w_hi=model.w_hi * factor,
-                       w_pt=model.w_pt * factor,
-                       shift=shift)
+        w_lo, w_hi, w_pt = (model.w_lo * factor, model.w_hi * factor,
+                            model.w_pt * factor)
+    w_lo[np.isnan(w_lo)] = 0.0
+    w_hi[np.isnan(w_hi)] = math.inf
+    w_pt[np.isnan(w_pt)] = 0.0
+    return replace(model, w_lo=w_lo, w_hi=w_hi, w_pt=w_pt, shift=shift)
 
 
 # ---------------------------------------------------------------------------
@@ -284,29 +289,7 @@ def partition_function_exact(model: ThermoModel, n: int, base: int,
 # Gurevich pressure
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PressureBracket:
-    lower: float
-    upper: float
-    tail_bound: float
-
-    @property
-    def infinite(self) -> bool:
-        return math.isinf(self.upper)
-
-    @property
-    def mid(self) -> float:
-        return 0.5 * (self.lower + self.upper)
-
-    @property
-    def width(self) -> float:
-        return self.upper - self.lower
-
-    def contains(self, v: float, slack: float = 0.0) -> bool:
-        return self.lower - slack <= v <= self.upper + slack
-
-
-def gurevich_pressure(model: ThermoModel) -> PressureBracket:
+def gurevich_pressure(model: ThermoModel) -> Bracket:
     """Bracket on the exponential growth rate of Z_n.
 
     On a full shift Z_n = w_base * W^(n-1) for the weight sum W, so the
@@ -320,7 +303,7 @@ def gurevich_pressure(model: ThermoModel) -> PressureBracket:
         upper = -math.inf
     else:
         upper = math.log(w_hi) if math.isfinite(w_hi) else math.inf
-    return PressureBracket(lower, upper, model.tail_weight())
+    return Bracket(lower, upper)
 
 
 def _as_model(model_or_scheme, t: float | None) -> ThermoModel:
@@ -333,7 +316,7 @@ def _as_model(model_or_scheme, t: float | None) -> ThermoModel:
 
 
 def pressure_vs_shift(scheme_or_model, t: float | None,
-                      s_grid: Sequence[float]) -> list[tuple[float, PressureBracket]]:
+                      s_grid: Sequence[float]) -> list[tuple[float, Bracket]]:
     """Pressure brackets along an ascending grid of shifts."""
     s_grid = list(s_grid)
     if any(b <= a for a, b in zip(s_grid, s_grid[1:])):
@@ -506,8 +489,8 @@ def tail_classify(masses: Sequence[float], min_points: int = 8,
 # CSV row generators
 # ---------------------------------------------------------------------------
 
-def pressure_rows(points: list[tuple[float, PressureBracket]]) -> list[tuple]:
-    return [(s, pb.lower, pb.upper) for s, pb in points]
+def pressure_rows(points: list[tuple[float, Bracket]]) -> list[tuple]:
+    return [(s, pb.lo, pb.hi) for s, pb in points]
 
 
 def zn_rows(model: ThermoModel, n_max: int, base: int | None = None) -> list[tuple]:

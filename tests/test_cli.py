@@ -197,6 +197,14 @@ class TestRunCli:
     @pytest.mark.parametrize("t", ["1e5", "1e308"])
     def test_underflowing_weights_exit_three(self, capsys, t):
         assert run(["pressure", "--map", "tent2", "--t", t]) == 3
+        assert "lower pressure bound never went positive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("t_min", ["0", "-1e308"])
+    def test_t_grid_overflow_exits_two(self, capsys, t_min):
+        # the grid step (t_max - t_min) * k / (steps - 1) would reach inf
+        assert run(["scan", "--map", "tent2", "--x-depth", "0", f"--t-min={t_min}",
+                    "--t-max", "1e308", "--steps", "3"]) == 2
+        assert "t-grid overflows" in capsys.readouterr().err
 
     def test_oracle_quadratic_exits_three(self, capsys):
         assert run(["oracle", "--map", "quad4", "--t", "1"]) == 3

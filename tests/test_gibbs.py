@@ -188,12 +188,6 @@ class TestShiftSolve:
             hi = min(r1.s_hi, r2.s_hi)
             assert lo <= hi + 1e-6
 
-    def test_one_sided_flag(self, golden_scheme):
-        res = tm.equilibrium_shift_solve(golden_scheme, 1.0, 1e-10,
-                                         s_min=2.0, s_max=5.0)
-        assert res.one_sided is not None
-        assert res.solution is None
-
     def test_zero_entropy_competitor(self, golden_scheme):
         res = tm.equilibrium_shift_solve(golden_scheme, 1.0, 1e-10)
         # best atomic candidate is the fixed point of the slope-1.5 branch
@@ -205,6 +199,22 @@ class TestShiftSolve:
         # truncated sums stay finite; just confirm the solve runs
         sol = tm.solve_gibbs(model)
         assert sol.masses.sum() == pytest.approx(1.0, abs=1e-9)
+
+
+class TestSchemeGeometryCache:
+    def test_solve_does_not_depend_on_earlier_t(self, quad_map, quad_x_cylinder):
+        x = (quad_x_cylinder.lo, quad_x_cylinder.hi)
+        fresh = tm.extendible_return_scheme(quad_map, x, 0.5, 8)
+        reused = tm.extendible_return_scheme(quad_map, x, 0.5, 8)
+        want = tm.equilibrium_shift_solve(fresh, 0.5)
+        tm.equilibrium_shift_solve(reused, 2.0)
+        assert "depth2_derivatives" in vars(reused)  # built by the t = 2 solve
+        geometry = reused.depth2_derivatives
+        got = tm.equilibrium_shift_solve(reused, 0.5)
+        assert reused.depth2_derivatives is geometry
+        assert (got.s_lo, got.s_hi, got.zero_entropy_bound, got.solution.lam) == \
+            (want.s_lo, want.s_hi, want.zero_entropy_bound, want.solution.lam)
+        assert np.array_equal(got.solution.masses, want.solution.masses)
 
 
 class TestGibbsSandwich:

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -37,6 +38,19 @@ class TestInducedPotential:
         fallback = tm.induced_potential(quad_scheme, 1.0, 0.0)
         assert model.log_b == pytest.approx(2.0 * sum(v_n), rel=1e-12)
         assert model.log_b < fallback.log_b  # measured decay beats the bound
+
+
+class TestWithShift:
+    def test_underflowed_weight_is_unknown_not_nan(self):
+        # exp(1e4) overflows, and 0 * inf would be NaN
+        zero = np.array([0.0, 0.25])
+        model = replace(synthetic_model([0.5, 0.25], taus=[1, 2]),
+                        w_lo=zero, w_hi=zero.copy(), w_pt=zero.copy())
+        shifted = tm.with_shift(model, -1e4)
+        for w in (shifted.w_lo, shifted.w_hi, shifted.w_pt):
+            assert not np.any(np.isnan(w))
+        assert np.all(shifted.w_lo <= shifted.w_hi)
+        assert shifted.w_lo[0] == 0.0 and shifted.w_hi[0] == math.inf
 
 
 class TestPartitionFunction:
@@ -108,7 +122,7 @@ class TestGurevichPressure:
         # gives a lower bound above log W
         scheme = request.getfixturevalue(fixture_name)
         model = tm.induced_potential(scheme, 0.5, 0.1)
-        lower = tm.gurevich_pressure(model).lower
+        lower = tm.gurevich_pressure(model).lo
         for base in range(model.n):
             for n in range(1, 9):
                 z = tm.partition_function(model, n, base)
