@@ -372,10 +372,35 @@ def _parser() -> argparse.ArgumentParser:
     return ap
 
 
+#: Options whose value may be negative.
+_SIGNED_OPTIONS = frozenset({"--t", "--t-min", "--t-max", "--x-point", "--t0"})
+
+
+def _attach_signed_values(argv: Sequence[str]) -> list[str]:
+    """Write ``--t -1e-1`` as ``--t=-1e-1``.
+
+    argparse takes a separate token that starts with '-' for an option
+    unless it looks like ``-5`` or ``-0.5``, so exponent forms would be
+    refused with "expected one argument".
+    """
+    out: list[str] = []
+    for tok in argv:
+        if out and out[-1] in _SIGNED_OPTIONS and tok.startswith("-"):
+            try:
+                float(tok)
+            except ValueError:
+                pass
+            else:
+                out[-1] += "=" + tok
+                continue
+        out.append(tok)
+    return out
+
+
 def run(argv: Sequence[str]) -> int:
     """Entry point; returns the exit status instead of raising."""
     try:
-        args = _parser().parse_args(list(argv))
+        args = _parser().parse_args(_attach_signed_values(argv))
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -231,8 +231,8 @@ class IntervalMeasure:
             if depth <= 0:
                 acc_hi += mass
                 continue
-            u = eval_along_word(scheme.map, br.word, p)
-            v = eval_along_word(scheme.map, br.word, q)
+            u = eval_along_word(scheme.map, br.word_at(p), p)
+            v = eval_along_word(scheme.map, br.word_at(q), q)
             inner = self.base_mass(min(u, v), max(u, v), depth - 1)
             acc_lo += mass * inner.lo
             acc_hi += mass * inner.hi
@@ -247,26 +247,27 @@ class IntervalMeasure:
         num_lo = 0.0
         num_hi = 0.0
         for br in scheme.branches:
-            for k in range(br.tau):
-                head = br.word[:k]
-                u = eval_along_word(m, head, br.lo)
-                v = eval_along_word(m, head, br.hi)
-                j_lo, j_hi = min(u, v), max(u, v)
-                p, q = max(j_lo, a_lo), min(j_hi, a_hi)
-                if q - p <= DEGEN_TOL:
-                    continue
-                increasing = u <= v
-                if p == j_lo:
-                    xa = br.lo if increasing else br.hi
-                else:
-                    xa = pullback_word(m, head, p)
-                if q == j_hi:
-                    xb = br.hi if increasing else br.lo
-                else:
-                    xb = pullback_word(m, head, q)
-                part = self.base_mass(min(xa, xb), max(xa, xb))
-                num_lo += part.lo
-                num_hi += part.hi
+            for lo, hi, word in br.segments():
+                for k in range(br.tau):
+                    head = word[:k]
+                    u = eval_along_word(m, head, lo)
+                    v = eval_along_word(m, head, hi)
+                    j_lo, j_hi = min(u, v), max(u, v)
+                    p, q = max(j_lo, a_lo), min(j_hi, a_hi)
+                    if q - p <= DEGEN_TOL:
+                        continue
+                    increasing = u <= v
+                    if p == j_lo:
+                        xa = lo if increasing else hi
+                    else:
+                        xa = pullback_word(m, head, p)
+                    if q == j_hi:
+                        xb = hi if increasing else lo
+                    else:
+                        xb = pullback_word(m, head, q)
+                    part = self.base_mass(min(xa, xb), max(xa, xb))
+                    num_lo += part.lo
+                    num_hi += part.hi
         tau = self.tau_mean
         lo = min(max(num_lo / tau.hi, 0.0), 1.0)
         hi = min(num_hi / tau.lo, 1.0) if tau.lo > 0 else 1.0

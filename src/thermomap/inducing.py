@@ -43,6 +43,21 @@ class SchemeBranch:
     df_lo: float
     df_hi: float
     df_mid: float
+    #: (lo, hi, word) of each cylinder of f^tau that the branch spans, when
+    #: it spans more than one; empty when ``word`` holds on the whole branch
+    parts: tuple[tuple[float, float, tuple[int, ...]], ...] = ()
+
+    def word_at(self, x: float) -> tuple[int, ...]:
+        """The branch word of the cylinder containing x."""
+        return _word_at(self.parts, x, self.word)
+
+    def segments(self) -> tuple[tuple[float, float, tuple[int, ...]], ...]:
+        """The branch cut into (lo, hi, word) pieces that follow one word."""
+        if not self.parts:
+            return ((self.lo, self.hi, self.word),)
+        return tuple((max(lo, self.lo), min(hi, self.hi), word)
+                     for lo, hi, word in self.parts
+                     if min(hi, self.hi) > max(lo, self.lo))
 
     @property
     def length(self) -> float:
@@ -341,6 +356,10 @@ def extendible_return_scheme(m: IntervalMap, x: tuple[float, float] | Cylinder,
             break
         j = level[0].depth
         for piece in monotone_pieces(m, level):
+            # a candidate lies inside its piece, so a piece beside X yields
+            # neither a branch nor a conflict
+            if piece[-1].hi < x_lo - tol or piece[0].lo > x_hi + tol:
+                continue
             img_lo = min(c.image_lo for c in piece)
             img_hi = max(c.image_hi for c in piece)
             if img_lo > y_lo + 1e-12 or img_hi < y_hi - 1e-12:
@@ -362,11 +381,16 @@ def extendible_return_scheme(m: IntervalMap, x: tuple[float, float] | Cylinder,
                 conflicts += 1
                 continue
             ea, eb = pull(piece, y_lo), pull(piece, y_hi)
-            word = _word_at(piece, 0.5 * (b_lo + b_hi))
+            # the piece's cylinders that a point of [b_lo, b_hi] can fall in
+            parts = tuple((c.lo, c.hi, c.word) for c in piece
+                          if c.hi + 1e-12 >= b_lo and c.lo - 1e-12 <= b_hi)
+            word = _word_at(parts, 0.5 * (b_lo + b_hi), piece[0].word)
             dlo, dhi, dmid = _sample_derivative(
-                m, lambda xx: _word_at(piece, xx), b_lo, b_hi, edge=1e-9)
+                m, lambda xx: _word_at(parts, xx, piece[0].word), b_lo, b_hi,
+                edge=1e-9)
             branches.append(SchemeBranch(
-                b_lo, b_hi, j, word, min(ea, eb), max(ea, eb), dlo, dhi, dmid))
+                b_lo, b_hi, j, word, min(ea, eb), max(ea, eb), dlo, dhi, dmid,
+                parts if len(parts) > 1 else ()))
             uncovered.remove(b_lo, b_hi)
     else:
         exhausted = uncovered.total() <= max(DEGEN_TOL, 1e-12 * x_len)
@@ -378,11 +402,13 @@ def extendible_return_scheme(m: IntervalMap, x: tuple[float, float] | Cylinder,
         meta={"y": (y_lo, y_hi)})
 
 
-def _word_at(piece: list[Cylinder], x: float) -> tuple[int, ...]:
-    for cyl in piece:
-        if cyl.lo - 1e-12 <= x <= cyl.hi + 1e-12:
-            return cyl.word
-    return piece[0].word
+def _word_at(parts: Sequence[tuple[float, float, tuple[int, ...]]], x: float,
+             default: tuple[int, ...]) -> tuple[int, ...]:
+    """The word of the first (lo, hi, word) part holding x, else ``default``."""
+    for lo, hi, word in parts:
+        if lo - 1e-12 <= x <= hi + 1e-12:
+            return word
+    return default
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Sequence
 
 from .errors import CriticalOrbitError, DomainError, SchemaError
@@ -38,8 +39,9 @@ class BranchSpec:
     deriv: Callable[[float], float]
     inv: Callable[[float], float]
 
-    @property
+    @cached_property
     def image(self) -> tuple[float, float]:
+        """(min, max) of ``fwd`` over the branch, computed once."""
         a, b = self.fwd(self.lo), self.fwd(self.hi)
         return (a, b) if a <= b else (b, a)
 

@@ -16,7 +16,6 @@ from .interval_map import (
     SNAP_TOL,
     derivative_along_word,
     eval_along_word,
-    pullback_word,
 )
 
 #: Intersections shorter than this are treated as degenerate and dropped.
@@ -25,7 +24,7 @@ DEGEN_TOL = 1e-13
 Word = tuple[int, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Cylinder:
     """An n-cylinder: branch word, interval, and its image under f^n."""
 
@@ -56,22 +55,65 @@ class Cylinder:
         return self.image_hi if incr else self.image_lo
 
 
-def _children(m: IntervalMap, cyl: Cylinder) -> list[Cylinder]:
+class _SuffixPullbacks:
+    """``pullback_word(m, word, y)`` memoised by word suffix.
+
+    ``pullback_word(m, w, y)`` is ``inv(clamp_image(pullback_word(m, w[1:], y)))``
+    on branch ``w[0]``: the same float operations in the same order.  A
+    word whose suffix is already known therefore costs one inverse step.
+    Refinement asks for the words of one level at a time, and a word's
+    suffix is one letter shorter, so only the two longest word lengths
+    seen so far are kept.
+    """
+
+    def __init__(self, m: IntervalMap):
+        self._branches = m.branches
+        self._top = 0
+        # (word length, y) -> {word: pullback of y along word}
+        self._memo: dict[tuple[int, float], dict[Word, float]] = {}
+
+    def __call__(self, word: Word, y: float) -> float:
+        n = len(word)
+        k, z = n, y  # the empty suffix word[n:] leaves y as it is
+        for i in range(n):
+            hit = self._memo.get((n - i, y), {}).get(word[i:])
+            if hit is not None:
+                k, z = i, hit
+                break
+        for i in range(k - 1, -1, -1):
+            b = self._branches[word[i]]
+            z = b.inv(b.clamp_image(z))
+            self._store(word[i:], y, z)
+        return z
+
+    def _store(self, word: Word, y: float, z: float) -> None:
+        n = len(word)
+        if n > self._top:
+            self._top = n
+            self._memo = {key: known for key, known in self._memo.items()
+                          if key[0] >= n - 1}
+        if n >= self._top - 1:
+            self._memo.setdefault((n, y), {})[word] = z
+
+
+def _children(m: IntervalMap, cyl: Cylinder,
+              pull: _SuffixPullbacks) -> list[Cylinder]:
     out = []
     for a, b in enumerate(m.branches):
         p = max(cyl.image_lo, b.lo)
         q = min(cyl.image_hi, b.hi)
         if q - p <= DEGEN_TOL:
             continue
-        # pull the piece [p, q] back through the word chain
+        # pull the piece [p, q] back through the word chain; an end inside
+        # the image is a branch endpoint
         if p == cyl.image_lo:
             xp = cyl.lo if cyl.orientation > 0 else cyl.hi
         else:
-            xp = pullback_word(m, cyl.word, p)
+            xp = pull(cyl.word, p)
         if q == cyl.image_hi:
             xq = cyl.hi if cyl.orientation > 0 else cyl.lo
         else:
-            xq = pullback_word(m, cyl.word, q)
+            xq = pull(cyl.word, q)
         lo, hi = (xp, xq) if xp <= xq else (xq, xp)
         if hi - lo <= DEGEN_TOL:
             continue
@@ -104,10 +146,11 @@ def refine_levels(m: IntervalMap, n_max: int,
     """Yield P_1, ..., P_{n_max} incrementally (shared work)."""
     level = _level_one(m)
     yield sorted(level, key=lambda c: c.lo)
+    pull = _SuffixPullbacks(m)
     for _ in range(n_max - 1):
         nxt: list[Cylinder] = []
         for cyl in level:
-            nxt.extend(_children(m, cyl))
+            nxt.extend(_children(m, cyl, pull))
             if len(nxt) > cap:
                 raise ResourceError(
                     f"cylinder cap {cap} exceeded at depth {len(cyl.word) + 1}",
@@ -125,14 +168,10 @@ def cylinder_of_word(m: IntervalMap, word: Sequence[int]) -> Cylinder | None:
     for a in word:
         if not 0 <= a < m.n_branches:
             raise DomainError(f"letter {a} does not index a branch")
-    cyl = None
-    for c in _level_one(m):
-        if c.word == (word[0],):
-            cyl = c
-            break
-    assert cyl is not None
+    cyl = _level_one(m)[word[0]]
+    pull = _SuffixPullbacks(m)
     for a in word[1:]:
-        kids = [k for k in _children(m, cyl) if k.word[-1] == a]
+        kids = [k for k in _children(m, cyl, pull) if k.word[-1] == a]
         if not kids:
             return None
         cyl = kids[0]

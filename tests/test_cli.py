@@ -183,6 +183,22 @@ class TestRunCli:
         assert run(argv[:1] + ["--map", "tent2"] + argv[1:]) == 2
         assert "argument --tol: must be > 0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["pressure", "--map", "tent2", "--x-depth", "0", "--t", "{}"],
+        ["scan", "--map", "tent2", "--x-depth", "0", "--t-min", "{}",
+         "--t-max", "1", "--steps", "3"],
+        ["scan", "--map", "tent2", "--x-depth", "0", "--t-min", "-1",
+         "--t-max", "{}", "--steps", "3"],
+    ])
+    def test_negative_exponent_value_as_own_token(self, capsys, argv):
+        option = argv[argv.index("{}") - 1]
+        joined = [a for a in argv if a != "{}"]
+        joined[joined.index(option)] = option + "=-1e-1"
+        assert run(joined) == 0
+        want = capsys.readouterr()
+        assert run([a if a != "{}" else "-1e-1" for a in argv]) == 0
+        assert capsys.readouterr() == want
+
     def test_negative_x_depth_exits_two(self, capsys):
         assert run(["pressure", "--map", "tent2", "--t", "0", "--x-depth", "-1"]) == 2
         assert "x_depth must be >= 0" in capsys.readouterr().err

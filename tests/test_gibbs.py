@@ -91,6 +91,17 @@ class TestProjectMeasure:
             got = tm.project_measure(golden_scheme, sol, [(lo, hi)])[0]
             assert got.mid == pytest.approx(expect, abs=1e-8)
 
+    def test_branch_across_a_join(self):
+        # f is continuous and increasing across 1/4, so some branches span
+        # two words; each point must be pushed along its own word
+        m = tm.make_plinear([0, 0.25, 0.5, 1], [(0, 0.3), (0.3, 1), (0, 1)],
+                            [1, 1, -1])
+        sch = tm.extendible_return_scheme(m, (0.0, 0.5), 0.25, 8)
+        assert any(b.df_hi > 1.5 * b.df_lo for b in sch.branches)
+        sol = tm.equilibrium_shift_solve(sch, 1.0).solution
+        parts = tm.project_measure(sch, sol, [(k / 8, (k + 1) / 8) for k in range(8)])
+        assert sum(b.lo for b in parts) <= 1.0 <= sum(b.hi for b in parts)
+
     def test_additivity(self, golden_scheme):
         model = tm.induced_potential(golden_scheme, 1.0, 0.0)
         sol = tm.solve_gibbs(model)

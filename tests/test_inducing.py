@@ -1,8 +1,10 @@
+import hashlib
+
 import pytest
 
 import thermomap as tm
 from thermomap.errors import DomainError
-from thermomap.inducing import SchemeBranch
+from thermomap.inducing import SchemeBranch, scheme_to_csv_rows
 from thermomap.interval_map import derivative_along, eval_along_word
 
 
@@ -130,6 +132,29 @@ class TestExtendibleReturn:
                 assert max(ds) <= b.df_hi * (1 + 1e-12)
                 spans += max(ds) > min(ds)
         assert spans > 0
+
+    @pytest.mark.parametrize("name, sha, conflicts, escape, exhausted", [
+        ("quad4", "b0758e0f492c11d8099a431111ab4359e8726c0bd9f68cd9ccca13bb1ad6bd5b",
+         0, 0.0036566930129461883, False),
+        ("join", "ca3e86547194b174c84856f62c1aef03d6231ca912f0a0d2dba6054c8332db81",
+         0, 0.001395089285714246, False),
+    ])
+    def test_scan_pinned(self, name, sha, conflicts, escape, exhausted):
+        # recorded before pieces beside X were skipped and before cylinder
+        # endpoints came from suffix pullbacks; both must leave these as they are
+        if name == "quad4":
+            m = tm.fixture("quad4")
+            c = tm.cylinder_of_word(m, tm.itinerary(m, 0.3, 2, side="left"))
+            sch = tm.extendible_return_scheme(m, (c.lo, c.hi), 0.5, 10)
+        else:
+            m = tm.make_plinear([0, 0.25, 0.5, 1], [(0, 0.3), (0.3, 1), (0, 1)],
+                                [1, 1, -1])
+            sch = tm.extendible_return_scheme(m, (0.0, 0.5), 0.25, 8)
+        rows = repr(scheme_to_csv_rows(sch)).encode()
+        assert hashlib.sha256(rows).hexdigest() == sha
+        assert sch.conflicts == conflicts
+        assert sch.escaping_mass_bound == escape
+        assert sch.exhausted is exhausted
 
     def test_escape_monotone(self, tent_map):
         e4 = tm.extendible_return_scheme(tent_map, (0.0, 0.5), 0.5, 4)

@@ -1,9 +1,55 @@
+import dataclasses
 import math
 
 import pytest
 
 import thermomap as tm
 from thermomap.errors import AmbiguityError, ResourceError
+from thermomap.interval_map import parse_map_spec, pullback_word
+from thermomap.symbolic import DEGEN_TOL, Cylinder, refine_levels
+
+# f is continuous and increasing across 1/4, so cylinders are not all full
+JOIN_MAP = ([0, 0.25, 0.5, 1], [(0, 0.3), (0.3, 1), (0, 1)], [1, 1, -1])
+SINE_SPEC = "kind = custom\nexpr = sin(pi*x)\nbreakpoints = 0, 1/2, 1\ncrit = 1/2:2\n"
+
+
+def _map(name):
+    if name == "chebyshev3":
+        return tm.make_chebyshev(3)
+    if name == "join":
+        return tm.make_plinear(*JOIN_MAP)
+    if name == "sine":
+        return parse_map_spec(SINE_SPEC)
+    return tm.fixture(name)
+
+
+def reference_levels(m, n):
+    """P_1, ..., P_n with every child endpoint that lies inside the parent's
+    image pulled back through the whole word by ``pullback_word``."""
+    level = [Cylinder((a,), b.lo, b.hi, *b.image, b.orientation)
+             for a, b in enumerate(m.branches)]
+    levels = [sorted(level, key=lambda c: c.lo)]
+    for _ in range(n - 1):
+        nxt = []
+        for cyl in level:
+            for a, b in enumerate(m.branches):
+                p, q = max(cyl.image_lo, b.lo), min(cyl.image_hi, b.hi)
+                if q - p <= DEGEN_TOL:
+                    continue
+                up = cyl.orientation > 0
+                xp = (cyl.lo if up else cyl.hi) if p == cyl.image_lo \
+                    else pullback_word(m, cyl.word, p)
+                xq = (cyl.hi if up else cyl.lo) if q == cyl.image_hi \
+                    else pullback_word(m, cyl.word, q)
+                lo, hi = min(xp, xq), max(xp, xq)
+                if hi - lo <= DEGEN_TOL:
+                    continue
+                u, v = b.fwd(p), b.fwd(q)
+                nxt.append(Cylinder(cyl.word + (a,), lo, hi, min(u, v), max(u, v),
+                                    cyl.orientation * b.orientation))
+        level = nxt
+        levels.append(sorted(level, key=lambda c: c.lo))
+    return levels
 
 
 class TestRefine:
@@ -41,6 +87,49 @@ class TestRefine:
         assert total == pytest.approx(1.0, abs=1e-10)
         for a, b in zip(cyls, cyls[1:]):
             assert b.lo >= a.hi - 1e-12
+
+
+class TestRefineFloats:
+    """The suffix-memoised refinement keeps the floats of word-by-word
+    pullback exactly."""
+
+    @pytest.mark.parametrize("name, depth", [
+        ("tent2", 9), ("quad4", 9), ("markov_golden", 9), ("markov_full", 9),
+        ("chebyshev3", 9), ("join", 9), ("sine", 9)])
+    def test_levels_bit_identical(self, name, depth):
+        m = _map(name)
+        want = reference_levels(m, depth)
+        got = list(refine_levels(m, depth))
+        assert len(got) == depth
+        for n, (g, w) in enumerate(zip(got, want), start=1):
+            assert g == w, f"level {n} differs"
+
+    @pytest.mark.parametrize("name", ["quad4", "markov_golden", "chebyshev3",
+                                      "join", "sine"])
+    def test_cylinder_of_word_bit_identical(self, name):
+        m = _map(name)
+        deepest = reference_levels(m, 6)[-1]
+        for cyl in (deepest[0], deepest[len(deepest) // 3], deepest[-1]):
+            assert tm.cylinder_of_word(m, cyl.word) == cyl
+
+    def test_inverse_steps_per_cylinder(self):
+        # each level costs O(1) inverse steps per cylinder; pulling every
+        # child back through its whole word costs 10 per cylinder at depth 12
+        calls = 0
+
+        def counted(b):
+            def inv(y, inner=b.inv):
+                nonlocal calls
+                calls += 1
+                return inner(y)
+            return dataclasses.replace(b, inv=inv)
+
+        quad = tm.fixture("quad4")
+        m = dataclasses.replace(
+            quad, branches=tuple(counted(b) for b in quad.branches))
+        produced = sum(len(level) for level in refine_levels(m, 12))
+        assert produced == 2 ** 13 - 2
+        assert calls <= 2 * produced
 
 
 class TestItinerary:
