@@ -17,7 +17,7 @@ import numpy as np
 from .errors import CriticalOrbitError, DomainError
 from .inducing import InducingScheme, validate_scheme
 from .interval_map import (IntervalMap, derivative_along, derivative_along_word,
-                           eval_orbit, pullback_word)
+                           eval_orbit)
 from .thermo import _fit_line
 
 
@@ -264,7 +264,8 @@ def variation_decay(scheme: InducingScheme, t: float, n_max: int = 6,
 
     def osc_on(br, lo: float, hi: float) -> float:
         xs = [lo + (hi - lo) * k / 6 for k in range(7)]
-        vals = [-t * math.log(derivative_along_word(m, br.word, x)) for x in xs]
+        vals = [-t * math.log(derivative_along_word(m, br.word_at(x), x))
+                for x in xs]
         return max(vals) - min(vals)
 
     v_n = []
@@ -277,8 +278,8 @@ def variation_decay(scheme: InducingScheme, t: float, n_max: int = 6,
         nxt = []
         for parent in branches:
             for _, lo, hi in level:
-                a = pullback_word(m, parent.word, lo)
-                b = pullback_word(m, parent.word, hi)
+                a = parent.pullback(m, lo)
+                b = parent.pullback(m, hi)
                 if abs(b - a) > 1e-15:
                     nxt.append((parent, min(a, b), max(a, b)))
         nxt.sort(key=lambda r: r[1] - r[2])

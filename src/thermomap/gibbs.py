@@ -159,15 +159,15 @@ def gibbs_ratio_check(solution: GibbsSolution, depth: int,
             suffix[d - 1] = (lo, hi)
             for k in range(d - 2, -1, -1):
                 br = scheme.branches[w[k]]
-                a = pullback_word(m, br.word, suffix[k + 1][0])
-                b = pullback_word(m, br.word, suffix[k + 1][1])
+                a = br.pullback(m, suffix[k + 1][0])
+                b = br.pullback(m, suffix[k + 1][1])
                 suffix[k] = (min(a, b), max(a, b))
             psi = 0.0
             for k, i in enumerate(w):
                 br = scheme.branches[i]
                 zk = 0.5 * (suffix[k][0] + suffix[k][1])
-                psi += -model.t * math.log(derivative_along_word(m, br.word, zk)) \
-                    - model.shift * br.tau
+                df = derivative_along_word(m, br.word_at(zk), zk)
+                psi += -model.t * math.log(df) - model.shift * br.tau
             mass = float(np.prod([solution.masses[i] for i in w]))
             ratio = mass / math.exp(psi - d * log_lam)
             k_best = max(k_best, ratio, 1.0 / ratio)

@@ -59,6 +59,22 @@ class SchemeBranch:
                      for lo, hi, word in self.parts
                      if min(hi, self.hi) > max(lo, self.lo))
 
+    def pullback(self, m: IntervalMap, y: float) -> float:
+        """The F-preimage in the branch of y in X.
+
+        y is pulled back along the word of the segment whose F-image holds
+        it; a single-word branch is exactly ``pullback_word(m, word, y)``.
+        """
+        word = self.word
+        if self.parts:
+            def miss(segment: tuple[float, float, tuple[int, ...]]) -> float:
+                lo, hi, w = segment
+                u, v = eval_along_word(m, w, lo), eval_along_word(m, w, hi)
+                return max(min(u, v) - y, y - max(u, v), 0.0)
+
+            word = min(self.segments(), key=miss)[2]
+        return pullback_word(m, word, y)
+
     @property
     def length(self) -> float:
         return self.hi - self.lo
@@ -110,9 +126,12 @@ class InducingScheme:
     def depth2_derivatives(self) -> list[list[float]]:
         """Entry [j][i] is |DF_i| at the F_i-preimage of branch j's midpoint."""
         m = self.map
-        return [[derivative_along_word(m, bi.word,
-                                       pullback_word(m, bi.word, bj.midpoint))
-                 for bi in self.branches]
+
+        def df(bi: SchemeBranch, y: float) -> float:
+            x = bi.pullback(m, y)
+            return derivative_along_word(m, bi.word_at(x), x)
+
+        return [[df(bi, bj.midpoint) for bi in self.branches]
                 for bj in self.branches]
 
     @cached_property

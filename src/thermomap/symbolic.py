@@ -7,6 +7,7 @@ contract numerical error, so endpoints of deep cylinders stay accurate.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -22,6 +23,9 @@ from .interval_map import (
 DEGEN_TOL = 1e-13
 
 Word = tuple[int, ...]
+
+#: A cylinder's (image_lo, image_hi, orientation), which fixes its children
+_State = tuple[float, float, int]
 
 
 @dataclass(frozen=True, slots=True)
@@ -46,13 +50,6 @@ class Cylinder:
     @property
     def midpoint(self) -> float:
         return 0.5 * (self.lo + self.hi)
-
-    def value_at(self, x_endpoint: str) -> float:
-        """Image value at the 'lo' or 'hi' endpoint (orientation-aware)."""
-        incr = self.orientation > 0
-        if x_endpoint == "lo":
-            return self.image_lo if incr else self.image_hi
-        return self.image_hi if incr else self.image_lo
 
 
 class _SuffixPullbacks:
@@ -218,18 +215,37 @@ def monotone_pieces(m: IntervalMap, cylinders: list[Cylinder]) -> list[list[Cyli
     for cyl in cylinders:
         if pieces:
             prev = pieces[-1][-1]
-            touching = abs(prev.hi - cyl.lo) <= SNAP_TOL
-            same_dir = prev.orientation == cyl.orientation
-            if touching and same_dir and \
-                    abs(prev.value_at("hi") - cyl.value_at("lo")) <= 1e-12:
+            if abs(prev.hi - cyl.lo) <= SNAP_TOL and _joins(
+                    (prev.image_lo, prev.image_hi, prev.orientation),
+                    (cyl.image_lo, cyl.image_hi, cyl.orientation)):
                 pieces[-1].append(cyl)
                 continue
         pieces.append([cyl])
     return pieces
 
 
+def _joins(left: _State, right: _State) -> bool:
+    """Whether f^n runs on in one direction from the left state's x-end
+    into the right state's."""
+    if left[2] != right[2]:
+        return False
+    end = left[1] if left[2] > 0 else left[0]
+    start = right[0] if right[2] > 0 else right[1]
+    return abs(end - start) <= 1e-12
+
+
 def laps_entropy(m: IntervalMap, n_max: int, cap: int = 200_000) -> LapsRecord:
     """Exact lap counts of f^n for n <= n_max and the entropy estimate.
+
+    A cylinder's children depend only on its state (image_lo, image_hi,
+    orientation), so each level is a multiset of states plus a multiset
+    of left-to-right adjacent state pairs; no cylinder is built.  Two
+    neighbours join into one lap by the rule ``monotone_pieces`` uses
+    (same orientation, end values within 1e-12), so laps(f^n) is the
+    number of states minus the number of joining pairs.  ``cap`` bounds the number
+    of distinct states stored.  A state whose image meets no branch in
+    more than DEGEN_TOL (only possible when a branch squeezes an image
+    below it) raises NumericError rather than losing laps.
 
     h_top is estimated as log(laps(f^{n_max})) / n_max; the Cauchy
     difference against the previous level is reported as a convergence
@@ -237,9 +253,51 @@ def laps_entropy(m: IntervalMap, n_max: int, cap: int = 200_000) -> LapsRecord:
     """
     if n_max < 2:
         raise DomainError("n_max must be >= 2")
+    kids: dict[_State, tuple[_State, ...]] = {}
+
+    def children(state: _State) -> tuple[_State, ...]:
+        known = kids.get(state)
+        if known is not None:
+            return known
+        img_lo, img_hi, ori = state
+        out = []
+        for b in m.branches:
+            p, q = max(img_lo, b.lo), min(img_hi, b.hi)
+            if q - p <= DEGEN_TOL:
+                continue
+            u, v = b.fwd(p), b.fwd(q)
+            out.append((u, v, ori * b.orientation) if u <= v
+                       else (v, u, ori * b.orientation))
+        if not out:
+            raise NumericError(
+                f"image [{img_lo!r}, {img_hi!r}] meets no branch")
+        if ori < 0:
+            out.reverse()
+        kids[state] = known = tuple(out)
+        if len(kids) > cap:
+            raise ResourceError(f"lap state cap {cap} exceeded",
+                                count=len(kids))
+        return known
+
+    order = [(*b.image, b.orientation) for b in m.branches]
+    states, pairs = Counter(order), Counter(zip(order, order[1:]))
     counts = []
-    for level in refine_levels(m, n_max, cap=cap):
-        counts.append(len(monotone_pieces(m, level)))
+    while True:
+        counts.append(sum(states.values())
+                      - sum(c for pair, c in pairs.items() if _joins(*pair)))
+        if len(counts) == n_max:
+            break
+        nxt_states: Counter = Counter()
+        nxt_pairs: Counter = Counter()
+        for state, c in states.items():
+            ks = children(state)
+            for k in ks:
+                nxt_states[k] += c
+            for pair in zip(ks, ks[1:]):
+                nxt_pairs[pair] += c
+        for (a, b), c in pairs.items():
+            nxt_pairs[children(a)[-1], children(b)[0]] += c
+        states, pairs = nxt_states, nxt_pairs
     h_last = math.log(counts[-1]) / n_max
     h_prev = math.log(counts[-2]) / (n_max - 1)
     return LapsRecord(tuple(counts), h_last, abs(h_last - h_prev))

@@ -19,6 +19,11 @@ from .errors import DegenerateBranchError, DomainError
 from .inducing import InducingScheme
 from .symbolic import laps_entropy, periodic_point
 
+#: Depth of the lap counts behind the tail bound's growth rate.
+LAP_DEPTH = 10
+#: Added to the lap-count entropy estimate h_top <= (1/n) log laps(f^n).
+H_MARGIN = 0.05
+
 
 @dataclass(frozen=True)
 class Bracket:
@@ -125,8 +130,7 @@ class ThermoModel:
         return int(np.argmax(self.w_pt))
 
 
-def tail_info_for(scheme: InducingScheme, lap_depth: int = 10,
-                  h_margin: float = 0.05) -> TailInfo | None:
+def tail_info_for(scheme: InducingScheme) -> TailInfo | None:
     """Lap-growth tail data for a truncated scheme; None when exhausted.
 
     Cached on the scheme, since it does not depend on (t, S).
@@ -136,8 +140,8 @@ def tail_info_for(scheme: InducingScheme, lap_depth: int = 10,
     cached = scheme.meta.get("tail_info")
     if cached is not None:
         return cached
-    rec = laps_entropy(scheme.map, lap_depth)
-    h = rec.h_top_estimate + h_margin
+    rec = laps_entropy(scheme.map, LAP_DEPTH)
+    h = rec.h_top_estimate + H_MARGIN
     log_c = max(math.log(lap) - h * (k + 1) for k, lap in enumerate(rec.laps))
     log_c = max(log_c, 0.0)
     # measured decay of the total branch length at each inducing time

@@ -1,11 +1,19 @@
 import hashlib
+import itertools
+import math
 
 import pytest
 
 import thermomap as tm
+from thermomap.diagnostics import variation_decay
 from thermomap.errors import DomainError
 from thermomap.inducing import SchemeBranch, scheme_to_csv_rows
-from thermomap.interval_map import derivative_along, eval_along_word
+from thermomap.interval_map import (derivative_along, eval_along_word,
+                                    eval_orbit, pullback_word)
+
+# f is continuous and increasing across 1/4 with slopes 1.2 and 2.8, so a
+# monotone piece of f^j, hence one extendible branch, can span two words
+JOIN_MAP = ([0, 0.25, 0.5, 1], [(0, 0.3), (0.3, 1), (0, 1)], [1, 1, -1])
 
 
 def tower_first_return_time(tower, c_lo, c_hi, x, t_cap=50):
@@ -160,6 +168,92 @@ class TestExtendibleReturn:
         e4 = tm.extendible_return_scheme(tent_map, (0.0, 0.5), 0.5, 4)
         e8 = tm.extendible_return_scheme(tent_map, (0.0, 0.5), 0.5, 8)
         assert e8.escaping_mass_bound <= e4.escaping_mass_bound + 1e-15
+
+
+def preimage(m, br, y):
+    """The x in [br.lo, br.hi] with f^tau(x) = y, by bisection on the
+    unpinned forward map (F is monotone on the branch)."""
+    def f(x):
+        return eval_orbit(m, x, br.tau)[-1]
+
+    a, b = br.lo, br.hi
+    up = f(a) < f(b)
+    for _ in range(200):
+        c = 0.5 * (a + b)
+        if (f(c) < y) == up:
+            a = c
+        else:
+            b = c
+    return 0.5 * (a + b)
+
+
+class TestMultiWordReaders:
+    """Readers of a branch follow the word of each point, not the word at
+    the branch midpoint, on the plinear join map's extendible scheme."""
+
+    @pytest.fixture(scope="class")
+    def join(self):
+        m = tm.make_plinear(*JOIN_MAP)
+        return m, tm.extendible_return_scheme(m, (0.0, 0.5), 0.25, 8)
+
+    def test_pullback_inverts_the_branch(self, join):
+        m, sch = join
+        assert any(b.parts for b in sch.branches)
+        for br in sch.branches:
+            for k in range(9):
+                y = 0.5 * k / 8
+                assert br.pullback(m, y) == pytest.approx(
+                    preimage(m, br, y), abs=1e-12)
+
+    def test_single_word_pullback_unchanged(self, quad_scheme):
+        m = quad_scheme.map
+        for br in quad_scheme.branches:
+            assert not br.parts
+            for y in (quad_scheme.x_lo, 0.3, quad_scheme.x_hi):
+                assert br.pullback(m, y) == pullback_word(m, br.word, y)
+
+    def test_depth2_derivatives(self, join):
+        m, sch = join
+        assert len(sch.branches) == 8
+        for j, bj in enumerate(sch.branches):
+            for i, bi in enumerate(sch.branches):
+                want = derivative_along(m, preimage(m, bi, bj.midpoint), bi.tau)
+                assert sch.depth2_derivatives[j][i] == pytest.approx(
+                    want, rel=1e-9), (j, i)
+
+    def test_gibbs_ratio_at_depth_two(self, join):
+        m, sch = join
+        sol = tm.equilibrium_shift_solve(sch, 1.0).solution
+        t, shift = sol.model.t, sol.model.shift
+        brs = sch.branches
+        want = 1.0
+        for d in (1, 2):
+            for w in itertools.product(range(len(brs)), repeat=d):
+                # the midpoints of the cylinder w and of its shift
+                if d == 1:
+                    zs = [brs[w[0]].midpoint]
+                else:
+                    bi, bj = brs[w[0]], brs[w[1]]
+                    ends = (preimage(m, bi, bj.lo), preimage(m, bi, bj.hi))
+                    zs = [0.5 * sum(ends), bj.midpoint]
+                psi = sum(-t * math.log(derivative_along(m, z, brs[i].tau))
+                          - shift * brs[i].tau for z, i in zip(zs, w))
+                mass = math.prod(sol.masses[i] for i in w)
+                ratio = mass / math.exp(psi - d * math.log(sol.lam))
+                want = max(want, ratio, 1.0 / ratio)
+        assert tm.gibbs_ratio_check(sol, 2) == pytest.approx(want, rel=1e-9)
+
+    def test_variation_decay_first_level(self, join):
+        m, sch = join
+        brs = sorted(sch.branches, key=lambda b: -b.length)[:12]
+        want = 0.0
+        for br in brs:
+            vals = [-math.log(derivative_along(
+                m, br.lo + (br.hi - br.lo) * k / 6, br.tau)) for k in range(7)]
+            want = max(want, max(vals) - min(vals))
+        assert want > 0.5
+        rec = variation_decay(sch, 1.0, n_max=3)
+        assert rec.v_n[0] == pytest.approx(want, rel=1e-9)
 
 
 class TestValidateScheme:

@@ -2,15 +2,19 @@ import dataclasses
 import math
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import thermomap as tm
-from thermomap.errors import AmbiguityError, ResourceError
+from thermomap.errors import AmbiguityError, NumericError, ResourceError
 from thermomap.interval_map import parse_map_spec, pullback_word
-from thermomap.symbolic import DEGEN_TOL, Cylinder, refine_levels
+from thermomap.symbolic import (DEGEN_TOL, Cylinder, laps_entropy,
+                                monotone_pieces, refine_levels)
 
 # f is continuous and increasing across 1/4, so cylinders are not all full
 JOIN_MAP = ([0, 0.25, 0.5, 1], [(0, 0.3), (0.3, 1), (0, 1)], [1, 1, -1])
 SINE_SPEC = "kind = custom\nexpr = sin(pi*x)\nbreakpoints = 0, 1/2, 1\ncrit = 1/2:2\n"
+# the first third maps onto the other two, and each of those onto the first
+PERIOD2_MAP = ([0, 1 / 3, 2 / 3, 1], [(1 / 3, 1), (0, 1 / 3), (0, 1 / 3)], [1, 1, 1])
 
 
 def _map(name):
@@ -20,7 +24,54 @@ def _map(name):
         return tm.make_plinear(*JOIN_MAP)
     if name == "sine":
         return parse_map_spec(SINE_SPEC)
+    if name == "period2":
+        return tm.make_plinear(*PERIOD2_MAP)
     return tm.fixture(name)
+
+
+def counted_inverses(m):
+    """A copy of m whose branch inverses count their calls in ``calls[0]``."""
+    calls = [0]
+
+    def counted(b):
+        def inv(y, inner=b.inv):
+            calls[0] += 1
+            return inner(y)
+        return dataclasses.replace(b, inv=inv)
+
+    return dataclasses.replace(
+        m, branches=tuple(counted(b) for b in m.branches)), calls
+
+
+def refined_laps(m, n):
+    """Lap counts of f^1..f^n as monotone pieces of each refined level, and
+    whether refinement dropped a cylinder narrower than DEGEN_TOL."""
+    counts, dropped, prev = [], False, None
+    for level in refine_levels(m, n):
+        counts.append(len(monotone_pieces(m, level)))
+        if prev is not None:
+            kids = sum(min(c.image_hi, b.hi) - max(c.image_lo, b.lo) > DEGEN_TOL
+                       for c in prev for b in m.branches)
+            dropped = dropped or kids != len(level)
+        prev = level
+    return tuple(counts), dropped
+
+
+@st.composite
+def plinear_maps(draw):
+    """2-4 affine branches with rational breakpoints and images, each
+    branch oriented at random, discontinuities allowed."""
+    k = draw(st.integers(2, 4))
+    den = draw(st.sampled_from([6, 7, 12]))
+    cuts = draw(st.lists(st.integers(1, den - 1), min_size=k - 1,
+                         max_size=k - 1, unique=True))
+    img_den = draw(st.sampled_from([4, 5, 12]))
+    ends = st.lists(st.integers(0, img_den), min_size=2, max_size=2, unique=True)
+    images = [tuple(e / img_den for e in sorted(draw(ends))) for _ in range(k)]
+    orientations = draw(st.lists(st.sampled_from([1, -1]), min_size=k,
+                                 max_size=k))
+    return tm.make_plinear([0] + sorted(c / den for c in cuts) + [1],
+                           images, orientations)
 
 
 def reference_levels(m, n):
@@ -115,21 +166,10 @@ class TestRefineFloats:
     def test_inverse_steps_per_cylinder(self):
         # each level costs O(1) inverse steps per cylinder; pulling every
         # child back through its whole word costs 10 per cylinder at depth 12
-        calls = 0
-
-        def counted(b):
-            def inv(y, inner=b.inv):
-                nonlocal calls
-                calls += 1
-                return inner(y)
-            return dataclasses.replace(b, inv=inv)
-
-        quad = tm.fixture("quad4")
-        m = dataclasses.replace(
-            quad, branches=tuple(counted(b) for b in quad.branches))
+        m, calls = counted_inverses(tm.fixture("quad4"))
         produced = sum(len(level) for level in refine_levels(m, 12))
         assert produced == 2 ** 13 - 2
-        assert calls <= 2 * produced
+        assert calls[0] <= 2 * produced
 
 
 class TestItinerary:
@@ -171,12 +211,54 @@ class TestLaps:
         assert rec.laps == tuple(2 ** n for n in range(1, 11))
         assert rec.h_top_estimate == pytest.approx(math.log(2.0), abs=1e-9)
 
-    @pytest.mark.parametrize("name", ["tent2", "quad4", "markov_golden", "markov_full"])
+    @pytest.mark.parametrize("name", ["tent2", "quad4", "markov_golden",
+                                      "markov_full", "join"])
     def test_count_bound(self, name):
-        m = tm.fixture(name)
+        # a lap is a union of cylinders, so there are never more laps
+        m = _map(name)
         rec = tm.laps_entropy(m, 8)
         for n in range(1, 9):
-            assert len(tm.refine(m, n)) <= rec.laps[n - 1]
+            assert rec.laps[n - 1] <= len(tm.refine(m, n))
+
+    @pytest.mark.parametrize("name", ["tent2", "quad4", "markov_golden",
+                                      "markov_full", "period2", "chebyshev3",
+                                      "sine", "join"])
+    def test_states_match_refinement(self, name):
+        m = _map(name)
+        want, dropped = refined_laps(m, 10)
+        assert not dropped
+        assert laps_entropy(m, 10).laps == want
+
+    @settings(max_examples=60, deadline=None)
+    @given(m=plinear_maps(), n=st.integers(2, 7))
+    def test_states_match_refinement_random(self, m, n):
+        want, dropped = refined_laps(m, n)
+        assume(not dropped)
+        assert laps_entropy(m, n).laps == want
+
+    @pytest.mark.parametrize("k", [1, 23])
+    @pytest.mark.parametrize("orientation", [1, -1])
+    def test_full_map_thin_cylinders(self, k, orientation):
+        # the depth-10 cylinder at the short branch is 24**-10 wide, under
+        # DEGEN_TOL, and still one of the 2**10 laps
+        m = tm.make_plinear([0, k / 24, 1], [(0, 1), (0, 1)], [1, orientation])
+        assert laps_entropy(m, 10).laps == tuple(2 ** n for n in range(1, 11))
+
+    def test_no_inverse_steps(self):
+        m, calls = counted_inverses(tm.fixture("quad4"))
+        assert laps_entropy(m, 10).laps == tuple(2 ** n for n in range(1, 11))
+        assert calls[0] == 0
+
+    def test_image_meeting_no_branch_raises(self):
+        # the second branch squeezes its half onto an image narrower than
+        # DEGEN_TOL, which no branch meets in more than a point
+        m = tm.make_plinear([0, 0.5, 1], [(0, 1), (0, 1e-14)], [1, 1])
+        with pytest.raises(NumericError):
+            laps_entropy(m, 3)
+
+    def test_state_cap(self):
+        with pytest.raises(ResourceError):
+            laps_entropy(_map("join"), 10, cap=5)
 
 
 class TestPeriodicPoint:
