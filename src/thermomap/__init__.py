@@ -66,10 +66,7 @@ from .thermo import (
     gurevich_pressure,
     induced_potential,
     p_star_discriminant,
-    partition_function,
-    partition_function_star,
     pressure_vs_shift,
-    recurrence_check,
     synthetic_model,
     tail_classify,
     with_shift,

@@ -315,6 +315,13 @@ def _positive(text: str) -> float:
     raise argparse.ArgumentTypeError(f"must be > 0, got {text!r}")
 
 
+def _non_negative_int(text: str) -> int:
+    """argparse type: an integer >= 0."""
+    if (value := int(text)) >= 0:
+        return value
+    raise argparse.ArgumentTypeError(f"must be >= 0, got {text!r}")
+
+
 def _add_scheme_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--scheme", dest="scheme_kind", choices=SCHEME_KINDS,
                    default="first-return")
@@ -362,8 +369,8 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--map", required=True)
     p.add_argument("--n-max", type=int, default=40)
     p.add_argument("--t0", type=float, default=0.9)
-    p.add_argument("--eps", type=float, default=0.25)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--eps", type=_positive, default=0.25)
+    p.add_argument("--seed", type=_non_negative_int, default=0)
     p.add_argument("--out", default=None, help="CSV path prefix")
 
     p = sub.add_parser("oracle", help="Markov matrix pressure oracle")

@@ -2,8 +2,8 @@
 
 Everything here is a trend verdict at a finite horizon and is labelled
 as such: derivative growth along critical orbits, binding periods and
-summability gauges, Koebe distortion, variation decay of induced
-potentials, and sampled expansion outside a critical neighbourhood.
+summability gauges, variation decay of induced potentials, and sampled
+expansion outside a critical neighbourhood.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import CriticalOrbitError, DomainError
-from .inducing import InducingScheme, validate_scheme
+from .inducing import InducingScheme
 from .interval_map import (IntervalMap, derivative_along, derivative_along_word,
                            eval_orbit)
 from .thermo import _fit_line
@@ -219,24 +219,8 @@ def _composition_sums(m, crits, gammas, zeta, p_u, n_max) -> list[float]:
 
 
 # ---------------------------------------------------------------------------
-# distortion and variation decay
+# variation decay
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class KoebeReport:
-    worst_measured: float
-    bound: float
-
-    @property
-    def ok(self) -> bool:
-        return self.worst_measured <= self.bound * (1.0 + 1e-9)
-
-
-def koebe_check(scheme: InducingScheme) -> KoebeReport:
-    """Worst measured branch distortion against (1+2d)/d^2 + 1."""
-    report = validate_scheme(scheme)
-    return KoebeReport(report.max_distortion, report.koebe_bound)
-
 
 @dataclass(frozen=True)
 class VariationRecord:
@@ -389,7 +373,3 @@ def binding_csv_rows(record: BindingRecord) -> list[tuple]:
         s = record.summable_partial[n - 1] if n - 1 < len(record.summable_partial) else math.nan
         rows.append((n, g, s))
     return rows
-
-
-def variation_csv_rows(record: VariationRecord) -> list[tuple]:
-    return [(n + 1, v) for n, v in enumerate(record.v_n)]

@@ -454,14 +454,3 @@ def mass_by_tau(solution: GibbsSolution, n_max: int | None = None) -> list[float
         if tau <= top:
             out[tau - 1] += float(mu)
     return out
-
-
-def mass_csv_rows(solution: GibbsSolution) -> list[tuple]:
-    """Rows (cylinder word, mass) for the solved branch family."""
-    scheme = solution.model.scheme
-    rows = []
-    for i, mu in enumerate(solution.masses):
-        word = ("-".join(str(a) for a in scheme.branches[i].word)
-                if scheme is not None else str(i))
-        rows.append((word, float(mu)))
-    return rows

@@ -48,10 +48,6 @@ class HofbauerTower:
     R: int
     complete: bool
 
-    @property
-    def base(self) -> TowerDomain:
-        return self.nodes[0]
-
     def successors(self, i: int) -> list[tuple[int, int]]:
         """(letter, target) pairs out of node i."""
         out = [(a, j) for (src, a), j in self.edges.items() if src == i]

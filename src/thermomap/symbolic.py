@@ -359,12 +359,3 @@ def periodic_point(m: IntervalMap, word: Sequence[int]) -> PeriodicPoint | None:
                     b, hb = c, hc
             root = 0.5 * (a + b)
     return PeriodicPoint(root, derivative_along_word(m, word, root), word)
-
-
-def cylinders_to_csv_rows(cylinders: list[Cylinder]) -> list[tuple]:
-    """Rows (word, lo, hi, image_lo, image_hi) for CSV export."""
-    rows = []
-    for c in cylinders:
-        rows.append(("-".join(str(a) for a in c.word),
-                     c.lo, c.hi, c.image_lo, c.image_hi))
-    return rows

@@ -1,4 +1,4 @@
-"""Induced potentials, partition functions and Gurevich pressure brackets.
+"""Induced potentials and Gurevich pressure brackets.
 
 Every quantity is carried as a two-sided bracket: per-branch weights
 come from derivative brackets, truncated branch families get an explicit
@@ -8,7 +8,6 @@ reported as an interval, never a bare point estimate.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, replace
 from typing import Sequence
@@ -17,7 +16,7 @@ import numpy as np
 
 from .errors import DegenerateBranchError, DomainError
 from .inducing import InducingScheme
-from .symbolic import laps_entropy, periodic_point
+from .symbolic import laps_entropy
 
 #: Depth of the lap counts behind the tail bound's growth rate.
 LAP_DEPTH = 10
@@ -109,7 +108,6 @@ class ThermoModel:
     t: float
     shift: float
     k_dist: float
-    log_b: float
     tail: TailInfo | None = None
     scheme: InducingScheme | None = None
 
@@ -125,9 +123,6 @@ class ThermoModel:
     def weight_sum(self) -> tuple[float, float]:
         """(lower, upper) bracket on the full weight sum, tail included."""
         return float(self.w_lo.sum()), float(self.w_hi.sum()) + self.tail_weight()
-
-    def default_base(self) -> int:
-        return int(np.argmax(self.w_pt))
 
 
 def tail_info_for(scheme: InducingScheme) -> TailInfo | None:
@@ -160,13 +155,8 @@ def tail_info_for(scheme: InducingScheme) -> TailInfo | None:
     return info
 
 
-def induced_potential(scheme: InducingScheme, t: float, shift: float,
-                      variations: Sequence[float] | None = None) -> ThermoModel:
-    """Weight brackets w_i = exp(-t log|DF| - tau*S) on each branch.
-
-    The almost-subadditivity constant log B comes from the measured
-    variation decay when supplied, else from the distortion constant.
-    """
+def induced_potential(scheme: InducingScheme, t: float, shift: float) -> ThermoModel:
+    """Weight brackets w_i = exp(-t log|DF| - tau*S) on each branch."""
     if not scheme.branches:
         raise DomainError("scheme has no branches")
     taus = np.array([b.tau for b in scheme.branches], dtype=float)
@@ -186,13 +176,9 @@ def induced_potential(scheme: InducingScheme, t: float, shift: float,
         w_pt = df_pt ** (-t) * decay
     kb = scheme.koebe_bound()
     k_dist = kb if math.isfinite(kb) else max(scheme.measured_distortion(), 1.0)
-    if variations is not None:
-        log_b = 2.0 * float(sum(variations))
-    else:
-        log_b = 2.0 * abs(t) * math.log(k_dist)
     return ThermoModel(taus, w_lo, w_hi, w_pt,
                        np.log(df_lo), np.log(df_hi), np.log(df_pt),
-                       t, shift, k_dist, log_b,
+                       t, shift, k_dist,
                        tail=tail_info_for(scheme), scheme=scheme)
 
 
@@ -207,7 +193,7 @@ def synthetic_model(weights: Sequence[float], taus: Sequence[int] | None = None,
     logw = np.log(w)
     return ThermoModel(tau, w.copy(), w.copy(), w.copy(),
                        -logw, -logw, -logw, t, shift,
-                       k_dist=1.0, log_b=0.0, tail=None, scheme=None)
+                       k_dist=1.0, tail=None, scheme=None)
 
 
 def with_shift(model: ThermoModel, shift: float) -> ThermoModel:
@@ -224,69 +210,6 @@ def with_shift(model: ThermoModel, shift: float) -> ThermoModel:
     w_hi[np.isnan(w_hi)] = math.inf
     w_pt[np.isnan(w_pt)] = 0.0
     return replace(model, w_lo=w_lo, w_hi=w_hi, w_pt=w_pt, shift=shift)
-
-
-# ---------------------------------------------------------------------------
-# partition functions
-# ---------------------------------------------------------------------------
-
-def partition_function(model: ThermoModel, n: int, base: int) -> Bracket:
-    """Bracket on Z_n over n-periodic words starting in the base branch.
-
-    For locally constant weights the bracket is exact: the full shift
-    makes Z_n a plain product of weight sums.  Branches beyond the time
-    cap enter through the tail bound on the upper side only.
-    """
-    if n < 1:
-        raise DomainError("n must be >= 1")
-    if base < 0 or base >= model.n:
-        return Bracket(0.0, 0.0)
-    w_sum_lo, w_sum_hi = model.weight_sum()
-    lo = float(model.w_lo[base]) * max(w_sum_lo, 0.0) ** (n - 1)
-    hi = (math.inf if math.isinf(w_sum_hi) and n > 1
-          else float(model.w_hi[base]) * w_sum_hi ** (n - 1))
-    return Bracket(lo, hi)
-
-
-def partition_function_star(model: ThermoModel, n: int, base: int) -> Bracket:
-    """As Z_n but words must avoid the base branch at intermediate times."""
-    if n < 1:
-        raise DomainError("n must be >= 1")
-    if base < 0 or base >= model.n:
-        return Bracket(0.0, 0.0)
-    rest_lo = max(float(model.w_lo.sum() - model.w_hi[base]), 0.0)
-    rest_hi = float(model.w_hi.sum() - model.w_lo[base]) + model.tail_weight()
-    lo = float(model.w_lo[base]) * rest_lo ** (n - 1)
-    hi = (math.inf if math.isinf(rest_hi) and n > 1
-          else float(model.w_hi[base]) * rest_hi ** (n - 1))
-    return Bracket(lo, hi)
-
-
-def partition_function_exact(model: ThermoModel, n: int, base: int,
-                             word_cap: int = 100_000) -> float:
-    """Z_n evaluated at located periodic points of the underlying map.
-
-    Needs the geometric scheme; enumerates all n-words starting at the
-    base branch, so it is only for small families (cross-checking the
-    bracket path).
-    """
-    scheme = model.scheme
-    if scheme is None:
-        raise DomainError("exact evaluation needs a geometric scheme")
-    if model.n ** max(n - 1, 0) > word_cap:
-        raise DomainError("word count exceeds cap")
-    m = scheme.map
-    total = 0.0
-    for rest in itertools.product(range(model.n), repeat=n - 1):
-        brs = [scheme.branches[i] for i in (base,) + rest]
-        f_word = sum((b.word for b in brs), ())
-        tau_total = sum(b.tau for b in brs)
-        pp = periodic_point(m, f_word)
-        if pp is None:
-            continue
-        total += math.exp(-model.t * math.log(pp.multiplier)
-                          - model.shift * tau_total)
-    return total
 
 
 # ---------------------------------------------------------------------------
@@ -393,51 +316,8 @@ def p_star_discriminant(model_or_scheme, t: float | None = None,
 
 
 # ---------------------------------------------------------------------------
-# recurrence diagnostics and tail classification
+# tail classification
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class RecurrenceReport:
-    terms: tuple[float, ...]
-    star_terms: tuple[float, ...]
-    partial_sums: tuple[float, ...]
-    partial_sums_star: tuple[float, ...]
-    recurrent_trend: bool
-    positive_recurrent_trend: bool
-
-
-def _geometric_ratio(terms: Sequence[float]) -> float:
-    vals = [v for v in terms if v > 0]
-    if len(vals) < 2:
-        return 0.0
-    i = len(vals) // 2
-    span = len(vals) - 1 - i
-    if span == 0 or vals[i] == 0:
-        return 0.0
-    return (vals[-1] / vals[i]) ** (1.0 / span)
-
-
-def recurrence_check(model: ThermoModel, lam: float, n_max: int,
-                     base: int | None = None) -> RecurrenceReport:
-    """Partial sums of lam^-n Z_n and n lam^-n Z*_n with trend flags.
-
-    The flags are finite-truncation heuristics (growth-trend readings),
-    not theorems: recurrence needs the first series to diverge, positive
-    recurrence additionally needs the starred series to converge.
-    """
-    if base is None:
-        base = model.default_base()
-    terms, star = [], []
-    for n in range(1, n_max + 1):
-        terms.append(lam ** (-n) * partition_function(model, n, base).mid)
-        star.append(n * lam ** (-n) * partition_function_star(model, n, base).mid)
-    sums = list(np.cumsum(terms))
-    sums_star = list(np.cumsum(star))
-    recurrent = _geometric_ratio(terms) >= 0.999
-    positive = recurrent and _geometric_ratio(star) < 0.999
-    return RecurrenceReport(tuple(terms), tuple(star), tuple(sums),
-                            tuple(sums_star), recurrent, positive)
-
 
 @dataclass(frozen=True)
 class TailRecord:
@@ -487,22 +367,3 @@ def tail_classify(masses: Sequence[float], min_points: int = 8,
     if r2_e >= r2_p:
         return TailRecord("exponential", -slope_e, math.nan, r2_e)
     return TailRecord("polynomial", math.nan, -slope_p, r2_p)
-
-
-# ---------------------------------------------------------------------------
-# CSV row generators
-# ---------------------------------------------------------------------------
-
-def pressure_rows(points: list[tuple[float, Bracket]]) -> list[tuple]:
-    return [(s, pb.lo, pb.hi) for s, pb in points]
-
-
-def zn_rows(model: ThermoModel, n_max: int, base: int | None = None) -> list[tuple]:
-    if base is None:
-        base = model.default_base()
-    return [(n,) + (lambda z: (z.lo, z.hi))(partition_function(model, n, base))
-            for n in range(1, n_max + 1)]
-
-
-def mass_rows(masses: Sequence[float]) -> list[tuple]:
-    return [(n + 1, m) for n, m in enumerate(masses)]

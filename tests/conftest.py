@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import pytest
@@ -11,6 +12,26 @@ LOG_GOLDEN = math.log(GOLDEN)
 ACIP_CA = 9.0 / 8.0
 ACIP_CB = 3.0 / 4.0
 ACIP_LYAP = 0.75 * math.log(1.5) + 0.25 * math.log(2.0)
+
+
+def partition_function_exact(model, n: int, base: int) -> float:
+    """Z_n summed over located periodic points of the underlying map.
+
+    Enumerates every n-word of scheme branches that starts at the base
+    branch and adds exp(-t log|Df^tau| - S*tau) at the periodic point of
+    the concatenated map word: an oracle independent of the weight
+    brackets, for small families only.
+    """
+    scheme = model.scheme
+    total = 0.0
+    for rest in itertools.product(range(model.n), repeat=n - 1):
+        brs = [scheme.branches[i] for i in (base,) + rest]
+        pp = tm.periodic_point(scheme.map, sum((b.word for b in brs), ()))
+        if pp is None:
+            continue
+        total += math.exp(-model.t * math.log(pp.multiplier)
+                          - model.shift * sum(b.tau for b in brs))
+    return total
 
 
 @pytest.fixture(scope="session")

@@ -21,7 +21,7 @@ from thermomap.cli import (
 )
 from thermomap.thermo import synthetic_model
 
-from conftest import LOG_GOLDEN
+from conftest import LOG_GOLDEN, partition_function_exact
 
 
 @contextlib.contextmanager
@@ -109,15 +109,16 @@ def test_criterion_5_pressure_shift_structure(golden_scheme, tent_trivial_scheme
                                        [0.05 * k for k in range(10)])
             for (s1, p1), (s2, p2) in zip(pts, pts[1:]):
                 assert p2.mid <= p1.mid + p1.width + p2.width + 1e-12
+            # log Z_m1 + log Z_m2 <= log Z_(m1+m2) + log B, with Z_n summed
+            # over periodic points and B = k^(2|t|) from the distortion k
             model = tm.induced_potential(scheme, 0.8, 0.05)
-            base = model.default_base()
+            base = int(np.argmax(model.w_pt))
+            log_b = 2.0 * abs(model.t) * math.log(model.k_dist)
+            log_z = {n: math.log(partition_function_exact(model, n, base))
+                     for n in range(1, 9)}
             for m1 in range(1, 8):
                 for m2 in range(1, 8 - m1 + 1):
-                    z1 = tm.partition_function(model, m1, base)
-                    z2 = tm.partition_function(model, m2, base)
-                    z12 = tm.partition_function(model, m1 + m2, base)
-                    assert math.log(z1.lo) + math.log(z2.lo) \
-                        <= math.log(z12.hi) + model.log_b + 1e-9
+                    assert log_z[m1] + log_z[m2] <= log_z[m1 + m2] + log_b + 1e-9
 
 
 def test_criterion_6_discriminant_tails():

@@ -1,7 +1,11 @@
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
+import thermomap
 from thermomap import cli
 from thermomap.cli import (
     CurveRow,
@@ -165,6 +169,7 @@ class TestRunCli:
         (["scan", "--t-min", "0", "--t-max", "nan", "--steps", "3"], "--t-max"),
         (["induce", "--delta", "inf"], "--delta"),
         (["induce", "--x-point", "nan"], "--x-point"),
+        (["diagnose", "--eps", "nan"], "--eps"),
     ])
     def test_non_finite_option_exits_two(self, capsys, argv, option):
         assert run(argv[:1] + ["--map", "tent2"] + argv[1:]) == 2
@@ -174,14 +179,36 @@ class TestRunCli:
         ["pressure", "--t", "0", "--tol", "0"],
         ["pressure", "--t", "0", "--tol=-1e-10"],
         ["scan", "--t-min", "0", "--t-max", "1", "--steps", "3", "--tol", "0"],
+        ["diagnose", "--eps", "-1"],
+        ["diagnose", "--eps", "0"],
     ])
     def test_non_positive_tolerance_exits_two(self, monkeypatch, capsys, argv):
         # rejected by the parser, before the map is loaded
         def no_load(name):
             raise AssertionError("map loaded")
         monkeypatch.setattr(cli, "load_map", no_load)
+        option = [a for a in argv if a.startswith("--")][-1].split("=")[0]
         assert run(argv[:1] + ["--map", "tent2"] + argv[1:]) == 2
-        assert "argument --tol: must be > 0" in capsys.readouterr().err
+        assert f"argument {option}: must be > 0" in capsys.readouterr().err
+
+    def test_negative_seed_exits_two(self, monkeypatch, capsys):
+        def no_load(name):
+            raise AssertionError("map loaded")
+        monkeypatch.setattr(cli, "load_map", no_load)
+        assert run(["diagnose", "--map", "quad4", "--seed", "-1"]) == 2
+        assert "argument --seed: must be >= 0" in capsys.readouterr().err
+
+    def test_python_dash_m_runs_the_cli(self):
+        src = os.path.dirname(os.path.dirname(thermomap.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "thermomap",
+             "oracle", "--map", "markov_golden", "--t", "1"],
+            capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 0
+        assert proc.stderr == ""
+        assert float(proc.stdout) == pytest.approx(0.0, abs=1e-9)
 
     @pytest.mark.parametrize("argv", [
         ["pressure", "--map", "tent2", "--x-depth", "0", "--t", "{}"],

@@ -300,9 +300,3 @@ class TestPeriodicPoint:
             assert eval_along_word(m, w, pp.x) == pytest.approx(pp.x, abs=1e-10)
             checked += 1
         assert checked >= 3
-
-    def test_csv_rows(self, golden_map):
-        from thermomap.symbolic import cylinders_to_csv_rows
-        rows = cylinders_to_csv_rows(tm.refine(golden_map, 2))
-        assert rows[0][0] == "0-0"
-        assert len(rows) == 3
