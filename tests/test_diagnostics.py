@@ -69,6 +69,23 @@ class TestBinding:
         assert all(v > 0 for v in rec.f_prime_p.values())
 
 
+class TestKoebe:
+    def test_linear_scheme_unit_distortion(self, golden_scheme):
+        rep = tm.validate_scheme(golden_scheme)
+        assert rep.max_distortion == pytest.approx(1.0, abs=1e-12)
+        assert rep.ok
+
+    def test_quadratic_within_bound(self, quad_scheme):
+        rep = tm.validate_scheme(quad_scheme)
+        assert rep.max_distortion <= 9.0
+        assert rep.koebe_bound == 9.0
+
+    def test_delta_one_bound(self, golden_map):
+        # (1 + 2*delta) / delta^2 + 1 = 4 at delta = 1
+        sch = tm.extendible_return_scheme(golden_map, (1 / 3, 4 / 9), 1.0, 12)
+        assert tm.validate_scheme(sch).koebe_bound == pytest.approx(4.0)
+
+
 class TestVariationDecay:
     def test_golden_locally_constant(self, golden_scheme):
         rec = dg.variation_decay(golden_scheme, 1.0)

@@ -267,11 +267,6 @@ class TestValidateScheme:
         assert rep.ok
         assert rep.max_distortion <= rep.koebe_bound
 
-    def test_delta_one_koebe_bound(self, golden_map):
-        # (1 + 2*delta) / delta^2 + 1 = 4 at delta = 1
-        sch = tm.extendible_return_scheme(golden_map, (1 / 3, 4 / 9), 1.0, 12)
-        assert tm.validate_scheme(sch).koebe_bound == 4.0
-
     def test_corrupted_overlap_detected(self, golden_scheme):
         import copy
         sch = copy.copy(golden_scheme)

@@ -48,6 +48,27 @@ class TestWithShift:
 
 
 class TestPartitionFunction:
+    def test_golden_z1_branch(self, golden_scheme):
+        model = tm.induced_potential(golden_scheme, 1.0, 0.0)
+        assert partition_function_exact(model, 1, 0) == pytest.approx(
+            2.0 / 3.0, rel=1e-12)
+        assert model.w_hi[0] - model.w_lo[0] < 1e-15
+
+    def test_golden_z2_total_is_one(self, golden_scheme):
+        model = tm.induced_potential(golden_scheme, 1.0, 0.0)
+        total = sum(partition_function_exact(model, 2, b) for b in range(2))
+        assert total == pytest.approx(1.0, rel=1e-12)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.floats(0.05, 2.0), min_size=2, max_size=6),
+           st.integers(1, 5))
+    def test_full_shift_exactness(self, weights, n):
+        # the total Z_n over all bases is W^n = exp(n * P) on a full shift
+        model = synthetic_model(weights, taus=[1] * len(weights))
+        pb = tm.gurevich_pressure(model)
+        for p in (pb.lo, pb.hi):
+            assert math.exp(n * p) == pytest.approx(sum(weights) ** n, rel=1e-9)
+
     def test_exact_path_agrees(self, golden_scheme, tent_trivial_scheme,
                                full_trivial_scheme):
         # on a full shift Z_n(base) = w_base * W^(n-1) for the weight sum W
@@ -80,6 +101,23 @@ class TestGurevichPressure:
         assert pb.mid == pytest.approx((1.0 - t) * math.log(2.0), abs=1e-11)
         assert pb.width <= 1e-11
 
+    @pytest.mark.parametrize("fixture_name",
+                             ["golden_scheme", "tent_trivial_scheme",
+                              "quad_scheme"])
+    def test_finite_n_never_beats_weight_sum(self, fixture_name, request):
+        # Z_n >= w_lo[base] * W_lo^(n-1) on a full shift, so no base and no
+        # finite n gives a lower bound above log W
+        scheme = request.getfixturevalue(fixture_name)
+        model = tm.induced_potential(scheme, 0.5, 0.1)
+        lower = tm.gurevich_pressure(model).lo
+        log_b = 2.0 * abs(model.t) * math.log(model.k_dist)
+        w_sum_lo = model.weight_sum()[0]
+        for base in range(model.n):
+            for n in range(1, 9):
+                z_lo = float(model.w_lo[base]) * w_sum_lo ** (n - 1)
+                if z_lo > 0.0:
+                    assert (math.log(z_lo) - log_b) / n <= lower + 1e-12
+
 
 class TestPressureVsShift:
     def test_golden_t1_midpoints(self, golden_scheme):
@@ -99,6 +137,22 @@ class TestPressureVsShift:
         mids = [pb.mid for _, pb in pts]
         assert mids[2] < mids[1] < mids[0]
         assert mids[2] < -40
+
+    @pytest.mark.parametrize("fixture_name",
+                             ["golden_scheme", "tent_trivial_scheme",
+                              "full_trivial_scheme"])
+    def test_subadditivity(self, fixture_name, request):
+        # log Z_m1 + log Z_m2 <= log Z_(m1+m2) + log B, with Z_n summed over
+        # periodic points and B = k^(2|t|) from the distortion k
+        scheme = request.getfixturevalue(fixture_name)
+        model = tm.induced_potential(scheme, 0.8, 0.05)
+        base = int(np.argmax(model.w_pt))
+        log_b = 2.0 * abs(model.t) * math.log(model.k_dist)
+        log_z = {n: math.log(partition_function_exact(model, n, base))
+                 for n in range(1, 9)}
+        for m1 in range(1, 8):
+            for m2 in range(1, 8 - m1 + 1):
+                assert log_z[m1] + log_z[m2] <= log_z[m1 + m2] + log_b + 1e-9
 
     def test_monotone_in_shift(self, golden_scheme):
         pts = tm.pressure_vs_shift(golden_scheme, 0.3,
