@@ -73,7 +73,6 @@ from .thermo import (
 )
 from .gibbs import (
     GibbsSolution,
-    IntervalMeasure,
     abramov_quantities,
     equilibrium_shift_solve,
     gibbs_ratio_check,

@@ -485,8 +485,8 @@ def _dispatch(args) -> int:
                   f"(R2={_fmt(rec.beta_r2)})")
         comps = diagnostics.critical_neighbourhood(m, args.eps)
         if comps:
-            binding = diagnostics.binding_analysis(m, args.eps, 0.1,
-                                                   min(args.n_max, 40))
+            binding = diagnostics.binding_analysis(
+                m, args.eps, 0.1, min(args.n_max, 40), args.t0)
             print(f"binding: p_U={binding.p_u}, verdict={binding.verdict}")
             lam1 = diagnostics.mane_expansion_estimate(m, comps, seed=args.seed)
             bval = diagnostics.first_entry_derivative_bound(m, comps, seed=args.seed)

@@ -16,9 +16,27 @@ import numpy as np
 
 from .errors import CriticalOrbitError, DomainError
 from .inducing import InducingScheme
-from .interval_map import (IntervalMap, derivative_along, derivative_along_word,
+from .interval_map import (IntervalMap, derivative_along, derivative_prefixes,
                            eval_orbit)
 from .thermo import _fit_line
+
+#: R^2 that the exponential fit of every critical orbit must reach for CE.
+R2_CE = 0.99
+#: Proof constant of the composition sums.
+ZETA = 1.0
+#: Points sampled in each critical-neighbourhood component for binding.
+BINDING_SAMPLES = 64
+#: Variation decay: the longest branches followed, and the widest
+#: pullback intervals kept per level.
+VARIATION_BRANCHES = 12
+VARIATION_KEEP = 64
+#: Mane estimate: shortest avoidance window, orbit count and orbit length.
+MANE_K_MIN = 4
+MANE_ORBITS = 24
+MANE_ORBIT_LEN = 2000
+#: First-entry bound: starting points, and iterations before giving up.
+ENTRY_SAMPLES = 400
+ENTRY_HORIZON = 200
 
 
 # ---------------------------------------------------------------------------
@@ -43,8 +61,7 @@ class GrowthVerdict:
     beta_threshold: float
 
 
-def critical_orbit_growth(m: IntervalMap, n_max: int, t0: float,
-                          r2_ce: float = 0.99) -> GrowthVerdict:
+def critical_orbit_growth(m: IntervalMap, n_max: int, t0: float) -> GrowthVerdict:
     """Classify derivative growth along every critical orbit.
 
     CE when the log-linear fit has positive rate with R^2 >= 0.99 for
@@ -57,15 +74,9 @@ def critical_orbit_growth(m: IntervalMap, n_max: int, t0: float,
         raise DomainError("t0 must lie in (0, 1)")
     records = []
     for cp in m.turning_points():
-        derivs = []
-        truncated = None
-        v = m.apply(cp.c)
-        for n in range(1, n_max + 1):
-            try:
-                derivs.append(derivative_along(m, v, n))
-            except CriticalOrbitError as exc:
-                truncated = exc.hit_time
-                break
+        derivs = derivative_prefixes(m, m.apply(cp.c), n_max)
+        # a cut list stops at the critical hit: its length is the hit time
+        truncated = len(derivs) if len(derivs) < n_max else None
         arr = np.array(derivs)
         ns = np.arange(1, len(arr) + 1, dtype=float)
         if len(arr) >= 3:
@@ -81,7 +92,7 @@ def critical_orbit_growth(m: IntervalMap, n_max: int, t0: float,
                                     beta, b_r2, truncated))
     threshold = m.ell_max * (1.0 + 1.0 / t0) - 1.0
     ce_ok = bool(records) and all(
-        not math.isnan(r.alpha) and r.alpha > 0 and r.alpha_r2 >= r2_ce
+        not math.isnan(r.alpha) and r.alpha > 0 and r.alpha_r2 >= R2_CE
         for r in records)
     poly_ok = bool(records) and all(
         not math.isnan(r.beta) and r.beta > threshold for r in records)
@@ -135,27 +146,26 @@ def critical_neighbourhood(m: IntervalMap, eps: float) -> list[tuple[float, floa
 
 
 def binding_analysis(m: IntervalMap, eps: float, delta_x: float, n_max: int,
-                     t0: float = 0.9, zeta: float = 1.0,
-                     n_samples: int = 64) -> BindingRecord:
+                     t0: float = 0.9) -> BindingRecord:
     """Binding periods sampled on U and the two summability partial sums.
 
     The per-orbit sum uses terms (gamma_n^(l-1) |Df^n(f(c))|)^(-t0/l);
     the composition sum checks products over binding-period strings
-    against 1, with the proof constant zeta exposed as a parameter.
+    against 1, with the proof constant ZETA.
     """
     gammas = gamma_sequence(delta_x, n_max)
     comps = critical_neighbourhood(m, eps)
     crits = [cp for cp in m.turning_points() if cp.vanishing]
+    crit_pts = [q.c for q in crits]
     p_u = n_max
     f_prime: dict[int, float] = {}
     for (u_lo, u_hi), cp in zip(comps, crits):
-        for k in range(1, n_samples + 1):
-            x = u_lo + (u_hi - u_lo) * k / (n_samples + 1)
+        orb_c = eval_orbit(m, cp.c, n_max)
+        for k in range(1, BINDING_SAMPLES + 1):
+            x = u_lo + (u_hi - u_lo) * k / (BINDING_SAMPLES + 1)
             if abs(x - cp.c) < 1e-12:
                 continue
             orb_x = eval_orbit(m, x, n_max)
-            orb_c = eval_orbit(m, cp.c, n_max)
-            crit_pts = [q.c for q in crits]
             p = n_max
             for k2 in range(1, n_max + 1):
                 dist_c = min(abs(orb_c[k2] - cc) for cc in crit_pts)
@@ -168,24 +178,19 @@ def binding_analysis(m: IntervalMap, eps: float, delta_x: float, n_max: int,
             except CriticalOrbitError:
                 continue
             f_prime[p] = min(f_prime.get(p, math.inf), dfp)
+    # |Df^n(f(c))| for n = 1.. up to the orbit's first critical hit
+    growth = [derivative_prefixes(m, m.apply(cp.c), n_max) for cp in crits]
     # gauge-weighted growth sums, worst critical point
-    partials = []
     worst: list[float] = []
-    for cp in crits:
-        v = m.apply(cp.c)
-        terms = []
-        for n in range(1, n_max + 1):
-            try:
-                dn = derivative_along(m, v, n)
-            except CriticalOrbitError:
-                break
-            terms.append((gammas[n - 1] ** (cp.order - 1.0) * dn) ** (-t0 / cp.order))
+    for cp, derivs in zip(crits, growth):
+        terms = [(gammas[n - 1] ** (cp.order - 1.0) * dn) ** (-t0 / cp.order)
+                 for n, dn in enumerate(derivs, start=1)]
         cum = np.cumsum(terms)
         if len(cum) and (not worst or cum[-1] > worst[-1]):
             worst = list(cum)
     partials = worst or [math.nan]
     # composition sums: G_n = sum over binding strings with parts >= p_U
-    comp_partials = _composition_sums(m, crits, gammas, zeta, p_u, n_max)
+    comp_partials = _composition_sums(crits, growth, gammas, p_u, n_max)
     tail_ok = (len(partials) >= 4 and
                partials[-1] - partials[-2] < 1e-8 and not math.isnan(partials[-1]))
     verdict = "converged-trend" if tail_ok else "inconclusive"
@@ -193,19 +198,17 @@ def binding_analysis(m: IntervalMap, eps: float, delta_x: float, n_max: int,
                          tuple(comp_partials), verdict)
 
 
-def _composition_sums(m, crits, gammas, zeta, p_u, n_max) -> list[float]:
+def _composition_sums(crits, growth, gammas, p_u, n_max) -> list[float]:
     if not crits:
         return [0.0] * n_max
     u = np.zeros(n_max + 1)
     for p in range(max(p_u, 1), n_max + 1):
         best = 0.0
-        for cp in crits:
-            v = m.apply(cp.c)
-            try:
-                dp = derivative_along(m, v, p)
-            except CriticalOrbitError:
+        for cp, derivs in zip(crits, growth):
+            if p > len(derivs):
                 continue
-            term = zeta * (gammas[p - 1] ** (cp.order - 1.0) * dp) ** (-1.0 / cp.order)
+            dp = derivs[p - 1]
+            term = ZETA * (gammas[p - 1] ** (cp.order - 1.0) * dp) ** (-1.0 / cp.order)
             best = max(best, term)
         u[p] = best
     g = np.zeros(n_max + 1)
@@ -230,8 +233,8 @@ class VariationRecord:
     summable_trend: bool
 
 
-def variation_decay(scheme: InducingScheme, t: float, n_max: int = 6,
-                    branch_cap: int = 12, keep: int = 64) -> VariationRecord:
+def variation_decay(scheme: InducingScheme, t: float,
+                    n_max: int = 6) -> VariationRecord:
     """Oscillation of the induced potential over scheme n-cylinders.
 
     The potential -t log|DF| only sees the first letter of a cylinder
@@ -242,14 +245,13 @@ def variation_decay(scheme: InducingScheme, t: float, n_max: int = 6,
     if n_max > 8:
         raise DomainError("n_max must be <= 8 (cylinder blow-up)")
     m = scheme.map
-    branches = sorted(scheme.branches, key=lambda b: -b.length)[:branch_cap]
+    branches = sorted(scheme.branches, key=lambda b: -b.length)[:VARIATION_BRANCHES]
     if not branches:
         raise DomainError("scheme has no branches")
 
     def osc_on(br, lo: float, hi: float) -> float:
         xs = [lo + (hi - lo) * k / 6 for k in range(7)]
-        vals = [-t * math.log(derivative_along_word(m, br.word_at(x), x))
-                for x in xs]
+        vals = [-t * math.log(br.dF(m, x)) for x in xs]
         return max(vals) - min(vals)
 
     v_n = []
@@ -267,7 +269,7 @@ def variation_decay(scheme: InducingScheme, t: float, n_max: int = 6,
                 if abs(b - a) > 1e-15:
                     nxt.append((parent, min(a, b), max(a, b)))
         nxt.sort(key=lambda r: r[1] - r[2])
-        level = nxt[:keep]
+        level = nxt[:VARIATION_KEEP]
     arr = np.array(v_n)
     pos = arr > 1e-15
     if pos.sum() >= 3:
@@ -289,25 +291,24 @@ def _in_any(x: float, comps: Sequence[tuple[float, float]]) -> bool:
 
 
 def mane_expansion_estimate(m: IntervalMap, comps: Sequence[tuple[float, float]],
-                            k_min: int = 4, n_orbits: int = 24,
-                            orbit_len: int = 2000, seed: int = 0) -> float:
+                            seed: int = 0) -> float:
     """min over sampled avoidance windows of (1/k) log |Df^k|.
 
     Long generic orbits are cut into maximal excursions outside U of
-    length >= k_min; a positive minimum is the finite-horizon reading of
-    uniform expansion away from the critical neighbourhood.
+    length >= MANE_K_MIN; a positive minimum is the finite-horizon
+    reading of uniform expansion away from the critical neighbourhood.
     """
     rng = np.random.default_rng(seed)
     lo, hi = m.domain
     best = math.inf
     seen = False
-    for _ in range(n_orbits):
+    for _ in range(MANE_ORBITS):
         x = float(rng.uniform(lo, hi))
-        orb = eval_orbit(m, x, orbit_len)
+        orb = eval_orbit(m, x, MANE_ORBIT_LEN)
         start = None
         for idx, z in enumerate(orb):
             if _in_any(z, comps):
-                if start is not None and idx - start >= k_min:
+                if start is not None and idx - start >= MANE_K_MIN:
                     k = idx - start
                     try:
                         best = min(best, math.log(
@@ -341,17 +342,16 @@ def nice_check(m: IntervalMap, comps: Sequence[tuple[float, float]],
 
 def first_entry_derivative_bound(m: IntervalMap,
                                  comps: Sequence[tuple[float, float]],
-                                 n_samples: int = 400, horizon: int = 200,
                                  seed: int = 0) -> float:
     """Sampled lower bound b on |Df^r| at the first entry time into U."""
     rng = np.random.default_rng(seed)
     lo, hi = m.domain
     best = math.inf
-    for _ in range(n_samples):
+    for _ in range(ENTRY_SAMPLES):
         x = float(rng.uniform(lo, hi))
         z = x
         r = 0
-        while r < horizon and not _in_any(z, comps):
+        while r < ENTRY_HORIZON and not _in_any(z, comps):
             z = m.apply(z)
             r += 1
         if r == 0:

@@ -30,7 +30,7 @@ from .errors import (
     NumericError,
 )
 from .inducing import InducingScheme
-from .interval_map import derivative_along_word, eval_along_word, pullback_word
+from .interval_map import eval_along_word, pullback_word
 from .symbolic import DEGEN_TOL
 from .thermo import (Bracket, ThermoModel, gurevich_pressure,
                      induced_potential, with_shift)
@@ -40,6 +40,8 @@ from .thermo import (Bracket, ThermoModel, gurevich_pressure,
 REFINE_CAP = 256
 #: Relative residual at which the depth-2 power iteration stops.
 RESIDUAL_TOL = 1e-10
+#: Levels of the product rule that projection resolves inside the base.
+PROJECTION_DEPTH = 60
 
 
 @dataclass(frozen=True)
@@ -165,8 +167,7 @@ def gibbs_ratio_check(solution: GibbsSolution, depth: int,
             psi = 0.0
             for k, i in enumerate(w):
                 br = scheme.branches[i]
-                zk = 0.5 * (suffix[k][0] + suffix[k][1])
-                df = derivative_along_word(m, br.word_at(zk), zk)
+                df = br.dF(m, 0.5 * (suffix[k][0] + suffix[k][1]))
                 psi += -model.t * math.log(df) - model.shift * br.tau
             mass = float(np.prod([solution.masses[i] for i in w]))
             ratio = mass / math.exp(psi - d * log_lam)
@@ -178,39 +179,34 @@ def gibbs_ratio_check(solution: GibbsSolution, depth: int,
 # projection to the interval
 # ---------------------------------------------------------------------------
 
-class IntervalMeasure:
-    """Projected measure evaluated through the lift formula.
+def _tau_mean_bracket(solution: GibbsSolution) -> Bracket:
+    """Bracket on the mean inducing time, the tail bound included."""
+    model = solution.model
+    lo = float(np.sum(model.taus * solution.mass_lo))
+    hi = float(np.sum(model.taus * solution.mass_hi))
+    if model.tail is not None:
+        extra = model.tail.tau_weight_tail(model.t, model.shift,
+                                           math.log(model.k_dist))
+        if not math.isfinite(extra):
+            raise NonCompatibleError(
+                "inducing time not integrable within the truncation bound")
+        hi += extra / solution.lam_lo
+    return Bracket(lo, hi)
 
-    Values on sub-intervals of the inducing base are resolved by the
-    product (Bernoulli) rule of the branch masses, recursively, with a
-    bracket for the unresolved leaves.
+
+def project_measure(scheme: InducingScheme, solution: GibbsSolution,
+                    targets: Sequence) -> list[Bracket]:
+    """mu(A) for each target interval or cylinder A, as brackets.
+
+    mu(A) comes from the lift formula.  Values on sub-intervals of the
+    inducing base are resolved by the product (Bernoulli) rule of the
+    branch masses, recursively, with a bracket for the unresolved leaves.
     """
+    tau = _tau_mean_bracket(solution)
+    m = scheme.map
 
-    def __init__(self, scheme: InducingScheme, solution: GibbsSolution,
-                 depth: int = 60):
-        self.scheme = scheme
-        self.solution = solution
-        self.depth = depth
-        self.tau_mean = self._tau_mean_bracket()
-
-    def _tau_mean_bracket(self) -> Bracket:
-        model = self.solution.model
-        taus = model.taus
-        lo = float(np.sum(taus * self.solution.mass_lo))
-        hi = float(np.sum(taus * self.solution.mass_hi))
-        if model.tail is not None:
-            extra = model.tail.tau_weight_tail(model.t, model.shift,
-                                               math.log(model.k_dist))
-            if not math.isfinite(extra):
-                raise NonCompatibleError(
-                    "inducing time not integrable within the truncation bound")
-            hi += extra / self.solution.lam_lo
-        return Bracket(lo, hi)
-
-    def base_mass(self, lo: float, hi: float, _depth: int | None = None) -> Bracket:
+    def base_mass(lo: float, hi: float, depth: int) -> Bracket:
         """Bracket on mu_F of [lo, hi] intersected with the base X."""
-        scheme = self.scheme
-        depth = self.depth if _depth is None else _depth
         lo = max(lo, scheme.x_lo)
         hi = min(hi, scheme.x_hi)
         if hi - lo <= DEGEN_TOL:
@@ -223,7 +219,7 @@ class IntervalMeasure:
             p, q = max(lo, br.lo), min(hi, br.hi)
             if q - p <= DEGEN_TOL:
                 continue
-            mass = float(self.solution.masses[i])
+            mass = float(solution.masses[i])
             if p <= br.lo + DEGEN_TOL and q >= br.hi - DEGEN_TOL:
                 acc_lo += mass
                 acc_hi += mass
@@ -231,19 +227,15 @@ class IntervalMeasure:
             if depth <= 0:
                 acc_hi += mass
                 continue
-            u = eval_along_word(scheme.map, br.word_at(p), p)
-            v = eval_along_word(scheme.map, br.word_at(q), q)
-            inner = self.base_mass(min(u, v), max(u, v), depth - 1)
+            u, v = br.forward(m, p), br.forward(m, q)
+            inner = base_mass(min(u, v), max(u, v), depth - 1)
             acc_lo += mass * inner.lo
             acc_hi += mass * inner.hi
         return Bracket(acc_lo, min(acc_hi, 1.0))
 
-    def value(self, a_lo: float, a_hi: float) -> Bracket:
-        """mu(A) for the interval A, through the lift formula."""
+    def value(a_lo: float, a_hi: float) -> Bracket:
         if a_hi <= a_lo:
             return Bracket(0.0, 0.0)
-        scheme = self.scheme
-        m = scheme.map
         num_lo = 0.0
         num_hi = 0.0
         for br in scheme.branches:
@@ -265,21 +257,15 @@ class IntervalMeasure:
                         xb = hi if increasing else lo
                     else:
                         xb = pullback_word(m, head, q)
-                    part = self.base_mass(min(xa, xb), max(xa, xb))
+                    part = base_mass(min(xa, xb), max(xa, xb), PROJECTION_DEPTH)
                     num_lo += part.lo
                     num_hi += part.hi
-        tau = self.tau_mean
         lo = min(max(num_lo / tau.hi, 0.0), 1.0)
         hi = min(num_hi / tau.lo, 1.0) if tau.lo > 0 else 1.0
         return Bracket(lo, hi)
 
-
-def project_measure(scheme: InducingScheme, solution: GibbsSolution,
-                    targets: Sequence, depth: int = 60) -> list[Bracket]:
-    """mu(A) for each target interval or cylinder A, as brackets."""
-    measure = IntervalMeasure(scheme, solution, depth=depth)
     spans = [(a.lo, a.hi) if hasattr(a, "lo") else a for a in targets]
-    return [measure.value(lo, hi) for lo, hi in spans]
+    return [value(lo, hi) for lo, hi in spans]
 
 
 # ---------------------------------------------------------------------------
@@ -315,8 +301,7 @@ def abramov_quantities(scheme: InducingScheme,
     the solved shift reduces to the equilibrium identity.
     """
     model = solution.model
-    measure = IntervalMeasure(scheme, solution)
-    tau_b = measure.tau_mean
+    tau_b = _tau_mean_bracket(solution)
     tau_pt = float(np.sum(model.taus * solution.masses))
     lyap_f_pt = float(np.sum(solution.masses * model.log_df_pt))
     lyap_f_b = _mass_weighted_bracket(solution.mass_lo, solution.mass_hi,
@@ -445,12 +430,10 @@ def solution_to_json(solution: GibbsSolution) -> str:
     return json.dumps(data, indent=2, sort_keys=True)
 
 
-def mass_by_tau(solution: GibbsSolution, n_max: int | None = None) -> list[float]:
+def mass_by_tau(solution: GibbsSolution) -> list[float]:
     """Masses grouped by inducing time: entry k is mu_F{tau = k+1}."""
     taus = solution.model.taus.astype(int)
-    top = int(taus.max()) if n_max is None else n_max
-    out = [0.0] * top
+    out = [0.0] * int(taus.max())
     for tau, mu in zip(taus, solution.masses):
-        if tau <= top:
-            out[tau - 1] += float(mu)
+        out[tau - 1] += float(mu)
     return out

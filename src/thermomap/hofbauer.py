@@ -14,10 +14,12 @@ from dataclasses import dataclass
 
 from .errors import DomainError, ResourceError
 from .interval_map import IntervalMap
-from .symbolic import DEGEN_TOL
+from .symbolic import _branch_images
 
 #: Two domains whose endpoints differ by at most this are identified.
 IDENT_TOL = 1e-12
+#: Tower nodes built before construction gives up.
+NODE_CAP = 10_000
 
 
 @dataclass
@@ -83,7 +85,7 @@ class HofbauerTower:
         return sum(weights.values())
 
 
-def build_tower(m: IntervalMap, R: int, node_cap: int = 10_000) -> HofbauerTower:
+def build_tower(m: IntervalMap, R: int) -> HofbauerTower:
     """Breadth-first tower construction up to level R.
 
     complete=True means every node's successors are known, i.e. the
@@ -108,17 +110,12 @@ def build_tower(m: IntervalMap, R: int, node_cap: int = 10_000) -> HofbauerTower
         nxt: list[int] = []
         for i in frontier:
             src = nodes[i]
-            for a, b in enumerate(m.branches):
-                p, q = max(src.lo, b.lo), min(src.hi, b.hi)
-                if q - p <= DEGEN_TOL:
-                    continue
-                u, v = b.fwd(p), b.fwd(q)
-                t_lo, t_hi = (u, v) if u <= v else (v, u)
+            for a, _, _, t_lo, t_hi in _branch_images(m, src.lo, src.hi):
                 j = find(t_lo, t_hi)
                 if j is None:
-                    if len(nodes) >= node_cap:
+                    if len(nodes) >= NODE_CAP:
                         err = ResourceError(
-                            f"tower node cap {node_cap} exceeded", count=len(nodes))
+                            f"tower node cap {NODE_CAP} exceeded", count=len(nodes))
                         err.partial = HofbauerTower(m, nodes, edges, R, False)
                         raise err
                     j = len(nodes)
@@ -234,25 +231,18 @@ def closed_primitive_subgraph(tower: HofbauerTower) -> SubgraphResult:
 # export
 # ---------------------------------------------------------------------------
 
-def tower_to_dot(tower: HofbauerTower, include_stubs: bool = False) -> str:
-    """Graph-description text; members of the closed subgraph are styled."""
+def tower_to_dot(tower: HofbauerTower) -> str:
+    """Graph-description text of the real nodes and edges; members of the
+    closed subgraph are styled."""
     result = closed_primitive_subgraph(tower)
     members = set(result.members or ())
     lines = ["digraph tower {", "  rankdir=LR;"]
-    for d in tower.nodes:
-        if d.is_stub and not include_stubs:
-            continue
-        label = f"L{d.level}:[{d.lo:.6g},{d.hi:.6g}]"
-        style = []
+    for d in tower.real_nodes():
+        attr = f'label="L{d.level}:[{d.lo:.6g},{d.hi:.6g}]"'
         if d.index in members:
-            style.append('style=bold color="red"')
-        if d.is_stub:
-            style.append('style=dashed')
-        attr = " ".join([f'label="{label}"'] + style)
+            attr += ' style=bold color="red"'
         lines.append(f"  n{d.index} [{attr}];")
-    for src, a, dst in tower.edge_list():
-        if not include_stubs and (tower.nodes[src].is_stub or tower.nodes[dst].is_stub):
-            continue
+    for src, a, dst in tower.real_edges():
         lines.append(f'  n{src} -> n{dst} [label="{a}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"

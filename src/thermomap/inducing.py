@@ -13,9 +13,9 @@ from __future__ import annotations
 import itertools
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .errors import DomainError, ResourceError
 from .hofbauer import HofbauerTower
@@ -25,11 +25,27 @@ from .interval_map import (
     eval_along_word,
     pullback_word,
 )
-from .symbolic import (Cylinder, DEGEN_TOL, monotone_pieces, periodic_point,
-                       refine_levels)
+from .symbolic import (Cylinder, DEGEN_TOL, Word, _branch_images,
+                       monotone_pieces, periodic_point, refine_levels)
 
 #: Relative tolerance for onto/containment checks, in units of |X|.
 ONTO_RTOL = 1e-9
+#: Interior points at which |DF| is sampled on each branch, besides the ends.
+DF_SAMPLES = 9
+#: Tower pieces a first-return scheme may visit before giving up.
+PIECE_CAP = 200_000
+#: Cylinders per refinement level an extendible scheme may build.
+CYLINDER_CAP = 400_000
+
+
+def _pullback_through(m: IntervalMap, cyls: Sequence[Cylinder], y: float,
+                      default: Word) -> float:
+    """y pulled back along the word of the first cylinder whose image
+    holds it within 1e-12, else along ``default``."""
+    for c in cyls:
+        if c.image_lo - 1e-12 <= y <= c.image_hi + 1e-12:
+            return pullback_word(m, c.word, y)
+    return pullback_word(m, default, y)
 
 
 @dataclass(frozen=True)
@@ -43,37 +59,41 @@ class SchemeBranch:
     df_lo: float
     df_hi: float
     df_mid: float
-    #: (lo, hi, word) of each cylinder of f^tau that the branch spans, when
-    #: it spans more than one; empty when ``word`` holds on the whole branch
-    parts: tuple[tuple[float, float, tuple[int, ...]], ...] = ()
+    #: the cylinders of f^tau that the branch spans, when it spans more than
+    #: one; empty when ``word`` holds on the whole branch
+    parts: tuple[Cylinder, ...] = ()
 
-    def word_at(self, x: float) -> tuple[int, ...]:
+    def _word_at(self, x: float) -> tuple[int, ...]:
         """The branch word of the cylinder containing x."""
-        return _word_at(self.parts, x, self.word)
+        for c in self.parts:
+            if c.lo - 1e-12 <= x <= c.hi + 1e-12:
+                return c.word
+        return self.word
+
+    def forward(self, m: IntervalMap, x: float) -> float:
+        """F(x), along the word of x's own cylinder."""
+        return eval_along_word(m, self._word_at(x), x)
+
+    def dF(self, m: IntervalMap, x: float) -> float:
+        """|DF(x)|, along the word of x's own cylinder."""
+        return derivative_along_word(m, self._word_at(x), x)
+
+    def pullback(self, m: IntervalMap, y: float) -> float:
+        """The F-preimage in the branch of y in X.
+
+        y is pulled back along the word of the first part whose image
+        holds it; a single-word branch is exactly
+        ``pullback_word(m, word, y)``.
+        """
+        return _pullback_through(m, self.parts, y, self.word)
 
     def segments(self) -> tuple[tuple[float, float, tuple[int, ...]], ...]:
         """The branch cut into (lo, hi, word) pieces that follow one word."""
         if not self.parts:
             return ((self.lo, self.hi, self.word),)
-        return tuple((max(lo, self.lo), min(hi, self.hi), word)
-                     for lo, hi, word in self.parts
-                     if min(hi, self.hi) > max(lo, self.lo))
-
-    def pullback(self, m: IntervalMap, y: float) -> float:
-        """The F-preimage in the branch of y in X.
-
-        y is pulled back along the word of the segment whose F-image holds
-        it; a single-word branch is exactly ``pullback_word(m, word, y)``.
-        """
-        word = self.word
-        if self.parts:
-            def miss(segment: tuple[float, float, tuple[int, ...]]) -> float:
-                lo, hi, w = segment
-                u, v = eval_along_word(m, w, lo), eval_along_word(m, w, hi)
-                return max(min(u, v) - y, y - max(u, v), 0.0)
-
-            word = min(self.segments(), key=miss)[2]
-        return pullback_word(m, word, y)
+        return tuple((max(c.lo, self.lo), min(c.hi, self.hi), c.word)
+                     for c in self.parts
+                     if min(c.hi, self.hi) > max(c.lo, self.lo))
 
     @property
     def length(self) -> float:
@@ -126,12 +146,7 @@ class InducingScheme:
     def depth2_derivatives(self) -> list[list[float]]:
         """Entry [j][i] is |DF_i| at the F_i-preimage of branch j's midpoint."""
         m = self.map
-
-        def df(bi: SchemeBranch, y: float) -> float:
-            x = bi.pullback(m, y)
-            return derivative_along_word(m, bi.word_at(x), x)
-
-        return [[df(bi, bj.midpoint) for bi in self.branches]
+        return [[bi.dF(m, bi.pullback(m, bj.midpoint)) for bi in self.branches]
                 for bj in self.branches]
 
     @cached_property
@@ -147,23 +162,19 @@ class InducingScheme:
         return orbits
 
 
-def _sample_derivative(m: IntervalMap,
-                       word_at: Callable[[float], tuple[int, ...]],
-                       lo: float, hi: float, n_inner: int = 9,
-                       edge: float = 1e-12) -> tuple[float, float, float]:
-    """(inf, sup, midpoint) of |Df^tau| on [lo, hi], sampled.
+def _sample_derivative(m: IntervalMap, br: SchemeBranch,
+                       edge: float = 1e-12) -> SchemeBranch:
+    """br with df_lo, df_hi and df_mid: inf, sup and midpoint value of its
+    own |DF|, sampled.
 
-    ``word_at(x)`` names the branch word at each sample, so a branch that
-    spans several cylinders of one monotone piece is followed piece by
-    piece. The two end samples sit a relative ``edge`` inside the interval.
+    The two end samples sit a relative ``edge`` inside the branch.
     """
-    length = hi - lo
+    lo, hi, length = br.lo, br.hi, br.length
     xs = [lo + length * edge, hi - length * edge]
-    xs += [lo + length * k / (n_inner + 1) for k in range(1, n_inner + 1)]
-    vals = [derivative_along_word(m, word_at(x), x) for x in xs]
-    x_mid = 0.5 * (lo + hi)
-    mid = derivative_along_word(m, word_at(x_mid), x_mid)
-    return min(vals), max(vals), mid
+    xs += [lo + length * k / (DF_SAMPLES + 1) for k in range(1, DF_SAMPLES + 1)]
+    vals = [br.dF(m, x) for x in xs]
+    return replace(br, df_lo=min(vals), df_hi=max(vals),
+                   df_mid=br.dF(m, br.midpoint))
 
 
 # ---------------------------------------------------------------------------
@@ -172,8 +183,7 @@ def _sample_derivative(m: IntervalMap,
 
 def first_return_scheme(tower: HofbauerTower,
                         xhat: tuple[int, object],
-                        T: int,
-                        piece_cap: int = 200_000) -> InducingScheme:
+                        T: int) -> InducingScheme:
     """First-return inducing scheme for X-hat = (cylinder C, tower node D).
 
     X-hat is read as the copies of C in every tower domain whose interval
@@ -218,23 +228,19 @@ def first_return_scheme(tower: HofbauerTower,
         if node.is_stub:
             exhausted = False
             return
-        for a, b in enumerate(m.branches):
-            p, q = max(j_lo, b.lo), min(j_hi, b.hi)
-            if q - p <= DEGEN_TOL:
-                continue
+        for a, _, _, img_lo, img_hi in _branch_images(m, j_lo, j_hi):
             target = tower.edges.get((node_i, a))
             if target is None:
                 exhausted = False
                 continue
-            u, v = b.fwd(p), b.fwd(q)
-            queue.append((target, min(u, v), max(u, v), word + (a,)))
+            queue.append((target, img_lo, img_hi, word + (a,)))
 
     push_children(node_idx, c_lo, c_hi, ())
     seen = 0
     while queue:
         seen += 1
-        if seen > piece_cap:
-            raise ResourceError(f"piece cap {piece_cap} exceeded", count=seen)
+        if seen > PIECE_CAP:
+            raise ResourceError(f"piece cap {PIECE_CAP} exceeded", count=seen)
         node_i, j_lo, j_hi, word = queue.popleft()
         remainders = [(j_lo, j_hi)]
         if node_i in qualifying:
@@ -251,12 +257,10 @@ def first_return_scheme(tower: HofbauerTower,
                     node = tower.nodes[node_i]
                     ext_a = pullback_word(m, word, node.lo)
                     ext_b = pullback_word(m, word, node.hi)
-                    dlo, dhi, dmid = _sample_derivative(
-                        m, lambda _x: word, b_lo, b_hi)
-                    branches.append(SchemeBranch(
+                    branches.append(_sample_derivative(m, SchemeBranch(
                         b_lo, b_hi, len(word), word,
                         min(ext_a, ext_b), max(ext_a, ext_b),
-                        dlo, dhi, dmid))
+                        math.nan, math.nan, math.nan)))
                 remainders = [(j_lo, ov_lo), (ov_hi, j_hi)]
         for r_lo, r_hi in remainders:
             if r_hi - r_lo > DEGEN_TOL:
@@ -337,8 +341,7 @@ class _Uncovered:
 
 
 def extendible_return_scheme(m: IntervalMap, x: tuple[float, float] | Cylinder,
-                             delta: float, T: int,
-                             cap: int = 400_000) -> InducingScheme:
+                             delta: float, T: int) -> InducingScheme:
     """First delta-extendible return scheme on the interval X.
 
     For each maximal monotone piece of f^j (j <= T) whose image covers
@@ -361,13 +364,7 @@ def extendible_return_scheme(m: IntervalMap, x: tuple[float, float] | Cylinder,
     branches: list[SchemeBranch] = []
     conflicts = 0
 
-    def pull(piece: list[Cylinder], y: float) -> float:
-        for cyl in piece:
-            if cyl.image_lo - 1e-12 <= y <= cyl.image_hi + 1e-12:
-                return pullback_word(m, cyl.word, y)
-        raise DomainError(f"target {y} outside piece image")
-
-    levels = refine_levels(m, T, cap=cap)
+    levels = refine_levels(m, T, cap=CYLINDER_CAP)
     exhausted = False
     for level in levels:
         if uncovered.total() <= DEGEN_TOL:
@@ -383,7 +380,10 @@ def extendible_return_scheme(m: IntervalMap, x: tuple[float, float] | Cylinder,
             img_hi = max(c.image_hi for c in piece)
             if img_lo > y_lo + 1e-12 or img_hi < y_hi - 1e-12:
                 continue
-            pa, pb = pull(piece, x_lo), pull(piece, x_hi)
+            # a piece's cylinder images meet within 1e-12 and cover Y, so
+            # each pullback below finds the cylinder that holds its target
+            pa = _pullback_through(m, piece, x_lo, piece[0].word)
+            pb = _pullback_through(m, piece, x_hi, piece[0].word)
             b_lo, b_hi = min(pa, pb), max(pa, pb)
             # candidates must live inside X (clip boundary noise only)
             if b_lo < x_lo - tol or b_hi > x_hi + tol:
@@ -399,17 +399,16 @@ def extendible_return_scheme(m: IntervalMap, x: tuple[float, float] | Cylinder,
             if state == "partial":
                 conflicts += 1
                 continue
-            ea, eb = pull(piece, y_lo), pull(piece, y_hi)
+            ea = _pullback_through(m, piece, y_lo, piece[0].word)
+            eb = _pullback_through(m, piece, y_hi, piece[0].word)
             # the piece's cylinders that a point of [b_lo, b_hi] can fall in
-            parts = tuple((c.lo, c.hi, c.word) for c in piece
+            parts = tuple(c for c in piece
                           if c.hi + 1e-12 >= b_lo and c.lo - 1e-12 <= b_hi)
-            word = _word_at(parts, 0.5 * (b_lo + b_hi), piece[0].word)
-            dlo, dhi, dmid = _sample_derivative(
-                m, lambda xx: _word_at(parts, xx, piece[0].word), b_lo, b_hi,
-                edge=1e-9)
-            branches.append(SchemeBranch(
-                b_lo, b_hi, j, word, min(ea, eb), max(ea, eb), dlo, dhi, dmid,
-                parts if len(parts) > 1 else ()))
+            br = SchemeBranch(b_lo, b_hi, j, piece[0].word, min(ea, eb),
+                              max(ea, eb), math.nan, math.nan, math.nan, parts)
+            br = replace(br, word=br._word_at(br.midpoint),
+                         parts=parts if len(parts) > 1 else ())
+            branches.append(_sample_derivative(m, br, edge=1e-9))
             uncovered.remove(b_lo, b_hi)
     else:
         exhausted = uncovered.total() <= max(DEGEN_TOL, 1e-12 * x_len)
@@ -419,15 +418,6 @@ def extendible_return_scheme(m: IntervalMap, x: tuple[float, float] | Cylinder,
         m, x_lo, x_hi, branches, delta, "delta-extendible", T,
         uncovered.total(), exhausted, conflicts,
         meta={"y": (y_lo, y_hi)})
-
-
-def _word_at(parts: Sequence[tuple[float, float, tuple[int, ...]]], x: float,
-             default: tuple[int, ...]) -> tuple[int, ...]:
-    """The word of the first (lo, hi, word) part holding x, else ``default``."""
-    for lo, hi, word in parts:
-        if lo - 1e-12 <= x <= hi + 1e-12:
-            return word
-    return default
 
 
 # ---------------------------------------------------------------------------
@@ -481,8 +471,7 @@ def validate_scheme(scheme: InducingScheme) -> SchemeReport:
                 overlap_with = ordered[pos + 1]
                 overlap_interval = (nb.lo, min(b.hi, nb.hi))
         try:
-            v_lo = eval_along_word(m, b.word, b.lo)
-            v_hi = eval_along_word(m, b.word, b.hi)
+            v_lo, v_hi = b.forward(m, b.lo), b.forward(m, b.hi)
         except DomainError:
             v_lo = v_hi = math.nan
         lo_img, hi_img = min(v_lo, v_hi), max(v_lo, v_hi)

@@ -13,7 +13,7 @@ import math
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .errors import CriticalOrbitError, DomainError, SchemaError
 
@@ -163,11 +163,12 @@ def eval_orbit(m: IntervalMap, x: float, n: int, side: str = "left") -> list[flo
     return orbit
 
 
-def derivative_along(m: IntervalMap, x: float, n: int, side: str = "left") -> float:
-    """|Df^n(x)| by the chain rule; relative error <= 1e-12 per factor.
+def _chain_rule(m: IntervalMap, x: float, n: int,
+                side: str) -> Iterator[float]:
+    """Yield |Df^k(x)| for k = 1, ..., n, one factor at a time.
 
-    Raises CriticalOrbitError (with the hitting time) if the orbit meets
-    a critical point where the derivative vanishes before step n.
+    Raises CriticalOrbitError (with the hitting time) when the orbit
+    meets a critical point where the derivative vanishes.
     """
     vanish = [c.c for c in m.crit if c.vanishing]
     z = m.snap(x)
@@ -182,8 +183,32 @@ def derivative_along(m: IntervalMap, x: float, n: int, side: str = "left") -> fl
             raise CriticalOrbitError(
                 f"derivative vanishes at orbit point {z} (time {k})", hit_time=k)
         prod *= abs(d)
+        yield prod
         z = m.apply(z, side)
+
+
+def derivative_along(m: IntervalMap, x: float, n: int, side: str = "left") -> float:
+    """|Df^n(x)| by the chain rule; relative error <= 1e-12 per factor.
+
+    Raises CriticalOrbitError (with the hitting time) if the orbit meets
+    a critical point where the derivative vanishes before step n.
+    """
+    prod = 1.0
+    for prod in _chain_rule(m, x, n, side):
+        pass
     return prod
+
+
+def derivative_prefixes(m: IntervalMap, x: float, n: int) -> list[float]:
+    """[|Df^k(x)| for k = 1, ..., n], cut before the first k at which
+    ``derivative_along(m, x, k)`` would raise; the same floats."""
+    out: list[float] = []
+    try:
+        for prod in _chain_rule(m, x, n, "left"):
+            out.append(prod)
+    except CriticalOrbitError:
+        pass
+    return out
 
 
 def eval_along_word(m: IntervalMap, word: Sequence[int], x: float) -> float:

@@ -93,14 +93,28 @@ class _SuffixPullbacks:
             self._memo.setdefault((n, y), {})[word] = z
 
 
+def _branch_images(m: IntervalMap, lo: float, hi: float
+                   ) -> list[tuple[int, float, float, float, float]]:
+    """(a, p, q, img_lo, img_hi) for each branch a that meets [lo, hi].
+
+    [p, q] is the overlap with branch a, and [img_lo, img_hi] its image
+    in increasing order; overlaps of at most DEGEN_TOL are dropped.
+    """
+    out = []
+    for a, b in enumerate(m.branches):
+        p, q = max(lo, b.lo), min(hi, b.hi)
+        if q - p <= DEGEN_TOL:
+            continue
+        u, v = b.fwd(p), b.fwd(q)
+        out.append((a, p, q, u, v) if u <= v else (a, p, q, v, u))
+    return out
+
+
 def _children(m: IntervalMap, cyl: Cylinder,
               pull: _SuffixPullbacks) -> list[Cylinder]:
     out = []
-    for a, b in enumerate(m.branches):
-        p = max(cyl.image_lo, b.lo)
-        q = min(cyl.image_hi, b.hi)
-        if q - p <= DEGEN_TOL:
-            continue
+    for a, p, q, img_lo, img_hi in _branch_images(m, cyl.image_lo,
+                                                 cyl.image_hi):
         # pull the piece [p, q] back through the word chain; an end inside
         # the image is a branch endpoint
         if p == cyl.image_lo:
@@ -114,10 +128,8 @@ def _children(m: IntervalMap, cyl: Cylinder,
         lo, hi = (xp, xq) if xp <= xq else (xq, xp)
         if hi - lo <= DEGEN_TOL:
             continue
-        u, v = b.fwd(p), b.fwd(q)
-        img_lo, img_hi = (u, v) if u <= v else (v, u)
         out.append(Cylinder(cyl.word + (a,), lo, hi, img_lo, img_hi,
-                            cyl.orientation * b.orientation))
+                            cyl.orientation * m.branches[a].orientation))
     return out
 
 
@@ -260,14 +272,8 @@ def laps_entropy(m: IntervalMap, n_max: int, cap: int = 200_000) -> LapsRecord:
         if known is not None:
             return known
         img_lo, img_hi, ori = state
-        out = []
-        for b in m.branches:
-            p, q = max(img_lo, b.lo), min(img_hi, b.hi)
-            if q - p <= DEGEN_TOL:
-                continue
-            u, v = b.fwd(p), b.fwd(q)
-            out.append((u, v, ori * b.orientation) if u <= v
-                       else (v, u, ori * b.orientation))
+        out = [(u, v, ori * m.branches[a].orientation)
+               for a, _, _, u, v in _branch_images(m, img_lo, img_hi)]
         if not out:
             raise NumericError(
                 f"image [{img_lo!r}, {img_hi!r}] meets no branch")

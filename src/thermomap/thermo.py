@@ -22,6 +22,12 @@ from .symbolic import laps_entropy
 LAP_DEPTH = 10
 #: Added to the lap-count entropy estimate h_top <= (1/n) log laps(f^n).
 H_MARGIN = 0.05
+#: Fewest inducing times with positive weight that p* is fitted on.
+MIN_TAIL_POINTS = 6
+#: Fewest positive masses a tail class is fitted on, and the R^2 either
+#: fit must reach.
+MIN_TAIL_MASSES = 8
+TAIL_R2_FLOOR = 0.95
 
 
 @dataclass(frozen=True)
@@ -273,8 +279,7 @@ def _tau_grouped_weights(model: ThermoModel) -> tuple[np.ndarray, np.ndarray]:
     return uniq, sums
 
 
-def p_star_discriminant(model_or_scheme, t: float | None = None,
-                        min_tail_points: int = 6) -> PStarRecord:
+def p_star_discriminant(model_or_scheme, t: float | None = None) -> PStarRecord:
     """Finiteness boundary p* of S -> sum w_i e^{-tau_i S}, and its sup.
 
     The tail of the tau-grouped weights a_n is fitted to c * n^-p * e^-(beta n);
@@ -286,7 +291,7 @@ def p_star_discriminant(model_or_scheme, t: float | None = None,
     ns, a_n = _tau_grouped_weights(model)
     keep = a_n > 0
     ns, a_n = ns[keep], a_n[keep]
-    if len(ns) < min_tail_points:
+    if len(ns) < MIN_TAIL_POINTS:
         return PStarRecord(-math.inf, math.inf, "finite-family",
                            math.nan, math.nan, math.nan)
     start = max(1, len(ns) // 3)
@@ -337,19 +342,18 @@ def _fit_line(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
     return float(slope), r2
 
 
-def tail_classify(masses: Sequence[float], min_points: int = 8,
-                  r2_floor: float = 0.95) -> TailRecord:
+def tail_classify(masses: Sequence[float]) -> TailRecord:
     """Least-squares competition between exponential and power-law decay.
 
     ``masses[k]`` is the mass of inducing time n = k+1.  A family whose
-    support simply ends (trailing zeros after fewer than min_points
+    support simply ends (trailing zeros after fewer than MIN_TAIL_MASSES
     entries) is reported as exponential with the finite-support flag.
     """
     arr = np.asarray(masses, dtype=float)
     ns = np.arange(1, len(arr) + 1, dtype=float)
     pos = arr > 0.0
     n_pos = int(pos.sum())
-    if n_pos < min_points:
+    if n_pos < MIN_TAIL_MASSES:
         # a clean prefix of nonzero masses followed by zeros = finite support
         last = int(np.nonzero(pos)[0][-1]) if n_pos else -1
         prefix = bool(np.all(pos[:last + 1]))
@@ -362,7 +366,7 @@ def tail_classify(masses: Sequence[float], min_points: int = 8,
     x, y = ns[pos], np.log(arr[pos])
     slope_e, r2_e = _fit_line(x, y)
     slope_p, r2_p = _fit_line(np.log(x), y)
-    if max(r2_e, r2_p) < r2_floor:
+    if max(r2_e, r2_p) < TAIL_R2_FLOOR:
         return TailRecord("inconclusive", math.nan, math.nan, max(r2_e, r2_p))
     if r2_e >= r2_p:
         return TailRecord("exponential", -slope_e, math.nan, r2_e)

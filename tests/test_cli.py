@@ -291,6 +291,16 @@ class TestRunCli:
         out = capsys.readouterr().out
         assert "growth verdict: CE" in out
 
+    def test_diagnose_passes_t0_to_the_binding_sums(self, tmp_path, capsys):
+        prefix = str(tmp_path / "diag")
+        assert run(["diagnose", "--map", "quad4", "--n-max", "30",
+                    "--t0", "0.5", "--out", prefix]) == 0
+        rows = (tmp_path / "diag_binding.csv").read_text().splitlines()[1:]
+        want = thermomap.diagnostics.binding_analysis(
+            thermomap.fixture("quad4"), 0.25, 0.1, 30, t0=0.5).summable_partial
+        assert [float(r.split(",")[2]) for r in rows] == pytest.approx(
+            want, rel=1e-8)
+
     def test_diagnose_without_vanishing_crit(self, capsys):
         assert run(["diagnose", "--map", "markov_golden", "--n-max", "25"]) == 0
         out = capsys.readouterr().out

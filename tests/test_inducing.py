@@ -202,8 +202,9 @@ class TestMultiWordReaders:
         for br in sch.branches:
             for k in range(9):
                 y = 0.5 * k / 8
-                assert br.pullback(m, y) == pytest.approx(
-                    preimage(m, br, y), abs=1e-12)
+                x = br.pullback(m, y)
+                assert x == pytest.approx(preimage(m, br, y), abs=1e-12)
+                assert br.forward(m, x) == pytest.approx(y, abs=1e-12)
 
     def test_single_word_pullback_unchanged(self, quad_scheme):
         m = quad_scheme.map
@@ -211,6 +212,16 @@ class TestMultiWordReaders:
             assert not br.parts
             for y in (quad_scheme.x_lo, 0.3, quad_scheme.x_hi):
                 assert br.pullback(m, y) == pullback_word(m, br.word, y)
+
+    @pytest.mark.parametrize("x", [(0.0, 0.5), (0.1, 0.4), (0.5, 1.0),
+                                   (0.6, 0.9)])
+    def test_validate_reports_every_branch_onto(self, x):
+        m = tm.make_plinear(*JOIN_MAP)
+        sch = tm.extendible_return_scheme(m, x, 0.25, 6)
+        assert any(b.parts for b in sch.branches)
+        rep = tm.validate_scheme(sch)
+        assert all(c.onto for c in rep.checks)
+        assert rep.ok
 
     def test_depth2_derivatives(self, join):
         m, sch = join

@@ -1,8 +1,11 @@
+import math
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import thermomap as tm
 from thermomap.errors import CriticalOrbitError, DomainError, SchemaError
+from thermomap.interval_map import derivative_prefixes
 
 
 class TestEvalOrbit:
@@ -39,6 +42,19 @@ class TestDerivativeAlong:
         with pytest.raises(CriticalOrbitError) as exc:
             tm.derivative_along(quad_map, 0.5, 2)
         assert exc.value.hit_time == 0
+
+    def test_prefixes_are_the_products_up_to_a_critical_hit(self, quad_map):
+        prefixes = derivative_prefixes(quad_map, 0.3, 12)
+        assert prefixes == [tm.derivative_along(quad_map, 0.3, k)
+                            for k in range(1, 13)]
+        # f(x) = 1/2, the critical point, so the orbit hits it at time 1
+        x = 0.5 * (1.0 - math.sqrt(0.5))
+        with pytest.raises(CriticalOrbitError) as exc:
+            tm.derivative_along(quad_map, x, 2)
+        assert exc.value.hit_time == 1
+        assert derivative_prefixes(quad_map, x, 12) == [
+            tm.derivative_along(quad_map, x, 1)]
+        assert derivative_prefixes(quad_map, 0.5, 12) == []
 
     def test_chain_rule_split(self, golden_map):
         x = 0.21
