@@ -90,7 +90,6 @@ class ScanConfig:
     x_point: float | None = None
     x_depth: int = 1
     delta: float = 0.5
-    depth: int = 12                      # tower truncation R
     cap: int = 12                        # inducing time cap T
     tolerance: float = 1e-10
 
@@ -149,7 +148,7 @@ class PressureCurve:
 def _scheme_options(obj) -> dict:
     """The build_scheme keywords, read off a ScanConfig or parsed arguments."""
     return {k: getattr(obj, k) for k in
-            ("scheme_kind", "x_point", "x_depth", "delta", "depth", "cap")}
+            ("scheme_kind", "x_point", "x_depth", "delta", "cap")}
 
 
 def default_base_cylinder(m: IntervalMap, x_point: float | None,
@@ -170,14 +169,14 @@ def default_base_cylinder(m: IntervalMap, x_point: float | None,
 
 
 def build_scheme(m: IntervalMap, *, scheme_kind: str, x_point: float | None,
-                 x_depth: int, delta: float, depth: int,
-                 cap: int) -> InducingScheme:
-    """The chosen inducing scheme on the depth-x_depth cylinder at x_point."""
+                 x_depth: int, delta: float, cap: int) -> InducingScheme:
+    """The chosen inducing scheme on the depth-x_depth cylinder at x_point,
+    truncated by the time cap alone."""
     _check_scheme_kind(scheme_kind)
     x = default_base_cylinder(m, x_point, x_depth)
     if scheme_kind == "extendible":
         return extendible_return_scheme(m, x, delta, cap)
-    return first_return_scheme(build_tower(m, depth), (0, x), cap)
+    return first_return_scheme(build_tower(m, cap), (0, x), cap)
 
 
 def scan_pressure(config: ScanConfig,
@@ -315,11 +314,14 @@ def _positive(text: str) -> float:
     raise argparse.ArgumentTypeError(f"must be > 0, got {text!r}")
 
 
-def _non_negative_int(text: str) -> int:
-    """argparse type: an integer >= 0."""
-    if (value := int(text)) >= 0:
-        return value
-    raise argparse.ArgumentTypeError(f"must be >= 0, got {text!r}")
+def _int_at_least(low: int):
+    """argparse type: an integer >= low."""
+    def parse(text: str) -> int:
+        if (value := int(text)) >= low:
+            return value
+        raise argparse.ArgumentTypeError(f"must be >= {low}, got {text!r}")
+    parse.__name__ = "int"
+    return parse
 
 
 def _add_scheme_args(p: argparse.ArgumentParser) -> None:
@@ -330,8 +332,8 @@ def _add_scheme_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--x-depth", type=int, default=1,
                    help="cylinder depth of the inducing base (0 = whole domain)")
     p.add_argument("--delta", type=_finite, default=0.5)
-    p.add_argument("--depth", type=int, default=12, help="tower truncation R")
-    p.add_argument("--cap", type=int, default=12, help="inducing time cap T")
+    p.add_argument("--cap", type=_int_at_least(1), default=12,
+                   help="inducing time cap T")
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -340,7 +342,7 @@ def _parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("tower", help="build the Markov-extension graph")
     p.add_argument("--map", required=True)
-    p.add_argument("--depth", type=int, default=12)
+    p.add_argument("--depth", type=int, default=12, help="tower truncation R")
     p.add_argument("--dot", default=None)
     p.add_argument("--json", default=None)
 
@@ -370,7 +372,7 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--n-max", type=int, default=40)
     p.add_argument("--t0", type=float, default=0.9)
     p.add_argument("--eps", type=_positive, default=0.25)
-    p.add_argument("--seed", type=_non_negative_int, default=0)
+    p.add_argument("--seed", type=_int_at_least(0), default=0)
     p.add_argument("--out", default=None, help="CSV path prefix")
 
     p = sub.add_parser("oracle", help="Markov matrix pressure oracle")

@@ -15,6 +15,7 @@ system carries the Gibbs property computed here.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import json
 import math
@@ -204,6 +205,11 @@ def project_measure(scheme: InducingScheme, solution: GibbsSolution,
     """
     tau = _tau_mean_bracket(solution)
     m = scheme.map
+    branches = scheme.branches
+    # branches are sorted by lo: those that can meet [lo, hi] run from the
+    # first whose running-maximum hi exceeds lo to the last with lo < hi
+    los = [br.lo for br in branches]
+    his = list(itertools.accumulate((br.hi for br in branches), max))
 
     def base_mass(lo: float, hi: float, depth: int) -> Bracket:
         """Bracket on mu_F of [lo, hi] intersected with the base X."""
@@ -215,7 +221,8 @@ def project_measure(scheme: InducingScheme, solution: GibbsSolution,
             return Bracket(1.0, 1.0)
         acc_lo = 0.0
         acc_hi = 0.0
-        for i, br in enumerate(scheme.branches):
+        for i in range(bisect.bisect_right(his, lo), bisect.bisect_left(los, hi)):
+            br = branches[i]
             p, q = max(lo, br.lo), min(hi, br.hi)
             if q - p <= DEGEN_TOL:
                 continue

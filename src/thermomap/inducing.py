@@ -182,21 +182,18 @@ def _sample_derivative(m: IntervalMap, br: SchemeBranch,
 # ---------------------------------------------------------------------------
 
 def first_return_scheme(tower: HofbauerTower,
-                        xhat: tuple[int, object],
+                        xhat: tuple[int, tuple[float, float]],
                         T: int) -> InducingScheme:
-    """First-return inducing scheme for X-hat = (cylinder C, tower node D).
+    """First-return inducing scheme for X-hat = (tower node D, cylinder C).
 
     X-hat is read as the copies of C in every tower domain whose interval
-    contains C; the enumeration starts from the given node.  Each return
-    produces one full branch (the word pullback of C); remainders keep
-    iterating until the time cap T.
+    contains C; the enumeration starts from D.  Each return produces one
+    full branch (the word pullback of C); remainders keep iterating until
+    the time cap T, the scheme's only truncation: a tower that is not
+    complete must reach level ``D.level + T``.
     """
     m = tower.map
-    node_idx, c_like = xhat
-    if isinstance(c_like, Cylinder):
-        c_lo, c_hi = c_like.lo, c_like.hi
-    else:
-        c_lo, c_hi = c_like
+    node_idx, (c_lo, c_hi) = xhat
     if node_idx < 0 or node_idx >= len(tower.nodes):
         raise DomainError(f"node {node_idx} not in tower")
     start = tower.nodes[node_idx]
@@ -208,12 +205,17 @@ def first_return_scheme(tower: HofbauerTower,
             f"[{start.lo}, {start.hi}]")
     if T < 1:
         raise DomainError("time cap must be >= 1")
+    if not tower.complete and tower.R < start.level + T:
+        # a return of length <= T could then reach a frontier stub
+        raise DomainError(f"tower truncated at R={tower.R} is too shallow "
+                          f"for time cap T={T} from level {start.level}")
     x_len = c_hi - c_lo
     tol = ONTO_RTOL * max(x_len, 1e-30)
     qualifying = {d.index for d in tower.nodes
-                  if not d.is_stub and d.contains_interval(c_lo, c_hi)}
+                  if d.contains_interval(c_lo, c_hi)}
 
     branches: list[SchemeBranch] = []
+    margins: list[float] = []
     conflicts = 0
     exhausted = True
     queue: deque[tuple[int, float, float, tuple[int, ...]]] = deque()
@@ -224,16 +226,8 @@ def first_return_scheme(tower: HofbauerTower,
         if len(word) >= T:
             exhausted = False
             return
-        node = tower.nodes[node_i]
-        if node.is_stub:
-            exhausted = False
-            return
         for a, _, _, img_lo, img_hi in _branch_images(m, j_lo, j_hi):
-            target = tower.edges.get((node_i, a))
-            if target is None:
-                exhausted = False
-                continue
-            queue.append((target, img_lo, img_hi, word + (a,)))
+            queue.append((tower.edges[(node_i, a)], img_lo, img_hi, word + (a,)))
 
     push_children(node_idx, c_lo, c_hi, ())
     seen = 0
@@ -261,6 +255,7 @@ def first_return_scheme(tower: HofbauerTower,
                         b_lo, b_hi, len(word), word,
                         min(ext_a, ext_b), max(ext_a, ext_b),
                         math.nan, math.nan, math.nan)))
+                    margins.append(min(c_lo - node.lo, node.hi - c_hi))
                 remainders = [(j_lo, ov_lo), (ov_hi, j_hi)]
         for r_lo, r_hi in remainders:
             if r_hi - r_lo > DEGEN_TOL:
@@ -268,22 +263,11 @@ def first_return_scheme(tower: HofbauerTower,
 
     branches.sort(key=lambda b: b.lo)
     covered = sum(b.length for b in branches)
-    margins = []
-    for b in branches:
-        final = tower.nodes[_final_node(tower, node_idx, b.word)]
-        margins.append(min(c_lo - final.lo, final.hi - c_hi))
     delta = max(0.0, min(margins) / x_len) if margins else 0.0
     return InducingScheme(
         m, c_lo, c_hi, branches, delta, "tower-first-return", T,
         max(0.0, x_len - covered), exhausted, conflicts,
         meta={"node": node_idx})
-
-
-def _final_node(tower: HofbauerTower, start: int, word: Sequence[int]) -> int:
-    node = start
-    for a in word:
-        node = tower.edges[(node, a)]
-    return node
 
 
 # ---------------------------------------------------------------------------
@@ -340,7 +324,7 @@ class _Uncovered:
         self.parts = [(a, b) for a, b in out if b - a > DEGEN_TOL]
 
 
-def extendible_return_scheme(m: IntervalMap, x: tuple[float, float] | Cylinder,
+def extendible_return_scheme(m: IntervalMap, x: tuple[float, float],
                              delta: float, T: int) -> InducingScheme:
     """First delta-extendible return scheme on the interval X.
 
@@ -348,10 +332,7 @@ def extendible_return_scheme(m: IntervalMap, x: tuple[float, float] | Cylinder,
     the scaled neighbourhood Y of X, the pullback of X is a branch with
     inducing time j, provided no earlier branch already owns it.
     """
-    if isinstance(x, Cylinder):
-        x_lo, x_hi = x.lo, x.hi
-    else:
-        x_lo, x_hi = x
+    x_lo, x_hi = x
     if delta <= 0:
         raise DomainError("delta must be > 0")
     if T < 1:

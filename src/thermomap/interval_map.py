@@ -84,8 +84,9 @@ class IntervalMap:
     def n_branches(self) -> int:
         return len(self.branches)
 
-    @property
+    @cached_property
     def breakpoints(self) -> tuple[float, ...]:
+        """Branch endpoints in order, computed once."""
         pts = [b.lo for b in self.branches]
         pts.append(self.branches[-1].hi)
         return tuple(pts)
@@ -301,8 +302,10 @@ def make_quadratic(a: float) -> IntervalMap:
 
 def make_chebyshev(d: int) -> IntervalMap:
     """Degree-d Chebyshev-conjugate map on [0,1]; d = 2 is quadratic(4)."""
-    if d < 2:
-        raise SchemaError("params.d: chebyshev degree must be >= 2")
+    if not float(d).is_integer() or d < 2:
+        raise SchemaError(f"params.d: chebyshev degree must be an integer "
+                          f">= 2, got {d!r}")
+    d = int(d)
 
     def theta(x: float) -> float:
         return math.acos(min(1.0, max(-1.0, 1.0 - 2.0 * x)))
@@ -350,6 +353,10 @@ def make_plinear(breakpoints: Sequence[float],
     if len(images) != len(pts) - 1:
         raise SchemaError(
             f"images: expected {len(pts) - 1} image pairs, got {len(images)}")
+    if orientations is not None and (len(orientations) != len(images) or
+                                     any(o not in (1, -1) for o in orientations)):
+        raise SchemaError(f"orientations: expected {len(images)} entries of "
+                          f"+1 or -1, got {list(orientations)}")
     branches = []
     for i, (u, v) in enumerate(images):
         lo, hi = pts[i], pts[i + 1]
@@ -395,6 +402,8 @@ def make_custom(expr: str, breakpoints: Sequence[float],
             a, b = lo, hi
             for _ in range(100):
                 c = 0.5 * (a + b)
+                if c == a or c == b:
+                    break  # float resolution: the midpoint can move no more
                 if (f(c) - y) * ori < 0:
                     a = c
                 else:
@@ -505,7 +514,7 @@ def parse_map_spec(text: str) -> IntervalMap:
     if kind == "quadratic":
         return make_quadratic(_parse_number(fields.get("a", "4"), "a"))
     if kind == "chebyshev":
-        return make_chebyshev(int(_parse_number(fields.get("d", "2"), "d")))
+        return make_chebyshev(_parse_number(fields.get("d", "2"), "d"))
     if kind == "plinear":
         if "breakpoints" not in fields or "images" not in fields:
             raise SchemaError("breakpoints/images: required for kind=plinear")
@@ -522,7 +531,7 @@ def parse_map_spec(text: str) -> IntervalMap:
             images.append((nums[0], nums[1]))
         orientations = None
         if "orientations" in fields:
-            orientations = [int(_parse_number(t, "orientations"))
+            orientations = [_parse_number(t, "orientations")
                             for t in fields["orientations"].split(",")]
         return make_plinear(pts, images, orientations)
     if kind == "custom":

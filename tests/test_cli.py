@@ -1,3 +1,4 @@
+import io
 import math
 import os
 import subprocess
@@ -17,6 +18,7 @@ from thermomap.cli import (
     scan_pressure,
 )
 from thermomap.errors import DomainError, NotApplicableError
+from thermomap.inducing import scheme_to_csv_rows
 from thermomap.interval_map import parse_map_spec
 
 from conftest import LOG_GOLDEN
@@ -198,6 +200,23 @@ class TestRunCli:
         assert run(["diagnose", "--map", "quad4", "--seed", "-1"]) == 2
         assert "argument --seed: must be >= 0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["induce", "--cap", "0"],
+        ["pressure", "--t", "0", "--cap=-1"],
+        ["scan", "--t-min", "0", "--t-max", "1", "--steps", "3", "--cap", "0"],
+    ])
+    def test_cap_below_one_exits_two(self, monkeypatch, capsys, argv):
+        # rejected by the parser, before the map is loaded
+        def no_load(name):
+            raise AssertionError("map loaded")
+        monkeypatch.setattr(cli, "load_map", no_load)
+        assert run(argv[:1] + ["--map", "tent2"] + argv[1:]) == 2
+        assert "argument --cap: must be >= 1" in capsys.readouterr().err
+
+    def test_depth_is_a_tower_option_only(self, capsys):
+        assert run(["induce", "--map", "tent2", "--depth", "5"]) == 2
+        assert "unrecognized arguments: --depth" in capsys.readouterr().err
+
     def test_python_dash_m_runs_the_cli(self):
         src = os.path.dirname(os.path.dirname(thermomap.__file__))
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -277,6 +296,21 @@ class TestRunCli:
         lines = out.read_text().splitlines()
         assert lines[0] == "i,lo,hi,tau,inf_DF,sup_DF,ext_lo,ext_hi"
         assert len(lines) == 3
+
+    def test_induce_builds_the_tower_to_the_cap(self, tmp_path, capsys):
+        spec = tmp_path / "q.map"
+        spec.write_text("kind = quadratic\na = 3.8\n")
+        out = tmp_path / "s.csv"
+        assert run(["induce", "--map", str(spec), "--x-depth", "3",
+                    "--x-point", "0.6", "--cap", "14", "--out", str(out)]) == 0
+        m = thermomap.load_map(str(spec))
+        want = thermomap.first_return_scheme(
+            thermomap.build_tower(m, 14),
+            (0, cli.default_base_cylinder(m, 0.6, 3)), 14)
+        assert len(want.branches) == 82
+        buf = io.StringIO()
+        cli.write_csv(buf, (), scheme_to_csv_rows(want))
+        assert out.read_text().splitlines()[1:] == buf.getvalue().splitlines()[1:]
 
     def test_pressure_json(self, tmp_path, capsys):
         import json

@@ -5,6 +5,7 @@ import math
 import pytest
 
 import thermomap as tm
+from thermomap.cli import default_base_cylinder
 from thermomap.diagnostics import variation_decay
 from thermomap.errors import DomainError
 from thermomap.inducing import SchemeBranch, scheme_to_csv_rows
@@ -87,6 +88,18 @@ class TestFirstReturn:
             for j in range(1, b.tau):
                 tau = tower_first_return_time(golden_tower, 0.0, 2.0 / 3.0, x)
                 assert tau == b.tau
+
+    def test_tower_shallower_than_the_cap_refused(self):
+        m = tm.make_quadratic(3.8)
+        x = default_base_cylinder(m, 0.6, 3)
+        tower = tm.build_tower(m, 10)
+        assert not tower.complete
+        with pytest.raises(DomainError, match="too shallow"):
+            tm.first_return_scheme(tower, (0, x), 14)
+        # any tower that reaches the cap gives the same scheme
+        rows = [scheme_to_csv_rows(tm.first_return_scheme(
+            tm.build_tower(m, R), (0, x), 14)) for R in (14, 19)]
+        assert len(rows[0]) == 82 and rows[1] == rows[0]
 
     def test_coverage_monotone_in_cap(self, tent_map):
         tower = tm.build_tower(tent_map, 5)

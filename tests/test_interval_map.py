@@ -106,6 +106,27 @@ class TestBranchData:
         assert all(0.0 <= z <= 1.0 for z in orbit)
         assert abs(m.deriv(0.0, side="right")) == pytest.approx(9.0, rel=1e-9)
 
+    def test_custom_inverse_matches_the_100_step_bisection(self):
+        m = tm.parse_map_spec(
+            "kind = custom\nexpr = sin(pi*x)\nbreakpoints = 0, 1/2, 1\n"
+            "crit = 1/2:2\n")
+
+        def bisect_100(br, y):
+            a, b = br.lo, br.hi
+            for _ in range(100):
+                c = 0.5 * (a + b)
+                if (br.fwd(c) - y) * br.orientation < 0:
+                    a = c
+                else:
+                    b = c
+            return 0.5 * (a + b)
+
+        ys = [k / 997 for k in range(998)] + [0.0, 1.0, 5e-324, 1.0 - 2 ** -53]
+        ys += [10.0 ** -k for k in range(1, 21)]
+        for br in m.branches:
+            for y in ys:
+                assert br.inv(y) == bisect_100(br, y), (br.lo, y)
+
 
 class TestParseMapSpec:
     def test_tent_document(self):
@@ -148,6 +169,18 @@ class TestParseMapSpec:
         with pytest.raises(SchemaError) as exc:
             tm.parse_map_spec(text)
         assert "breakpoints" in str(exc.value)
+
+    @pytest.mark.parametrize("text, field", [
+        ("kind = plinear\nbreakpoints = 0, 1/2, 1\nimages = [0,1], [0,1]\n"
+         "orientations = 1\n", "orientations"),
+        ("kind = plinear\nbreakpoints = 0, 1/2, 1\nimages = [0,1], [0,1]\n"
+         "orientations = 0.5, -3\n", "orientations"),
+        ("kind = chebyshev\nd = 2.5\n", "params.d"),
+    ], ids=["short-orientations", "orientation-not-a-sign", "fractional-degree"])
+    def test_malformed_field_rejected(self, text, field):
+        with pytest.raises(SchemaError) as exc:
+            tm.parse_map_spec(text)
+        assert str(exc.value).startswith(field + ":")
 
     def test_missing_kind(self):
         with pytest.raises(SchemaError):
