@@ -69,7 +69,6 @@ from .thermo import (
     pressure_vs_shift,
     synthetic_model,
     tail_classify,
-    with_shift,
 )
 from .gibbs import (
     GibbsSolution,

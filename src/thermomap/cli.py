@@ -176,7 +176,7 @@ def build_scheme(m: IntervalMap, *, scheme_kind: str, x_point: float | None,
     x = default_base_cylinder(m, x_point, x_depth)
     if scheme_kind == "extendible":
         return extendible_return_scheme(m, x, delta, cap)
-    return first_return_scheme(build_tower(m, cap), (0, x), cap)
+    return first_return_scheme(m, x, cap)
 
 
 def scan_pressure(config: ScanConfig,

@@ -33,8 +33,7 @@ from .errors import (
 from .inducing import InducingScheme
 from .interval_map import eval_along_word, pullback_word
 from .symbolic import DEGEN_TOL
-from .thermo import (Bracket, ThermoModel, gurevich_pressure,
-                     induced_potential, with_shift)
+from .thermo import Bracket, ThermoModel, gurevich_pressure, induced_potential
 
 
 #: Largest branch family refined by the depth-2 power iteration.
@@ -43,11 +42,14 @@ REFINE_CAP = 256
 RESIDUAL_TOL = 1e-10
 #: Levels of the product rule that projection resolves inside the base.
 PROJECTION_DEPTH = 60
+#: Seed of the word sample that the Gibbs-ratio check draws past its word cap.
+RATIO_SEED = 0
 
 
 @dataclass(frozen=True)
 class GibbsSolution:
     model: ThermoModel
+    shift: float
     lam: float
     lam_lo: float
     lam_hi: float
@@ -56,7 +58,6 @@ class GibbsSolution:
     mass_hi: np.ndarray
     conformal: np.ndarray
     rho: np.ndarray
-    truncation: int
     residual: float
 
     @property
@@ -65,18 +66,19 @@ class GibbsSolution:
         return Bracket(math.log(self.lam_lo), hi)
 
 
-def solve_gibbs(model: ThermoModel) -> GibbsSolution:
-    """Leading eigendata of the induced transfer operator.
+def solve_gibbs(model: ThermoModel, shift: float) -> GibbsSolution:
+    """Leading eigendata of the induced transfer operator at the shift S.
 
     The beyond-cap tail weight goes into the eigenvalue bracket.
     """
-    lam_lo, lam_hi = model.weight_sum()
-    if not math.isfinite(lam_hi) and model.tail is not None and \
-            not math.isfinite(model.tail_weight()):
+    w_lo, w_hi, w_pt = model.weights(shift)
+    tail = model.tail_weight(shift)
+    if not math.isfinite(tail):
         raise InfinitePressureError("weight sum diverges at this shift")
+    lam_lo, lam_hi = float(w_lo.sum()), float(w_hi.sum()) + tail
     n = model.n
-    lam = float(model.w_pt.sum())
-    masses = model.w_pt / lam
+    lam = float(w_pt.sum())
+    masses = w_pt / lam
     rho = np.ones(n)
     conformal = masses.copy()
     residual = 0.0
@@ -84,23 +86,24 @@ def solve_gibbs(model: ThermoModel) -> GibbsSolution:
     nontrivial = model.scheme is not None and \
         model.scheme.measured_distortion() > 1.0 + 1e-12
     if nontrivial and n <= REFINE_CAP:
-        lam, rho, conformal, residual = _depth2_power_iteration(model)
+        lam, rho, conformal, residual = _depth2_power_iteration(model, shift)
         masses = rho * conformal
         masses = masses / masses.sum()
-    mass_lo = np.minimum(model.w_lo / max(lam_hi, lam), 1.0) \
+    mass_lo = np.minimum(w_lo / max(lam_hi, lam), 1.0) \
         if math.isfinite(lam_hi) else np.zeros(n)
-    mass_hi = np.minimum(model.w_hi / lam_lo, 1.0)
-    return GibbsSolution(model, lam, lam_lo, lam_hi, masses, mass_lo, mass_hi,
-                         conformal, rho, n, residual)
+    mass_hi = np.minimum(w_hi / lam_lo, 1.0)
+    return GibbsSolution(model, shift, lam, lam_lo, lam_hi, masses, mass_lo,
+                         mass_hi, conformal, rho, residual)
 
 
-def _depth2_power_iteration(model: ThermoModel) -> tuple[float, np.ndarray, np.ndarray, float]:
+def _depth2_power_iteration(model: ThermoModel, shift: float
+                            ) -> tuple[float, np.ndarray, np.ndarray, float]:
     """Power-iterate the operator on branch-constant functions using
     weights evaluated at depth-2 cylinder midpoints."""
     branches = model.scheme.branches
     t = model.t
     # scalar ** and math.exp: numpy's vectorised versions differ in the last bit
-    decay = [math.exp(-br.tau * model.shift) for br in branches]
+    decay = [math.exp(-br.tau * shift) for br in branches]
     B = np.array([[df ** (-t) * d for df, d in zip(row, decay)]
                   for row in model.scheme.depth2_derivatives])
     n = len(branches)
@@ -129,7 +132,7 @@ def _depth2_power_iteration(model: ThermoModel) -> tuple[float, np.ndarray, np.n
 # ---------------------------------------------------------------------------
 
 def gibbs_ratio_check(solution: GibbsSolution, depth: int,
-                      word_cap: int = 20_000, seed: int = 0) -> float:
+                      word_cap: int = 20_000) -> float:
     """Measured two-sided Gibbs constant over induced cylinders.
 
     K = max over words w of depth <= given of the ratio between the
@@ -146,7 +149,7 @@ def gibbs_ratio_check(solution: GibbsSolution, depth: int,
         return 1.0
     m = scheme.map
     log_lam = math.log(solution.lam)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(RATIO_SEED)
     k_best = 1.0
     for d in range(1, depth + 1):
         total = n ** d
@@ -169,7 +172,7 @@ def gibbs_ratio_check(solution: GibbsSolution, depth: int,
             for k, i in enumerate(w):
                 br = scheme.branches[i]
                 df = br.dF(m, 0.5 * (suffix[k][0] + suffix[k][1]))
-                psi += -model.t * math.log(df) - model.shift * br.tau
+                psi += -model.t * math.log(df) - solution.shift * br.tau
             mass = float(np.prod([solution.masses[i] for i in w]))
             ratio = mass / math.exp(psi - d * log_lam)
             k_best = max(k_best, ratio, 1.0 / ratio)
@@ -186,7 +189,7 @@ def _tau_mean_bracket(solution: GibbsSolution) -> Bracket:
     lo = float(np.sum(model.taus * solution.mass_lo))
     hi = float(np.sum(model.taus * solution.mass_hi))
     if model.tail is not None:
-        extra = model.tail.tau_weight_tail(model.t, model.shift,
+        extra = model.tail.tau_weight_tail(model.t, solution.shift,
                                            math.log(model.k_dist))
         if not math.isfinite(extra):
             raise NonCompatibleError(
@@ -308,17 +311,18 @@ def abramov_quantities(scheme: InducingScheme,
     the solved shift reduces to the equilibrium identity.
     """
     model = solution.model
+    shift = solution.shift
     tau_b = _tau_mean_bracket(solution)
     tau_pt = float(np.sum(model.taus * solution.masses))
     lyap_f_pt = float(np.sum(solution.masses * model.log_df_pt))
     lyap_f_b = _mass_weighted_bracket(solution.mass_lo, solution.mass_hi,
                                       model.log_df_lo, model.log_df_hi)
     log_lam = solution.log_lam_bracket
-    h_f_pt = math.log(solution.lam) + model.t * lyap_f_pt + model.shift * tau_pt
+    h_f_pt = math.log(solution.lam) + model.t * lyap_f_pt + shift * tau_pt
     h_f_lo = log_lam.lo + min(model.t * lyap_f_b.lo, model.t * lyap_f_b.hi) \
-        + min(model.shift * tau_b.lo, model.shift * tau_b.hi)
+        + min(shift * tau_b.lo, shift * tau_b.hi)
     h_f_hi = log_lam.hi + max(model.t * lyap_f_b.lo, model.t * lyap_f_b.hi) \
-        + max(model.shift * tau_b.lo, model.shift * tau_b.hi)
+        + max(shift * tau_b.lo, shift * tau_b.hi)
     entropy = h_f_pt / tau_pt
     lyap = lyap_f_pt / tau_pt
     entropy_b = Bracket(h_f_lo / tau_b.hi if h_f_lo >= 0 else h_f_lo / tau_b.lo,
@@ -381,13 +385,13 @@ def equilibrium_shift_solve(scheme: InducingScheme, t: float,
     """
     if not 0.0 < tolerance < math.inf:
         raise DomainError(f"tolerance must be finite and > 0, got {tolerance!r}")
-    model0 = induced_potential(scheme, t, 0.0)
+    model = induced_potential(scheme, t)
 
     def p_low(s: float) -> float:
-        return gurevich_pressure(with_shift(model0, s)).lo
+        return gurevich_pressure(model, s).lo
 
     def p_up(s: float) -> float:
-        return gurevich_pressure(with_shift(model0, s)).hi
+        return gurevich_pressure(model, s).hi
 
     zeb = zero_entropy_competitor(scheme, t)
 
@@ -415,7 +419,7 @@ def equilibrium_shift_solve(scheme: InducingScheme, t: float,
               8.0 * math.ulp(max(1.0, abs(edge_lo), abs(edge_hi))))
     s_lo = min(edge_lo, edge_hi) - pad
     s_hi = max(edge_lo, edge_hi) + pad
-    solution = solve_gibbs(with_shift(model0, 0.5 * (s_lo + s_hi)))
+    solution = solve_gibbs(model, 0.5 * (s_lo + s_hi))
     return ShiftSolveResult(s_lo, s_hi, solution, zeb)
 
 
@@ -424,8 +428,8 @@ def solution_to_json(solution: GibbsSolution) -> str:
         "lambda": solution.lam,
         "lambda_bracket": [solution.lam_lo, solution.lam_hi],
         "t": solution.model.t,
-        "shift": solution.model.shift,
-        "truncation": solution.truncation,
+        "shift": solution.shift,
+        "truncation": solution.model.n,
         "residual": solution.residual,
         "branches": [
             {"tau": int(t), "mass": float(mu), "conformal": float(cm),

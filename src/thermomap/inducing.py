@@ -18,7 +18,7 @@ from functools import cached_property
 from typing import Sequence
 
 from .errors import DomainError, ResourceError
-from .hofbauer import HofbauerTower
+from .hofbauer import build_tower
 from .interval_map import (
     IntervalMap,
     derivative_along_word,
@@ -115,7 +115,6 @@ class InducingScheme:
     x_hi: float
     branches: list[SchemeBranch]
     delta: float
-    origin: str                    # "tower-first-return" | "delta-extendible"
     truncation: int
     escaping_mass_bound: float
     exhausted: bool
@@ -181,34 +180,25 @@ def _sample_derivative(m: IntervalMap, br: SchemeBranch,
 # first return map on the Hofbauer tower
 # ---------------------------------------------------------------------------
 
-def first_return_scheme(tower: HofbauerTower,
-                        xhat: tuple[int, tuple[float, float]],
+def first_return_scheme(m: IntervalMap, x: tuple[float, float],
                         T: int) -> InducingScheme:
-    """First-return inducing scheme for X-hat = (tower node D, cylinder C).
+    """First-return inducing scheme to X = [c_lo, c_hi] on the Hofbauer tower.
 
-    X-hat is read as the copies of C in every tower domain whose interval
-    contains C; the enumeration starts from D.  Each return produces one
-    full branch (the word pullback of C); remainders keep iterating until
-    the time cap T, the scheme's only truncation: a tower that is not
-    complete must reach level ``D.level + T``.
+    X is lifted to its copies in every tower domain whose interval
+    contains it, and the enumeration starts from the base domain.  Each
+    return produces one full branch (the word pullback of X); remainders
+    keep iterating until the time cap T, the scheme's only truncation.
+    The tower is built to level T, which every return of length <= T
+    stays within.
     """
-    m = tower.map
-    node_idx, (c_lo, c_hi) = xhat
-    if node_idx < 0 or node_idx >= len(tower.nodes):
-        raise DomainError(f"node {node_idx} not in tower")
-    start = tower.nodes[node_idx]
-    if start.is_stub:
-        raise DomainError("X-hat sits on a frontier stub of the truncation")
-    if not start.contains_interval(c_lo, c_hi):
-        raise DomainError(
-            f"cylinder [{c_lo}, {c_hi}] not inside node interval "
-            f"[{start.lo}, {start.hi}]")
+    c_lo, c_hi = x
     if T < 1:
         raise DomainError("time cap must be >= 1")
-    if not tower.complete and tower.R < start.level + T:
-        # a return of length <= T could then reach a frontier stub
-        raise DomainError(f"tower truncated at R={tower.R} is too shallow "
-                          f"for time cap T={T} from level {start.level}")
+    tower = build_tower(m, T)
+    base = tower.nodes[0]
+    if not base.contains_interval(c_lo, c_hi):
+        raise DomainError(f"X = [{c_lo}, {c_hi}] not inside the domain "
+                          f"[{base.lo}, {base.hi}]")
     x_len = c_hi - c_lo
     tol = ONTO_RTOL * max(x_len, 1e-30)
     qualifying = {d.index for d in tower.nodes
@@ -229,7 +219,7 @@ def first_return_scheme(tower: HofbauerTower,
         for a, _, _, img_lo, img_hi in _branch_images(m, j_lo, j_hi):
             queue.append((tower.edges[(node_i, a)], img_lo, img_hi, word + (a,)))
 
-    push_children(node_idx, c_lo, c_hi, ())
+    push_children(0, c_lo, c_hi, ())
     seen = 0
     while queue:
         seen += 1
@@ -264,10 +254,8 @@ def first_return_scheme(tower: HofbauerTower,
     branches.sort(key=lambda b: b.lo)
     covered = sum(b.length for b in branches)
     delta = max(0.0, min(margins) / x_len) if margins else 0.0
-    return InducingScheme(
-        m, c_lo, c_hi, branches, delta, "tower-first-return", T,
-        max(0.0, x_len - covered), exhausted, conflicts,
-        meta={"node": node_idx})
+    return InducingScheme(m, c_lo, c_hi, branches, delta, T,
+                          max(0.0, x_len - covered), exhausted, conflicts)
 
 
 # ---------------------------------------------------------------------------
@@ -396,7 +384,7 @@ def extendible_return_scheme(m: IntervalMap, x: tuple[float, float],
 
     branches.sort(key=lambda b: b.lo)
     return InducingScheme(
-        m, x_lo, x_hi, branches, delta, "delta-extendible", T,
+        m, x_lo, x_hi, branches, delta, T,
         uncovered.total(), exhausted, conflicts,
         meta={"y": (y_lo, y_hi)})
 

@@ -151,7 +151,7 @@ class IntervalMap:
 # orbit-level operations
 # ---------------------------------------------------------------------------
 
-def eval_orbit(m: IntervalMap, x: float, n: int, side: str = "left") -> list[float]:
+def eval_orbit(m: IntervalMap, x: float, n: int) -> list[float]:
     """Return the orbit segment ``[x, f(x), ..., f^n(x)]``."""
     lo, hi = m.domain
     if x < lo - SNAP_TOL or x > hi + SNAP_TOL:
@@ -160,12 +160,11 @@ def eval_orbit(m: IntervalMap, x: float, n: int, side: str = "left") -> list[flo
         raise DomainError("orbit length must be >= 0")
     orbit = [m.snap(min(max(x, lo), hi))]
     for _ in range(n):
-        orbit.append(m.apply(orbit[-1], side))
+        orbit.append(m.apply(orbit[-1]))
     return orbit
 
 
-def _chain_rule(m: IntervalMap, x: float, n: int,
-                side: str) -> Iterator[float]:
+def _chain_rule(m: IntervalMap, x: float, n: int) -> Iterator[float]:
     """Yield |Df^k(x)| for k = 1, ..., n, one factor at a time.
 
     Raises CriticalOrbitError (with the hitting time) when the orbit
@@ -179,23 +178,23 @@ def _chain_rule(m: IntervalMap, x: float, n: int,
             if abs(z - c) <= SNAP_TOL:
                 raise CriticalOrbitError(
                     f"orbit hits critical point {c} at time {k}", hit_time=k)
-        d = m.deriv(z, side)
+        d = m.deriv(z)
         if d == 0.0:
             raise CriticalOrbitError(
                 f"derivative vanishes at orbit point {z} (time {k})", hit_time=k)
         prod *= abs(d)
         yield prod
-        z = m.apply(z, side)
+        z = m.apply(z)
 
 
-def derivative_along(m: IntervalMap, x: float, n: int, side: str = "left") -> float:
+def derivative_along(m: IntervalMap, x: float, n: int) -> float:
     """|Df^n(x)| by the chain rule; relative error <= 1e-12 per factor.
 
     Raises CriticalOrbitError (with the hitting time) if the orbit meets
     a critical point where the derivative vanishes before step n.
     """
     prod = 1.0
-    for prod in _chain_rule(m, x, n, side):
+    for prod in _chain_rule(m, x, n):
         pass
     return prod
 
@@ -205,7 +204,7 @@ def derivative_prefixes(m: IntervalMap, x: float, n: int) -> list[float]:
     ``derivative_along(m, x, k)`` would raise; the same floats."""
     out: list[float] = []
     try:
-        for prod in _chain_rule(m, x, n, "left"):
+        for prod in _chain_rule(m, x, n):
             out.append(prod)
     except CriticalOrbitError:
         pass

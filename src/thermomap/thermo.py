@@ -9,7 +9,7 @@ reported as an interval, never a bare point estimate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -102,7 +102,7 @@ class TailInfo:
 
 @dataclass(frozen=True)
 class ThermoModel:
-    """Per-branch weight brackets for the shifted induced potential."""
+    """Per-branch brackets of |DF|^-t; the shift S enters through ``weights``."""
 
     taus: np.ndarray
     w_lo: np.ndarray
@@ -112,7 +112,6 @@ class ThermoModel:
     log_df_hi: np.ndarray
     log_df_pt: np.ndarray
     t: float
-    shift: float
     k_dist: float
     tail: TailInfo | None = None
     scheme: InducingScheme | None = None
@@ -121,14 +120,31 @@ class ThermoModel:
     def n(self) -> int:
         return len(self.taus)
 
-    def tail_weight(self) -> float:
+    def weights(self, shift: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(w_lo, w_hi, w_pt) times exp(-tau*S) at the shift S.
+
+        A weight that underflowed to 0 (or overflowed) times a factor that
+        overflowed (or underflowed) is unknown: 0 in w_lo and w_pt, +inf in w_hi.
+        """
+        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+            factor = np.exp(-self.taus * shift)
+            w_lo, w_hi, w_pt = (self.w_lo * factor, self.w_hi * factor,
+                                self.w_pt * factor)
+        w_lo[np.isnan(w_lo)] = 0.0
+        w_hi[np.isnan(w_hi)] = math.inf
+        w_pt[np.isnan(w_pt)] = 0.0
+        return w_lo, w_hi, w_pt
+
+    def tail_weight(self, shift: float) -> float:
         if self.tail is None:
             return 0.0
-        return self.tail.weight_tail(self.t, self.shift, math.log(self.k_dist))
+        return self.tail.weight_tail(self.t, shift, math.log(self.k_dist))
 
-    def weight_sum(self) -> tuple[float, float]:
-        """(lower, upper) bracket on the full weight sum, tail included."""
-        return float(self.w_lo.sum()), float(self.w_hi.sum()) + self.tail_weight()
+    def weight_sum(self, shift: float) -> tuple[float, float]:
+        """(lower, upper) bracket on the full weight sum at the shift S,
+        tail included."""
+        w_lo, w_hi, _ = self.weights(shift)
+        return float(w_lo.sum()), float(w_hi.sum()) + self.tail_weight(shift)
 
 
 def tail_info_for(scheme: InducingScheme) -> TailInfo | None:
@@ -161,8 +177,8 @@ def tail_info_for(scheme: InducingScheme) -> TailInfo | None:
     return info
 
 
-def induced_potential(scheme: InducingScheme, t: float, shift: float) -> ThermoModel:
-    """Weight brackets w_i = exp(-t log|DF| - tau*S) on each branch."""
+def induced_potential(scheme: InducingScheme, t: float) -> ThermoModel:
+    """Weight brackets |DF|^-t on each branch, at S = 0."""
     if not scheme.branches:
         raise DomainError("scheme has no branches")
     taus = np.array([b.tau for b in scheme.branches], dtype=float)
@@ -172,24 +188,20 @@ def induced_potential(scheme: InducingScheme, t: float, shift: float) -> ThermoM
     if np.any(df_lo <= 0.0):
         raise DegenerateBranchError("a branch has a vanishing derivative bracket")
     with np.errstate(over="ignore", under="ignore"):
-        decay = np.exp(-taus * shift)
         if t >= 0:
-            w_lo = df_hi ** (-t) * decay
-            w_hi = df_lo ** (-t) * decay
+            w_lo, w_hi = df_hi ** (-t), df_lo ** (-t)
         else:
-            w_lo = df_lo ** (-t) * decay
-            w_hi = df_hi ** (-t) * decay
-        w_pt = df_pt ** (-t) * decay
+            w_lo, w_hi = df_lo ** (-t), df_hi ** (-t)
+        w_pt = df_pt ** (-t)
     kb = scheme.koebe_bound()
     k_dist = kb if math.isfinite(kb) else max(scheme.measured_distortion(), 1.0)
     return ThermoModel(taus, w_lo, w_hi, w_pt,
                        np.log(df_lo), np.log(df_hi), np.log(df_pt),
-                       t, shift, k_dist,
-                       tail=tail_info_for(scheme), scheme=scheme)
+                       t, k_dist, tail=tail_info_for(scheme), scheme=scheme)
 
 
 def synthetic_model(weights: Sequence[float], taus: Sequence[int] | None = None,
-                    t: float = 1.0, shift: float = 0.0) -> ThermoModel:
+                    t: float = 1.0) -> ThermoModel:
     """Exact-weight full-shift model; used for countable-family studies."""
     w = np.asarray(weights, dtype=float)
     if np.any(w <= 0):
@@ -198,39 +210,23 @@ def synthetic_model(weights: Sequence[float], taus: Sequence[int] | None = None,
            else np.asarray(taus, dtype=float))
     logw = np.log(w)
     return ThermoModel(tau, w.copy(), w.copy(), w.copy(),
-                       -logw, -logw, -logw, t, shift,
+                       -logw, -logw, -logw, t,
                        k_dist=1.0, tail=None, scheme=None)
-
-
-def with_shift(model: ThermoModel, shift: float) -> ThermoModel:
-    """The same model at a different potential shift S.
-
-    A weight that underflowed to 0 (or overflowed) times a factor that
-    overflowed (or underflowed) is unknown: 0 in w_lo and w_pt, +inf in w_hi.
-    """
-    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        factor = np.exp(-model.taus * (shift - model.shift))
-        w_lo, w_hi, w_pt = (model.w_lo * factor, model.w_hi * factor,
-                            model.w_pt * factor)
-    w_lo[np.isnan(w_lo)] = 0.0
-    w_hi[np.isnan(w_hi)] = math.inf
-    w_pt[np.isnan(w_pt)] = 0.0
-    return replace(model, w_lo=w_lo, w_hi=w_hi, w_pt=w_pt, shift=shift)
 
 
 # ---------------------------------------------------------------------------
 # Gurevich pressure
 # ---------------------------------------------------------------------------
 
-def gurevich_pressure(model: ThermoModel) -> Bracket:
-    """Bracket on the exponential growth rate of Z_n.
+def gurevich_pressure(model: ThermoModel, shift: float) -> Bracket:
+    """Bracket on the exponential growth rate of Z_n at the shift S.
 
     On a full shift Z_n = w_base * W^(n-1) for the weight sum W, so the
     Gurevich pressure is exactly log W.  The bracket is the log of the
     lower and upper weight sums, the upper one including the truncation
     tail; +inf signals a divergent weight sum.
     """
-    w_lo, w_hi = model.weight_sum()
+    w_lo, w_hi = model.weight_sum(shift)
     lower = math.log(w_lo) if w_lo > 0 else -math.inf
     if w_hi == 0.0:  # every weight underflowed
         upper = -math.inf
@@ -240,12 +236,12 @@ def gurevich_pressure(model: ThermoModel) -> Bracket:
 
 
 def _as_model(model_or_scheme, t: float | None) -> ThermoModel:
-    """A model as given, or a scheme's induced potential at t and S = 0."""
+    """A model as given, or a scheme's induced potential at t."""
     if isinstance(model_or_scheme, ThermoModel):
         return model_or_scheme
     if t is None:
         raise DomainError("t is required when passing a scheme")
-    return induced_potential(model_or_scheme, t, 0.0)
+    return induced_potential(model_or_scheme, t)
 
 
 def pressure_vs_shift(scheme_or_model, t: float | None,
@@ -254,8 +250,8 @@ def pressure_vs_shift(scheme_or_model, t: float | None,
     s_grid = list(s_grid)
     if any(b <= a for a, b in zip(s_grid, s_grid[1:])):
         raise DomainError("shift grid must be ascending")
-    base_model = _as_model(scheme_or_model, t)
-    return [(s, gurevich_pressure(with_shift(base_model, s))) for s in s_grid]
+    model = _as_model(scheme_or_model, t)
+    return [(s, gurevich_pressure(model, s)) for s in s_grid]
 
 
 # ---------------------------------------------------------------------------

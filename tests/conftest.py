@@ -14,7 +14,7 @@ ACIP_CB = 3.0 / 4.0
 ACIP_LYAP = 0.75 * math.log(1.5) + 0.25 * math.log(2.0)
 
 
-def partition_function_exact(model, n: int, base: int) -> float:
+def partition_function_exact(model, n: int, base: int, shift: float) -> float:
     """Z_n summed over located periodic points of the underlying map.
 
     Enumerates every n-word of scheme branches that starts at the base
@@ -30,7 +30,7 @@ def partition_function_exact(model, n: int, base: int) -> float:
         if pp is None:
             continue
         total += math.exp(-model.t * math.log(pp.multiplier)
-                          - model.shift * sum(b.tau for b in brs))
+                          - shift * sum(b.tau for b in brs))
     return total
 
 
@@ -60,20 +60,18 @@ def golden_tower(golden_map):
 
 
 @pytest.fixture(scope="session")
-def golden_scheme(golden_tower):
-    return tm.first_return_scheme(golden_tower, (0, (0.0, 2.0 / 3.0)), 10)
+def golden_scheme(golden_map):
+    return tm.first_return_scheme(golden_map, (0.0, 2.0 / 3.0), 10)
 
 
 @pytest.fixture(scope="session")
 def tent_trivial_scheme(tent_map):
-    tower = tm.build_tower(tent_map, 5)
-    return tm.first_return_scheme(tower, (0, (0.0, 1.0)), 5)
+    return tm.first_return_scheme(tent_map, (0.0, 1.0), 5)
 
 
 @pytest.fixture(scope="session")
 def full_trivial_scheme(full_map):
-    tower = tm.build_tower(full_map, 5)
-    return tm.first_return_scheme(tower, (0, (0.0, 1.0)), 5)
+    return tm.first_return_scheme(full_map, (0.0, 1.0), 5)
 
 
 @pytest.fixture(scope="session")

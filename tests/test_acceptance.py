@@ -38,8 +38,7 @@ def test_criterion_1_exact_markov_end_to_end():
     with verdict(1, "markov_golden pipeline reproduces the matrix oracle"):
         t_start = time.perf_counter()
         m = tm.fixture("markov_golden")
-        tower = tm.build_tower(m, 5)
-        scheme = tm.first_return_scheme(tower, (0, (0.0, 2.0 / 3.0)), 10)
+        scheme = tm.first_return_scheme(m, (0.0, 2.0 / 3.0), 10)
         for t in (0.0, 0.25, 0.5, 0.75, 1.0):
             res = tm.equilibrium_shift_solve(scheme, t, 1e-10)
             assert res.s_hi - res.s_lo <= 1e-9
@@ -71,8 +70,7 @@ def test_criterion_3_projection_abramov_cross_check():
     with verdict(3, "markov_golden t=1 matches the acip density oracle"):
         t_start = time.perf_counter()
         m = tm.fixture("markov_golden")
-        tower = tm.build_tower(m, 5)
-        scheme = tm.first_return_scheme(tower, (0, (0.0, 2.0 / 3.0)), 10)
+        scheme = tm.first_return_scheme(m, (0.0, 2.0 / 3.0), 10)
         res = tm.equilibrium_shift_solve(scheme, 1.0, 1e-10)
         ab = tm.abramov_quantities(scheme, res.solution)
         # oracle values from the piecewise-constant density c_A=9/8, c_B=3/4
@@ -111,10 +109,10 @@ def test_criterion_5_pressure_shift_structure(golden_scheme, tent_trivial_scheme
                 assert p2.mid <= p1.mid + p1.width + p2.width + 1e-12
             # log Z_m1 + log Z_m2 <= log Z_(m1+m2) + log B, with Z_n summed
             # over periodic points and B = k^(2|t|) from the distortion k
-            model = tm.induced_potential(scheme, 0.8, 0.05)
-            base = int(np.argmax(model.w_pt))
+            model = tm.induced_potential(scheme, 0.8)
+            base = int(np.argmax(model.weights(0.05)[2]))
             log_b = 2.0 * abs(model.t) * math.log(model.k_dist)
-            log_z = {n: math.log(partition_function_exact(model, n, base))
+            log_z = {n: math.log(partition_function_exact(model, n, base, 0.05))
                      for n in range(1, 9)}
             for m1 in range(1, 8):
                 for m2 in range(1, 8 - m1 + 1):

@@ -305,8 +305,7 @@ class TestRunCli:
                     "--x-point", "0.6", "--cap", "14", "--out", str(out)]) == 0
         m = thermomap.load_map(str(spec))
         want = thermomap.first_return_scheme(
-            thermomap.build_tower(m, 14),
-            (0, cli.default_base_cylinder(m, 0.6, 3)), 14)
+            m, cli.default_base_cylinder(m, 0.6, 3), 14)
         assert len(want.branches) == 82
         buf = io.StringIO()
         cli.write_csv(buf, (), scheme_to_csv_rows(want))

@@ -15,8 +15,8 @@ GOLDEN = (1 + math.sqrt(5)) / 2
 
 class TestSolveGibbs:
     def test_golden_t1(self, golden_scheme):
-        model = tm.induced_potential(golden_scheme, 1.0, 0.0)
-        sol = tm.solve_gibbs(model)
+        model = tm.induced_potential(golden_scheme, 1.0)
+        sol = tm.solve_gibbs(model, 0.0)
         assert sol.lam == pytest.approx(1.0, abs=1e-12)
         assert sol.masses == pytest.approx([2 / 3, 1 / 3], rel=1e-12)
         assert sol.masses.sum() == pytest.approx(1.0, abs=1e-10)
@@ -24,28 +24,28 @@ class TestSolveGibbs:
 
     def test_stochastic_two_branch(self):
         model = synthetic_model([0.4, 0.6], taus=[1, 1])
-        sol = tm.solve_gibbs(model)
+        sol = tm.solve_gibbs(model, 0.0)
         assert sol.lam == pytest.approx(1.0, abs=1e-14)
         assert sol.masses == pytest.approx([0.4, 0.6], rel=1e-12)
         assert np.all(sol.rho == pytest.approx(1.0, abs=1e-12))
         assert sol.conformal == pytest.approx([0.4, 0.6], rel=1e-12)
 
     def test_golden_t0_at_golden_shift(self, golden_scheme):
-        model = tm.induced_potential(golden_scheme, 0.0, LOG_GOLDEN)
-        sol = tm.solve_gibbs(model)
+        model = tm.induced_potential(golden_scheme, 0.0)
+        sol = tm.solve_gibbs(model, LOG_GOLDEN)
         assert sol.lam == pytest.approx(1.0, abs=1e-12)
         assert sol.masses == pytest.approx([1 / GOLDEN, 1 / GOLDEN ** 2], rel=1e-10)
 
     def test_all_masses_positive(self, quad_scheme):
-        model = tm.induced_potential(quad_scheme, 0.95, 0.05)
-        sol = tm.solve_gibbs(model)
+        model = tm.induced_potential(quad_scheme, 0.95)
+        sol = tm.solve_gibbs(model, 0.05)
         assert np.all(sol.masses > 0)
         assert sol.masses.sum() == pytest.approx(1.0, abs=1e-10)
 
     def test_conformal_fixed_point_depth_two(self, golden_scheme):
         # m(F(A)) = exp(-Psi + log lam) m(A) on depth-2 cylinders
-        model = tm.induced_potential(golden_scheme, 1.0, 0.0)
-        sol = tm.solve_gibbs(model)
+        model = tm.induced_potential(golden_scheme, 1.0)
+        sol = tm.solve_gibbs(model, 0.0)
         for i in range(2):
             for j in range(2):
                 m_ij = sol.conformal[i] * sol.conformal[j]
@@ -57,12 +57,12 @@ class TestSolveGibbs:
 
 class TestGibbsRatio:
     def test_golden_exact(self, golden_scheme):
-        model = tm.induced_potential(golden_scheme, 1.0, 0.0)
-        sol = tm.solve_gibbs(model)
+        model = tm.induced_potential(golden_scheme, 1.0)
+        sol = tm.solve_gibbs(model, 0.0)
         assert tm.gibbs_ratio_check(sol, 4) <= 1.0 + 1e-9
 
     def test_synthetic_exact(self):
-        sol = tm.solve_gibbs(synthetic_model([0.3, 0.2, 0.5], taus=[1, 2, 3]))
+        sol = tm.solve_gibbs(synthetic_model([0.3, 0.2, 0.5], taus=[1, 2, 3]), 0.0)
         assert tm.gibbs_ratio_check(sol, 3) == pytest.approx(1.0, abs=1e-12)
 
     def test_quadratic_bounded(self, quad_scheme):
@@ -73,8 +73,8 @@ class TestGibbsRatio:
 
 class TestProjectMeasure:
     def test_golden_branch_masses(self, golden_scheme):
-        model = tm.induced_potential(golden_scheme, 1.0, 0.0)
-        sol = tm.solve_gibbs(model)
+        model = tm.induced_potential(golden_scheme, 1.0)
+        sol = tm.solve_gibbs(model, 0.0)
         a, b, full = tm.project_measure(
             golden_scheme, sol, [(0.0, 2 / 3), (2 / 3, 1.0), (0.0, 1.0)])
         assert a.mid == pytest.approx(0.75, abs=1e-9)
@@ -83,8 +83,8 @@ class TestProjectMeasure:
 
     def test_matches_acip_density(self, golden_scheme):
         # piecewise-constant invariant density: 9/8 on A, 3/4 on B
-        model = tm.induced_potential(golden_scheme, 1.0, 0.0)
-        sol = tm.solve_gibbs(model)
+        model = tm.induced_potential(golden_scheme, 1.0)
+        sol = tm.solve_gibbs(model, 0.0)
         for lo, hi in [(0.0, 0.3), (0.1, 0.55), (0.7, 0.95), (0.5, 0.9)]:
             expect = 9 / 8 * max(0.0, min(hi, 2 / 3) - lo) \
                 + 3 / 4 * max(0.0, hi - max(lo, 2 / 3))
@@ -103,8 +103,8 @@ class TestProjectMeasure:
         assert sum(b.lo for b in parts) <= 1.0 <= sum(b.hi for b in parts)
 
     def test_additivity(self, golden_scheme):
-        model = tm.induced_potential(golden_scheme, 1.0, 0.0)
-        sol = tm.solve_gibbs(model)
+        model = tm.induced_potential(golden_scheme, 1.0)
+        sol = tm.solve_gibbs(model, 0.0)
         for c in (0.2, 0.5, 2 / 3, 0.8):
             left, right = tm.project_measure(
                 golden_scheme, sol, [(0.0, c), (c, 1.0)])
@@ -113,8 +113,8 @@ class TestProjectMeasure:
 
 class TestAbramov:
     def test_golden_t1_acip_quantities(self, golden_scheme):
-        model = tm.induced_potential(golden_scheme, 1.0, 0.0)
-        sol = tm.solve_gibbs(model)
+        model = tm.induced_potential(golden_scheme, 1.0)
+        sol = tm.solve_gibbs(model, 0.0)
         ab = tm.abramov_quantities(golden_scheme, sol)
         assert ab.tau_mean == pytest.approx(4 / 3, abs=1e-9)
         assert ab.lyap_f == pytest.approx(
@@ -124,22 +124,22 @@ class TestAbramov:
         assert ab.free_energy == pytest.approx(0.0, abs=1e-9)
 
     def test_golden_t0_entropy_is_htop(self, golden_scheme):
-        model = tm.induced_potential(golden_scheme, 0.0, LOG_GOLDEN)
-        sol = tm.solve_gibbs(model)
+        model = tm.induced_potential(golden_scheme, 0.0)
+        sol = tm.solve_gibbs(model, LOG_GOLDEN)
         ab = tm.abramov_quantities(golden_scheme, sol)
         assert ab.entropy == pytest.approx(LOG_GOLDEN, abs=1e-9)
 
     def test_tent_trivial(self, tent_trivial_scheme):
-        model = tm.induced_potential(tent_trivial_scheme, 0.4, 0.6 * math.log(2))
-        sol = tm.solve_gibbs(model)
+        model = tm.induced_potential(tent_trivial_scheme, 0.4)
+        sol = tm.solve_gibbs(model, 0.6 * math.log(2))
         ab = tm.abramov_quantities(tent_trivial_scheme, sol)
         assert ab.tau_mean == pytest.approx(1.0, abs=1e-12)
         assert ab.entropy == pytest.approx(math.log(2.0), abs=1e-10)
         assert ab.lyap == pytest.approx(math.log(2.0), abs=1e-12)
 
     def test_abramov_scaling_consistency(self, golden_scheme):
-        model = tm.induced_potential(golden_scheme, 1.0, 0.0)
-        sol = tm.solve_gibbs(model)
+        model = tm.induced_potential(golden_scheme, 1.0)
+        sol = tm.solve_gibbs(model, 0.0)
         ab = tm.abramov_quantities(golden_scheme, sol)
         assert ab.h_f == pytest.approx(ab.tau_mean * ab.entropy, rel=1e-9)
         assert ab.lyap_f == pytest.approx(ab.tau_mean * ab.lyap, rel=1e-9)
@@ -208,7 +208,7 @@ class TestShiftSolve:
         model = synthetic_model([0.5 / (n * (n + 1)) for n in range(1, 30)])
         # masses ~ n^-2: the tau-series diverges only logarithmically, so
         # truncated sums stay finite; just confirm the solve runs
-        sol = tm.solve_gibbs(model)
+        sol = tm.solve_gibbs(model, 0.0)
         assert sol.masses.sum() == pytest.approx(1.0, abs=1e-9)
 
 

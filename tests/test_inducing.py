@@ -5,6 +5,7 @@ import math
 import pytest
 
 import thermomap as tm
+from thermomap import hofbauer, inducing
 from thermomap.cli import default_base_cylinder
 from thermomap.diagnostics import variation_decay
 from thermomap.errors import DomainError
@@ -56,8 +57,7 @@ class TestFirstReturn:
             assert tau == hit[0].tau
 
     def test_tent_half_cylinder(self, tent_map):
-        tower = tm.build_tower(tent_map, 5)
-        sch = tm.first_return_scheme(tower, (0, (0.0, 0.5)), 3)
+        sch = tm.first_return_scheme(tent_map, (0.0, 0.5), 3)
         by_tau = {b.tau: b for b in sch.branches}
         assert set(by_tau) == {1, 2, 3}
         assert (by_tau[1].lo, by_tau[1].hi) == pytest.approx((0.0, 0.25), abs=1e-13)
@@ -68,7 +68,7 @@ class TestFirstReturn:
 
     def test_tent_pointwise_oracle(self, tent_map):
         tower = tm.build_tower(tent_map, 5)
-        sch = tm.first_return_scheme(tower, (0, (0.0, 0.5)), 6)
+        sch = tm.first_return_scheme(tent_map, (0.0, 0.5), 6)
         for k in range(1, 50):
             x = k / 100.0
             hit = [b for b in sch.branches if b.lo < x < b.hi]
@@ -76,9 +76,9 @@ class TestFirstReturn:
                 continue
             assert tower_first_return_time(tower, 0.0, 0.5, x) == hit[0].tau
 
-    def test_cylinder_outside_node(self, golden_tower):
+    def test_cylinder_outside_node(self, golden_map):
         with pytest.raises(DomainError):
-            tm.first_return_scheme(golden_tower, (1, (0.9, 1.0)), 5)
+            tm.first_return_scheme(golden_map, (0.9, 1.1), 5)
 
     def test_no_intermediate_reentry(self, golden_tower, golden_scheme):
         # the tower path of each branch stays outside the base cylinder
@@ -89,21 +89,19 @@ class TestFirstReturn:
                 tau = tower_first_return_time(golden_tower, 0.0, 2.0 / 3.0, x)
                 assert tau == b.tau
 
-    def test_tower_shallower_than_the_cap_refused(self):
+    def test_tower_shallower_than_the_cap_refused(self, monkeypatch):
         m = tm.make_quadratic(3.8)
         x = default_base_cylinder(m, 0.6, 3)
-        tower = tm.build_tower(m, 10)
-        assert not tower.complete
-        with pytest.raises(DomainError, match="too shallow"):
-            tm.first_return_scheme(tower, (0, x), 14)
-        # any tower that reaches the cap gives the same scheme
-        rows = [scheme_to_csv_rows(tm.first_return_scheme(
-            tm.build_tower(m, R), (0, x), 14)) for R in (14, 19)]
+        # the scheme builds its tower to the cap, deep enough for every
+        # return: a deeper tower gives the same scheme
+        rows = [scheme_to_csv_rows(tm.first_return_scheme(m, x, 14))]
+        monkeypatch.setattr(inducing, "build_tower",
+                            lambda m, R: hofbauer.build_tower(m, R + 5))
+        rows.append(scheme_to_csv_rows(tm.first_return_scheme(m, x, 14)))
         assert len(rows[0]) == 82 and rows[1] == rows[0]
 
     def test_coverage_monotone_in_cap(self, tent_map):
-        tower = tm.build_tower(tent_map, 5)
-        escapes = [tm.first_return_scheme(tower, (0, (0.0, 0.5)), T).escaping_mass_bound
+        escapes = [tm.first_return_scheme(tent_map, (0.0, 0.5), T).escaping_mass_bound
                    for T in (2, 4, 6, 8)]
         assert all(b <= a + 1e-15 for a, b in zip(escapes, escapes[1:]))
 
@@ -248,7 +246,7 @@ class TestMultiWordReaders:
     def test_gibbs_ratio_at_depth_two(self, join):
         m, sch = join
         sol = tm.equilibrium_shift_solve(sch, 1.0).solution
-        t, shift = sol.model.t, sol.model.shift
+        t, shift = sol.model.t, sol.shift
         brs = sch.branches
         want = 1.0
         for d in (1, 2):
@@ -312,8 +310,8 @@ class TestValidateScheme:
 
 class TestKac:
     def test_golden_kac_consistency(self, golden_scheme):
-        model = tm.induced_potential(golden_scheme, 1.0, 0.0)
-        sol = tm.solve_gibbs(model)
+        model = tm.induced_potential(golden_scheme, 1.0)
+        sol = tm.solve_gibbs(model, 0.0)
         ab = tm.abramov_quantities(golden_scheme, sol)
         assert ab.tau_mean == pytest.approx(4.0 / 3.0, abs=1e-9)
         mu_a = tm.project_measure(golden_scheme, sol, [(0.0, 2.0 / 3.0)])[0]

@@ -15,21 +15,21 @@ LOG_GOLDEN = math.log((1 + math.sqrt(5)) / 2)
 
 class TestInducedPotential:
     def test_golden_exact_weights(self, golden_scheme):
-        model = tm.induced_potential(golden_scheme, 1.0, 0.0)
+        model = tm.induced_potential(golden_scheme, 1.0)
         assert model.w_pt == pytest.approx([2.0 / 3.0, 1.0 / 3.0], rel=1e-12)
         assert np.all(model.w_hi - model.w_lo < 1e-15)
 
     def test_t_zero_kills_potential(self, golden_scheme):
-        model = tm.induced_potential(golden_scheme, 0.0, 0.0)
+        model = tm.induced_potential(golden_scheme, 0.0)
         assert model.w_pt == pytest.approx([1.0, 1.0], abs=1e-15)
 
     def test_quadratic_bracket_ratio(self, quad_scheme):
-        model = tm.induced_potential(quad_scheme, 1.0, 0.1)
-        ratios = model.w_hi / model.w_lo
+        w_lo, w_hi, _ = tm.induced_potential(quad_scheme, 1.0).weights(0.1)
+        ratios = w_hi / w_lo
         assert np.all(ratios <= 9.0 + 1e-9)
 
     def test_bracket_flips_with_negative_t(self, golden_scheme):
-        model = tm.induced_potential(golden_scheme, -1.0, 0.0)
+        model = tm.induced_potential(golden_scheme, -1.0)
         assert model.w_pt == pytest.approx([1.5, 3.0], rel=1e-12)
         assert np.all(model.w_lo <= model.w_hi + 1e-15)
 
@@ -40,23 +40,33 @@ class TestWithShift:
         zero = np.array([0.0, 0.25])
         model = replace(synthetic_model([0.5, 0.25], taus=[1, 2]),
                         w_lo=zero, w_hi=zero.copy(), w_pt=zero.copy())
-        shifted = tm.with_shift(model, -1e4)
-        for w in (shifted.w_lo, shifted.w_hi, shifted.w_pt):
+        w_lo, w_hi, w_pt = model.weights(-1e4)
+        for w in (w_lo, w_hi, w_pt):
             assert not np.any(np.isnan(w))
-        assert np.all(shifted.w_lo <= shifted.w_hi)
-        assert shifted.w_lo[0] == 0.0 and shifted.w_hi[0] == math.inf
+        assert np.all(w_lo <= w_hi)
+        assert w_lo[0] == 0.0 and w_hi[0] == math.inf
+
+    def test_golden_underflow_times_overflow_is_unknown(self, golden_scheme):
+        # |DF|^-1e5 underflows to 0 and exp(1e4 * tau) overflows
+        model = tm.induced_potential(golden_scheme, 1e5)
+        w_lo, w_hi, w_pt = model.weights(-1e4)
+        for w in (w_lo, w_hi, w_pt):
+            assert not np.any(np.isnan(w))
+        assert np.all(w_lo == 0.0) and np.all(w_hi == math.inf)
+        pb = tm.gurevich_pressure(model, -1e4)
+        assert (pb.lo, pb.hi) == (-math.inf, math.inf)
 
 
 class TestPartitionFunction:
     def test_golden_z1_branch(self, golden_scheme):
-        model = tm.induced_potential(golden_scheme, 1.0, 0.0)
-        assert partition_function_exact(model, 1, 0) == pytest.approx(
+        model = tm.induced_potential(golden_scheme, 1.0)
+        assert partition_function_exact(model, 1, 0, 0.0) == pytest.approx(
             2.0 / 3.0, rel=1e-12)
         assert model.w_hi[0] - model.w_lo[0] < 1e-15
 
     def test_golden_z2_total_is_one(self, golden_scheme):
-        model = tm.induced_potential(golden_scheme, 1.0, 0.0)
-        total = sum(partition_function_exact(model, 2, b) for b in range(2))
+        model = tm.induced_potential(golden_scheme, 1.0)
+        total = sum(partition_function_exact(model, 2, b, 0.0) for b in range(2))
         assert total == pytest.approx(1.0, rel=1e-12)
 
     @settings(max_examples=40, deadline=None)
@@ -65,7 +75,7 @@ class TestPartitionFunction:
     def test_full_shift_exactness(self, weights, n):
         # the total Z_n over all bases is W^n = exp(n * P) on a full shift
         model = synthetic_model(weights, taus=[1] * len(weights))
-        pb = tm.gurevich_pressure(model)
+        pb = tm.gurevich_pressure(model, 0.0)
         for p in (pb.lo, pb.hi):
             assert math.exp(n * p) == pytest.approx(sum(weights) ** n, rel=1e-9)
 
@@ -73,31 +83,32 @@ class TestPartitionFunction:
                                full_trivial_scheme):
         # on a full shift Z_n(base) = w_base * W^(n-1) for the weight sum W
         for scheme in (golden_scheme, tent_trivial_scheme, full_trivial_scheme):
-            model = tm.induced_potential(scheme, 0.8, 0.05)
-            w_sum = float(model.w_pt.sum())
+            model = tm.induced_potential(scheme, 0.8)
+            w_pt = model.weights(0.05)[2]
+            w_sum = float(w_pt.sum())
             for n in range(1, 9):
                 for base in range(model.n):
-                    want = float(model.w_pt[base]) * w_sum ** (n - 1)
-                    got = partition_function_exact(model, n, base)
+                    want = float(w_pt[base]) * w_sum ** (n - 1)
+                    got = partition_function_exact(model, n, base, 0.05)
                     assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 class TestGurevichPressure:
     def test_golden_t1_zero_bracket(self, golden_scheme):
-        model = tm.induced_potential(golden_scheme, 1.0, 0.0)
-        pb = tm.gurevich_pressure(model)
+        model = tm.induced_potential(golden_scheme, 1.0)
+        pb = tm.gurevich_pressure(model, 0.0)
         assert pb.width <= 1e-12
         assert pb.contains(0.0, slack=1e-12)
 
     def test_golden_t0_log_two(self, golden_scheme):
-        model = tm.induced_potential(golden_scheme, 0.0, 0.0)
-        pb = tm.gurevich_pressure(model)
+        model = tm.induced_potential(golden_scheme, 0.0)
+        pb = tm.gurevich_pressure(model, 0.0)
         assert pb.mid == pytest.approx(math.log(2.0), abs=1e-12)
 
     @pytest.mark.parametrize("t", [-0.5, 0.0, 0.7, 1.3])
     def test_tent_trivial_closed_form(self, tent_trivial_scheme, t):
-        model = tm.induced_potential(tent_trivial_scheme, t, 0.0)
-        pb = tm.gurevich_pressure(model)
+        model = tm.induced_potential(tent_trivial_scheme, t)
+        pb = tm.gurevich_pressure(model, 0.0)
         assert pb.mid == pytest.approx((1.0 - t) * math.log(2.0), abs=1e-11)
         assert pb.width <= 1e-11
 
@@ -108,13 +119,14 @@ class TestGurevichPressure:
         # Z_n >= w_lo[base] * W_lo^(n-1) on a full shift, so no base and no
         # finite n gives a lower bound above log W
         scheme = request.getfixturevalue(fixture_name)
-        model = tm.induced_potential(scheme, 0.5, 0.1)
-        lower = tm.gurevich_pressure(model).lo
+        model = tm.induced_potential(scheme, 0.5)
+        lower = tm.gurevich_pressure(model, 0.1).lo
         log_b = 2.0 * abs(model.t) * math.log(model.k_dist)
-        w_sum_lo = model.weight_sum()[0]
+        w_sum_lo = model.weight_sum(0.1)[0]
+        w_lo = model.weights(0.1)[0]
         for base in range(model.n):
             for n in range(1, 9):
-                z_lo = float(model.w_lo[base]) * w_sum_lo ** (n - 1)
+                z_lo = float(w_lo[base]) * w_sum_lo ** (n - 1)
                 if z_lo > 0.0:
                     assert (math.log(z_lo) - log_b) / n <= lower + 1e-12
 
@@ -145,10 +157,10 @@ class TestPressureVsShift:
         # log Z_m1 + log Z_m2 <= log Z_(m1+m2) + log B, with Z_n summed over
         # periodic points and B = k^(2|t|) from the distortion k
         scheme = request.getfixturevalue(fixture_name)
-        model = tm.induced_potential(scheme, 0.8, 0.05)
-        base = int(np.argmax(model.w_pt))
+        model = tm.induced_potential(scheme, 0.8)
+        base = int(np.argmax(model.weights(0.05)[2]))
         log_b = 2.0 * abs(model.t) * math.log(model.k_dist)
-        log_z = {n: math.log(partition_function_exact(model, n, base))
+        log_z = {n: math.log(partition_function_exact(model, n, base, 0.05))
                  for n in range(1, 9)}
         for m1 in range(1, 8):
             for m2 in range(1, 8 - m1 + 1):
