@@ -26,7 +26,8 @@ from .interval_map import (
     pullback_word,
 )
 from .symbolic import (Cylinder, DEGEN_TOL, Word, _branch_images,
-                       monotone_pieces, periodic_point, refine_levels)
+                       fold_free_runs, monotone_pieces, periodic_point,
+                       refine_levels)
 
 #: Relative tolerance for onto/containment checks, in units of |X|.
 ONTO_RTOL = 1e-9
@@ -34,8 +35,21 @@ ONTO_RTOL = 1e-9
 DF_SAMPLES = 9
 #: Tower pieces a first-return scheme may visit before giving up.
 PIECE_CAP = 200_000
-#: Cylinders per refinement level an extendible scheme may build.
+#: Cylinders per refinement level an extendible scheme may build; only live
+#: runs get children, so the cap bounds those.
 CYLINDER_CAP = 400_000
+#: A run of f^j between folds is refined further while its x-span comes
+#: within this many onto tolerances of uncovered X or of a point of its
+#: boundary.
+LIVE_MARGIN = 4
+
+
+def _checked_x(x: tuple[float, float]) -> tuple[float, float]:
+    """X's ends, refused unless x_lo < x_hi."""
+    x_lo, x_hi = x
+    if not x_lo < x_hi:
+        raise DomainError(f"X = [{x_lo}, {x_hi}] is empty or reversed")
+    return x_lo, x_hi
 
 
 def _pullback_through(m: IntervalMap, cyls: Sequence[Cylinder], y: float,
@@ -191,7 +205,7 @@ def first_return_scheme(m: IntervalMap, x: tuple[float, float],
     The tower is built to level T, which every return of length <= T
     stays within.
     """
-    c_lo, c_hi = x
+    c_lo, c_hi = _checked_x(x)
     if T < 1:
         raise DomainError("time cap must be >= 1")
     tower = build_tower(m, T)
@@ -318,9 +332,11 @@ def extendible_return_scheme(m: IntervalMap, x: tuple[float, float],
 
     For each maximal monotone piece of f^j (j <= T) whose image covers
     the scaled neighbourhood Y of X, the pullback of X is a branch with
-    inducing time j, provided no earlier branch already owns it.
+    inducing time j, provided no earlier branch already owns it.  Only
+    the cylinders that can still lead to a branch or a conflict are
+    refined; the scheme is the one full refinement gives.
     """
-    x_lo, x_hi = x
+    x_lo, x_hi = _checked_x(x)
     if delta <= 0:
         raise DomainError("delta must be > 0")
     if T < 1:
@@ -333,13 +349,25 @@ def extendible_return_scheme(m: IntervalMap, x: tuple[float, float],
     branches: list[SchemeBranch] = []
     conflicts = 0
 
-    levels = refine_levels(m, T, cap=CYLINDER_CAP)
+    def live(level: list[Cylinder]) -> list[Cylinder]:
+        """The cylinders that can still lead to a branch or a conflict:
+        those of the runs between folds that come within LIVE_MARGIN * tol
+        of uncovered X or of a point of its boundary.  A candidate lies in
+        its piece, every later piece in one run, and uncovered X only
+        shrinks, so no other cylinder has a descendant that counts."""
+        margin = LIVE_MARGIN * tol
+        targets = uncovered.parts + [(x_lo, x_lo), (x_hi, x_hi)]
+        return [c for run in fold_free_runs(level)
+                if any(run[0].lo - margin <= b and a <= run[-1].hi + margin
+                       for a, b in targets)
+                for c in run]
+
+    levels = refine_levels(m, T, cap=CYLINDER_CAP, keep=live)
     exhausted = False
-    for level in levels:
+    for j, level in enumerate(levels, 1):
         if uncovered.total() <= DEGEN_TOL:
             exhausted = True
             break
-        j = level[0].depth
         for piece in monotone_pieces(m, level):
             # a candidate lies inside its piece, so a piece beside X yields
             # neither a branch nor a conflict

@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import AmbiguityError, DomainError, NumericError, ResourceError
 from .interval_map import (
@@ -150,22 +150,30 @@ def refine(m: IntervalMap, n: int, cap: int = 200_000) -> list[Cylinder]:
     return level
 
 
-def refine_levels(m: IntervalMap, n_max: int,
-                  cap: int = 200_000) -> Iterable[list[Cylinder]]:
-    """Yield P_1, ..., P_{n_max} incrementally (shared work)."""
-    level = _level_one(m)
-    yield sorted(level, key=lambda c: c.lo)
+def refine_levels(m: IntervalMap, n_max: int, cap: int = 200_000,
+                  keep: Callable[[list[Cylinder]], list[Cylinder]] | None = None
+                  ) -> Iterable[list[Cylinder]]:
+    """Yield P_1, ..., P_{n_max} incrementally (shared work).
+
+    With ``keep``, only the cylinders ``keep(level)`` returns get children,
+    so each level after the first holds the children of the previous
+    level's kept cylinders.  ``keep`` is called on a yielded level when
+    the next one is asked for, after the caller has handled it; an
+    emptied level is still yielded, and every later one is empty.
+    """
+    level = sorted(_level_one(m), key=lambda c: c.lo)
     pull = _SuffixPullbacks(m)
     for _ in range(n_max - 1):
+        yield level
         nxt: list[Cylinder] = []
-        for cyl in level:
+        for cyl in level if keep is None else keep(level):
             nxt.extend(_children(m, cyl, pull))
             if len(nxt) > cap:
                 raise ResourceError(
                     f"cylinder cap {cap} exceeded at depth {len(cyl.word) + 1}",
                     count=len(nxt))
-        level = nxt
-        yield sorted(level, key=lambda c: c.lo)
+        level = sorted(nxt, key=lambda c: c.lo)
+    yield level
 
 
 def cylinder_of_word(m: IntervalMap, word: Sequence[int]) -> Cylinder | None:
@@ -234,6 +242,30 @@ def monotone_pieces(m: IntervalMap, cylinders: list[Cylinder]) -> list[list[Cyli
                 continue
         pieces.append([cyl])
     return pieces
+
+
+def fold_free_runs(cylinders: list[Cylinder]) -> list[list[Cylinder]]:
+    """Cut a sorted cylinder level where f^n folds back or the cylinders
+    leave a gap.
+
+    At a fold two neighbours meet at one end value (equal floats) with
+    opposite orientations.  Their children at the fold are mapped on by
+    the same branch from that value, so they fold again: folds and gaps
+    persist, and a monotone piece of any deeper f^k lies inside one run.
+    A discontinuity of f^n is no cut, since f^k may join across it.
+    """
+    runs: list[list[Cylinder]] = []
+    for cyl in cylinders:
+        if runs:
+            prev = runs[-1][-1]
+            end = prev.image_hi if prev.orientation > 0 else prev.image_lo
+            start = cyl.image_lo if cyl.orientation > 0 else cyl.image_hi
+            fold = prev.orientation != cyl.orientation and end == start
+            if abs(prev.hi - cyl.lo) <= SNAP_TOL and not fold:
+                runs[-1].append(cyl)
+                continue
+        runs.append([cyl])
+    return runs
 
 
 def _joins(left: _State, right: _State) -> bool:

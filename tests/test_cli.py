@@ -311,6 +311,13 @@ class TestRunCli:
         cli.write_csv(buf, (), scheme_to_csv_rows(want))
         assert out.read_text().splitlines()[1:] == buf.getvalue().splitlines()[1:]
 
+    def test_induce_extendible_cap_20(self, capsys):
+        # only the cylinders that can still give a branch are refined, so
+        # the cylinder cap no longer stops a deep extendible scheme
+        assert run(["induce", "--map", "quad4", "--scheme", "extendible",
+                    "--x-point", "0.3", "--x-depth", "2", "--cap", "20"]) == 0
+        assert capsys.readouterr().out.startswith("scheme: 190 branches")
+
     def test_pressure_json(self, tmp_path, capsys):
         import json
         js = tmp_path / "p.json"

@@ -3,19 +3,22 @@ import itertools
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import thermomap as tm
+from conftest import plinear_maps, unpruned_extendible_return_scheme
 from thermomap import hofbauer, inducing
 from thermomap.cli import default_base_cylinder
 from thermomap.diagnostics import variation_decay
 from thermomap.errors import DomainError
 from thermomap.inducing import SchemeBranch, scheme_to_csv_rows
 from thermomap.interval_map import (derivative_along, eval_along_word,
-                                    eval_orbit, pullback_word)
+                                    eval_orbit, parse_map_spec, pullback_word)
 
 # f is continuous and increasing across 1/4 with slopes 1.2 and 2.8, so a
 # monotone piece of f^j, hence one extendible branch, can span two words
 JOIN_MAP = ([0, 0.25, 0.5, 1], [(0, 0.3), (0.3, 1), (0, 1)], [1, 1, -1])
+SINE_SPEC = "kind = custom\nexpr = sin(pi*x)\nbreakpoints = 0, 1/2, 1\ncrit = 1/2:2\n"
 
 
 def tower_first_return_time(tower, c_lo, c_hi, x, t_cap=50):
@@ -179,6 +182,113 @@ class TestExtendibleReturn:
         e4 = tm.extendible_return_scheme(tent_map, (0.0, 0.5), 0.5, 4)
         e8 = tm.extendible_return_scheme(tent_map, (0.0, 0.5), 0.5, 8)
         assert e8.escaping_mass_bound <= e4.escaping_mass_bound + 1e-15
+
+
+def scheme_outputs(sch):
+    """Everything a pruned refinement must leave as the full one had it."""
+    return (scheme_to_csv_rows(sch),
+            [(b.word, b.parts) for b in sch.branches],
+            sch.conflicts, sch.escaping_mass_bound, sch.exhausted)
+
+
+def quad4_x():
+    m = tm.fixture("quad4")
+    return m, default_base_cylinder(m, 0.3, 2)
+
+
+def _oracle_cases():
+    q, qx = quad4_x()
+    cases = [(f"quad4-T{T}", q, qx, 0.5, T) for T in (8, 10, 12, 14)]
+    join = tm.make_plinear(*JOIN_MAP)
+    cases += [(f"join-{x}", join, x, 0.25, 8)
+              for x in [(0.0, 0.5), (0.1, 0.4), (0.5, 1.0), (0.6, 0.9)]]
+    # f^3 joins across a jump of f^2 just right of X, into a piece that
+    # straddles x_hi: a conflict that refining pieces of f^2 alone would miss
+    jump = tm.make_plinear([0, 1 / 7, 4 / 7, 5 / 7, 1],
+                           [(0.8, 1), (0, 1), (0, 1), (0.6, 0.8)], [1, -1, -1, 1])
+    cases.append(("jump", jump, (10 / 24, 21 / 24), 0.05, 5))
+    sine = parse_map_spec(SINE_SPEC)
+    cases.append(("sine", sine, default_base_cylinder(sine, 0.3, 2), 0.5, 10))
+    for a in (3.7, 3.83, 3.9):
+        m = tm.make_quadratic(a)
+        cases.append((f"quadratic-{a}", m, default_base_cylinder(m, 0.6, 3),
+                      0.5, 12))
+    for name, xs in [("tent2", [(0.0, 0.5), (0.25, 0.75), (0.1, 0.3)]),
+                     ("markov_golden", [(0.0, 4 / 9), (0.0, 2 / 3), (0.7, 0.9)]),
+                     ("markov_full", [(0.0, 1 / 3), (1 / 3, 1.0), (0.2, 0.6)])]:
+        cases += [(f"{name}-{x}", tm.fixture(name), x, 0.25, 10) for x in xs]
+    # 2/5 has period 2 and 4/5 lies inside X: once a branch covers X from
+    # x_lo, only the rule that keeps the runs holding x_lo still finds the
+    # deeper pieces that straddle it (conflicts)
+    cases.append(("tent2-boundary", tm.fixture("tent2"), (0.4, 0.9), 0.25, 10))
+    return cases
+
+
+class TestPrunedRefinement:
+    """The extendible builder refines only the runs of f^j that can still
+    give a branch or a conflict; the oracle refines every cylinder."""
+
+    @pytest.mark.parametrize("case", _oracle_cases(), ids=lambda c: c[0])
+    def test_matches_unpruned_oracle(self, case):
+        _, m, x, delta, T = case
+        want = unpruned_extendible_return_scheme(m, x, delta, T)
+        assert want.branches
+        got = tm.extendible_return_scheme(m, x, delta, T)
+        assert scheme_outputs(got) == scheme_outputs(want)
+
+    @settings(max_examples=80, deadline=None)
+    @given(m=plinear_maps(), ends=st.lists(st.integers(0, 12), min_size=2,
+                                            max_size=2, unique=True),
+           delta=st.sampled_from([0.1, 0.25, 0.5]), T=st.integers(1, 6))
+    def test_matches_unpruned_oracle_random(self, m, ends, delta, T):
+        x = (min(ends) / 12, max(ends) / 12)
+        try:
+            want = unpruned_extendible_return_scheme(m, x, delta, T)
+        except DomainError:
+            with pytest.raises(DomainError):
+                tm.extendible_return_scheme(m, x, delta, T)
+            return
+        got = tm.extendible_return_scheme(m, x, delta, T)
+        assert scheme_outputs(got) == scheme_outputs(want)
+
+    def test_quad4_cap14_refines_few_cylinders(self, monkeypatch):
+        built, refine_levels = [0], inducing.refine_levels
+
+        def counted(*args, **kwargs):
+            for level in refine_levels(*args, **kwargs):
+                built[0] += len(level)
+                yield level
+
+        monkeypatch.setattr(inducing, "refine_levels", counted)
+        m, x = quad4_x()
+        sch = tm.extendible_return_scheme(m, x, 0.5, 14)
+        assert len(sch.branches) == 91
+        # refining every cylinder of every level builds 2 + 4 + ... + 2^14
+        assert 0 < built[0] <= 1_000
+
+    def test_deep_caps_build_and_escape_falls(self):
+        m, x = quad4_x()
+        escapes = []
+        for T in (14, 16, 20):
+            sch = tm.extendible_return_scheme(m, x, 0.5, T)
+            assert sch.conflicts == 0 and not sch.exhausted
+            # onto is left out: a few branches at T >= 16 end next to the
+            # critical orbit, where F maps the pulled-back ends up to 2e-5
+            # from the ends of X, and validate_scheme reports them not onto
+            rep = tm.validate_scheme(sch)
+            assert all(c.disjoint and c.distortion_ok for c in rep.checks)
+            escapes.append(sch.escaping_mass_bound)
+        assert len(sch.branches) == 190
+        assert escapes == [pytest.approx(3.1e-4, rel=0.01),
+                           pytest.approx(8.8e-5, rel=0.01),
+                           pytest.approx(6.8e-6, rel=0.01)]
+
+    @pytest.mark.parametrize("x", [(0.6, 0.4), (0.5, 0.5)])
+    def test_empty_or_reversed_x_refused(self, golden_map, x):
+        with pytest.raises(DomainError):
+            tm.extendible_return_scheme(golden_map, x, 0.5, 5)
+        with pytest.raises(DomainError):
+            tm.first_return_scheme(golden_map, x, 5)
 
 
 def preimage(m, br, y):

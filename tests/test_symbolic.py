@@ -5,10 +5,11 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import thermomap as tm
+from conftest import plinear_maps
 from thermomap.errors import AmbiguityError, NumericError, ResourceError
 from thermomap.interval_map import parse_map_spec, pullback_word
-from thermomap.symbolic import (DEGEN_TOL, Cylinder, laps_entropy,
-                                monotone_pieces, refine_levels)
+from thermomap.symbolic import (DEGEN_TOL, SNAP_TOL, Cylinder, fold_free_runs,
+                                laps_entropy, monotone_pieces, refine_levels)
 
 # f is continuous and increasing across 1/4, so cylinders are not all full
 JOIN_MAP = ([0, 0.25, 0.5, 1], [(0, 0.3), (0.3, 1), (0, 1)], [1, 1, -1])
@@ -55,23 +56,6 @@ def refined_laps(m, n):
             dropped = dropped or kids != len(level)
         prev = level
     return tuple(counts), dropped
-
-
-@st.composite
-def plinear_maps(draw):
-    """2-4 affine branches with rational breakpoints and images, each
-    branch oriented at random, discontinuities allowed."""
-    k = draw(st.integers(2, 4))
-    den = draw(st.sampled_from([6, 7, 12]))
-    cuts = draw(st.lists(st.integers(1, den - 1), min_size=k - 1,
-                         max_size=k - 1, unique=True))
-    img_den = draw(st.sampled_from([4, 5, 12]))
-    ends = st.lists(st.integers(0, img_den), min_size=2, max_size=2, unique=True)
-    images = [tuple(e / img_den for e in sorted(draw(ends))) for _ in range(k)]
-    orientations = draw(st.lists(st.sampled_from([1, -1]), min_size=k,
-                                 max_size=k))
-    return tm.make_plinear([0] + sorted(c / den for c in cuts) + [1],
-                           images, orientations)
 
 
 def reference_levels(m, n):
@@ -138,6 +122,54 @@ class TestRefine:
         assert total == pytest.approx(1.0, abs=1e-10)
         for a, b in zip(cyls, cyls[1:]):
             assert b.lo >= a.hi - 1e-12
+
+    def test_keep_refines_only_the_kept(self, tent_map):
+        levels = list(refine_levels(tent_map, 4, keep=lambda level: level[:1]))
+        assert [len(level) for level in levels] == [2, 2, 2, 2]
+        assert [c.word for c in levels[-1]] == [(0, 0, 0, 0), (0, 0, 0, 1)]
+        assert levels[-1] == tm.refine(tent_map, 4)[:2]
+        emptied = list(refine_levels(tent_map, 4, keep=lambda level: []))
+        assert [len(level) for level in emptied] == [2, 0, 0, 0]
+
+
+def assert_pieces_inside_runs(m, n):
+    """Every monotone piece of f^k, k <= n, lies inside one run between
+    the folds of each f^j, j <= k."""
+    levels = list(refine_levels(m, n))
+    for j, level in enumerate(levels):
+        runs = [(r[0].lo, r[-1].hi) for r in fold_free_runs(level)]
+        for deeper in levels[j:]:
+            for piece in monotone_pieces(m, deeper):
+                lo, hi = piece[0].lo, piece[-1].hi
+                assert any(a - SNAP_TOL <= lo and hi <= b + SNAP_TOL
+                           for a, b in runs), (j + 1, [c.word for c in piece])
+
+
+class TestFoldFreeRuns:
+    @pytest.mark.parametrize("name", ["tent2", "quad4", "markov_golden",
+                                      "markov_full", "period2", "chebyshev3",
+                                      "sine", "join"])
+    def test_pieces_stay_inside_runs(self, name):
+        assert_pieces_inside_runs(_map(name), 7)
+
+    @settings(max_examples=60, deadline=None)
+    @given(m=plinear_maps())
+    def test_pieces_stay_inside_runs_random(self, m):
+        assert_pieces_inside_runs(m, 6)
+
+    def test_quad4_folds_between_all_pieces(self, quad_map):
+        level = tm.refine(quad_map, 6)
+        assert len(fold_free_runs(level)) == len(monotone_pieces(quad_map, level)) == 64
+
+    def test_discontinuity_is_no_cut(self):
+        # f^2 jumps from 1 to 0 between the words (1, 2) and (1, 1); branches
+        # 3 and 0 both send those ends to 0.8 rising, so f^3 joins across
+        m = tm.make_plinear([0, 1 / 7, 4 / 7, 5 / 7, 1],
+                            [(0.8, 1), (0, 1), (0, 1), (0.6, 0.8)], [1, -1, -1, 1])
+        runs = [[c.word for c in run] for run in fold_free_runs(tm.refine(m, 2))]
+        assert any({(1, 2), (1, 1)} <= set(run) for run in runs)
+        pieces = [[c.word for c in p] for p in monotone_pieces(m, tm.refine(m, 3))]
+        assert [(1, 2, 3), (1, 1, 0)] in pieces
 
 
 class TestRefineFloats:
