@@ -10,6 +10,7 @@ produce byte-identical files.
 from __future__ import annotations
 
 import argparse
+import functools
 import io
 import math
 import statistics
@@ -336,7 +337,10 @@ def _add_scheme_args(p: argparse.ArgumentParser) -> None:
                    help="inducing time cap T")
 
 
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing keeps no state
+    in it."""
     ap = argparse.ArgumentParser(prog="thermomap")
     sub = ap.add_subparsers(dest="command", required=True)
 

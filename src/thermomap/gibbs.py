@@ -102,10 +102,11 @@ def _depth2_power_iteration(model: ThermoModel, shift: float
     weights evaluated at depth-2 cylinder midpoints."""
     branches = model.scheme.branches
     t = model.t
-    # scalar ** and math.exp: numpy's vectorised versions differ in the last bit
-    decay = [math.exp(-br.tau * shift) for br in branches]
-    B = np.array([[df ** (-t) * d for df, d in zip(row, decay)]
-                  for row in model.scheme.depth2_derivatives])
+    # scalar ** and math.exp: numpy's vectorised versions differ in the last
+    # bit; a product rounds the same in numpy as in Python
+    decay = np.array([math.exp(-br.tau * shift) for br in branches])
+    B = np.array([[df ** -t for df in row]
+                  for row in model.scheme.depth2_derivatives]) * decay
     n = len(branches)
     rho = np.ones(n) / n
     mvec = np.ones(n) / n

@@ -15,13 +15,17 @@ import math
 from collections import deque
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import Sequence
+from typing import Callable, Sequence
+
+import numpy as np
 
 from .errors import DomainError, ResourceError
 from .hofbauer import build_tower
 from .interval_map import (
     IntervalMap,
+    WordPullbacks,
     derivative_along_word,
+    derivative_along_word_array,
     eval_along_word,
     pullback_word,
 )
@@ -62,6 +66,27 @@ def _pullback_through(m: IntervalMap, cyls: Sequence[Cylinder], y: float,
     return pullback_word(m, default, y)
 
 
+def _along_parts(values: Callable[[Word], np.ndarray],
+                 spans: Sequence[tuple[float, float, Word]],
+                 zs: np.ndarray, default: Word) -> np.ndarray:
+    """Each point of zs read off ``values(word)``, the values at every
+    point along one word, for the word of the first (lo, hi, word) span
+    that holds the point within 1e-12, else for ``default``: the scalar
+    readers' rule, point by point."""
+    if not spans:
+        return values(default)
+    out = np.empty(len(zs))
+    left = np.ones(len(zs), dtype=bool)
+    for lo, hi, word in spans:
+        hit = left & (lo - 1e-12 <= zs) & (zs <= hi + 1e-12)
+        if hit.any():
+            out[hit] = values(word)[hit]
+            left &= ~hit
+    if left.any():
+        out[left] = values(default)[left]
+    return out
+
+
 @dataclass(frozen=True)
 class SchemeBranch:
     lo: float
@@ -100,6 +125,19 @@ class SchemeBranch:
         ``pullback_word(m, word, y)``.
         """
         return _pullback_through(m, self.parts, y, self.word)
+
+    def dF_array(self, m: IntervalMap, xs: np.ndarray) -> np.ndarray:
+        """``dF`` at each point of a float64 array, float for float."""
+        xs = np.asarray(xs, dtype=np.float64)
+        return _along_parts(lambda w: derivative_along_word_array(m, w, xs),
+                            [(c.lo, c.hi, c.word) for c in self.parts], xs,
+                            self.word)
+
+    def pullback_array(self, pulled: WordPullbacks) -> np.ndarray:
+        """``pullback`` at each of the points ``pulled.ys``, float for
+        float; branches that share ``pulled`` share its suffixes."""
+        return _along_parts(pulled, [(c.image_lo, c.image_hi, c.word)
+                                     for c in self.parts], pulled.ys, self.word)
 
     def segments(self) -> tuple[tuple[float, float, tuple[int, ...]], ...]:
         """The branch cut into (lo, hi, word) pieces that follow one word."""
@@ -157,10 +195,16 @@ class InducingScheme:
 
     @cached_property
     def depth2_derivatives(self) -> list[list[float]]:
-        """Entry [j][i] is |DF_i| at the F_i-preimage of branch j's midpoint."""
-        m = self.map
-        return [[bi.dF(m, bi.pullback(m, bj.midpoint)) for bi in self.branches]
-                for bj in self.branches]
+        """Entry [j][i] is |DF_i| at the F_i-preimage of branch j's midpoint.
+
+        Python floats, so that the weights take the scalar ``**``, which
+        rounds differently from np.power.
+        """
+        m, n = self.map, len(self.branches)
+        pulled = WordPullbacks(m, [b.midpoint for b in self.branches])
+        columns = [bi.dF_array(m, bi.pullback_array(pulled))
+                   for bi in self.branches]
+        return np.array(columns).reshape(n, n).T.tolist()
 
     @cached_property
     def periodic_orbits(self) -> list[tuple[float, int]]:
@@ -185,9 +229,8 @@ def _sample_derivative(m: IntervalMap, br: SchemeBranch,
     lo, hi, length = br.lo, br.hi, br.length
     xs = [lo + length * edge, hi - length * edge]
     xs += [lo + length * k / (DF_SAMPLES + 1) for k in range(1, DF_SAMPLES + 1)]
-    vals = [br.dF(m, x) for x in xs]
-    return replace(br, df_lo=min(vals), df_hi=max(vals),
-                   df_mid=br.dF(m, br.midpoint))
+    *vals, mid = br.dF_array(m, np.array(xs + [br.midpoint])).tolist()
+    return replace(br, df_lo=min(vals), df_hi=max(vals), df_mid=mid)
 
 
 # ---------------------------------------------------------------------------

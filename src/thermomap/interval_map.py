@@ -15,6 +15,8 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Iterator, Sequence
 
+import numpy as np
+
 from .errors import CriticalOrbitError, DomainError, SchemaError
 
 #: Points closer than this to a branch endpoint are snapped onto it.
@@ -30,6 +32,10 @@ class BranchSpec:
 
     ``fwd``/``deriv`` evaluate the map and its (signed) derivative on
     [lo, hi]; ``inv`` is the inverse defined on the branch image.
+    ``array`` holds (fwd, deriv, inv) for float64 arrays doing the same
+    float operations in the same order, or None where numpy's functions
+    round differently from ``math``'s and a per-point loop over the
+    scalar ones is the only way to the same floats.
     """
 
     lo: float
@@ -38,6 +44,7 @@ class BranchSpec:
     fwd: Callable[[float], float]
     deriv: Callable[[float], float]
     inv: Callable[[float], float]
+    array: tuple[Callable, Callable, Callable] | None = None
 
     @cached_property
     def image(self) -> tuple[float, float]:
@@ -247,6 +254,81 @@ def pullback_word(m: IntervalMap, word: Sequence[int], y: float) -> float:
     return z
 
 
+def _clamp_array(z: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    """``min(max(z, lo), hi)`` per point, in place.  np.maximum and
+    np.minimum may return either operand on a tie of signed zeros, where
+    Python's max and min return their first, so the comparisons are
+    spelled out."""
+    np.putmask(z, lo > z, lo)
+    np.putmask(z, hi < z, hi)
+    return z
+
+
+def _array_kernels(m: IntervalMap, word: Sequence[int]) -> bool:
+    return all(m.branches[a].array is not None for a in word)
+
+
+def derivative_along_word_array(m: IntervalMap, word: Sequence[int],
+                                xs: np.ndarray) -> np.ndarray:
+    """``derivative_along_word`` at each point of a 1-D float64 array,
+    float for float."""
+    if not _array_kernels(m, word):
+        return np.array([derivative_along_word(m, word, x)
+                         for x in np.asarray(xs, dtype=np.float64).tolist()])
+    z = np.array(xs, dtype=np.float64)  # a copy: clamps work in place
+    prod = np.ones(len(z))
+    for a in word:
+        b = m.branches[a]
+        fwd, deriv, _ = b.array
+        z = _clamp_array(z, b.lo, b.hi)
+        prod *= abs(deriv(z))
+        z = fwd(z)
+    return prod
+
+
+def pullback_word_array(m: IntervalMap, word: Sequence[int],
+                        ys: np.ndarray) -> np.ndarray:
+    """``pullback_word`` at each point of a 1-D float64 array, float for
+    float."""
+    if not _array_kernels(m, word):
+        return np.array([pullback_word(m, word, y)
+                         for y in np.asarray(ys, dtype=np.float64).tolist()])
+    z = np.array(ys, dtype=np.float64)  # a copy: clamps work in place
+    for a in reversed(word):
+        b = m.branches[a]
+        z = b.array[2](_clamp_array(z, *b.image))
+    return z
+
+
+class WordPullbacks:
+    """The points ``ys`` pulled back along any word, memoised by word
+    suffix.
+
+    Called with a word, it gives ``pullback_word_array(m, word, ys)``,
+    float for float, taking one inverse step per letter past the longest
+    suffix of the word already pulled back.  The arrays it returns are
+    shared, so they are read-only.
+    """
+
+    def __init__(self, m: IntervalMap, ys: np.ndarray):
+        self.map = m
+        self.ys = np.array(ys, dtype=np.float64)
+        self.ys.flags.writeable = False
+        self._known: dict[tuple[int, ...], np.ndarray] = {(): self.ys}
+
+    def __call__(self, word: Sequence[int]) -> np.ndarray:
+        word, known = tuple(word), self._known
+        k = 0
+        while word[k:] not in known:
+            k += 1
+        z = known[word[k:]]
+        for j in range(k - 1, -1, -1):
+            z = pullback_word_array(self.map, word[j:j + 1], z)
+            z.flags.writeable = False
+            known[word[j:]] = z
+        return z
+
+
 # ---------------------------------------------------------------------------
 # built-in families
 # ---------------------------------------------------------------------------
@@ -265,7 +347,9 @@ def _affine_branch(lo: float, hi: float, v_lo: float, v_hi: float) -> BranchSpec
     def inv(y: float, lo=lo, v_lo=v_lo, slope=slope) -> float:
         return lo + (y - v_lo) / slope
 
-    return BranchSpec(lo, hi, 1 if slope > 0 else -1, fwd, deriv, inv)
+    # the closures take arrays as they are
+    return BranchSpec(lo, hi, 1 if slope > 0 else -1, fwd, deriv, inv,
+                      (fwd, deriv, inv))
 
 
 def make_tent(s: float) -> IntervalMap:
@@ -293,8 +377,22 @@ def make_quadratic(a: float) -> IntervalMap:
     def inv_right(y: float) -> float:
         return 0.5 * (1.0 + math.sqrt(max(0.0, 1.0 - 4.0 * y / a)))
 
-    left = BranchSpec(0.0, 0.5, 1, fwd, deriv, inv_left)
-    right = BranchSpec(0.5, 1.0, -1, fwd, deriv, inv_right)
+    # np.sqrt rounds as math.sqrt does; max(0.0, v) is v only when v > 0.0
+    def root_array(y: np.ndarray) -> np.ndarray:
+        v = 1.0 - 4.0 * y / a
+        np.putmask(v, ~(v > 0.0), 0.0)
+        return np.sqrt(v, out=v)
+
+    def inv_left_array(y: np.ndarray) -> np.ndarray:
+        return 0.5 * (1.0 - root_array(y))
+
+    def inv_right_array(y: np.ndarray) -> np.ndarray:
+        return 0.5 * (1.0 + root_array(y))
+
+    left = BranchSpec(0.0, 0.5, 1, fwd, deriv, inv_left,
+                      (fwd, deriv, inv_left_array))
+    right = BranchSpec(0.5, 1.0, -1, fwd, deriv, inv_right,
+                       (fwd, deriv, inv_right_array))
     crit = (CriticalPoint(0.5, 2.0, a / 4, kind="turning", vanishing=True),)
     return IntervalMap((0.0, 1.0), (left, right), crit, "quadratic", {"a": a})
 

@@ -356,8 +356,10 @@ def periodic_point(m: IntervalMap, word: Sequence[int]) -> PeriodicPoint | None:
     """The unique fixed point of f^n on the word's cylinder, if it exists.
 
     Returns None when the cylinder is empty or its f^n-image does not
-    cover it.  The point is located by bisection to 1e-13; the multiplier
-    is |Df^n| along the pinned branch word.
+    cover it.  For tent and piecewise-linear maps f^n is affine on the
+    cylinder and the point is where the line through its end values
+    crosses the diagonal; otherwise it is located by bisection to 1e-13.
+    The multiplier is |Df^n| along the pinned branch word.
     """
     word = tuple(word)
     if len(word) < 1:
@@ -385,6 +387,9 @@ def periodic_point(m: IntervalMap, word: Sequence[int]) -> PeriodicPoint | None:
                 raise NumericError(
                     f"no sign change for word {word}: h={ha:.3g},{hb:.3g}")
             root = a if abs(ha) < abs(hb) else b
+        elif m.kind in ("tent", "plinear"):
+            # h is affine and changes sign, so ha != hb
+            root = min(max(a + ha * (b - a) / (ha - hb), a), b)
         else:
             for _ in range(200):
                 c = 0.5 * (a + b)

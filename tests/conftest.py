@@ -42,6 +42,11 @@ def partition_function_exact(model, n: int, base: int, shift: float) -> float:
     return total
 
 
+def hexes(values):
+    """Each value as float.hex, which tells -0.0 from 0.0."""
+    return [float(v).hex() for v in values]
+
+
 @st.composite
 def plinear_maps(draw):
     """2-4 affine branches with rational breakpoints and images, each

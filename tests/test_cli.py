@@ -229,6 +229,23 @@ class TestRunCli:
         assert proc.stderr == ""
         assert float(proc.stdout) == pytest.approx(0.0, abs=1e-9)
 
+    def test_one_parser_serves_a_refused_and_a_valid_call(self, capsys):
+        refused = ["pressure", "--map", "tent2", "--t", "nan"]
+        valid = ["oracle", "--map", "markov_golden", "--t", "0"]
+        src = os.path.dirname(os.path.dirname(thermomap.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        fresh = [subprocess.run([sys.executable, "-m", "thermomap", *argv],
+                                capture_output=True, text=True, env=env,
+                                timeout=60) for argv in (refused, valid)]
+        here = []
+        for argv in (refused, valid):
+            code = run(argv)
+            here.append((code, capsys.readouterr().out))
+        assert here == [(p.returncode, p.stdout) for p in fresh]
+        assert [code for code, _ in here] == [2, 0]
+        assert cli._parser() is cli._parser()
+
     @pytest.mark.parametrize("argv", [
         ["pressure", "--map", "tent2", "--x-depth", "0", "--t", "{}"],
         ["scan", "--map", "tent2", "--x-depth", "0", "--t-min", "{}",

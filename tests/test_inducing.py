@@ -2,18 +2,21 @@ import hashlib
 import itertools
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import thermomap as tm
-from conftest import plinear_maps, unpruned_extendible_return_scheme
+from conftest import (hexes, plinear_maps,
+                      unpruned_extendible_return_scheme)
 from thermomap import hofbauer, inducing
 from thermomap.cli import default_base_cylinder
 from thermomap.diagnostics import variation_decay
 from thermomap.errors import DomainError
 from thermomap.inducing import SchemeBranch, scheme_to_csv_rows
-from thermomap.interval_map import (derivative_along, eval_along_word,
-                                    eval_orbit, parse_map_spec, pullback_word)
+from thermomap.interval_map import (WordPullbacks, derivative_along,
+                                    eval_along_word, eval_orbit,
+                                    parse_map_spec, pullback_word)
 
 # f is continuous and increasing across 1/4 with slopes 1.2 and 2.8, so a
 # monotone piece of f^j, hence one extendible branch, can span two words
@@ -386,6 +389,62 @@ class TestMultiWordReaders:
         assert want > 0.5
         rec = variation_decay(sch, 1.0, n_max=3)
         assert rec.v_n[0] == pytest.approx(want, rel=1e-9)
+
+
+def scalar_depth2(sch):
+    """The depth-2 matrix as one scalar pullback and |DF| per entry."""
+    m = sch.map
+    return [[bi.dF(m, bi.pullback(m, bj.midpoint)) for bi in sch.branches]
+            for bj in sch.branches]
+
+
+class TestGeometryArrays:
+    """The t-independent geometry, read with the array kernels, keeps the
+    scalar readers' floats and their Python float type."""
+
+    @pytest.fixture(scope="class", params=["quad4", (0.0, 0.5), (0.1, 0.4),
+                                           (0.6, 0.9)])
+    def scheme(self, request):
+        if request.param == "quad4":
+            m = tm.fixture("quad4")
+            c = tm.cylinder_of_word(m, tm.itinerary(m, 0.3, 2, side="left"))
+            return tm.extendible_return_scheme(m, (c.lo, c.hi), 0.5, 14)
+        return tm.extendible_return_scheme(tm.make_plinear(*JOIN_MAP),
+                                           request.param, 0.25, 8)
+
+    def test_depth2_equals_the_scalar_readers(self, scheme):
+        got, want = scheme.depth2_derivatives, scalar_depth2(scheme)
+        assert len(got) == len(want) == len(scheme.branches)
+        for row, want_row in zip(got, want):
+            assert hexes(row) == hexes(want_row)
+
+    def test_python_floats(self, scheme):
+        # an np.float64 reprs as np.float64(...) under numpy 2
+        assert all(type(v) is float
+                   for row in scheme.depth2_derivatives for v in row)
+        assert all(type(v) is float for b in scheme.branches
+                   for v in (b.df_lo, b.df_hi, b.df_mid))
+
+    def test_branch_readers_equal_the_scalar_ones(self, scheme):
+        m = scheme.map
+        for br in scheme.branches:
+            ends = [v for c in br.parts for v in (c.lo, c.hi)]
+            xs = [br.lo, br.hi, br.midpoint] + ends
+            xs += [v + d for v in ends for d in (-2e-12, -1e-12, 1e-12, 2e-12)]
+            assert hexes(br.dF_array(m, np.array(xs))) == hexes(
+                br.dF(m, x) for x in xs)
+            img = [v for c in br.parts for v in (c.image_lo, c.image_hi)]
+            ys = [scheme.x_lo, scheme.x_hi, 0.3] + img
+            ys += [v + d for v in img for d in (-2e-12, -1e-12, 1e-12, 2e-12)]
+            assert hexes(br.pullback_array(WordPullbacks(m, ys))) == hexes(
+                br.pullback(m, y) for y in ys)
+
+    def test_sine_fallback_equals_the_scalar_readers(self):
+        m = parse_map_spec(SINE_SPEC)
+        sch = tm.extendible_return_scheme(m, (0.25, 0.5), 0.5, 6)
+        assert sch.branches
+        for row, want_row in zip(sch.depth2_derivatives, scalar_depth2(sch)):
+            assert hexes(row) == hexes(want_row)
 
 
 class TestValidateScheme:

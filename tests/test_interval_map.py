@@ -1,11 +1,16 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import thermomap as tm
+from conftest import hexes, plinear_maps
 from thermomap.errors import CriticalOrbitError, DomainError, SchemaError
-from thermomap.interval_map import derivative_prefixes
+from thermomap.interval_map import (WordPullbacks, derivative_along_word,
+                                    derivative_along_word_array,
+                                    derivative_prefixes, pullback_word,
+                                    pullback_word_array)
 
 
 class TestEvalOrbit:
@@ -72,6 +77,64 @@ class TestDerivativeAlong:
         assert full == pytest.approx(
             tm.derivative_along(mp, x, m) * tm.derivative_along(mp, mid, n),
             rel=1e-10)
+
+
+def assert_kernels_match(m, word, points):
+    """Both array kernels equal their scalar kernels, point for point."""
+    pts = np.array(points, dtype=np.float64)
+    pulled = pullback_word_array(m, word, pts)
+    assert hexes(pulled) == hexes(pullback_word(m, word, y) for y in points)
+    derivs = derivative_along_word_array(m, word, pts)
+    assert hexes(derivs) == hexes(derivative_along_word(m, word, x)
+                                  for x in points)
+    assert hexes(pts) == hexes(points)  # the input is left as it was
+    # memoised by suffix: the words' own suffixes first, then others
+    pulled = WordPullbacks(m, pts)
+    for w in (word[1:], word, word[::-1], (word[0],) + word, word):
+        assert hexes(pulled(w)) == hexes(pullback_word(m, w, y) for y in points)
+
+
+@st.composite
+def maps_words_points(draw):
+    """A plinear or quadratic(a >= 3.5) map, a word and points on and off
+    the branch ends and image ends, so that every clamp is exercised."""
+    m = draw(plinear_maps() | st.floats(3.5, 4.0).map(tm.make_quadratic))
+    word = tuple(draw(st.lists(st.integers(0, m.n_branches - 1),
+                               min_size=1, max_size=6)))
+    ends = [v for b in m.branches for v in (b.lo, b.hi, *b.image)]
+    point = (st.sampled_from(ends + [-0.0])
+             | st.floats(-0.1, 1.1, allow_nan=False))
+    return m, word, draw(st.lists(point, min_size=1, max_size=40))
+
+
+class TestArrayKernels:
+    @settings(max_examples=150, deadline=None)
+    @given(case=maps_words_points())
+    def test_equal_to_the_scalar_kernels(self, case):
+        assert_kernels_match(*case)
+
+    @pytest.mark.parametrize("m", [
+        tm.make_chebyshev(3),
+        tm.parse_map_spec("kind = custom\nexpr = sin(pi*x)\n"
+                          "breakpoints = 0, 1/2, 1\ncrit = 1/2:2\n")],
+        ids=["chebyshev3", "sine"])
+    def test_scalar_fallback(self, m):
+        assert all(b.array is None for b in m.branches)
+        points = [k / 37 for k in range(38)] + [-0.0, 1e-300, 0.5]
+        for word in [(0,), (1, 0), (0, 1, 1), (m.n_branches - 1, 0, 1)]:
+            assert_kernels_match(m, word, points)
+
+    def test_signed_zero_ties_follow_python(self):
+        # Python's max and min keep their first operand on a tie of -0.0
+        # and 0.0, which a branch starting at -0.0 passes on to the result
+        m = tm.make_plinear([-0.0, 0.5, 1.0], [(0.0, 1.0), (0.0, 1.0)], [1, -1])
+        for word in [(0,), (1,), (0, 1), (1, 0)]:
+            assert_kernels_match(m, word, [-0.0, 0.0, 0.5, 1.0])
+        assert pullback_word(m, (0,), -0.0).hex() == "-0x0.0p+0"
+
+    def test_empty_input(self, quad_map):
+        for kernel in (pullback_word_array, derivative_along_word_array):
+            assert kernel(quad_map, (0, 1), np.array([])).shape == (0,)
 
 
 class TestBranchData:

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 
 import pytest
@@ -7,9 +8,11 @@ from hypothesis import assume, given, settings, strategies as st
 import thermomap as tm
 from conftest import plinear_maps
 from thermomap.errors import AmbiguityError, NumericError, ResourceError
-from thermomap.interval_map import parse_map_spec, pullback_word
-from thermomap.symbolic import (DEGEN_TOL, SNAP_TOL, Cylinder, fold_free_runs,
-                                laps_entropy, monotone_pieces, refine_levels)
+from thermomap.interval_map import (derivative_along_word, eval_along_word,
+                                    parse_map_spec, pullback_word)
+from thermomap.symbolic import (DEGEN_TOL, SNAP_TOL, Cylinder, PeriodicPoint,
+                                cylinder_of_word, fold_free_runs, laps_entropy,
+                                monotone_pieces, refine_levels)
 
 # f is continuous and increasing across 1/4, so cylinders are not all full
 JOIN_MAP = ([0, 0.25, 0.5, 1], [(0, 0.3), (0.3, 1), (0, 1)], [1, 1, -1])
@@ -332,3 +335,68 @@ class TestPeriodicPoint:
             assert eval_along_word(m, w, pp.x) == pytest.approx(pp.x, abs=1e-10)
             checked += 1
         assert checked >= 3
+
+    @settings(max_examples=40, deadline=None)
+    @given(m=plinear_maps())
+    def test_affine_closed_form_matches_bisection(self, m):
+        found = 0
+        for n in (1, 2, 3):
+            for w in itertools.product(range(m.n_branches), repeat=n):
+                got, want = located(tm.periodic_point, m, w), located(
+                    bisected_periodic_point, m, w)
+                if not isinstance(want, PeriodicPoint):
+                    assert got == want
+                    continue
+                assert abs(got.x - want.x) <= 1e-12, w
+                assert got.multiplier.hex() == want.multiplier.hex(), w
+                found += 1
+        assume(found)
+
+
+def located(finder, m, word):
+    """What ``finder`` gives for the word: a PeriodicPoint, None, or the
+    type of the error it raises."""
+    try:
+        return finder(m, word)
+    except NumericError as exc:
+        return type(exc)
+
+
+def bisected_periodic_point(m, word):
+    """``periodic_point`` as it was when every family took bisection: an
+    oracle for the closed form of affine maps."""
+    word = tuple(word)
+    cyl = cylinder_of_word(m, word)
+    if cyl is None:
+        return None
+    scale = max(1.0, abs(cyl.hi), abs(cyl.lo))
+    if cyl.image_lo > cyl.lo + 1e-12 * scale or cyl.image_hi < cyl.hi - 1e-12 * scale:
+        return None
+
+    def h(x):
+        return eval_along_word(m, word, x) - x
+
+    a, b = cyl.lo, cyl.hi
+    ha, hb = h(a), h(b)
+    if abs(ha) <= 1e-13:
+        root = a
+    elif abs(hb) <= 1e-13:
+        root = b
+    else:
+        if ha * hb > 0:
+            if min(abs(ha), abs(hb)) > 1e-9:
+                raise NumericError(
+                    f"no sign change for word {word}: h={ha:.3g},{hb:.3g}")
+            root = a if abs(ha) < abs(hb) else b
+        else:
+            for _ in range(200):
+                c = 0.5 * (a + b)
+                hc = h(c)
+                if abs(hc) == 0.0 or b - a <= 1e-13:
+                    break
+                if (hc < 0) == (ha < 0):
+                    a, ha = c, hc
+                else:
+                    b, hb = c, hc
+            root = 0.5 * (a + b)
+    return PeriodicPoint(root, derivative_along_word(m, word, root), word)
