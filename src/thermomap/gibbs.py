@@ -31,7 +31,7 @@ from .errors import (
     NumericError,
 )
 from .inducing import InducingScheme
-from .interval_map import eval_along_word, pullback_word
+from .interval_map import pullback_word
 from .symbolic import DEGEN_TOL
 from .thermo import Bracket, ThermoModel, gurevich_pressure, induced_potential
 
@@ -139,17 +139,40 @@ def gibbs_ratio_check(solution: GibbsSolution, depth: int,
     K = max over words w of depth <= given of the ratio between the
     product-rule cylinder mass and exp(Psi_n - n log lam) evaluated at
     the cylinder midpoint.  Exhaustive when the word count is small,
-    seeded sampling otherwise.
+    seeded sampling otherwise.  A ratio that over- or underflows raises
+    NumericError.
     """
-    if depth > 8:
-        raise DomainError("depth must be <= 8")
+    if not 1 <= depth <= 8:
+        raise DomainError(f"depth must be in 1..8, got {depth!r}")
     model = solution.model
     scheme = model.scheme
     n = len(solution.masses)
     if scheme is None:
         return 1.0
-    m = scheme.map
+    m, branches = scheme.map, scheme.branches
+    t, shift = model.t, solution.shift
     log_lam = math.log(solution.lam)
+    # per word suffix: its cylinder, found innermost first (pullbacks
+    # contract error, while forward iterates of one point would leave deep
+    # cylinders), and its term -t log|DF| - S tau at the cylinder midpoint
+    known: dict[tuple[int, ...], tuple[float, float, float]] = {}
+
+    def suffix(s: tuple[int, ...]) -> tuple[float, float, float]:
+        got = known.get(s)
+        if got is None:
+            br = branches[s[0]]
+            if len(s) == 2:
+                lo, hi, df = scheme.depth2_cylinders[s[0]][s[1]]
+            else:
+                lo, hi = br.lo, br.hi
+                if len(s) > 2:
+                    inner_lo, inner_hi, _ = suffix(s[1:])
+                    a, b = br.pullback(m, inner_lo), br.pullback(m, inner_hi)
+                    lo, hi = min(a, b), max(a, b)
+                df = br.dF(m, 0.5 * (lo + hi))
+            got = known[s] = (lo, hi, -t * math.log(df) - shift * br.tau)
+        return got
+
     rng = np.random.default_rng(RATIO_SEED)
     k_best = 1.0
     for d in range(1, depth + 1):
@@ -157,26 +180,18 @@ def gibbs_ratio_check(solution: GibbsSolution, depth: int,
         if total <= word_cap:
             words = itertools.product(range(n), repeat=d)
         else:
-            words = rng.integers(0, n, size=(word_cap, d)).tolist()
+            words = map(tuple, rng.integers(0, n, size=(word_cap, d)).tolist())
         for w in words:
-            # suffix cylinders, innermost first: pullbacks contract error,
-            # while forward iterates of one point would leave deep cylinders
-            suffix = [None] * d
-            lo, hi = scheme.branches[w[-1]].lo, scheme.branches[w[-1]].hi
-            suffix[d - 1] = (lo, hi)
-            for k in range(d - 2, -1, -1):
-                br = scheme.branches[w[k]]
-                a = br.pullback(m, suffix[k + 1][0])
-                b = br.pullback(m, suffix[k + 1][1])
-                suffix[k] = (min(a, b), max(a, b))
             psi = 0.0
-            for k, i in enumerate(w):
-                br = scheme.branches[i]
-                df = br.dF(m, 0.5 * (suffix[k][0] + suffix[k][1]))
-                psi += -model.t * math.log(df) - solution.shift * br.tau
+            for k in range(d):
+                psi += suffix(w[k:])[2]
             mass = float(np.prod([solution.masses[i] for i in w]))
-            ratio = mass / math.exp(psi - d * log_lam)
-            k_best = max(k_best, ratio, 1.0 / ratio)
+            try:
+                ratio = mass / math.exp(psi - d * log_lam)
+                k_best = max(k_best, ratio, 1.0 / ratio)
+            except (OverflowError, ZeroDivisionError) as exc:
+                raise NumericError(
+                    f"Gibbs ratio of word {w} out of float range") from exc
     return k_best
 
 
@@ -210,27 +225,40 @@ def project_measure(scheme: InducingScheme, solution: GibbsSolution,
     tau = _tau_mean_bracket(solution)
     m = scheme.map
     branches = scheme.branches
+    x_lo, x_hi = scheme.x_lo, scheme.x_hi
     # branches are sorted by lo: those that can meet [lo, hi] run from the
     # first whose running-maximum hi exceeds lo to the last with lo < hi
     los = [br.lo for br in branches]
     his = list(itertools.accumulate((br.hi for br in branches), max))
+    masses = solution.masses.tolist()
+    images = scheme.end_images
+    # what a branch inside [lo, hi] adds: all its mass, or nothing when it
+    # is no longer than DEGEN_TOL
+    inside = [mu if br.hi - br.lo > DEGEN_TOL else 0.0
+              for br, mu in zip(branches, masses)]
 
-    def base_mass(lo: float, hi: float, depth: int) -> Bracket:
-        """Bracket on mu_F of [lo, hi] intersected with the base X."""
-        lo = max(lo, scheme.x_lo)
-        hi = min(hi, scheme.x_hi)
+    def base_mass(lo: float, hi: float, depth: int) -> tuple[float, float]:
+        """Bracket (lo, hi) on mu_F of [lo, hi] intersected with the base X."""
+        lo = max(lo, x_lo)
+        hi = min(hi, x_hi)
         if hi - lo <= DEGEN_TOL:
-            return Bracket(0.0, 0.0)
-        if lo <= scheme.x_lo + DEGEN_TOL and hi >= scheme.x_hi - DEGEN_TOL:
-            return Bracket(1.0, 1.0)
+            return 0.0, 0.0
+        if lo <= x_lo + DEGEN_TOL and hi >= x_hi - DEGEN_TOL:
+            return 1.0, 1.0
+        # branches in [in_lo, in_hi) lie inside [lo, hi]
+        in_lo, in_hi = bisect.bisect_left(los, lo), bisect.bisect_right(his, hi)
         acc_lo = 0.0
         acc_hi = 0.0
         for i in range(bisect.bisect_right(his, lo), bisect.bisect_left(los, hi)):
+            if in_lo <= i < in_hi:
+                acc_lo += inside[i]
+                acc_hi += inside[i]
+                continue
             br = branches[i]
             p, q = max(lo, br.lo), min(hi, br.hi)
             if q - p <= DEGEN_TOL:
                 continue
-            mass = float(solution.masses[i])
+            mass = masses[i]
             if p <= br.lo + DEGEN_TOL and q >= br.hi - DEGEN_TOL:
                 acc_lo += mass
                 acc_hi += mass
@@ -238,39 +266,39 @@ def project_measure(scheme: InducingScheme, solution: GibbsSolution,
             if depth <= 0:
                 acc_hi += mass
                 continue
-            u, v = br.forward(m, p), br.forward(m, q)
-            inner = base_mass(min(u, v), max(u, v), depth - 1)
-            acc_lo += mass * inner.lo
-            acc_hi += mass * inner.hi
-        return Bracket(acc_lo, min(acc_hi, 1.0))
+            # an end cut off at a branch end maps to that end's image
+            ends = images[i]
+            u = ends[0] if ends and lo < br.lo else br.forward(m, p)
+            v = ends[1] if ends and hi > br.hi else br.forward(m, q)
+            inner_lo, inner_hi = base_mass(min(u, v), max(u, v), depth - 1)
+            acc_lo += mass * inner_lo
+            acc_hi += mass * inner_hi
+        return acc_lo, min(acc_hi, 1.0)
 
     def value(a_lo: float, a_hi: float) -> Bracket:
         if a_hi <= a_lo:
             return Bracket(0.0, 0.0)
         num_lo = 0.0
         num_hi = 0.0
-        for br in scheme.branches:
-            for lo, hi, word in br.segments():
-                for k in range(br.tau):
-                    head = word[:k]
-                    u = eval_along_word(m, head, lo)
-                    v = eval_along_word(m, head, hi)
-                    j_lo, j_hi = min(u, v), max(u, v)
-                    p, q = max(j_lo, a_lo), min(j_hi, a_hi)
-                    if q - p <= DEGEN_TOL:
-                        continue
-                    increasing = u <= v
-                    if p == j_lo:
-                        xa = lo if increasing else hi
-                    else:
-                        xa = pullback_word(m, head, p)
-                    if q == j_hi:
-                        xb = hi if increasing else lo
-                    else:
-                        xb = pullback_word(m, head, q)
-                    part = base_mass(min(xa, xb), max(xa, xb), PROJECTION_DEPTH)
-                    num_lo += part.lo
-                    num_hi += part.hi
+        for lo, hi, word, ends in scheme.segment_orbits:
+            for k, (u, v) in enumerate(ends):
+                j_lo, j_hi = min(u, v), max(u, v)
+                p, q = max(j_lo, a_lo), min(j_hi, a_hi)
+                if q - p <= DEGEN_TOL:
+                    continue
+                increasing = u <= v
+                if p == j_lo:
+                    xa = lo if increasing else hi
+                else:
+                    xa = pullback_word(m, word[:k], p)
+                if q == j_hi:
+                    xb = hi if increasing else lo
+                else:
+                    xb = pullback_word(m, word[:k], q)
+                part_lo, part_hi = base_mass(min(xa, xb), max(xa, xb),
+                                             PROJECTION_DEPTH)
+                num_lo += part_lo
+                num_hi += part_hi
         lo = min(max(num_lo / tau.hi, 0.0), 1.0)
         hi = min(num_hi / tau.lo, 1.0) if tau.lo > 0 else 1.0
         return Bracket(lo, hi)

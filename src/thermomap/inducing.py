@@ -10,7 +10,6 @@ reported, never silently dropped.
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections import deque
 from dataclasses import dataclass, field, replace
@@ -207,15 +206,72 @@ class InducingScheme:
         return np.array(columns).reshape(n, n).T.tolist()
 
     @cached_property
+    def depth2_cylinders(self) -> list[list[tuple[float, float, float]]]:
+        """Entry [i][j] is (lo, hi, |DF_i(mid)|) for the cylinder of the
+        word (i, j): branch j's ends pulled back by branch i, ordered, and
+        |DF_i| at the midpoint of the two; the floats of ``pullback`` and
+        ``dF``.  Branch ends that neighbours share are pulled back once.
+        """
+        m, branches = self.map, self.branches
+        # keyed by float.hex, which tells -0.0 from 0.0
+        at: dict[str, int] = {}
+        for b in branches:
+            for y in (b.lo, b.hi):
+                at.setdefault(y.hex(), len(at))
+        pulled = WordPullbacks(m, [float.fromhex(h) for h in at])
+        ends = [(at[b.lo.hex()], at[b.hi.hex()]) for b in branches]
+        rows = []
+        for bi in branches:
+            z = bi.pullback_array(pulled).tolist()
+            cyls = [(min(z[j], z[k]), max(z[j], z[k])) for j, k in ends]
+            dfs = bi.dF_array(m, np.array([0.5 * (lo + hi) for lo, hi in cyls]))
+            rows.append([(lo, hi, df) for (lo, hi), df in zip(cyls, dfs.tolist())])
+        return rows
+
+    @cached_property
+    def end_images(self) -> list[tuple[float, float] | None]:
+        """(F(lo), F(hi)) of each branch by ``forward``, or None where
+        evaluating either end raises DomainError."""
+        m = self.map
+        out: list[tuple[float, float] | None] = []
+        for b in self.branches:
+            try:
+                out.append((b.forward(m, b.lo), b.forward(m, b.hi)))
+            except DomainError:
+                out.append(None)
+        return out
+
+    @cached_property
+    def segment_orbits(self) -> list[tuple[float, float, Word,
+                                           list[tuple[float, float]]]]:
+        """(lo, hi, word, ends) for each segment of each branch, in order:
+        ends[k] is (f^k(lo), f^k(hi)) along ``word`` for k < tau, the floats
+        of ``eval_along_word(m, word[:k], .)``, one letter at a time."""
+        m = self.map
+        out = []
+        for b in self.branches:
+            for lo, hi, word in b.segments():
+                u, v = lo, hi
+                ends = [(u, v)]
+                for a in word[:b.tau - 1]:
+                    u = eval_along_word(m, (a,), u)
+                    v = eval_along_word(m, (a,), v)
+                    ends.append((u, v))
+                out.append((lo, hi, word, ends))
+        return out
+
+    @cached_property
     def periodic_orbits(self) -> list[tuple[float, int]]:
-        """(log multiplier, period) of the map's orbits of period <= 3."""
+        """(log multiplier, period) of the map's orbits of period <= 3, by
+        period and then word; the cylinders come from one refinement."""
         m = self.map
         orbits = []
-        for period in range(1, 4):
-            for w in itertools.product(range(m.n_branches), repeat=period):
-                pp = periodic_point(m, w)
+        # level 3 holds at most n^3 cylinders, so the cap never binds
+        for level in refine_levels(m, 3, cap=m.n_branches ** 3):
+            for cyl in sorted(level, key=lambda c: c.word):
+                pp = periodic_point(m, cyl)
                 if pp is not None and pp.multiplier > 0:
-                    orbits.append((math.log(pp.multiplier), period))
+                    orbits.append((math.log(pp.multiplier), cyl.depth))
         return orbits
 
 
@@ -492,12 +548,12 @@ class SchemeReport:
 
 def validate_scheme(scheme: InducingScheme) -> SchemeReport:
     """Disjointness, onto-ness and the Koebe distortion bound, per branch."""
-    m = scheme.map
     x_lo, x_hi = scheme.x
     tol = ONTO_RTOL * max(scheme.x_len, 1e-30)
     bound = scheme.koebe_bound()
     ordered = sorted(range(len(scheme.branches)),
                      key=lambda i: scheme.branches[i].lo)
+    images = scheme.end_images
     checks = []
     for pos, i in enumerate(ordered):
         b = scheme.branches[i]
@@ -510,10 +566,7 @@ def validate_scheme(scheme: InducingScheme) -> SchemeReport:
                 disjoint = False
                 overlap_with = ordered[pos + 1]
                 overlap_interval = (nb.lo, min(b.hi, nb.hi))
-        try:
-            v_lo, v_hi = b.forward(m, b.lo), b.forward(m, b.hi)
-        except DomainError:
-            v_lo = v_hi = math.nan
+        v_lo, v_hi = images[i] or (math.nan, math.nan)
         lo_img, hi_img = min(v_lo, v_hi), max(v_lo, v_hi)
         # forward evaluation amplifies roundoff by |DF| per remaining step;
         # endpoints came from the contracting pullback, so allow that noise

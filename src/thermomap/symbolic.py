@@ -352,19 +352,24 @@ class PeriodicPoint:
     word: Word
 
 
-def periodic_point(m: IntervalMap, word: Sequence[int]) -> PeriodicPoint | None:
+def periodic_point(m: IntervalMap, word: Sequence[int] | Cylinder
+                   ) -> PeriodicPoint | None:
     """The unique fixed point of f^n on the word's cylinder, if it exists.
 
     Returns None when the cylinder is empty or its f^n-image does not
     cover it.  For tent and piecewise-linear maps f^n is affine on the
     cylinder and the point is where the line through its end values
     crosses the diagonal; otherwise it is located by bisection to 1e-13.
-    The multiplier is |Df^n| along the pinned branch word.
+    The multiplier is |Df^n| along the pinned branch word.  ``word`` may
+    be given as its cylinder of m (from ``refine_levels``, say), which is
+    then not rebuilt.
     """
-    word = tuple(word)
+    cyl = word if isinstance(word, Cylinder) else None
+    word = tuple(word.word if cyl is not None else word)
     if len(word) < 1:
         raise DomainError("word must have length >= 1")
-    cyl = cylinder_of_word(m, word)
+    if cyl is None:
+        cyl = cylinder_of_word(m, word)
     if cyl is None:
         return None
     scale = max(1.0, abs(cyl.hi), abs(cyl.lo))

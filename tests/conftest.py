@@ -1,19 +1,28 @@
+import bisect
 import itertools
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import strategies as st
 
 import thermomap as tm
 from thermomap.errors import DomainError
+from thermomap.gibbs import PROJECTION_DEPTH, RATIO_SEED, _tau_mean_bracket
 from thermomap.inducing import (CYLINDER_CAP, ONTO_RTOL, InducingScheme,
                                 SchemeBranch, _fit_neighbourhood,
                                 _pullback_through, _sample_derivative,
                                 _Uncovered)
+from thermomap.interval_map import eval_along_word, pullback_word
 from thermomap.symbolic import DEGEN_TOL, monotone_pieces, refine_levels
+from thermomap.thermo import Bracket
 
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
+# f is continuous and increasing across 1/4 with slopes 1.2 and 2.8, so a
+# monotone piece of f^j, hence one extendible branch, can span two words
+JOIN_MAP = ([0, 0.25, 0.5, 1], [(0, 0.3), (0.3, 1), (0, 1)], [1, 1, -1])
+SINE_SPEC = "kind = custom\nexpr = sin(pi*x)\nbreakpoints = 0, 1/2, 1\ncrit = 1/2:2\n"
 LOG_GOLDEN = math.log(GOLDEN)
 
 # acip of the golden-mean fixture: piecewise-constant density
@@ -141,6 +150,126 @@ def unpruned_extendible_return_scheme(m, x, delta: float, T: int):
         m, x_lo, x_hi, branches, delta, T,
         uncovered.total(), exhausted, conflicts,
         meta={"y": (y_lo, y_hi)})
+
+
+def scalar_gibbs_ratio_check(solution, depth: int, word_cap: int = 20_000):
+    """``gibbs_ratio_check`` as it was when every word pulled its suffix
+    cylinders back and evaluated |DF| point by point: an oracle for the
+    memoised library check.
+
+    Measured two-sided Gibbs constant over induced cylinders.
+    """
+    if depth > 8:
+        raise DomainError("depth must be <= 8")
+    model = solution.model
+    scheme = model.scheme
+    n = len(solution.masses)
+    if scheme is None:
+        return 1.0
+    m = scheme.map
+    log_lam = math.log(solution.lam)
+    rng = np.random.default_rng(RATIO_SEED)
+    k_best = 1.0
+    for d in range(1, depth + 1):
+        total = n ** d
+        if total <= word_cap:
+            words = itertools.product(range(n), repeat=d)
+        else:
+            words = rng.integers(0, n, size=(word_cap, d)).tolist()
+        for w in words:
+            suffix = [None] * d
+            lo, hi = scheme.branches[w[-1]].lo, scheme.branches[w[-1]].hi
+            suffix[d - 1] = (lo, hi)
+            for k in range(d - 2, -1, -1):
+                br = scheme.branches[w[k]]
+                a = br.pullback(m, suffix[k + 1][0])
+                b = br.pullback(m, suffix[k + 1][1])
+                suffix[k] = (min(a, b), max(a, b))
+            psi = 0.0
+            for k, i in enumerate(w):
+                br = scheme.branches[i]
+                df = br.dF(m, 0.5 * (suffix[k][0] + suffix[k][1]))
+                psi += -model.t * math.log(df) - solution.shift * br.tau
+            mass = float(np.prod([solution.masses[i] for i in w]))
+            ratio = mass / math.exp(psi - d * log_lam)
+            k_best = max(k_best, ratio, 1.0 / ratio)
+    return k_best
+
+
+def scalar_project_measure(scheme, solution, targets):
+    """``project_measure`` as it was when every target re-evaluated the
+    segment orbits and every product-rule level re-evaluated F at branch
+    ends: an oracle for the library projection, which reuses them.
+
+    mu(A) for each target interval or cylinder A, as brackets.
+    """
+    tau = _tau_mean_bracket(solution)
+    m = scheme.map
+    branches = scheme.branches
+    los = [br.lo for br in branches]
+    his = list(itertools.accumulate((br.hi for br in branches), max))
+
+    def base_mass(lo, hi, depth):
+        lo = max(lo, scheme.x_lo)
+        hi = min(hi, scheme.x_hi)
+        if hi - lo <= DEGEN_TOL:
+            return Bracket(0.0, 0.0)
+        if lo <= scheme.x_lo + DEGEN_TOL and hi >= scheme.x_hi - DEGEN_TOL:
+            return Bracket(1.0, 1.0)
+        acc_lo = 0.0
+        acc_hi = 0.0
+        for i in range(bisect.bisect_right(his, lo), bisect.bisect_left(los, hi)):
+            br = branches[i]
+            p, q = max(lo, br.lo), min(hi, br.hi)
+            if q - p <= DEGEN_TOL:
+                continue
+            mass = float(solution.masses[i])
+            if p <= br.lo + DEGEN_TOL and q >= br.hi - DEGEN_TOL:
+                acc_lo += mass
+                acc_hi += mass
+                continue
+            if depth <= 0:
+                acc_hi += mass
+                continue
+            u, v = br.forward(m, p), br.forward(m, q)
+            inner = base_mass(min(u, v), max(u, v), depth - 1)
+            acc_lo += mass * inner.lo
+            acc_hi += mass * inner.hi
+        return Bracket(acc_lo, min(acc_hi, 1.0))
+
+    def value(a_lo, a_hi):
+        if a_hi <= a_lo:
+            return Bracket(0.0, 0.0)
+        num_lo = 0.0
+        num_hi = 0.0
+        for br in scheme.branches:
+            for lo, hi, word in br.segments():
+                for k in range(br.tau):
+                    head = word[:k]
+                    u = eval_along_word(m, head, lo)
+                    v = eval_along_word(m, head, hi)
+                    j_lo, j_hi = min(u, v), max(u, v)
+                    p, q = max(j_lo, a_lo), min(j_hi, a_hi)
+                    if q - p <= DEGEN_TOL:
+                        continue
+                    increasing = u <= v
+                    if p == j_lo:
+                        xa = lo if increasing else hi
+                    else:
+                        xa = pullback_word(m, head, p)
+                    if q == j_hi:
+                        xb = hi if increasing else lo
+                    else:
+                        xb = pullback_word(m, head, q)
+                    part = base_mass(min(xa, xb), max(xa, xb), PROJECTION_DEPTH)
+                    num_lo += part.lo
+                    num_hi += part.hi
+        lo = min(max(num_lo / tau.hi, 0.0), 1.0)
+        hi = min(num_hi / tau.lo, 1.0) if tau.lo > 0 else 1.0
+        return Bracket(lo, hi)
+
+    spans = [(a.lo, a.hi) if hasattr(a, "lo") else a for a in targets]
+    return [value(lo, hi) for lo, hi in spans]
 
 
 @pytest.fixture(scope="session")

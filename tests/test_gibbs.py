@@ -1,3 +1,5 @@
+import dataclasses
+import functools
 import math
 import signal
 
@@ -5,10 +7,12 @@ import numpy as np
 import pytest
 
 import thermomap as tm
-from thermomap.errors import DomainError
+from thermomap.cli import default_base_cylinder
+from thermomap.errors import DomainError, NumericError
 from thermomap.thermo import synthetic_model
 
-from conftest import ACIP_LYAP, LOG_GOLDEN
+from conftest import (ACIP_LYAP, JOIN_MAP, LOG_GOLDEN, SINE_SPEC, hexes,
+                      scalar_gibbs_ratio_check, scalar_project_measure)
 
 GOLDEN = (1 + math.sqrt(5)) / 2
 
@@ -69,6 +73,112 @@ class TestGibbsRatio:
         res = tm.equilibrium_shift_solve(quad_scheme, 0.95, 1e-8)
         k = tm.gibbs_ratio_check(res.solution, 4, word_cap=4000)
         assert k <= 9.0 ** (0.95 * 2)
+
+
+    def test_underflowed_masses_raise_numeric_error(self, quad_scheme):
+        # at t = 120 62 of the 91 masses underflow to 0: a ratio of 0
+        sol = tm.solve_gibbs(tm.induced_potential(quad_scheme, 120.0), 0.0)
+        assert np.count_nonzero(sol.masses == 0.0) == 62
+        with pytest.raises(NumericError):
+            tm.gibbs_ratio_check(sol, 1)
+
+    def test_overflowing_ratio_raises_numeric_error(self, golden_scheme):
+        sol = tm.solve_gibbs(tm.induced_potential(golden_scheme, 1.0), 0.0)
+        with pytest.raises(NumericError):
+            tm.gibbs_ratio_check(dataclasses.replace(sol, lam=1e-300), 2)
+
+    @pytest.mark.parametrize("depth", [0, -1])
+    def test_depth_below_one_refused(self, golden_scheme, depth):
+        sol = tm.solve_gibbs(tm.induced_potential(golden_scheme, 1.0), 0.0)
+        with pytest.raises(DomainError):
+            tm.gibbs_ratio_check(sol, depth)
+
+
+@functools.cache
+def _oracle_scheme(name):
+    """The schemes the library projection and ratio check are held to
+    their scalar oracles on."""
+    if name == "sine":
+        m = tm.parse_map_spec(SINE_SPEC)
+        return tm.extendible_return_scheme(
+            m, default_base_cylinder(m, 0.3, 2), 0.5, 10)
+    if name == "quad4":
+        m = tm.fixture("quad4")
+        return tm.extendible_return_scheme(
+            m, default_base_cylinder(m, 0.3, 2), 0.5, 14)
+    if name == "tent2":
+        return tm.extendible_return_scheme(tm.fixture("tent2"), (0.4, 0.9),
+                                           0.05, 8)
+    if name == "markov_golden":
+        return tm.first_return_scheme(tm.fixture("markov_golden"),
+                                      (0.0, 2.0 / 3.0), 10)
+    return tm.extendible_return_scheme(tm.make_plinear(*JOIN_MAP), (0.0, 0.5),
+                                       0.25, 8)
+
+
+def _edge_targets(scheme):
+    """Targets given as cylinders, reversed and empty, straddling either
+    end of X, and beside X."""
+    m = scheme.map
+    (d_lo, d_hi), (x_lo, x_hi) = m.domain, scheme.x
+    w = 0.1 * (x_hi - x_lo)
+    return [tm.cylinder_of_word(m, (0,)), tm.cylinder_of_word(m, (0, 1)),
+            (0.6, 0.3), (0.4, 0.4), (x_lo - w, x_lo + w), (x_hi - w, x_hi + w),
+            (x_lo - w, x_hi + w), (d_lo, x_lo), (x_hi, d_hi), (x_hi + w, d_hi),
+            (x_lo, x_hi), m.domain]
+
+
+class TestAgainstScalarOracle:
+    """Projection and the Gibbs-ratio check give the floats of their scalar
+    oracles in conftest, which recompute every segment orbit, branch-end
+    image and suffix cylinder for each target and word."""
+
+    @staticmethod
+    def same_projection(scheme, sol, targets):
+        got = tm.project_measure(scheme, sol, targets)
+        want = scalar_project_measure(scheme, sol, targets)
+        assert [hexes((b.lo, b.hi)) for b in got] \
+            == [hexes((b.lo, b.hi)) for b in want]
+
+    @staticmethod
+    def same_ratio(sol, depth, word_cap=20_000):
+        assert tm.gibbs_ratio_check(sol, depth, word_cap).hex() \
+            == scalar_gibbs_ratio_check(sol, depth, word_cap).hex()
+
+    def test_sine_bench_targets(self):
+        scheme = _oracle_scheme("sine")
+        sol = tm.equilibrium_shift_solve(scheme, 1.0).solution
+        self.same_projection(scheme, sol, [(k / 32, (k + 1) / 32)
+                                           for k in range(32)])
+        self.same_ratio(sol, 2)
+
+    @pytest.mark.parametrize("t", [0.0, 1.0, 2.0])
+    def test_quad4_cap14(self, t):
+        scheme = _oracle_scheme("quad4")
+        sol = tm.equilibrium_shift_solve(scheme, t).solution
+        self.same_projection(scheme, sol, [(k / 4, (k + 1) / 4) for k in range(4)])
+        self.same_ratio(sol, 2)
+
+    @pytest.mark.parametrize("name", ["tent2", "markov_golden", "join"])
+    def test_small_maps(self, name):
+        scheme = _oracle_scheme(name)
+        sol = tm.equilibrium_shift_solve(scheme, 1.0).solution
+        self.same_projection(scheme, sol, [(k / 8, (k + 1) / 8) for k in range(8)])
+        self.same_ratio(sol, 3)
+
+    @pytest.mark.parametrize("name", ["sine", "quad4"])
+    def test_sampled_depth_three(self, name):
+        scheme = _oracle_scheme(name)
+        sol = tm.equilibrium_shift_solve(scheme, 1.0).solution
+        assert len(scheme.branches) ** 3 > 3000
+        self.same_ratio(sol, 3, word_cap=3000)
+
+    @pytest.mark.parametrize("name", ["sine", "quad4", "tent2",
+                                      "markov_golden", "join"])
+    def test_edge_targets(self, name):
+        scheme = _oracle_scheme(name)
+        sol = tm.equilibrium_shift_solve(scheme, 1.0).solution
+        self.same_projection(scheme, sol, _edge_targets(scheme))
 
 
 class TestProjectMeasure:

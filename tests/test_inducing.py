@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import thermomap as tm
-from conftest import (hexes, plinear_maps,
+from conftest import (JOIN_MAP, SINE_SPEC, hexes, plinear_maps,
                       unpruned_extendible_return_scheme)
 from thermomap import hofbauer, inducing
 from thermomap.cli import default_base_cylinder
@@ -17,11 +17,6 @@ from thermomap.inducing import SchemeBranch, scheme_to_csv_rows
 from thermomap.interval_map import (WordPullbacks, derivative_along,
                                     eval_along_word, eval_orbit,
                                     parse_map_spec, pullback_word)
-
-# f is continuous and increasing across 1/4 with slopes 1.2 and 2.8, so a
-# monotone piece of f^j, hence one extendible branch, can span two words
-JOIN_MAP = ([0, 0.25, 0.5, 1], [(0, 0.3), (0.3, 1), (0, 1)], [1, 1, -1])
-SINE_SPEC = "kind = custom\nexpr = sin(pi*x)\nbreakpoints = 0, 1/2, 1\ncrit = 1/2:2\n"
 
 
 def tower_first_return_time(tower, c_lo, c_hi, x, t_cap=50):

@@ -6,17 +6,15 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import thermomap as tm
-from conftest import plinear_maps
+from conftest import JOIN_MAP, SINE_SPEC, plinear_maps
 from thermomap.errors import AmbiguityError, NumericError, ResourceError
+from thermomap.inducing import InducingScheme
 from thermomap.interval_map import (derivative_along_word, eval_along_word,
                                     parse_map_spec, pullback_word)
 from thermomap.symbolic import (DEGEN_TOL, SNAP_TOL, Cylinder, PeriodicPoint,
                                 cylinder_of_word, fold_free_runs, laps_entropy,
                                 monotone_pieces, refine_levels)
 
-# f is continuous and increasing across 1/4, so cylinders are not all full
-JOIN_MAP = ([0, 0.25, 0.5, 1], [(0, 0.3), (0.3, 1), (0, 1)], [1, 1, -1])
-SINE_SPEC = "kind = custom\nexpr = sin(pi*x)\nbreakpoints = 0, 1/2, 1\ncrit = 1/2:2\n"
 # the first third maps onto the other two, and each of those onto the first
 PERIOD2_MAP = ([0, 1 / 3, 2 / 3, 1], [(1 / 3, 1), (0, 1 / 3), (0, 1 / 3)], [1, 1, 1])
 
@@ -351,6 +349,50 @@ class TestPeriodicPoint:
                 assert got.multiplier.hex() == want.multiplier.hex(), w
                 found += 1
         assume(found)
+
+
+class TestPeriodicOrbits:
+    """``InducingScheme.periodic_orbits`` takes its cylinders from one
+    refinement and gives the floats of the per-word loop."""
+
+    @pytest.mark.parametrize("name", ["tent2", "quad4", "markov_golden",
+                                      "markov_full", "chebyshev3", "join",
+                                      "sine", "period2"])
+    def test_matches_per_word_loop(self, name):
+        m = _map(name)
+        got = scheme_on(m).periodic_orbits
+        assert got
+        assert [(lm.hex(), p) for lm, p in got] \
+            == [(lm.hex(), p) for lm, p in per_word_periodic_orbits(m)]
+
+    @settings(max_examples=40, deadline=None)
+    @given(m=plinear_maps())
+    def test_matches_per_word_loop_random(self, m):
+        def orbits(read):
+            try:
+                return [(lm.hex(), p) for lm, p in read(m)]
+            except NumericError as exc:
+                return type(exc)
+        assert orbits(lambda m: scheme_on(m).periodic_orbits) \
+            == orbits(per_word_periodic_orbits)
+
+
+def scheme_on(m):
+    """A scheme on m with no branches: its periodic orbits are the map's."""
+    return InducingScheme(m, *m.domain, [], 0.5, 1, 0.0, True)
+
+
+def per_word_periodic_orbits(m):
+    """``InducingScheme.periodic_orbits`` as it was when it located each
+    word of length <= 3 with ``periodic_point(m, word)``, every cylinder
+    rebuilt from level one: the oracle."""
+    orbits = []
+    for period in range(1, 4):
+        for w in itertools.product(range(m.n_branches), repeat=period):
+            pp = tm.periodic_point(m, w)
+            if pp is not None and pp.multiplier > 0:
+                orbits.append((math.log(pp.multiplier), period))
+    return orbits
 
 
 def located(finder, m, word):
