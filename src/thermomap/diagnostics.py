@@ -14,10 +14,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import CriticalOrbitError, DomainError
+from .errors import DomainError
 from .inducing import InducingScheme
-from .interval_map import (IntervalMap, derivative_along, derivative_prefixes,
-                           eval_orbit)
+from .interval_map import (IntervalMap, _orbit_derivatives, derivative_prefixes,
+                           eval_orbit, pullback_word)
 from .thermo import _fit_line
 
 #: R^2 that the exponential fit of every critical orbit must reach for CE.
@@ -134,13 +134,10 @@ def critical_neighbourhood(m: IntervalMap, eps: float) -> list[tuple[float, floa
         target_lo, target_hi = cp.image - eps, cp.image + eps
         bi = m.branch_index(cp.c, side="left")
         bj = m.branch_index(cp.c, side="right")
-        left_b, right_b = m.branches[bi], m.branches[bj]
-        l_lo, l_hi = left_b.image
-        r_lo, r_hi = right_b.image
-        a = left_b.inv(min(max(target_lo, l_lo), l_hi)) \
-            if left_b.orientation > 0 else left_b.inv(min(max(target_hi, l_lo), l_hi))
-        b = right_b.inv(min(max(target_lo, r_lo), r_hi)) \
-            if right_b.orientation < 0 else right_b.inv(min(max(target_hi, r_lo), r_hi))
+        a = pullback_word(m, (bi,), target_lo if m.branches[bi].orientation > 0
+                          else target_hi)
+        b = pullback_word(m, (bj,), target_lo if m.branches[bj].orientation < 0
+                          else target_hi)
         comps.append((min(a, b), max(a, b)))
     return comps
 
@@ -159,8 +156,10 @@ def binding_analysis(m: IntervalMap, eps: float, delta_x: float, n_max: int,
     crit_pts = [q.c for q in crits]
     p_u = n_max
     f_prime: dict[int, float] = {}
+    growth = []  # |Df^n(f(c))| for n = 1.. up to the orbit's first critical hit
     for (u_lo, u_hi), cp in zip(comps, crits):
         orb_c = eval_orbit(m, cp.c, n_max)
+        growth.append(_orbit_derivatives(m, orb_c[1:]))
         for k in range(1, BINDING_SAMPLES + 1):
             x = u_lo + (u_hi - u_lo) * k / (BINDING_SAMPLES + 1)
             if abs(x - cp.c) < 1e-12:
@@ -173,13 +172,9 @@ def binding_analysis(m: IntervalMap, eps: float, delta_x: float, n_max: int,
                     p = k2
                     break
             p_u = min(p_u, p)
-            try:
-                dfp = derivative_along(m, x, p)
-            except CriticalOrbitError:
-                continue
-            f_prime[p] = min(f_prime.get(p, math.inf), dfp)
-    # |Df^n(f(c))| for n = 1.. up to the orbit's first critical hit
-    growth = [derivative_prefixes(m, m.apply(cp.c), n_max) for cp in crits]
+            derivs = _orbit_derivatives(m, orb_x[:p])
+            if len(derivs) == p:
+                f_prime[p] = min(f_prime.get(p, math.inf), derivs[-1])
     # gauge-weighted growth sums, worst critical point
     worst: list[float] = []
     for cp, derivs in zip(crits, growth):
@@ -310,12 +305,10 @@ def mane_expansion_estimate(m: IntervalMap, comps: Sequence[tuple[float, float]]
             if _in_any(z, comps):
                 if start is not None and idx - start >= MANE_K_MIN:
                     k = idx - start
-                    try:
-                        best = min(best, math.log(
-                            derivative_along(m, orb[start], k)) / k)
+                    derivs = _orbit_derivatives(m, orb[start:idx])
+                    if len(derivs) == k:
+                        best = min(best, math.log(derivs[-1]) / k)
                         seen = True
-                    except CriticalOrbitError:
-                        pass
                 start = None
             elif start is None:
                 start = idx
@@ -348,18 +341,12 @@ def first_entry_derivative_bound(m: IntervalMap,
     lo, hi = m.domain
     best = math.inf
     for _ in range(ENTRY_SAMPLES):
-        x = float(rng.uniform(lo, hi))
-        z = x
-        r = 0
-        while r < ENTRY_HORIZON and not _in_any(z, comps):
-            z = m.apply(z)
-            r += 1
-        if r == 0:
-            continue
-        try:
-            best = min(best, derivative_along(m, x, r))
-        except CriticalOrbitError:
-            continue
+        orb = [float(rng.uniform(lo, hi))]
+        while len(orb) <= ENTRY_HORIZON and not _in_any(orb[-1], comps):
+            orb.append(m.apply(orb[-1]))
+        derivs = _orbit_derivatives(m, orb[:-1])
+        if derivs and len(derivs) == len(orb) - 1:
+            best = min(best, derivs[-1])
     return best
 
 

@@ -104,9 +104,12 @@ def _depth2_power_iteration(model: ThermoModel, shift: float
     t = model.t
     # scalar ** and math.exp: numpy's vectorised versions differ in the last
     # bit; a product rounds the same in numpy as in Python
-    decay = np.array([math.exp(-br.tau * shift) for br in branches])
-    B = np.array([[df ** -t for df in row]
-                  for row in model.scheme.depth2_derivatives]) * decay
+    try:
+        decay = np.array([math.exp(-br.tau * shift) for br in branches])
+        B = np.array([[df ** -t for df in row]
+                      for row in model.scheme.depth2_derivatives]) * decay
+    except OverflowError as exc:
+        raise NumericError(f"depth-2 weights overflow at shift {shift!r}") from exc
     n = len(branches)
     rho = np.ones(n) / n
     mvec = np.ones(n) / n

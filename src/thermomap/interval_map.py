@@ -13,7 +13,7 @@ import math
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -171,27 +171,27 @@ def eval_orbit(m: IntervalMap, x: float, n: int) -> list[float]:
     return orbit
 
 
-def _chain_rule(m: IntervalMap, x: float, n: int) -> Iterator[float]:
-    """Yield |Df^k(x)| for k = 1, ..., n, one factor at a time.
+def _orbit_derivatives(m: IntervalMap, orbit: list[float]) -> list[float]:
+    """[|Df^k(orbit[0])| for k = 1, ..., len(orbit)]: the products of
+    |f'| over the given orbit points in order, cut before the first point
+    that meets a critical point where the derivative vanishes, or where
+    f' == 0, so that the length of a cut list is the hitting time.
 
-    Raises CriticalOrbitError (with the hitting time) when the orbit
-    meets a critical point where the derivative vanishes.
+    The first point is snapped, as an orbit starting there would be.
     """
     vanish = [c.c for c in m.crit if c.vanishing]
-    z = m.snap(x)
+    out: list[float] = []
     prod = 1.0
-    for k in range(n):
+    for z in [m.snap(z) for z in orbit[:1]] + orbit[1:]:
         for c in vanish:
             if abs(z - c) <= SNAP_TOL:
-                raise CriticalOrbitError(
-                    f"orbit hits critical point {c} at time {k}", hit_time=k)
+                return out
         d = m.deriv(z)
         if d == 0.0:
-            raise CriticalOrbitError(
-                f"derivative vanishes at orbit point {z} (time {k})", hit_time=k)
+            return out
         prod *= abs(d)
-        yield prod
-        z = m.apply(z)
+        out.append(prod)
+    return out
 
 
 def derivative_along(m: IntervalMap, x: float, n: int) -> float:
@@ -200,22 +200,18 @@ def derivative_along(m: IntervalMap, x: float, n: int) -> float:
     Raises CriticalOrbitError (with the hitting time) if the orbit meets
     a critical point where the derivative vanishes before step n.
     """
-    prod = 1.0
-    for prod in _chain_rule(m, x, n):
-        pass
-    return prod
+    prefixes = derivative_prefixes(m, x, n)
+    if len(prefixes) < n:
+        raise CriticalOrbitError(
+            f"orbit meets a vanishing critical point at time {len(prefixes)}",
+            hit_time=len(prefixes))
+    return prefixes[-1] if prefixes else 1.0
 
 
 def derivative_prefixes(m: IntervalMap, x: float, n: int) -> list[float]:
     """[|Df^k(x)| for k = 1, ..., n], cut before the first k at which
-    ``derivative_along(m, x, k)`` would raise; the same floats."""
-    out: list[float] = []
-    try:
-        for prod in _chain_rule(m, x, n):
-            out.append(prod)
-    except CriticalOrbitError:
-        pass
-    return out
+    ``derivative_along(m, x, k)`` would raise."""
+    return _orbit_derivatives(m, eval_orbit(m, x, n - 1)) if n > 0 else []
 
 
 def eval_along_word(m: IntervalMap, word: Sequence[int], x: float) -> float:

@@ -8,13 +8,15 @@ import pytest
 from hypothesis import strategies as st
 
 import thermomap as tm
-from thermomap.errors import DomainError
+from thermomap import diagnostics as dg
+from thermomap.errors import CriticalOrbitError, DomainError
 from thermomap.gibbs import PROJECTION_DEPTH, RATIO_SEED, _tau_mean_bracket
 from thermomap.inducing import (CYLINDER_CAP, ONTO_RTOL, InducingScheme,
                                 SchemeBranch, _fit_neighbourhood,
                                 _pullback_through, _sample_derivative,
                                 _Uncovered)
-from thermomap.interval_map import eval_along_word, pullback_word
+from thermomap.interval_map import (SNAP_TOL, eval_along_word, eval_orbit,
+                                    pullback_word)
 from thermomap.symbolic import DEGEN_TOL, monotone_pieces, refine_levels
 from thermomap.thermo import Bracket
 
@@ -24,6 +26,35 @@ GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
 JOIN_MAP = ([0, 0.25, 0.5, 1], [(0, 0.3), (0.3, 1), (0, 1)], [1, 1, -1])
 SINE_SPEC = "kind = custom\nexpr = sin(pi*x)\nbreakpoints = 0, 1/2, 1\ncrit = 1/2:2\n"
 LOG_GOLDEN = math.log(GOLDEN)
+
+def _inflection_map():
+    """A unimodal custom map, g(4x(1-x)) with g(y) = 4(y - 1/2)^3 + 1/2:
+    a quadratic turning point at 1/2 and a cubic inflection point, where
+    f' vanishes, inside each branch."""
+    r = math.sqrt(0.5)
+    crit = (tm.CriticalPoint(0.5, 2.0, 1.0),
+            tm.CriticalPoint(0.5 * (1.0 - r), 3.0, 0.5, kind="inflection"),
+            tm.CriticalPoint(0.5 * (1.0 + r), 3.0, 0.5, kind="inflection"))
+    return tm.make_custom("4*(4*x*(1 - x) - 1/2)**3 + 1/2", [0.0, 0.5, 1.0], crit)
+
+
+#: Maps on which the orbit-walking estimates are checked against their
+#: oracles: smooth and piecewise-linear, with and without vanishing
+#: critical points, a critical orbit that returns to c (a = 1 + sqrt 5
+#: is superstable of period 2), and vanishing points off the breakpoints.
+ORBIT_MAPS = {
+    "sine": lambda: tm.parse_map_spec(SINE_SPEC),
+    "quad4": lambda: tm.fixture("quad4"),
+    "quad3.8": lambda: tm.make_quadratic(3.8),
+    "quad3.83": lambda: tm.make_quadratic(3.83),
+    "quad_superstable": lambda: tm.make_quadratic(1.0 + math.sqrt(5.0)),
+    "chebyshev3": lambda: tm.make_chebyshev(3),
+    "tent2": lambda: tm.fixture("tent2"),
+    "markov_golden": lambda: tm.fixture("markov_golden"),
+    "markov_full": lambda: tm.fixture("markov_full"),
+    "inflection": _inflection_map,
+}
+
 
 # acip of the golden-mean fixture: piecewise-constant density
 ACIP_CA = 9.0 / 8.0
@@ -270,6 +301,172 @@ def scalar_project_measure(scheme, solution, targets):
 
     spans = [(a.lo, a.hi) if hasattr(a, "lo") else a for a in targets]
     return [value(lo, hi) for lo, hi in spans]
+
+
+def stepwise_chain_rule(m, x: float, n: int):
+    """The chain rule as it was when it walked the orbit itself, one
+    step per factor: yield |Df^k(x)| for k = 1, ..., n.
+
+    Raises CriticalOrbitError (with the hitting time) when the orbit
+    meets a critical point where the derivative vanishes.
+    """
+    vanish = [c.c for c in m.crit if c.vanishing]
+    z = m.snap(x)
+    prod = 1.0
+    for k in range(n):
+        for c in vanish:
+            if abs(z - c) <= SNAP_TOL:
+                raise CriticalOrbitError(
+                    f"orbit hits critical point {c} at time {k}", hit_time=k)
+        d = m.deriv(z)
+        if d == 0.0:
+            raise CriticalOrbitError(
+                f"derivative vanishes at orbit point {z} (time {k})", hit_time=k)
+        prod *= abs(d)
+        yield prod
+        z = m.apply(z)
+
+
+def stepwise_derivative_along(m, x: float, n: int) -> float:
+    """``derivative_along`` over ``stepwise_chain_rule``: an oracle for
+    the library's product over ``eval_orbit``."""
+    prod = 1.0
+    for prod in stepwise_chain_rule(m, x, n):
+        pass
+    return prod
+
+
+def stepwise_derivative_prefixes(m, x: float, n: int) -> list[float]:
+    """``derivative_prefixes`` over ``stepwise_chain_rule``."""
+    out = []
+    try:
+        for prod in stepwise_chain_rule(m, x, n):
+            out.append(prod)
+    except CriticalOrbitError:
+        pass
+    return out
+
+
+def inline_critical_neighbourhood(m, eps: float):
+    """``critical_neighbourhood`` with each end's inverse step written out
+    by hand: an oracle for the library's ``pullback_word`` steps.
+
+    U = f^{-1}(B_eps(f(Crit))): one component around each turning point.
+    """
+    comps = []
+    for cp in m.turning_points():
+        if not cp.vanishing:
+            continue
+        target_lo, target_hi = cp.image - eps, cp.image + eps
+        bi = m.branch_index(cp.c, side="left")
+        bj = m.branch_index(cp.c, side="right")
+        left_b, right_b = m.branches[bi], m.branches[bj]
+        l_lo, l_hi = left_b.image
+        r_lo, r_hi = right_b.image
+        a = left_b.inv(min(max(target_lo, l_lo), l_hi)) \
+            if left_b.orientation > 0 else left_b.inv(min(max(target_hi, l_lo), l_hi))
+        b = right_b.inv(min(max(target_lo, r_lo), r_hi)) \
+            if right_b.orientation < 0 else right_b.inv(min(max(target_hi, r_lo), r_hi))
+        comps.append((min(a, b), max(a, b)))
+    return comps
+
+
+def rewalking_binding_analysis(m, eps: float, delta_x: float, n_max: int,
+                               t0: float = 0.9):
+    """``binding_analysis`` as it was when |Df^p(x)| and the critical
+    growth walked their orbits a second time: an oracle for the library
+    estimate, which reads them off the orbits it already holds.
+    """
+    gammas = dg.gamma_sequence(delta_x, n_max)
+    comps = inline_critical_neighbourhood(m, eps)
+    crits = [cp for cp in m.turning_points() if cp.vanishing]
+    crit_pts = [q.c for q in crits]
+    p_u = n_max
+    f_prime = {}
+    for (u_lo, u_hi), cp in zip(comps, crits):
+        orb_c = eval_orbit(m, cp.c, n_max)
+        for k in range(1, dg.BINDING_SAMPLES + 1):
+            x = u_lo + (u_hi - u_lo) * k / (dg.BINDING_SAMPLES + 1)
+            if abs(x - cp.c) < 1e-12:
+                continue
+            orb_x = eval_orbit(m, x, n_max)
+            p = n_max
+            for k2 in range(1, n_max + 1):
+                dist_c = min(abs(orb_c[k2] - cc) for cc in crit_pts)
+                if abs(orb_x[k2] - orb_c[k2]) >= gammas[k2 - 1] * dist_c:
+                    p = k2
+                    break
+            p_u = min(p_u, p)
+            try:
+                dfp = stepwise_derivative_along(m, x, p)
+            except CriticalOrbitError:
+                continue
+            f_prime[p] = min(f_prime.get(p, math.inf), dfp)
+    growth = [stepwise_derivative_prefixes(m, m.apply(cp.c), n_max)
+              for cp in crits]
+    worst = []
+    for cp, derivs in zip(crits, growth):
+        terms = [(gammas[n - 1] ** (cp.order - 1.0) * dn) ** (-t0 / cp.order)
+                 for n, dn in enumerate(derivs, start=1)]
+        cum = np.cumsum(terms)
+        if len(cum) and (not worst or cum[-1] > worst[-1]):
+            worst = list(cum)
+    partials = worst or [math.nan]
+    comp_partials = dg._composition_sums(crits, growth, gammas, p_u, n_max)
+    tail_ok = (len(partials) >= 4 and
+               partials[-1] - partials[-2] < 1e-8 and not math.isnan(partials[-1]))
+    verdict = "converged-trend" if tail_ok else "inconclusive"
+    return dg.BindingRecord(tuple(gammas), p_u, f_prime, tuple(partials),
+                            tuple(comp_partials), verdict)
+
+
+def rewalking_mane_expansion_estimate(m, comps, seed: int = 0) -> float:
+    """``mane_expansion_estimate`` as it was when each avoidance window
+    walked its stretch of orbit a second time for |Df^k|."""
+    rng = np.random.default_rng(seed)
+    lo, hi = m.domain
+    best = math.inf
+    seen = False
+    for _ in range(dg.MANE_ORBITS):
+        x = float(rng.uniform(lo, hi))
+        orb = eval_orbit(m, x, dg.MANE_ORBIT_LEN)
+        start = None
+        for idx, z in enumerate(orb):
+            if dg._in_any(z, comps):
+                if start is not None and idx - start >= dg.MANE_K_MIN:
+                    k = idx - start
+                    try:
+                        best = min(best, math.log(
+                            stepwise_derivative_along(m, orb[start], k)) / k)
+                        seen = True
+                    except CriticalOrbitError:
+                        pass
+                start = None
+            elif start is None:
+                start = idx
+    return best if seen else math.nan
+
+
+def rewalking_first_entry_derivative_bound(m, comps, seed: int = 0) -> float:
+    """``first_entry_derivative_bound`` as it was when |Df^r| walked the
+    orbit to U a second time."""
+    rng = np.random.default_rng(seed)
+    lo, hi = m.domain
+    best = math.inf
+    for _ in range(dg.ENTRY_SAMPLES):
+        x = float(rng.uniform(lo, hi))
+        z = x
+        r = 0
+        while r < dg.ENTRY_HORIZON and not dg._in_any(z, comps):
+            z = m.apply(z)
+            r += 1
+        if r == 0:
+            continue
+        try:
+            best = min(best, stepwise_derivative_along(m, x, r))
+        except CriticalOrbitError:
+            continue
+    return best
 
 
 @pytest.fixture(scope="session")

@@ -36,3 +36,17 @@ def test_tiny_workload_is_correct(workload):
     digest = re.search(r"^# sha256 all = ([0-9a-f]{64})$", proc.stdout, re.M)
     assert digest is not None, proc.stdout
     assert digest.group(1) == TINY_DIGESTS[workload]
+
+
+def test_traced_run_writes_the_untraced_digests():
+    # the tracer wraps every public function of the library; the traced
+    # repetition must write what the untraced one writes
+    proc = subprocess.run(
+        [sys.executable, os.path.join("bench", "run.py"), "--workload", "sine_gibbs",
+         "--size", "tiny", "--seed", "1", "--seconds", "0", "--trace", "1"],
+        cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    for kind in ("all", "traced"):
+        digest = re.search(rf"^# sha256 {kind} = ([0-9a-f]{{64}})$", proc.stdout, re.M)
+        assert digest is not None, proc.stdout
+        assert digest.group(1) == TINY_DIGESTS["sine_gibbs"], kind

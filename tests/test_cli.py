@@ -278,6 +278,15 @@ class TestRunCli:
         assert run(["pressure", "--map", "tent2", "--t", t]) == 3
         assert "lower pressure bound never went positive" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("t,code", [("120", 3), ("60", 0), ("-60", 0)])
+    def test_overflowing_depth2_weights_exit_three(self, capsys, t, code):
+        assert run(["pressure", "--map", "quad4", "--scheme", "extendible",
+                    "--x-point", "0.3", "--x-depth", "2", "--cap", "14",
+                    f"--t={t}"]) == code
+        if code == 3:
+            assert "numeric error: depth-2 weights overflow at shift" in \
+                capsys.readouterr().err
+
     @pytest.mark.parametrize("t_min", ["0", "-1e308"])
     def test_t_grid_overflow_exits_two(self, capsys, t_min):
         # the grid step (t_max - t_min) * k / (steps - 1) would reach inf

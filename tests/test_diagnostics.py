@@ -4,6 +4,10 @@ import numpy as np
 import pytest
 
 import thermomap as tm
+from conftest import (ORBIT_MAPS, hexes, inline_critical_neighbourhood,
+                      rewalking_binding_analysis,
+                      rewalking_first_entry_derivative_bound,
+                      rewalking_mane_expansion_estimate)
 from thermomap import diagnostics as dg
 
 
@@ -134,3 +138,36 @@ class TestNeighbourhoodChecks:
         assert rows[0] == (1, pytest.approx(4.0))
         b = dg.binding_analysis(quad_map, 0.25, 0.1, 25)
         assert len(dg.binding_csv_rows(b)) == 25
+
+
+class TestOrbitReuse:
+    """The estimates read |Df^k| off the orbits they walk, with the floats
+    of the estimates that walked each orbit a second time."""
+
+    # without a vanishing critical point U is empty whatever eps is
+    @pytest.mark.parametrize("name,eps", [
+        (name, eps) for name in sorted(ORBIT_MAPS) for eps in (0.25, 0.05)
+        if eps == 0.25 or any(cp.vanishing for cp in ORBIT_MAPS[name]().crit)])
+    def test_same_floats_as_rewalking_estimates(self, name, eps):
+        m = ORBIT_MAPS[name]()
+        comps = dg.critical_neighbourhood(m, eps)
+        want = inline_critical_neighbourhood(m, eps)
+        assert [hexes(c) for c in comps] == [hexes(c) for c in want]
+        got = dg.binding_analysis(m, eps, 0.1, 40)
+        ref = rewalking_binding_analysis(m, eps, 0.1, 40)
+        assert got.p_u == ref.p_u and got.verdict == ref.verdict
+        assert {p: v.hex() for p, v in got.f_prime_p.items()} == \
+            {p: v.hex() for p, v in ref.f_prime_p.items()}
+        for field in ("gammas", "summable_partial", "composition_partial"):
+            assert hexes(getattr(got, field)) == hexes(getattr(ref, field)), field
+        for seed in range(3):
+            assert repr(dg.mane_expansion_estimate(m, comps, seed)) == repr(
+                rewalking_mane_expansion_estimate(m, comps, seed)), seed
+            assert repr(dg.first_entry_derivative_bound(m, comps, seed)) == repr(
+                rewalking_first_entry_derivative_bound(m, comps, seed)), seed
+
+    def test_superstable_growth_is_cut_at_the_return_to_c(self):
+        # f(c) = a/4 and f^2(c) = c: the critical growth has one term
+        m = ORBIT_MAPS["quad_superstable"]()
+        rec = dg.binding_analysis(m, 0.05, 0.1, 40)
+        assert len(rec.summable_partial) == 1

@@ -58,6 +58,17 @@ class TestSolveGibbs:
                 rhs = math.exp(-psi_i + math.log(sol.lam)) * m_ij
                 assert lhs == pytest.approx(rhs, abs=1e-9)
 
+    @pytest.mark.parametrize("t", [120.0, 60.0, -60.0])
+    def test_overflowing_depth2_weights_raise_numeric_error(self, quad_scheme, t):
+        # at t = 120 the bisection probes a shift near -61, where the
+        # decay exp(-tau S) of the longest branches exceeds the float range
+        if t > 100:
+            with pytest.raises(NumericError, match="overflow at shift -"):
+                tm.equilibrium_shift_solve(quad_scheme, t)
+        else:
+            res = tm.equilibrium_shift_solve(quad_scheme, t)
+            assert math.isfinite(res.solution.lam)
+
 
 class TestGibbsRatio:
     def test_golden_exact(self, golden_scheme):

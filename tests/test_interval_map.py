@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,9 +6,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import thermomap as tm
-from conftest import hexes, plinear_maps
+from conftest import (ORBIT_MAPS, hexes, plinear_maps,
+                      stepwise_derivative_along, stepwise_derivative_prefixes)
 from thermomap.errors import CriticalOrbitError, DomainError, SchemaError
-from thermomap.interval_map import (WordPullbacks, derivative_along_word,
+from thermomap.interval_map import (WordPullbacks, _orbit_derivatives,
+                                    derivative_along_word,
                                     derivative_along_word_array,
                                     derivative_prefixes, pullback_word,
                                     pullback_word_array)
@@ -77,6 +80,47 @@ class TestDerivativeAlong:
         assert full == pytest.approx(
             tm.derivative_along(mp, x, m) * tm.derivative_along(mp, mid, n),
             rel=1e-10)
+
+    def test_first_point_is_snapped_before_the_critical_test(self, tent_map):
+        # a vanishing critical point declared 8e-15 right of the breakpoint
+        # 1/2: x snaps onto 1/2, which is within SNAP_TOL of c, though x
+        # itself is not
+        m = dataclasses.replace(tent_map, crit=(
+            tm.CriticalPoint(0.5 + 8e-15, 2.0, 1.0, vanishing=True),))
+        x = 0.5 - 8e-15
+        assert stepwise_derivative_prefixes(m, x, 2) == []
+        assert _orbit_derivatives(m, [x, m.apply(x)]) == []
+        assert _orbit_derivatives(m, [0.25, x]) == [2.0, 4.0]
+
+    @pytest.mark.parametrize("name", sorted(ORBIT_MAPS))
+    def test_same_floats_and_hit_times_as_a_stepwise_walk(self, name):
+        m = ORBIT_MAPS[name]()
+        lo, hi = m.domain
+        # critical points and their preimages (orbits that hit at time 0
+        # and 1), points within SNAP_TOL of a breakpoint, and random points
+        crit = [cp.c for cp in m.crit]
+        starts = crit + [pullback_word(m, (i,), c)
+                         for c in crit for i in range(m.n_branches)]
+        starts += list(m.breakpoints) + [lo - 5e-15, hi + 5e-15]
+        starts += [p + d for p in m.breakpoints[1:-1] for d in (-5e-15, 5e-15)]
+        for seed in range(3):
+            starts += np.random.default_rng(seed).uniform(lo, hi, 6).tolist()
+
+        def outcome(along, x, n):
+            try:
+                return along(m, x, n).hex()
+            except CriticalOrbitError as exc:
+                return ("hit", exc.hit_time)
+
+        hits = 0
+        for x in starts:
+            for n in (0, 1, 2, 5, 17, 40):
+                want = outcome(stepwise_derivative_along, x, n)
+                assert outcome(tm.derivative_along, x, n) == want, (x, n)
+                hits += isinstance(want, tuple)
+            assert hexes(derivative_prefixes(m, x, 40)) == hexes(
+                stepwise_derivative_prefixes(m, x, 40)), x
+        assert hits > 0 or not any(cp.vanishing for cp in m.crit)
 
 
 def assert_kernels_match(m, word, points):
