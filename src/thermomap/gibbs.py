@@ -19,6 +19,7 @@ import bisect
 import itertools
 import json
 import math
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -33,7 +34,8 @@ from .errors import (
 from .inducing import InducingScheme
 from .interval_map import pullback_word
 from .symbolic import DEGEN_TOL
-from .thermo import Bracket, ThermoModel, gurevich_pressure, induced_potential
+from .thermo import (Bracket, ThermoModel, _log_weights_of, gurevich_pressure,
+                     induced_potential)
 
 
 #: Largest branch family refined by the depth-2 power iteration.
@@ -42,6 +44,8 @@ REFINE_CAP = 256
 RESIDUAL_TOL = 1e-10
 #: Levels of the product rule that projection resolves inside the base.
 PROJECTION_DEPTH = 60
+#: Largest x with exp(x) in the float range.
+LOG_FLOAT_MAX = math.log(sys.float_info.max)
 #: Seed of the word sample that the Gibbs-ratio check draws past its word cap.
 RATIO_SEED = 0
 
@@ -50,9 +54,8 @@ RATIO_SEED = 0
 class GibbsSolution:
     model: ThermoModel
     shift: float
-    lam: float
-    lam_lo: float
-    lam_hi: float
+    log_lam: float
+    log_lam_bracket: Bracket
     masses: np.ndarray
     mass_lo: np.ndarray
     mass_hi: np.ndarray
@@ -60,25 +63,21 @@ class GibbsSolution:
     rho: np.ndarray
     residual: float
 
-    @property
-    def log_lam_bracket(self) -> Bracket:
-        hi = math.log(self.lam_hi) if math.isfinite(self.lam_hi) else math.inf
-        return Bracket(math.log(self.lam_lo), hi)
-
 
 def solve_gibbs(model: ThermoModel, shift: float) -> GibbsSolution:
     """Leading eigendata of the induced transfer operator at the shift S.
 
-    The beyond-cap tail weight goes into the eigenvalue bracket.
+    The beyond-cap tail weight goes into the eigenvalue bracket.  lam is
+    carried as log lam, and each mass as exp(log w - log lam).
     """
-    w_lo, w_hi, w_pt = model.weights(shift)
-    tail = model.tail_weight(shift)
-    if not math.isfinite(tail):
+    log_lo, log_hi = model.weight_sum(shift)
+    if log_hi == math.inf:
         raise InfinitePressureError("weight sum diverges at this shift")
-    lam_lo, lam_hi = float(w_lo.sum()), float(w_hi.sum()) + tail
+    w_lo, w_hi, w_pt = model.log_weights(shift)
+    top = float(w_pt.max())
+    log_lam = top + math.log(float(np.exp(w_pt - top).sum()))
+    masses = np.exp(w_pt - log_lam)
     n = model.n
-    lam = float(w_pt.sum())
-    masses = w_pt / lam
     rho = np.ones(n)
     conformal = masses.copy()
     residual = 0.0
@@ -86,37 +85,33 @@ def solve_gibbs(model: ThermoModel, shift: float) -> GibbsSolution:
     nontrivial = model.scheme is not None and \
         model.scheme.measured_distortion() > 1.0 + 1e-12
     if nontrivial and n <= REFINE_CAP:
-        lam, rho, conformal, residual = _depth2_power_iteration(model, shift)
+        log_lam, rho, conformal, residual = _depth2_power_iteration(model, shift)
         masses = rho * conformal
         masses = masses / masses.sum()
-    mass_lo = np.minimum(w_lo / max(lam_hi, lam), 1.0) \
-        if math.isfinite(lam_hi) else np.zeros(n)
-    mass_hi = np.minimum(w_hi / lam_lo, 1.0)
-    return GibbsSolution(model, shift, lam, lam_lo, lam_hi, masses, mass_lo,
-                         mass_hi, conformal, rho, residual)
+    mass_lo = np.exp(np.minimum(w_lo - max(log_hi, log_lam), 0.0))
+    mass_hi = np.exp(np.minimum(w_hi - log_lo, 0.0))
+    return GibbsSolution(model, shift, log_lam, Bracket(log_lo, log_hi), masses,
+                         mass_lo, mass_hi, conformal, rho, residual)
 
 
 def _depth2_power_iteration(model: ThermoModel, shift: float
                             ) -> tuple[float, np.ndarray, np.ndarray, float]:
     """Power-iterate the operator on branch-constant functions using
-    weights evaluated at depth-2 cylinder midpoints."""
-    branches = model.scheme.branches
-    t = model.t
-    # scalar ** and math.exp: numpy's vectorised versions differ in the last
-    # bit; a product rounds the same in numpy as in Python
-    try:
-        decay = np.array([math.exp(-br.tau * shift) for br in branches])
-        B = np.array([[df ** -t for df in row]
-                      for row in model.scheme.depth2_derivatives]) * decay
-    except OverflowError as exc:
-        raise NumericError(f"depth-2 weights overflow at shift {shift!r}") from exc
-    n = len(branches)
+    weights evaluated at depth-2 cylinder midpoints: the matrix is
+    exp(L - max L) for their logs L, and max L goes back into log lam."""
+    logs = (_log_weights_of(model.t, np.log(model.scheme.depth2_derivatives))
+            - shift * model.taus)
+    top = float(logs.max())
+    B = np.exp(logs - top)
+    n = model.n
     rho = np.ones(n) / n
     mvec = np.ones(n) / n
     lam = 1.0
     for _ in range(100_000):
         rho_new = B @ rho
         lam = float(rho_new.sum())
+        if not lam > 0.0:
+            raise NumericError("depth-2 weights vanish against their largest")
         rho_new /= lam
         m_new = B.T @ mvec
         m_new /= m_new.sum()
@@ -128,7 +123,7 @@ def _depth2_power_iteration(model: ThermoModel, shift: float
     else:
         raise NumericError("depth-2 power iteration did not converge")
     residual = float(np.max(np.abs(B @ rho - lam * rho))) / lam
-    return lam, rho / rho.mean(), mvec, residual
+    return math.log(lam) + top, rho / rho.mean(), mvec, residual
 
 
 # ---------------------------------------------------------------------------
@@ -154,7 +149,7 @@ def gibbs_ratio_check(solution: GibbsSolution, depth: int,
         return 1.0
     m, branches = scheme.map, scheme.branches
     t, shift = model.t, solution.shift
-    log_lam = math.log(solution.lam)
+    log_lam = solution.log_lam
     # per word suffix: its cylinder, found innermost first (pullbacks
     # contract error, while forward iterates of one point would leave deep
     # cylinders), and its term -t log|DF| - S tau at the cylinder midpoint
@@ -208,12 +203,13 @@ def _tau_mean_bracket(solution: GibbsSolution) -> Bracket:
     lo = float(np.sum(model.taus * solution.mass_lo))
     hi = float(np.sum(model.taus * solution.mass_hi))
     if model.tail is not None:
-        extra = model.tail.tau_weight_tail(model.t, solution.shift,
-                                           math.log(model.k_dist))
-        if not math.isfinite(extra):
+        log_extra = model.tail.tau_weight_tail(model.t, solution.shift,
+                                               math.log(model.k_dist)) \
+            - solution.log_lam_bracket.lo
+        if not log_extra < LOG_FLOAT_MAX:
             raise NonCompatibleError(
                 "inducing time not integrable within the truncation bound")
-        hi += extra / solution.lam_lo
+        hi += math.exp(log_extra)
     return Bracket(lo, hi)
 
 
@@ -278,12 +274,23 @@ def project_measure(scheme: InducingScheme, solution: GibbsSolution,
             acc_hi += mass * inner_hi
         return acc_lo, min(acc_hi, 1.0)
 
+    # a target end shared by neighbouring targets is pulled back once per
+    # (segment, k); keyed by float.hex, which tells -0.0 from 0.0
+    pulled: dict[tuple[int, int, str], float] = {}
+
+    def pull(seg: int, k: int, word, y: float) -> float:
+        key = (seg, k, y.hex())
+        x = pulled.get(key)
+        if x is None:
+            x = pulled[key] = pullback_word(m, word[:k], y)
+        return x
+
     def value(a_lo: float, a_hi: float) -> Bracket:
         if a_hi <= a_lo:
             return Bracket(0.0, 0.0)
         num_lo = 0.0
         num_hi = 0.0
-        for lo, hi, word, ends in scheme.segment_orbits:
+        for seg, (lo, hi, word, ends) in enumerate(scheme.segment_orbits):
             for k, (u, v) in enumerate(ends):
                 j_lo, j_hi = min(u, v), max(u, v)
                 p, q = max(j_lo, a_lo), min(j_hi, a_hi)
@@ -293,11 +300,11 @@ def project_measure(scheme: InducingScheme, solution: GibbsSolution,
                 if p == j_lo:
                     xa = lo if increasing else hi
                 else:
-                    xa = pullback_word(m, word[:k], p)
+                    xa = pull(seg, k, word, p)
                 if q == j_hi:
                     xb = hi if increasing else lo
                 else:
-                    xb = pullback_word(m, word[:k], q)
+                    xb = pull(seg, k, word, q)
                 part_lo, part_hi = base_mass(min(xa, xb), max(xa, xb),
                                              PROJECTION_DEPTH)
                 num_lo += part_lo
@@ -350,7 +357,7 @@ def abramov_quantities(scheme: InducingScheme,
     lyap_f_b = _mass_weighted_bracket(solution.mass_lo, solution.mass_hi,
                                       model.log_df_lo, model.log_df_hi)
     log_lam = solution.log_lam_bracket
-    h_f_pt = math.log(solution.lam) + model.t * lyap_f_pt + shift * tau_pt
+    h_f_pt = solution.log_lam + model.t * lyap_f_pt + shift * tau_pt
     h_f_lo = log_lam.lo + min(model.t * lyap_f_b.lo, model.t * lyap_f_b.hi) \
         + min(shift * tau_b.lo, shift * tau_b.hi)
     h_f_hi = log_lam.hi + max(model.t * lyap_f_b.lo, model.t * lyap_f_b.hi) \
@@ -457,8 +464,9 @@ def equilibrium_shift_solve(scheme: InducingScheme, t: float,
 
 def solution_to_json(solution: GibbsSolution) -> str:
     data = {
-        "lambda": solution.lam,
-        "lambda_bracket": [solution.lam_lo, solution.lam_hi],
+        "log_lambda": solution.log_lam,
+        "log_lambda_bracket": [solution.log_lam_bracket.lo,
+                               solution.log_lam_bracket.hi],
         "t": solution.model.t,
         "shift": solution.shift,
         "truncation": solution.model.n,

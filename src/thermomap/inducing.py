@@ -193,17 +193,13 @@ class InducingScheme:
     # solve on this scheme; a scheme must not be changed after it is built.
 
     @cached_property
-    def depth2_derivatives(self) -> list[list[float]]:
-        """Entry [j][i] is |DF_i| at the F_i-preimage of branch j's midpoint.
-
-        Python floats, so that the weights take the scalar ``**``, which
-        rounds differently from np.power.
-        """
+    def depth2_derivatives(self) -> np.ndarray:
+        """Entry [j, i] is |DF_i| at the F_i-preimage of branch j's midpoint."""
         m, n = self.map, len(self.branches)
         pulled = WordPullbacks(m, [b.midpoint for b in self.branches])
         columns = [bi.dF_array(m, bi.pullback_array(pulled))
                    for bi in self.branches]
-        return np.array(columns).reshape(n, n).T.tolist()
+        return np.array(columns).reshape(n, n).T
 
     @cached_property
     def depth2_cylinders(self) -> list[list[tuple[float, float, float]]]:

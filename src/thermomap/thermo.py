@@ -9,6 +9,7 @@ reported as an interval, never a bare point estimate.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -18,11 +19,14 @@ from .errors import DegenerateBranchError, DomainError
 from .inducing import InducingScheme
 from .symbolic import laps_entropy
 
+#: Log weights are held inside [-LOG_W_MAX, LOG_W_MAX], where the
+#: difference of two of them, shifted, is still a float.
+LOG_W_MAX = sys.float_info.max / 4.0
 #: Depth of the lap counts behind the tail bound's growth rate.
 LAP_DEPTH = 10
 #: Added to the lap-count entropy estimate h_top <= (1/n) log laps(f^n).
 H_MARGIN = 0.05
-#: Fewest inducing times with positive weight that p* is fitted on.
+#: Fewest inducing times that p* is fitted on.
 MIN_TAIL_POINTS = 6
 #: Fewest positive masses a tail class is fitted on, and the R^2 either
 #: fit must reach.
@@ -83,31 +87,30 @@ class TailInfo:
         return coeff, rate
 
     def weight_tail(self, t: float, s: float, log_k: float) -> float:
-        """Upper bound on the omitted weight sum; inf when divergent."""
+        """Log of an upper bound on the omitted weight sum; inf when divergent."""
         coeff, rate = self._log_term(t, s, log_k)
-        if rate >= 0.0:
+        if not (rate < 0.0 and coeff < math.inf):
             return math.inf
-        r = math.exp(rate)
-        return math.exp(coeff) * r ** (self.T + 1) / (1.0 - r)
+        return coeff + (self.T + 1) * rate - math.log(-math.expm1(rate))
 
     def tau_weight_tail(self, t: float, s: float, log_k: float) -> float:
-        """Upper bound on the omitted sum of tau * weight."""
+        """Log of an upper bound on the omitted sum of tau * weight."""
         coeff, rate = self._log_term(t, s, log_k)
-        if rate >= 0.0:
+        if not (rate < 0.0 and coeff < math.inf):
             return math.inf
-        r = math.exp(rate)
-        head = math.exp(coeff) * r ** (self.T + 1)
-        return head * ((self.T + 1) * (1.0 - r) + r) / (1.0 - r) ** 2
+        q = -math.expm1(rate)
+        return (coeff + (self.T + 1) * rate + math.log1p(self.T * q)
+                - 2.0 * math.log(q))
 
 
 @dataclass(frozen=True)
 class ThermoModel:
-    """Per-branch brackets of |DF|^-t; the shift S enters through ``weights``."""
+    """Per-branch brackets of the log weights -t log|DF| at S = 0; the
+    shift S enters through ``log_weights`` and ``weight_sum``."""
 
     taus: np.ndarray
-    w_lo: np.ndarray
-    w_hi: np.ndarray
-    w_pt: np.ndarray
+    log_w: np.ndarray       # rows: lower and upper log weight
+    log_w_pt: np.ndarray
     log_df_lo: np.ndarray
     log_df_hi: np.ndarray
     log_df_pt: np.ndarray
@@ -120,31 +123,31 @@ class ThermoModel:
     def n(self) -> int:
         return len(self.taus)
 
-    def weights(self, shift: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(w_lo, w_hi, w_pt) times exp(-tau*S) at the shift S.
-
-        A weight that underflowed to 0 (or overflowed) times a factor that
-        overflowed (or underflowed) is unknown: 0 in w_lo and w_pt, +inf in w_hi.
-        """
-        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-            factor = np.exp(-self.taus * shift)
-            w_lo, w_hi, w_pt = (self.w_lo * factor, self.w_hi * factor,
-                                self.w_pt * factor)
-        w_lo[np.isnan(w_lo)] = 0.0
-        w_hi[np.isnan(w_hi)] = math.inf
-        w_pt[np.isnan(w_pt)] = 0.0
-        return w_lo, w_hi, w_pt
-
-    def tail_weight(self, shift: float) -> float:
-        if self.tail is None:
-            return 0.0
-        return self.tail.weight_tail(self.t, shift, math.log(self.k_dist))
+    def log_weights(self, shift: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(lower, upper, point) log weights -t log|DF| - tau*S at the shift S."""
+        decay = shift * self.taus
+        lo, hi = self.log_w - decay
+        return lo, hi, self.log_w_pt - decay
 
     def weight_sum(self, shift: float) -> tuple[float, float]:
-        """(lower, upper) bracket on the full weight sum at the shift S,
-        tail included."""
-        w_lo, w_hi, _ = self.weights(shift)
-        return float(w_lo.sum()), float(w_hi.sum()) + self.tail_weight(shift)
+        """(lower, upper) bracket on the log of the full weight sum at the
+        shift S; the upper edge adds the tail bound by a scalar log-add,
+        and is +inf when the tail diverges."""
+        logs = self.log_w - shift * self.taus
+        top = logs.max(axis=1)
+        lo, hi = (top + np.log(np.exp(logs - top[:, None]).sum(axis=1))).tolist()
+        if self.tail is not None:
+            tail = self.tail.weight_tail(self.t, shift, math.log(self.k_dist))
+            top_hi = max(hi, tail)
+            hi = top_hi + math.log1p(math.exp(min(hi, tail) - top_hi))
+        return lo, hi
+
+
+def _log_weights_of(t: float, log_df: np.ndarray) -> np.ndarray:
+    """-t log|DF|, held inside [-LOG_W_MAX, LOG_W_MAX], so that no log-sum
+    meets inf - inf; only |t| log|DF| beyond 4.4e307 reaches the edge."""
+    with np.errstate(over="ignore"):
+        return np.clip(-t * log_df, -LOG_W_MAX, LOG_W_MAX)
 
 
 def tail_info_for(scheme: InducingScheme) -> TailInfo | None:
@@ -178,7 +181,7 @@ def tail_info_for(scheme: InducingScheme) -> TailInfo | None:
 
 
 def induced_potential(scheme: InducingScheme, t: float) -> ThermoModel:
-    """Weight brackets |DF|^-t on each branch, at S = 0."""
+    """Log weight brackets -t log|DF| on each branch, at S = 0."""
     if not scheme.branches:
         raise DomainError("scheme has no branches")
     taus = np.array([b.tau for b in scheme.branches], dtype=float)
@@ -187,30 +190,27 @@ def induced_potential(scheme: InducingScheme, t: float) -> ThermoModel:
     df_pt = np.array([b.df_mid for b in scheme.branches])
     if np.any(df_lo <= 0.0):
         raise DegenerateBranchError("a branch has a vanishing derivative bracket")
-    with np.errstate(over="ignore", under="ignore"):
-        if t >= 0:
-            w_lo, w_hi = df_hi ** (-t), df_lo ** (-t)
-        else:
-            w_lo, w_hi = df_lo ** (-t), df_hi ** (-t)
-        w_pt = df_pt ** (-t)
+    log_df_lo, log_df_hi, log_df_pt = np.log(df_lo), np.log(df_hi), np.log(df_pt)
+    ends = _log_weights_of(t, np.stack([log_df_lo, log_df_hi]))
+    log_w = np.stack([ends.min(axis=0), ends.max(axis=0)])
     kb = scheme.koebe_bound()
     k_dist = kb if math.isfinite(kb) else max(scheme.measured_distortion(), 1.0)
-    return ThermoModel(taus, w_lo, w_hi, w_pt,
-                       np.log(df_lo), np.log(df_hi), np.log(df_pt),
+    return ThermoModel(taus, log_w, _log_weights_of(t, log_df_pt),
+                       log_df_lo, log_df_hi, log_df_pt,
                        t, k_dist, tail=tail_info_for(scheme), scheme=scheme)
 
 
-def synthetic_model(weights: Sequence[float], taus: Sequence[int] | None = None,
-                    t: float = 1.0) -> ThermoModel:
-    """Exact-weight full-shift model; used for countable-family studies."""
+def synthetic_model(weights: Sequence[float],
+                    taus: Sequence[int] | None = None) -> ThermoModel:
+    """Exact-weight full-shift model at t = 1; used for countable-family studies."""
     w = np.asarray(weights, dtype=float)
     if np.any(w <= 0):
         raise DegenerateBranchError("synthetic weights must be positive")
     tau = (np.arange(1, len(w) + 1, dtype=float) if taus is None
            else np.asarray(taus, dtype=float))
     logw = np.log(w)
-    return ThermoModel(tau, w.copy(), w.copy(), w.copy(),
-                       -logw, -logw, -logw, t,
+    return ThermoModel(tau, np.stack([logw, logw]), logw.copy(),
+                       -logw, -logw, -logw, 1.0,
                        k_dist=1.0, tail=None, scheme=None)
 
 
@@ -226,13 +226,7 @@ def gurevich_pressure(model: ThermoModel, shift: float) -> Bracket:
     lower and upper weight sums, the upper one including the truncation
     tail; +inf signals a divergent weight sum.
     """
-    w_lo, w_hi = model.weight_sum(shift)
-    lower = math.log(w_lo) if w_lo > 0 else -math.inf
-    if w_hi == 0.0:  # every weight underflowed
-        upper = -math.inf
-    else:
-        upper = math.log(w_hi) if math.isfinite(w_hi) else math.inf
-    return Bracket(lower, upper)
+    return Bracket(*model.weight_sum(shift))
 
 
 def _as_model(model_or_scheme, t: float | None) -> ThermoModel:
@@ -268,11 +262,11 @@ class PStarRecord:
     r2: float
 
 
-def _tau_grouped_weights(model: ThermoModel) -> tuple[np.ndarray, np.ndarray]:
+def _tau_grouped_log_weights(model: ThermoModel) -> tuple[np.ndarray, np.ndarray]:
     taus = model.taus.astype(int)
     uniq = np.unique(taus)
-    sums = np.array([model.w_pt[taus == n].sum() for n in uniq])
-    return uniq, sums
+    return uniq, np.array([np.logaddexp.reduce(model.log_w_pt[taus == n])
+                           for n in uniq])
 
 
 def p_star_discriminant(model_or_scheme, t: float | None = None) -> PStarRecord:
@@ -284,15 +278,13 @@ def p_star_discriminant(model_or_scheme, t: float | None = None) -> PStarRecord:
     at p*, +inf-flagged when the fitted polynomial part is not summable.
     """
     model = _as_model(model_or_scheme, t)
-    ns, a_n = _tau_grouped_weights(model)
-    keep = a_n > 0
-    ns, a_n = ns[keep], a_n[keep]
+    ns, log_a = _tau_grouped_log_weights(model)
     if len(ns) < MIN_TAIL_POINTS:
         return PStarRecord(-math.inf, math.inf, "finite-family",
                            math.nan, math.nan, math.nan)
     start = max(1, len(ns) // 3)
     nf = ns[start:].astype(float)
-    yf = np.log(a_n[start:])
+    yf = log_a[start:]
     design = np.column_stack([np.ones_like(nf), np.log(nf), nf])
     coef, *_ = np.linalg.lstsq(design, yf, rcond=None)
     fit = design @ coef
@@ -306,8 +298,7 @@ def p_star_discriminant(model_or_scheme, t: float | None = None) -> PStarRecord:
     p = -float(neg_p)
     beta = -float(neg_beta)
     p_star = -beta
-    boundary_terms = a_n * np.exp(-p_star * ns)
-    finite_part = float(boundary_terms.sum())
+    finite_part = float(np.exp(log_a - p_star * ns).sum())
     if p <= 1.05:
         return PStarRecord(p_star, math.inf, "fitted", p, beta, r2)
     n_top = float(ns[-1])

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 import thermomap as tm
 from thermomap import diagnostics as dg
 from thermomap.errors import CriticalOrbitError, DomainError
-from thermomap.gibbs import PROJECTION_DEPTH, RATIO_SEED, _tau_mean_bracket
+from thermomap.gibbs import (PROJECTION_DEPTH, RATIO_SEED, REFINE_CAP,
+                             RESIDUAL_TOL, _tau_mean_bracket)
 from thermomap.inducing import (CYLINDER_CAP, ONTO_RTOL, InducingScheme,
                                 SchemeBranch, _fit_neighbourhood,
                                 _pullback_through, _sample_derivative,
@@ -198,7 +199,7 @@ def scalar_gibbs_ratio_check(solution, depth: int, word_cap: int = 20_000):
     if scheme is None:
         return 1.0
     m = scheme.map
-    log_lam = math.log(solution.lam)
+    log_lam = solution.log_lam
     rng = np.random.default_rng(RATIO_SEED)
     k_best = 1.0
     for d in range(1, depth + 1):
@@ -301,6 +302,96 @@ def scalar_project_measure(scheme, solution, targets):
 
     spans = [(a.lo, a.hi) if hasattr(a, "lo") else a for a in targets]
     return [value(lo, hi) for lo, hi in spans]
+
+
+def linear_weights(model, shift: float):
+    """The weights as floats, |DF|^-t times exp(-tau*S): ``ThermoModel.weights``
+    as it was before the model held log weights, with its unknown-weight
+    rule (0 in the lower and point weights, +inf in the upper one, where a
+    weight that underflowed meets a factor that overflowed, or the reverse).
+    An oracle for the log-space weights wherever it is finite."""
+    t = model.t
+    branches = model.scheme.branches
+    df_lo = np.array([b.df_lo for b in branches])
+    df_hi = np.array([b.df_hi for b in branches])
+    df_pt = np.array([b.df_mid for b in branches])
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        if t >= 0:
+            w_lo, w_hi = df_hi ** (-t), df_lo ** (-t)
+        else:
+            w_lo, w_hi = df_lo ** (-t), df_hi ** (-t)
+        factor = np.exp(-model.taus * shift)
+        w_lo, w_hi, w_pt = w_lo * factor, w_hi * factor, df_pt ** (-t) * factor
+    w_lo[np.isnan(w_lo)] = 0.0
+    w_hi[np.isnan(w_hi)] = math.inf
+    w_pt[np.isnan(w_pt)] = 0.0
+    return w_lo, w_hi, w_pt
+
+
+def linear_tail_weight(model, shift: float) -> float:
+    """``TailInfo.weight_tail`` as a float; raises OverflowError where the
+    float leaves the range."""
+    if model.tail is None:
+        return 0.0
+    coeff, rate = model.tail._log_term(model.t, shift, math.log(model.k_dist))
+    if rate >= 0.0:
+        return math.inf
+    r = math.exp(rate)
+    return math.exp(coeff) * r ** (model.tail.T + 1) / (1.0 - r)
+
+
+def linear_weight_sum(model, shift: float) -> tuple[float, float]:
+    """(lower, upper) float bracket on the weight sum, tail included."""
+    w_lo, w_hi, _ = linear_weights(model, shift)
+    return float(w_lo.sum()), float(w_hi.sum()) + linear_tail_weight(model, shift)
+
+
+def linear_gurevich_pressure(model, shift: float) -> Bracket:
+    """``gurevich_pressure`` over ``linear_weight_sum``, with its zero and
+    inf special cases."""
+    w_lo, w_hi = linear_weight_sum(model, shift)
+    lower = math.log(w_lo) if w_lo > 0 else -math.inf
+    if w_hi == 0.0:
+        upper = -math.inf
+    else:
+        upper = math.log(w_hi) if math.isfinite(w_hi) else math.inf
+    return Bracket(lower, upper)
+
+
+def linear_solve_gibbs(model, shift: float):
+    """``solve_gibbs`` over float weights: (lam, lam_lo, lam_hi, masses,
+    mass_lo, mass_hi).  The depth-2 matrix is |DF|^-t exp(-tau S) entry by
+    entry, with the scalar ``**`` and ``math.exp``."""
+    w_lo, w_hi, w_pt = linear_weights(model, shift)
+    tail = linear_tail_weight(model, shift)
+    lam_lo, lam_hi = float(w_lo.sum()), float(w_hi.sum()) + tail
+    lam = float(w_pt.sum())
+    masses = w_pt / lam
+    n = model.n
+    if model.scheme.measured_distortion() > 1.0 + 1e-12 and n <= REFINE_CAP:
+        branches = model.scheme.branches
+        decay = np.array([math.exp(-br.tau * shift) for br in branches])
+        B = np.array([[df ** -model.t for df in row]
+                      for row in model.scheme.depth2_derivatives.tolist()]) * decay
+        rho = np.ones(n) / n
+        mvec = np.ones(n) / n
+        for _ in range(100_000):
+            rho_new = B @ rho
+            lam = float(rho_new.sum())
+            rho_new /= lam
+            m_new = B.T @ mvec
+            m_new /= m_new.sum()
+            done = float(np.max(np.abs(B @ rho_new - lam * rho_new))) <= \
+                RESIDUAL_TOL * lam and float(np.max(np.abs(rho_new - rho))) <= RESIDUAL_TOL
+            rho, mvec = rho_new, m_new
+            if done:
+                break
+        masses = (rho / rho.mean()) * mvec
+        masses = masses / masses.sum()
+    mass_lo = np.minimum(w_lo / max(lam_hi, lam), 1.0) \
+        if math.isfinite(lam_hi) else np.zeros(n)
+    mass_hi = np.minimum(w_hi / lam_lo, 1.0)
+    return lam, lam_lo, lam_hi, masses, mass_lo, mass_hi
 
 
 def stepwise_chain_rule(m, x: float, n: int):

@@ -110,7 +110,7 @@ def test_criterion_5_pressure_shift_structure(golden_scheme, tent_trivial_scheme
             # log Z_m1 + log Z_m2 <= log Z_(m1+m2) + log B, with Z_n summed
             # over periodic points and B = k^(2|t|) from the distortion k
             model = tm.induced_potential(scheme, 0.8)
-            base = int(np.argmax(model.weights(0.05)[2]))
+            base = int(np.argmax(model.log_weights(0.05)[2]))
             log_b = 2.0 * abs(model.t) * math.log(model.k_dist)
             log_z = {n: math.log(partition_function_exact(model, n, base, 0.05))
                      for n in range(1, 9)}

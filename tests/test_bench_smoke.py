@@ -17,9 +17,9 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 # update its pin here and say in CHANGES.md why the number moved.
 TINY_DIGESTS = {
     "quad4_ext_scan": "a5167ba68e26c535756b31a0a1741c369730123788449f78d30593921f7dacf5",
-    "markov_scan": "ab3ce487b08c16488635a141f0d4d173a7880913d3e4786e8d01e7ea7036bd02",
-    "pressure_queries": "b1b6f33d715c18c202b4679b20b0b81f0c76d01e822de10f190e5c28e43b3a06",
-    "sine_gibbs": "4c153628c5acc8c0d507afa0f8076ba9e25e7cead5241cb531f34bdecee94ff7",
+    "markov_scan": "a51aacf118c0e0863871d5439dfb85854422dc44dfc7b8dbfb40aab8d669ab38",
+    "pressure_queries": "fc5c2e54076bf318cbca69dfc7f7724e156ad61f21b09b36c285c62fd25b5d9f",
+    "sine_gibbs": "db3987df749d0103c0aa0f48c84d4425eba3de9a583faba98d24bb9515ff223f",
 }
 
 

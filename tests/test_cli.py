@@ -1,6 +1,7 @@
 import io
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -273,19 +274,31 @@ class TestRunCli:
         assert run(["oracle", "--map", str(spec), "--t", "0"]) == 2
         assert "zero denominator" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("t", ["1e5", "1e308"])
+    @pytest.mark.parametrize("t", ["1e308"])
     def test_underflowing_weights_exit_three(self, capsys, t):
+        # -t log|DF| is held at the float range, where no shift the search
+        # reaches lifts the lower bound above 0
         assert run(["pressure", "--map", "tent2", "--t", t]) == 3
         assert "lower pressure bound never went positive" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("t,code", [("120", 3), ("60", 0), ("-60", 0)])
-    def test_overflowing_depth2_weights_exit_three(self, capsys, t, code):
-        assert run(["pressure", "--map", "quad4", "--scheme", "extendible",
-                    "--x-point", "0.3", "--x-depth", "2", "--cap", "14",
-                    f"--t={t}"]) == code
-        if code == 3:
-            assert "numeric error: depth-2 weights overflow at shift" in \
-                capsys.readouterr().err
+    def test_vanishing_depth2_weights_exit_three(self, capsys):
+        # at t = 1e10 every depth-2 weight but the largest is below
+        # e^-745 of it, so the power iteration has nothing to iterate
+        assert run(["pressure", "--map", "quad4", "--t", "1e10"]) == 3
+        assert "depth-2 weights vanish" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["--map", "quad4", "--t", "40"],
+        ["--map", "quad4", "--t", "120"],
+        ["--map", "tent2", "--t", "1e5"],
+    ], ids=["quad4-40", "quad4-120", "tent2-1e5"])
+    def test_large_t_bracket_contains_closed_form(self, capsys, argv):
+        # log weights do not leave the float range: P(t) = (1-t) log 2
+        assert run(["pressure"] + argv) == 0
+        lo, hi = map(float, re.search(r"P_\+ bracket: \[([^,]+), ([^\]]+)\]",
+                                      capsys.readouterr().out).groups())
+        t = float(argv[-1])
+        assert lo <= (1.0 - t) * math.log(2.0) <= hi
 
     @pytest.mark.parametrize("t_min", ["0", "-1e308"])
     def test_t_grid_overflow_exits_two(self, capsys, t_min):
@@ -350,7 +363,9 @@ class TestRunCli:
         assert run(["pressure", "--map", "markov_golden", "--t", "1",
                     "--x-point", "0.33", "--json", str(js)]) == 0
         data = json.loads(js.read_text())
-        assert data["lambda"] == pytest.approx(1.0, abs=1e-9)
+        assert data["log_lambda"] == pytest.approx(0.0, abs=1e-9)
+        lo, hi = data["log_lambda_bracket"]
+        assert lo <= data["log_lambda"] <= hi
 
     def test_diagnose_runs(self, capsys):
         assert run(["diagnose", "--map", "quad4", "--n-max", "25"]) == 0

@@ -8,10 +8,12 @@ import pytest
 
 import thermomap as tm
 from thermomap.cli import default_base_cylinder
-from thermomap.errors import DomainError, NumericError
+from thermomap.errors import DomainError, InfinitePressureError, NumericError
 from thermomap.thermo import synthetic_model
 
+import conftest
 from conftest import (ACIP_LYAP, JOIN_MAP, LOG_GOLDEN, SINE_SPEC, hexes,
+                      linear_gurevich_pressure, linear_solve_gibbs,
                       scalar_gibbs_ratio_check, scalar_project_measure)
 
 GOLDEN = (1 + math.sqrt(5)) / 2
@@ -21,7 +23,7 @@ class TestSolveGibbs:
     def test_golden_t1(self, golden_scheme):
         model = tm.induced_potential(golden_scheme, 1.0)
         sol = tm.solve_gibbs(model, 0.0)
-        assert sol.lam == pytest.approx(1.0, abs=1e-12)
+        assert sol.log_lam == pytest.approx(0.0, abs=1e-12)
         assert sol.masses == pytest.approx([2 / 3, 1 / 3], rel=1e-12)
         assert sol.masses.sum() == pytest.approx(1.0, abs=1e-10)
         assert sol.residual <= 1e-10
@@ -29,7 +31,7 @@ class TestSolveGibbs:
     def test_stochastic_two_branch(self):
         model = synthetic_model([0.4, 0.6], taus=[1, 1])
         sol = tm.solve_gibbs(model, 0.0)
-        assert sol.lam == pytest.approx(1.0, abs=1e-14)
+        assert sol.log_lam == pytest.approx(0.0, abs=1e-14)
         assert sol.masses == pytest.approx([0.4, 0.6], rel=1e-12)
         assert np.all(sol.rho == pytest.approx(1.0, abs=1e-12))
         assert sol.conformal == pytest.approx([0.4, 0.6], rel=1e-12)
@@ -37,7 +39,7 @@ class TestSolveGibbs:
     def test_golden_t0_at_golden_shift(self, golden_scheme):
         model = tm.induced_potential(golden_scheme, 0.0)
         sol = tm.solve_gibbs(model, LOG_GOLDEN)
-        assert sol.lam == pytest.approx(1.0, abs=1e-12)
+        assert sol.log_lam == pytest.approx(0.0, abs=1e-12)
         assert sol.masses == pytest.approx([1 / GOLDEN, 1 / GOLDEN ** 2], rel=1e-10)
 
     def test_all_masses_positive(self, quad_scheme):
@@ -53,21 +55,91 @@ class TestSolveGibbs:
         for i in range(2):
             for j in range(2):
                 m_ij = sol.conformal[i] * sol.conformal[j]
-                psi_i = math.log(model.w_pt[i])
+                psi_i = model.log_w_pt[i]
                 lhs = sol.conformal[j]  # F maps the 2-cylinder onto X_j
-                rhs = math.exp(-psi_i + math.log(sol.lam)) * m_ij
+                rhs = math.exp(-psi_i + sol.log_lam) * m_ij
                 assert lhs == pytest.approx(rhs, abs=1e-9)
 
-    @pytest.mark.parametrize("t", [120.0, 60.0, -60.0])
-    def test_overflowing_depth2_weights_raise_numeric_error(self, quad_scheme, t):
-        # at t = 120 the bisection probes a shift near -61, where the
-        # decay exp(-tau S) of the longest branches exceeds the float range
-        if t > 100:
-            with pytest.raises(NumericError, match="overflow at shift -"):
-                tm.equilibrium_shift_solve(quad_scheme, t)
+    @pytest.mark.parametrize("scheme_kind", ["first-return", "extendible"])
+    @pytest.mark.parametrize("t", [40.0, -40.0, 120.0, -120.0, 1000.0, -1000.0])
+    def test_large_t_probes(self, scheme_kind, t):
+        # quad4, first-return at cap 12 and extendible (X the depth-2
+        # cylinder at 0.3, delta 0.5) at cap 14: P = (1-t) log 2 wherever
+        # the scheme sees the whole interval; the first-return X holds the
+        # fixed point 0, whose -t log 4 wins for t <= -1
+        m = tm.fixture("quad4")
+        if scheme_kind == "extendible":
+            scheme = tm.extendible_return_scheme(
+                m, default_base_cylinder(m, 0.3, 2), 0.5, 14)
+            ref = (1.0 - t) * math.log(2.0)
         else:
-            res = tm.equilibrium_shift_solve(quad_scheme, t)
-            assert math.isfinite(res.solution.lam)
+            scheme = tm.first_return_scheme(m, default_base_cylinder(m, None, 1), 12)
+            ref = (1.0 - t) * math.log(2.0) if t >= 1 else -t * math.log(4.0)
+        # the induced pressure at the reference shift is 0
+        assert tm.gurevich_pressure(tm.induced_potential(scheme, t), ref).contains(0.0)
+        try:
+            res = tm.equilibrium_shift_solve(scheme, t)
+        except InfinitePressureError:
+            # the tail bound k^|t| diverges at the midpoint shift
+            assert (scheme_kind, t) == ("extendible", 1000.0)
+            return
+        assert res.bracket.contains(ref)
+        assert math.isfinite(res.solution.log_lam)
+        assert not np.any(np.isnan(res.solution.masses))
+
+
+@functools.cache
+def _linear_oracle_scheme(name):
+    """First-return schemes at cap 12 on the depth-1 cylinder, as ``scan``
+    builds them, and quad4's extendible scheme at cap 14."""
+    if name == "quad4-extendible":
+        m = tm.fixture("quad4")
+        return tm.extendible_return_scheme(
+            m, default_base_cylinder(m, 0.3, 2), 0.5, 14)
+    m = tm.fixture(name)
+    return tm.first_return_scheme(m, default_base_cylinder(m, None, 1), 12)
+
+
+class TestAgainstLinearSpace:
+    """Log-space weights against the float weights they replace, wherever
+    the floats are finite."""
+
+    T_GRID = [-1.0 + 0.25 * k for k in range(17)]
+
+    @staticmethod
+    def _shifts(scheme, t):
+        try:
+            res = tm.equilibrium_shift_solve(scheme, t)
+        except InfinitePressureError:
+            return [-1.0, 0.0, 1.0]
+        return [res.s_lo, res.mid, res.s_hi, res.s_hi + 0.5]
+
+    @pytest.mark.parametrize("name", ["markov_golden", "tent2", "markov_full",
+                                      "quad4", "quad4-extendible"])
+    def test_pressure_and_masses(self, name):
+        scheme = _linear_oracle_scheme(name)
+        checked = 0
+        for t in self.T_GRID:
+            model = tm.induced_potential(scheme, t)
+            for s in self._shifts(scheme, t):
+                try:
+                    want = linear_gurevich_pressure(model, s)
+                    lam, lam_lo, lam_hi, masses, mass_lo, mass_hi = \
+                        linear_solve_gibbs(model, s)
+                except OverflowError:
+                    continue
+                if not all(math.isfinite(v) for v in (want.lo, want.hi, lam_hi)):
+                    continue
+                got = tm.gurevich_pressure(model, s)
+                assert got.lo == pytest.approx(want.lo, rel=0.0, abs=1e-13)
+                assert got.hi == pytest.approx(want.hi, rel=0.0, abs=1e-13)
+                sol = tm.solve_gibbs(model, s)
+                assert sol.log_lam_bracket == got
+                assert sol.masses == pytest.approx(masses, rel=1e-12, abs=0.0)
+                assert sol.mass_lo == pytest.approx(mass_lo, rel=1e-12, abs=0.0)
+                assert sol.mass_hi == pytest.approx(mass_hi, rel=1e-12, abs=0.0)
+                checked += 1
+        assert checked >= 3 * len(self.T_GRID)
 
 
 class TestGibbsRatio:
@@ -87,16 +159,16 @@ class TestGibbsRatio:
 
 
     def test_underflowed_masses_raise_numeric_error(self, quad_scheme):
-        # at t = 120 62 of the 91 masses underflow to 0: a ratio of 0
+        # at t = 120 46 of the 91 masses underflow to 0: a ratio of 0
         sol = tm.solve_gibbs(tm.induced_potential(quad_scheme, 120.0), 0.0)
-        assert np.count_nonzero(sol.masses == 0.0) == 62
+        assert np.count_nonzero(sol.masses == 0.0) == 46
         with pytest.raises(NumericError):
             tm.gibbs_ratio_check(sol, 1)
 
     def test_overflowing_ratio_raises_numeric_error(self, golden_scheme):
         sol = tm.solve_gibbs(tm.induced_potential(golden_scheme, 1.0), 0.0)
         with pytest.raises(NumericError):
-            tm.gibbs_ratio_check(dataclasses.replace(sol, lam=1e-300), 2)
+            tm.gibbs_ratio_check(dataclasses.replace(sol, log_lam=math.log(1e-300)), 2)
 
     @pytest.mark.parametrize("depth", [0, -1])
     def test_depth_below_one_refused(self, golden_scheme, depth):
@@ -162,6 +234,30 @@ class TestAgainstScalarOracle:
         self.same_projection(scheme, sol, [(k / 32, (k + 1) / 32)
                                            for k in range(32)])
         self.same_ratio(sol, 2)
+
+    def test_sine_bench_targets_pull_each_end_back_once(self, monkeypatch):
+        # neighbouring targets share an end; each (segment, k, end) is
+        # pulled back once per call, where the oracle pulls it back for
+        # every target that has it
+        scheme = _oracle_scheme("sine")
+        sol = tm.equilibrium_shift_solve(scheme, 1.0).solution
+        targets = [(k / 32, (k + 1) / 32) for k in range(32)]
+        calls = {"library": [], "oracle": []}
+
+        def counting(module, who):
+            inner = module.pullback_word
+
+            def pullback_word(m, word, y):
+                calls[who].append((tuple(word), y.hex()))
+                return inner(m, word, y)
+            monkeypatch.setattr(module, "pullback_word", pullback_word)
+
+        counting(tm.gibbs, "library")
+        counting(conftest, "oracle")
+        self.same_projection(scheme, sol, targets)
+        lib, oracle = calls["library"], calls["oracle"]
+        assert len(lib) == len(set(lib)) == len(set(oracle)) < len(oracle)
+        assert set(lib) == set(oracle)
 
     @pytest.mark.parametrize("t", [0.0, 1.0, 2.0])
     def test_quad4_cap14(self, t):
@@ -344,8 +440,8 @@ class TestSchemeGeometryCache:
         geometry = reused.depth2_derivatives
         got = tm.equilibrium_shift_solve(reused, 0.5)
         assert reused.depth2_derivatives is geometry
-        assert (got.s_lo, got.s_hi, got.zero_entropy_bound, got.solution.lam) == \
-            (want.s_lo, want.s_hi, want.zero_entropy_bound, want.solution.lam)
+        assert (got.s_lo, got.s_hi, got.zero_entropy_bound, got.solution.log_lam) == \
+            (want.s_lo, want.s_hi, want.zero_entropy_bound, want.solution.log_lam)
         assert np.array_equal(got.solution.masses, want.solution.masses)
 
 
@@ -360,7 +456,7 @@ class TestGibbsSandwich:
         res = tm.equilibrium_shift_solve(golden_scheme, 1.0, 1e-10)
         data = json.loads(tm.gibbs.solution_to_json(res.solution))
         assert len(data["branches"]) == 2
-        assert data["lambda"] == pytest.approx(1.0, abs=1e-9)
+        assert data["log_lambda"] == pytest.approx(0.0, abs=1e-9)
 
     def test_mass_by_tau(self, golden_scheme):
         res = tm.equilibrium_shift_solve(golden_scheme, 1.0, 1e-10)

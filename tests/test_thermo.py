@@ -16,45 +16,62 @@ LOG_GOLDEN = math.log((1 + math.sqrt(5)) / 2)
 class TestInducedPotential:
     def test_golden_exact_weights(self, golden_scheme):
         model = tm.induced_potential(golden_scheme, 1.0)
-        assert model.w_pt == pytest.approx([2.0 / 3.0, 1.0 / 3.0], rel=1e-12)
-        assert np.all(model.w_hi - model.w_lo < 1e-15)
+        assert np.exp(model.log_w_pt) == pytest.approx([2.0 / 3.0, 1.0 / 3.0],
+                                                       rel=1e-12)
+        assert np.all(model.log_w[1] - model.log_w[0] < 1e-15)
 
     def test_t_zero_kills_potential(self, golden_scheme):
         model = tm.induced_potential(golden_scheme, 0.0)
-        assert model.w_pt == pytest.approx([1.0, 1.0], abs=1e-15)
+        assert np.exp(model.log_w_pt) == pytest.approx([1.0, 1.0], abs=1e-15)
 
     def test_quadratic_bracket_ratio(self, quad_scheme):
-        w_lo, w_hi, _ = tm.induced_potential(quad_scheme, 1.0).weights(0.1)
-        ratios = w_hi / w_lo
-        assert np.all(ratios <= 9.0 + 1e-9)
+        w_lo, w_hi, _ = tm.induced_potential(quad_scheme, 1.0).log_weights(0.1)
+        assert np.all(w_hi - w_lo <= math.log(9.0) + 1e-9)
 
     def test_bracket_flips_with_negative_t(self, golden_scheme):
         model = tm.induced_potential(golden_scheme, -1.0)
-        assert model.w_pt == pytest.approx([1.5, 3.0], rel=1e-12)
-        assert np.all(model.w_lo <= model.w_hi + 1e-15)
+        assert np.exp(model.log_w_pt) == pytest.approx([1.5, 3.0], rel=1e-12)
+        assert np.all(model.log_w[0] <= model.log_w[1])
 
 
 class TestWithShift:
-    def test_underflowed_weight_is_unknown_not_nan(self):
-        # exp(1e4) overflows, and 0 * inf would be NaN
-        zero = np.array([0.0, 0.25])
-        model = replace(synthetic_model([0.5, 0.25], taus=[1, 2]),
-                        w_lo=zero, w_hi=zero.copy(), w_pt=zero.copy())
-        w_lo, w_hi, w_pt = model.weights(-1e4)
+    def test_zero_weight_at_large_negative_shift_is_not_nan(self):
+        # exp(1e4) overflows a float, but e^-inf * e^1e4 is a log weight of -inf
+        model = synthetic_model([0.5, 0.25], taus=[1, 2])
+        log_w = np.array([[-math.inf, math.log(0.25)]] * 2)
+        model = replace(model, log_w=log_w, log_w_pt=log_w[0].copy())
+        w_lo, w_hi, w_pt = model.log_weights(-1e4)
         for w in (w_lo, w_hi, w_pt):
             assert not np.any(np.isnan(w))
         assert np.all(w_lo <= w_hi)
-        assert w_lo[0] == 0.0 and w_hi[0] == math.inf
-
-    def test_golden_underflow_times_overflow_is_unknown(self, golden_scheme):
-        # |DF|^-1e5 underflows to 0 and exp(1e4 * tau) overflows
-        model = tm.induced_potential(golden_scheme, 1e5)
-        w_lo, w_hi, w_pt = model.weights(-1e4)
-        for w in (w_lo, w_hi, w_pt):
-            assert not np.any(np.isnan(w))
-        assert np.all(w_lo == 0.0) and np.all(w_hi == math.inf)
+        assert w_lo[0] == w_hi[0] == -math.inf
         pb = tm.gurevich_pressure(model, -1e4)
-        assert (pb.lo, pb.hi) == (-math.inf, math.inf)
+        assert pb.lo <= pb.hi
+        assert pb.mid == pytest.approx(math.log(0.25) + 2e4, rel=1e-15)
+
+    def test_golden_large_t_and_shift_has_finite_bracket(self, golden_scheme):
+        # |DF|^-1e5 underflows a float and exp(1e4 * tau) overflows one,
+        # but their logs, and the log of their sum, are finite
+        model = tm.induced_potential(golden_scheme, 1e5)
+        for w in model.log_weights(-1e4):
+            assert np.all(np.isfinite(w))
+        pb = tm.gurevich_pressure(model, -1e4)
+        assert math.isfinite(pb.lo) and math.isfinite(pb.hi)
+        assert pb.lo <= pb.hi
+        # the golden branches have |DF| = 3/2 (tau 1) and 3 (tau 2)
+        want = math.log(math.exp(-1e5 * math.log(1.5) + 1e4 - pb.mid)
+                        + math.exp(-1e5 * math.log(3.0) + 2e4 - pb.mid)) + pb.mid
+        assert pb.contains(want, slack=1e-9 * abs(want))
+
+
+class TestTailBound:
+    def test_infinite_coefficient_is_no_bound(self, quad_scheme):
+        # at t = 1e308, k^t and the length factor overflow: the log
+        # coefficient is inf or inf - inf, never a finite upper edge
+        model = tm.induced_potential(quad_scheme, 1e308)
+        assert model.tail.weight_tail(1e308, 0.0, math.log(model.k_dist)) == math.inf
+        assert model.tail.tau_weight_tail(1e308, 0.0, math.log(model.k_dist)) == math.inf
+        assert tm.gurevich_pressure(model, 0.0).hi == math.inf
 
 
 class TestPartitionFunction:
@@ -62,7 +79,7 @@ class TestPartitionFunction:
         model = tm.induced_potential(golden_scheme, 1.0)
         assert partition_function_exact(model, 1, 0, 0.0) == pytest.approx(
             2.0 / 3.0, rel=1e-12)
-        assert model.w_hi[0] - model.w_lo[0] < 1e-15
+        assert model.log_w[1, 0] - model.log_w[0, 0] < 1e-15
 
     def test_golden_z2_total_is_one(self, golden_scheme):
         model = tm.induced_potential(golden_scheme, 1.0)
@@ -84,7 +101,7 @@ class TestPartitionFunction:
         # on a full shift Z_n(base) = w_base * W^(n-1) for the weight sum W
         for scheme in (golden_scheme, tent_trivial_scheme, full_trivial_scheme):
             model = tm.induced_potential(scheme, 0.8)
-            w_pt = model.weights(0.05)[2]
+            w_pt = np.exp(model.log_weights(0.05)[2])
             w_sum = float(w_pt.sum())
             for n in range(1, 9):
                 for base in range(model.n):
@@ -122,8 +139,8 @@ class TestGurevichPressure:
         model = tm.induced_potential(scheme, 0.5)
         lower = tm.gurevich_pressure(model, 0.1).lo
         log_b = 2.0 * abs(model.t) * math.log(model.k_dist)
-        w_sum_lo = model.weight_sum(0.1)[0]
-        w_lo = model.weights(0.1)[0]
+        w_sum_lo = math.exp(model.weight_sum(0.1)[0])
+        w_lo = np.exp(model.log_weights(0.1)[0])
         for base in range(model.n):
             for n in range(1, 9):
                 z_lo = float(w_lo[base]) * w_sum_lo ** (n - 1)
@@ -158,7 +175,7 @@ class TestPressureVsShift:
         # periodic points and B = k^(2|t|) from the distortion k
         scheme = request.getfixturevalue(fixture_name)
         model = tm.induced_potential(scheme, 0.8)
-        base = int(np.argmax(model.weights(0.05)[2]))
+        base = int(np.argmax(model.log_weights(0.05)[2]))
         log_b = 2.0 * abs(model.t) * math.log(model.k_dist)
         log_z = {n: math.log(partition_function_exact(model, n, base, 0.05))
                  for n in range(1, 9)}
