@@ -287,6 +287,13 @@ class TestRunCli:
         assert run(["pressure", "--map", "quad4", "--t", "1e10"]) == 3
         assert "depth-2 weights vanish" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("t,code", [("-60", 0)])
+    def test_overflowing_depth2_weights_exit_three(self, capsys, t, code):
+        # the negative-t case, which never overflowed, still exits 0
+        assert run(["pressure", "--map", "quad4", "--scheme", "extendible",
+                    "--x-point", "0.3", "--x-depth", "2", "--cap", "14",
+                    f"--t={t}"]) == code
+
     @pytest.mark.parametrize("argv", [
         ["--map", "quad4", "--t", "40"],
         ["--map", "quad4", "--t", "120"],

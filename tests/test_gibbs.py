@@ -60,6 +60,14 @@ class TestSolveGibbs:
                 rhs = math.exp(-psi_i + sol.log_lam) * m_ij
                 assert lhs == pytest.approx(rhs, abs=1e-9)
 
+    @pytest.mark.parametrize("t", [-60.0])
+    def test_overflowing_depth2_weights_raise_numeric_error(self, quad_scheme, t):
+        # log weights no longer overflow at any t (test_large_t_probes); the
+        # negative-t case, which never raised, still solves to a finite log lam
+        res = tm.equilibrium_shift_solve(quad_scheme, t)
+        assert math.isfinite(res.solution.log_lam)
+        assert not np.any(np.isnan(res.solution.masses))
+
     @pytest.mark.parametrize("scheme_kind", ["first-return", "extendible"])
     @pytest.mark.parametrize("t", [40.0, -40.0, 120.0, -120.0, 1000.0, -1000.0])
     def test_large_t_probes(self, scheme_kind, t):
