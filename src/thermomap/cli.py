@@ -45,7 +45,7 @@ from .inducing import (
 )
 from .interval_map import IntervalMap, load_map
 from .symbolic import cylinder_of_word, itinerary
-from .thermo import tail_classify
+from .thermo import _log_weights_of, tail_classify
 
 CSV_HEADER = ("t", "p_lo", "p_hi", "zero_entropy", "tail_kind", "tail_rate",
               "tau_mean", "lyap", "entropy")
@@ -264,7 +264,9 @@ def markov_oracle(m: IntervalMap, t: float) -> float:
 
     Applies to Markov piecewise-linear maps only: every branch affine,
     every branch image a union of branch-partition atoms.  Entry (a, b)
-    is |slope_a|^-t when atom b sits inside f(atom a).
+    is |slope_a|^-t when atom b sits inside f(atom a).  The entries are
+    taken as exp(L_a - max L) for the log weights L_a = -t log|slope_a|,
+    and max L is added back to the log radius, so no |t| overflows.
     """
     atoms = [(b.lo, b.hi) for b in m.branches]
     pts = m.breakpoints
@@ -281,16 +283,18 @@ def markov_oracle(m: IntervalMap, t: float) -> float:
                 f"branch {i} image is not a union of partition atoms")
         slopes.append(abs(d_mid))
     n = len(atoms)
+    logs = _log_weights_of(t, np.log(slopes))
+    top = float(logs.max())
     mat = np.zeros((n, n))
     for a in range(n):
         img_lo, img_hi = m.branches[a].image
         for b in range(n):
             if atoms[b][0] >= img_lo - 1e-9 and atoms[b][1] <= img_hi + 1e-9:
-                mat[a, b] = slopes[a] ** (-t)
+                mat[a, b] = math.exp(logs[a] - top)
     radius = float(np.max(np.abs(np.linalg.eigvals(mat))))
     if radius <= 0.0:
         raise NumericError("transition matrix is nilpotent on the support")
-    return math.log(radius)
+    return top + math.log(radius)
 
 
 # ---------------------------------------------------------------------------

@@ -69,6 +69,14 @@ def solve_gibbs(model: ThermoModel, shift: float) -> GibbsSolution:
 
     The beyond-cap tail weight goes into the eigenvalue bracket.  lam is
     carried as log lam, and each mass as exp(log w - log lam).
+
+    A scheme with distortion is refined by power iteration on the depth-2
+    matrix only while it has at most REFINE_CAP branches, since that
+    matrix is n x n.  Past the cap it silently keeps the rank-one masses
+    of an undistorted scheme: on quad4's extendible scheme (X the depth-2
+    cylinder at 0.3, delta 0.5, t = 1) the Lyapunov exponent is 0.700499
+    at caps 20 and 22, but 0.697993 at cap 24 (276 branches), where the
+    depth-2 solve would still give 0.700499.
     """
     log_lo, log_hi = model.weight_sum(shift)
     if log_hi == math.inf:
@@ -135,10 +143,11 @@ def gibbs_ratio_check(solution: GibbsSolution, depth: int,
     """Measured two-sided Gibbs constant over induced cylinders.
 
     K = max over words w of depth <= given of the ratio between the
-    product-rule cylinder mass and exp(Psi_n - n log lam) evaluated at
-    the cylinder midpoint.  Exhaustive when the word count is small,
-    seeded sampling otherwise.  A ratio that over- or underflows raises
-    NumericError.
+    product-rule cylinder mass and exp(Psi_n - n log lam).  Psi_n sums
+    the terms -t log|DF_{w_k}| - S tau_{w_k}, each taken at the midpoint
+    of its own suffix cylinder, the cylinder of w_k ... w_n.  Exhaustive
+    when the word count is small, seeded sampling otherwise.  A ratio
+    that over- or underflows raises NumericError.
     """
     if not 1 <= depth <= 8:
         raise DomainError(f"depth must be in 1..8, got {depth!r}")
@@ -412,6 +421,18 @@ def _edge_bisect(f, lo: float, hi: float, tol: float) -> float:
     return 0.5 * (a + b)
 
 
+def _bracket_end(bound, sign: float) -> float:
+    """The first s = sign * 2^k, k = 0, ..., 79, past the zero crossing
+    of the decreasing bound: sign * bound(s) < 0."""
+    for k in range(80):
+        s = sign * 2.0 ** k
+        if sign * bound(s) < 0.0:
+            return s
+    raise InfinitePressureError(
+        "upper pressure bound never went negative" if sign > 0
+        else "lower pressure bound never went positive")
+
+
 def equilibrium_shift_solve(scheme: InducingScheme, t: float,
                             tolerance: float = 1e-10) -> ShiftSolveResult:
     """Solve P_G(Psi_S) = 0 for the shift S by bracket-aware bisection.
@@ -433,24 +454,8 @@ def equilibrium_shift_solve(scheme: InducingScheme, t: float,
         return gurevich_pressure(model, s).hi
 
     zeb = zero_entropy_competitor(scheme, t)
-
-    # find s_right with upper < 0
-    s_right = 1.0
-    for _ in range(80):
-        if p_up(s_right) < 0.0:
-            break
-        s_right = max(2.0 * abs(s_right), s_right + 1.0)
-    else:
-        raise InfinitePressureError("upper pressure bound never went negative")
-    # find s_left with lower > 0
-    s_left = -1.0
-    for _ in range(80):
-        if p_low(s_left) > 0.0:
-            break
-        s_left = -max(2.0 * abs(s_left), abs(s_left) + 1.0)
-    else:
-        raise InfinitePressureError("lower pressure bound never went positive")
-
+    s_right = _bracket_end(p_up, 1.0)
+    s_left = _bracket_end(p_low, -1.0)
     edge_hi = _edge_bisect(p_up, s_left, s_right, tol=tolerance)
     edge_lo = _edge_bisect(p_low, s_left, s_right, tol=tolerance)
     # the float-evaluated bounds place their roots only to a few ulps

@@ -156,7 +156,7 @@ class SchemeBranch:
 
     @property
     def distortion(self) -> float:
-        return self.df_hi / self.df_lo
+        return self.df_hi / self.df_lo if self.df_lo > 0.0 else math.inf
 
 
 @dataclass

@@ -493,15 +493,14 @@ def make_custom(expr: str, breakpoints: Sequence[float],
 
         def inv(y: float, lo=lo, hi=hi, ori=ori, f=f) -> float:
             a, b = lo, hi
-            for _ in range(100):
-                c = 0.5 * (a + b)
-                if c == a or c == b:
-                    break  # float resolution: the midpoint can move no more
+            c = 0.5 * (a + b)
+            while c != a and c != b:  # until the midpoint can move no more
                 if (f(c) - y) * ori < 0:
                     a = c
                 else:
                     b = c
-            return 0.5 * (a + b)
+                c = 0.5 * (a + b)
+            return c
 
         branches.append(BranchSpec(lo, hi, ori, f, df, inv))
     m = IntervalMap((pts[0], pts[-1]), tuple(branches), tuple(crit),

@@ -133,14 +133,6 @@ def _children(m: IntervalMap, cyl: Cylinder,
     return out
 
 
-def _level_one(m: IntervalMap) -> list[Cylinder]:
-    out = []
-    for a, b in enumerate(m.branches):
-        img_lo, img_hi = b.image
-        out.append(Cylinder((a,), b.lo, b.hi, img_lo, img_hi, b.orientation))
-    return out
-
-
 def refine(m: IntervalMap, n: int, cap: int = 200_000) -> list[Cylinder]:
     """The partition P_n into n-cylinders, ordered left to right."""
     if n < 1:
@@ -161,7 +153,8 @@ def refine_levels(m: IntervalMap, n_max: int, cap: int = 200_000,
     the next one is asked for, after the caller has handled it; an
     emptied level is still yielded, and every later one is empty.
     """
-    level = sorted(_level_one(m), key=lambda c: c.lo)
+    level = sorted((Cylinder((a,), b.lo, b.hi, *b.image, b.orientation)
+                    for a, b in enumerate(m.branches)), key=lambda c: c.lo)
     pull = _SuffixPullbacks(m)
     for _ in range(n_max - 1):
         yield level
@@ -185,14 +178,9 @@ def cylinder_of_word(m: IntervalMap, word: Sequence[int]) -> Cylinder | None:
     for a in word:
         if not 0 <= a < m.n_branches:
             raise DomainError(f"letter {a} does not index a branch")
-    cyl = _level_one(m)[word[0]]
-    pull = _SuffixPullbacks(m)
-    for a in word[1:]:
-        kids = [k for k in _children(m, cyl, pull) if k.word[-1] == a]
-        if not kids:
-            return None
-        cyl = kids[0]
-    return cyl
+    *_, level = refine_levels(m, len(word), keep=lambda level: [
+        c for c in level if c.word == word[:len(c.word)]])
+    return next((c for c in level if c.word == word), None)
 
 
 def itinerary(m: IntervalMap, x: float, n: int,
@@ -359,7 +347,8 @@ def periodic_point(m: IntervalMap, word: Sequence[int] | Cylinder
     Returns None when the cylinder is empty or its f^n-image does not
     cover it.  For tent and piecewise-linear maps f^n is affine on the
     cylinder and the point is where the line through its end values
-    crosses the diagonal; otherwise it is located by bisection to 1e-13.
+    crosses the diagonal; otherwise it is located by bisection to width
+    1e-13, an exact zero, or float resolution, whichever comes first.
     The multiplier is |Df^n| along the pinned branch word.  ``word`` may
     be given as its cylinder of m (from ``refine_levels``, say), which is
     then not rebuilt.
@@ -396,14 +385,16 @@ def periodic_point(m: IntervalMap, word: Sequence[int] | Cylinder
             # h is affine and changes sign, so ha != hb
             root = min(max(a + ha * (b - a) / (ha - hb), a), b)
         else:
-            for _ in range(200):
+            while b - a > 1e-13:
                 c = 0.5 * (a + b)
+                if c == a or c == b:  # no float left strictly inside [a, b]
+                    break
                 hc = h(c)
-                if abs(hc) == 0.0 or b - a <= 1e-13:
+                if hc == 0.0:
                     break
                 if (hc < 0) == (ha < 0):
-                    a, ha = c, hc
+                    a = c
                 else:
-                    b, hb = c, hc
+                    b = c
             root = 0.5 * (a + b)
     return PeriodicPoint(root, derivative_along_word(m, word, root), word)

@@ -52,6 +52,18 @@ class TestMarkovOracle:
         assert markov_oracle(m, t) == pytest.approx(
             (1 - t) * math.log(2.0) / 2, abs=1e-12)
 
+    @pytest.mark.parametrize("name, t, want", [
+        ("markov_golden", -2000.0, 1000.0 * math.log(3.0)),
+        ("markov_golden", 2000.0, -2000.0 * math.log(1.5)),
+        ("markov_full", -3000.0, 3000.0 * math.log(3.0)),
+        ("markov_full", 3000.0, -3000.0 * math.log(1.5))])
+    def test_large_t_in_log_space(self, capsys, name, t, want):
+        # |slope|^-t leaves the float range; the log weights do not
+        assert markov_oracle(thermomap.fixture(name), t) == pytest.approx(
+            want, rel=1e-12)
+        assert run(["oracle", "--map", name, f"--t={t}"]) == 0
+        assert float(capsys.readouterr().out) == pytest.approx(want, rel=1e-8)
+
     def test_not_applicable_for_quadratic(self, quad_map):
         with pytest.raises(NotApplicableError):
             markov_oracle(quad_map, 1.0)
@@ -313,6 +325,12 @@ class TestRunCli:
         assert run(["scan", "--map", "tent2", "--x-depth", "0", f"--t-min={t_min}",
                     "--t-max", "1e308", "--steps", "3"]) == 2
         assert "t-grid overflows" in capsys.readouterr().err
+
+    def test_vanishing_derivative_bracket_exits_three(self, capsys):
+        # five quad4 first-return branches at cap 20 have inf |DF| = 0.0
+        assert run(["pressure", "--map", "quad4", "--t", "1",
+                    "--cap", "20"]) == 3
+        assert "vanishing derivative" in capsys.readouterr().err
 
     def test_oracle_quadratic_exits_three(self, capsys):
         assert run(["oracle", "--map", "quad4", "--t", "1"]) == 3

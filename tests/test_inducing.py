@@ -12,7 +12,7 @@ from conftest import (JOIN_MAP, SINE_SPEC, hexes, plinear_maps,
 from thermomap import hofbauer, inducing
 from thermomap.cli import default_base_cylinder
 from thermomap.diagnostics import variation_decay
-from thermomap.errors import DomainError
+from thermomap.errors import DegenerateBranchError, DomainError
 from thermomap.inducing import SchemeBranch, scheme_to_csv_rows
 from thermomap.interval_map import (WordPullbacks, derivative_along,
                                     eval_along_word, eval_orbit,
@@ -466,6 +466,16 @@ class TestValidateScheme:
         assert not rep.ok
         failed = [c for c in rep.checks if not c.disjoint]
         assert failed and failed[0].overlap_interval is not None
+
+    def test_vanishing_df_lo_gives_infinite_distortion(self):
+        sch = tm.first_return_scheme(tm.fixture("quad4"), (0.0, 0.5), 20)
+        flat = [b for b in sch.branches if b.df_lo == 0.0]
+        assert sorted(b.tau for b in flat) == [16, 17, 18, 19, 20]
+        assert all(b.distortion == math.inf for b in flat)
+        assert sch.measured_distortion() == math.inf
+        assert tm.validate_scheme(sch).max_distortion == math.inf
+        with pytest.raises(DegenerateBranchError):
+            tm.equilibrium_shift_solve(sch, 1.0)
 
     def test_csv_rows(self, golden_scheme):
         from thermomap.inducing import scheme_to_csv_rows

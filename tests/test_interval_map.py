@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import thermomap as tm
-from conftest import (ORBIT_MAPS, hexes, plinear_maps,
+from conftest import (ORBIT_MAPS, SINE_SPEC, hexes, plinear_maps,
                       stepwise_derivative_along, stepwise_derivative_prefixes)
 from thermomap.errors import CriticalOrbitError, DomainError, SchemaError
 from thermomap.interval_map import (WordPullbacks, _orbit_derivatives,
@@ -213,10 +213,10 @@ class TestBranchData:
         assert all(0.0 <= z <= 1.0 for z in orbit)
         assert abs(m.deriv(0.0, side="right")) == pytest.approx(9.0, rel=1e-9)
 
-    def test_custom_inverse_matches_the_100_step_bisection(self):
-        m = tm.parse_map_spec(
-            "kind = custom\nexpr = sin(pi*x)\nbreakpoints = 0, 1/2, 1\n"
-            "crit = 1/2:2\n")
+    def test_custom_inverse_matches_the_100_step_bisection_at_resolution(self):
+        # wherever 100 halvings already leave no float strictly inside the
+        # interval, stopping at float resolution gives the same float
+        m = tm.parse_map_spec(SINE_SPEC)
 
         def bisect_100(br, y):
             a, b = br.lo, br.hi
@@ -226,13 +226,29 @@ class TestBranchData:
                     a = c
                 else:
                     b = c
-            return 0.5 * (a + b)
+            return 0.5 * (a + b), a, b
 
         ys = [k / 997 for k in range(998)] + [0.0, 1.0, 5e-324, 1.0 - 2 ** -53]
         ys += [10.0 ** -k for k in range(1, 21)]
+        checked = 0
         for br in m.branches:
             for y in ys:
-                assert br.inv(y) == bisect_100(br, y), (br.lo, y)
+                x, a, b = bisect_100(br, y)
+                if math.nextafter(a, b) < b:
+                    continue  # 100 halvings were too few to reach resolution
+                assert br.inv(y) == x, (br.lo, y)
+                checked += 1
+        assert checked >= 2 * 998
+
+    def test_custom_inverse_to_the_last_float_near_zero(self):
+        m = tm.parse_map_spec(SINE_SPEC)
+        left = m.branches[0]
+        for k in range(15, 301):
+            y = 10.0 ** -k
+            want = math.asin(y) / math.pi
+            assert abs(left.inv(y) - want) <= 4 * math.ulp(want), k
+        assert left.inv(0.0) == 0.0
+        assert left.inv(5e-324) == 0.0
 
 
 class TestParseMapSpec:

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import thermomap as tm
+from thermomap import symbolic
 from conftest import JOIN_MAP, SINE_SPEC, plinear_maps
 from thermomap.errors import AmbiguityError, NumericError, ResourceError
 from thermomap.inducing import InducingScheme
@@ -17,6 +18,9 @@ from thermomap.symbolic import (DEGEN_TOL, SNAP_TOL, Cylinder, PeriodicPoint,
 
 # the first third maps onto the other two, and each of those onto the first
 PERIOD2_MAP = ([0, 1 / 3, 2 / 3, 1], [(1 / 3, 1), (0, 1 / 3), (0, 1 / 3)], [1, 1, 1])
+# the sine map on [0, 2048], where ulp(x) exceeds 1e-13 for x >= 512
+WIDE_SINE_SPEC = ("kind = custom\nexpr = 2048*sin(pi*x/2048)\n"
+                  "breakpoints = 0, 1024, 2048\ncrit = 1024:2\n")
 
 
 def _map(name):
@@ -28,6 +32,10 @@ def _map(name):
         return parse_map_spec(SINE_SPEC)
     if name == "period2":
         return tm.make_plinear(*PERIOD2_MAP)
+    if name == "quadratic383":
+        return tm.make_quadratic(3.83)
+    if name == "wide_sine":
+        return parse_map_spec(WIDE_SINE_SPEC)
     return tm.fixture(name)
 
 
@@ -188,13 +196,17 @@ class TestRefineFloats:
         for n, (g, w) in enumerate(zip(got, want), start=1):
             assert g == w, f"level {n} differs"
 
-    @pytest.mark.parametrize("name", ["quad4", "markov_golden", "chebyshev3",
-                                      "join", "sine"])
+    @pytest.mark.parametrize("name", ["quad4", "tent2", "markov_golden",
+                                      "markov_full", "chebyshev3", "join",
+                                      "sine"])
     def test_cylinder_of_word_bit_identical(self, name):
+        # every word of length <= 5 (<= 3 for chebyshev3), empty ones too
         m = _map(name)
-        deepest = reference_levels(m, 6)[-1]
-        for cyl in (deepest[0], deepest[len(deepest) // 3], deepest[-1]):
-            assert tm.cylinder_of_word(m, cyl.word) == cyl
+        depth = 3 if name == "chebyshev3" else 5
+        for n, level in enumerate(reference_levels(m, depth), start=1):
+            known = {c.word: c for c in level}
+            for w in itertools.product(range(m.n_branches), repeat=n):
+                assert tm.cylinder_of_word(m, w) == known.get(w), w
 
     def test_inverse_steps_per_cylinder(self):
         # each level costs O(1) inverse steps per cylinder; pulling every
@@ -350,6 +362,39 @@ class TestPeriodicPoint:
                 found += 1
         assume(found)
 
+    @pytest.mark.parametrize("name", ["sine", "quad4", "quadratic383",
+                                      "chebyshev3", "wide_sine"])
+    def test_bisection_floats_unchanged(self, name):
+        m = _map(name)
+        found = 0
+        for n in (1, 2, 3):
+            for w in itertools.product(range(m.n_branches), repeat=n):
+                got, want = located(tm.periodic_point, m, w), located(
+                    bisected_periodic_point, m, w)
+                if not isinstance(want, PeriodicPoint):
+                    assert got == want, w
+                    continue
+                assert got.x.hex() == want.x.hex(), w
+                assert got.multiplier.hex() == want.multiplier.hex(), w
+                found += 1
+        assert found
+
+    def test_stops_at_float_resolution(self, monkeypatch):
+        # above 512 neighbouring floats lie more than 1e-13 apart, so width
+        # 1e-13 is never reached: the bisection stops when the midpoint
+        # cannot move
+        m = _map("wide_sine")
+        calls = [0]
+
+        def counted(*args):
+            calls[0] += 1
+            return eval_along_word(*args)
+
+        monkeypatch.setattr(symbolic, "eval_along_word", counted)
+        pp = tm.periodic_point(m, (0, 1))
+        assert pp is not None and 512 < pp.x < 1024
+        assert calls[0] <= 60
+
 
 class TestPeriodicOrbits:
     """``InducingScheme.periodic_orbits`` takes its cylinders from one
@@ -405,8 +450,9 @@ def located(finder, m, word):
 
 
 def bisected_periodic_point(m, word):
-    """``periodic_point`` as it was when every family took bisection: an
-    oracle for the closed form of affine maps."""
+    """``periodic_point`` as it was when every family took bisection and
+    the bisection stopped after at most 200 steps: an oracle for the
+    closed form of affine maps and for the floats of the bisection."""
     word = tuple(word)
     cyl = cylinder_of_word(m, word)
     if cyl is None:
