@@ -201,12 +201,14 @@ def scan_pressure(config: ScanConfig,
             curve.rows.append(CurveRow(t, res.s_lo, res.s_hi,
                                        res.zero_entropy_bound, tail.kind, rate,
                                        ab.tau_mean, ab.lyap, ab.entropy))
+            continue
         except InfinitePressureError:
-            curve.rows.append(CurveRow(t, nan, nan, nan,
-                                       "error:infinite-pressure", nan, nan, nan, nan))
+            kind = "error:infinite-pressure"
         except NonCompatibleError:
-            curve.rows.append(CurveRow(t, nan, nan, nan,
-                                       "error:non-compatible", nan, nan, nan, nan))
+            kind = "error:non-compatible"
+        except NumericError:
+            kind = "error:numeric"
+        curve.rows.append(CurveRow(t, nan, nan, nan, kind, nan, nan, nan, nan))
     return curve
 
 

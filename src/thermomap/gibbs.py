@@ -16,6 +16,7 @@ system carries the Gibbs property computed here.
 from __future__ import annotations
 
 import bisect
+import functools
 import itertools
 import json
 import math
@@ -105,8 +106,9 @@ def solve_gibbs(model: ThermoModel, shift: float) -> GibbsSolution:
 def _depth2_power_iteration(model: ThermoModel, shift: float
                             ) -> tuple[float, np.ndarray, np.ndarray, float]:
     """Power-iterate the operator on branch-constant functions using
-    weights evaluated at depth-2 cylinder midpoints: the matrix is
-    exp(L - max L) for their logs L, and max L goes back into log lam."""
+    weights evaluated at one point of each depth-2 cylinder (i, j), the
+    F_i-preimage of branch j's midpoint: the matrix is exp(L - max L) for
+    their logs L, and max L goes back into log lam."""
     logs = (_log_weights_of(model.t, np.log(model.scheme.depth2_derivatives))
             - shift * model.taus)
     top = float(logs.max())
@@ -143,11 +145,13 @@ def gibbs_ratio_check(solution: GibbsSolution, depth: int,
     """Measured two-sided Gibbs constant over induced cylinders.
 
     K = max over words w of depth <= given of the ratio between the
-    product-rule cylinder mass and exp(Psi_n - n log lam).  Psi_n sums
-    the terms -t log|DF_{w_k}| - S tau_{w_k}, each taken at the midpoint
-    of its own suffix cylinder, the cylinder of w_k ... w_n.  Exhaustive
-    when the word count is small, seeded sampling otherwise.  A ratio
-    that over- or underflows raises NumericError.
+    product-rule cylinder mass and exp(Psi_n - n log lam).  Psi_n is the
+    Birkhoff sum S_n Phi(x_w) of Phi = -t log|DF| - S tau at one point
+    x_w of the cylinder [w]: x_(j) is the midpoint of branch j, and
+    x_w = F_{w_0}^{-1}(x_{w_1 ... w_n}), so F^k(x_w) = x_{w_k ... w_n}.
+    At length 2 these are the points the depth-2 solve weighs.
+    Exhaustive when the word count is small, seeded sampling otherwise.
+    A ratio that over- or underflows raises NumericError.
     """
     if not 1 <= depth <= 8:
         raise DomainError(f"depth must be in 1..8, got {depth!r}")
@@ -159,26 +163,26 @@ def gibbs_ratio_check(solution: GibbsSolution, depth: int,
     m, branches = scheme.map, scheme.branches
     t, shift = model.t, solution.shift
     log_lam = solution.log_lam
-    # per word suffix: its cylinder, found innermost first (pullbacks
-    # contract error, while forward iterates of one point would leave deep
-    # cylinders), and its term -t log|DF| - S tau at the cylinder midpoint
-    known: dict[tuple[int, ...], tuple[float, float, float]] = {}
+    # per word suffix s, memoised: the point x_s, found innermost first
+    # (pullbacks contract error, while forward iterates of one point would
+    # leave deep cylinders), and the term -t log|DF_{s_0}| - S tau_{s_0} at
+    # x_s; points are pulled back only for suffixes of length 3 or more
+    @functools.cache
+    def point(s: tuple[int, ...]) -> float:
+        if len(s) == 1:
+            return branches[s[0]].midpoint
+        return branches[s[0]].pullback(m, point(s[1:]))
 
-    def suffix(s: tuple[int, ...]) -> tuple[float, float, float]:
-        got = known.get(s)
-        if got is None:
-            br = branches[s[0]]
-            if len(s) == 2:
-                lo, hi, df = scheme.depth2_cylinders[s[0]][s[1]]
-            else:
-                lo, hi = br.lo, br.hi
-                if len(s) > 2:
-                    inner_lo, inner_hi, _ = suffix(s[1:])
-                    a, b = br.pullback(m, inner_lo), br.pullback(m, inner_hi)
-                    lo, hi = min(a, b), max(a, b)
-                df = br.dF(m, 0.5 * (lo + hi))
-            got = known[s] = (lo, hi, -t * math.log(df) - shift * br.tau)
-        return got
+    @functools.cache
+    def term(s: tuple[int, ...]) -> float:
+        br = branches[s[0]]
+        if len(s) == 1:
+            df = br.df_mid
+        elif len(s) == 2:
+            df = scheme.depth2_derivatives[s[1], s[0]]
+        else:
+            df = br.dF(m, point(s))
+        return -t * math.log(df) - shift * br.tau
 
     rng = np.random.default_rng(RATIO_SEED)
     k_best = 1.0
@@ -191,7 +195,7 @@ def gibbs_ratio_check(solution: GibbsSolution, depth: int,
         for w in words:
             psi = 0.0
             for k in range(d):
-                psi += suffix(w[k:])[2]
+                psi += term(w[k:])
             mass = float(np.prod([solution.masses[i] for i in w]))
             try:
                 ratio = mass / math.exp(psi - d * log_lam)

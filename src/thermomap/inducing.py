@@ -182,7 +182,8 @@ class InducingScheme:
 
     def koebe_bound(self) -> float:
         """Distortion bound (1+2d)/d^2 + 1 from the extension margin."""
-        if self.delta <= 0:
+        # d^2 underflows to 0 below about d = 1e-162, where the bound is inf
+        if self.delta <= 0 or self.delta ** 2 == 0.0:
             return math.inf
         return (1.0 + 2.0 * self.delta) / self.delta ** 2 + 1.0
 
@@ -200,29 +201,6 @@ class InducingScheme:
         columns = [bi.dF_array(m, bi.pullback_array(pulled))
                    for bi in self.branches]
         return np.array(columns).reshape(n, n).T
-
-    @cached_property
-    def depth2_cylinders(self) -> list[list[tuple[float, float, float]]]:
-        """Entry [i][j] is (lo, hi, |DF_i(mid)|) for the cylinder of the
-        word (i, j): branch j's ends pulled back by branch i, ordered, and
-        |DF_i| at the midpoint of the two; the floats of ``pullback`` and
-        ``dF``.  Branch ends that neighbours share are pulled back once.
-        """
-        m, branches = self.map, self.branches
-        # keyed by float.hex, which tells -0.0 from 0.0
-        at: dict[str, int] = {}
-        for b in branches:
-            for y in (b.lo, b.hi):
-                at.setdefault(y.hex(), len(at))
-        pulled = WordPullbacks(m, [float.fromhex(h) for h in at])
-        ends = [(at[b.lo.hex()], at[b.hi.hex()]) for b in branches]
-        rows = []
-        for bi in branches:
-            z = bi.pullback_array(pulled).tolist()
-            cyls = [(min(z[j], z[k]), max(z[j], z[k])) for j, k in ends]
-            dfs = bi.dF_array(m, np.array([0.5 * (lo + hi) for lo, hi in cyls]))
-            rows.append([(lo, hi, df) for (lo, hi), df in zip(cyls, dfs.tolist())])
-        return rows
 
     @cached_property
     def end_images(self) -> list[tuple[float, float] | None]:
@@ -569,8 +547,9 @@ def validate_scheme(scheme: InducingScheme) -> SchemeReport:
         onto_tol = tol + b.df_hi * max(b.tau, 1) * 128.0 * 2.3e-16
         onto = (abs(lo_img - x_lo) <= onto_tol and abs(hi_img - x_hi) <= onto_tol)
         dist = b.distortion
+        # an infinite distortion is never within bound, not even an inf one
         checks.append(BranchCheck(i, disjoint, onto, dist,
-                                  dist <= bound * (1.0 + 1e-9),
+                                  math.isfinite(dist) and dist <= bound * (1.0 + 1e-9),
                                   overlap_with, overlap_interval))
     max_dist = max((c.distortion for c in checks), default=1.0)
     return SchemeReport(tuple(checks), bound, max_dist)

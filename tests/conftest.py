@@ -184,12 +184,14 @@ def unpruned_extendible_return_scheme(m, x, delta: float, T: int):
         meta={"y": (y_lo, y_hi)})
 
 
-def scalar_gibbs_ratio_check(solution, depth: int, word_cap: int = 20_000):
-    """``gibbs_ratio_check`` as it was when every word pulled its suffix
-    cylinders back and evaluated |DF| point by point: an oracle for the
-    memoised library check.
+def pointwise_gibbs_ratio_check(solution, depth: int, word_cap: int = 20_000):
+    """``gibbs_ratio_check`` word by word, with no memo: an oracle for the
+    library check, which shares points and terms between words.
 
-    Measured two-sided Gibbs constant over induced cylinders.
+    Each word w pulls the midpoint of its last branch back letter by
+    letter with ``SchemeBranch.pullback``, which gives the point
+    x_{w_k ... w_n} of every suffix, and sums -t log|DF_{w_k}| - S tau_{w_k}
+    at those points, by ``SchemeBranch.dF``, in word order.
     """
     if depth > 8:
         raise DomainError("depth must be <= 8")
@@ -198,7 +200,7 @@ def scalar_gibbs_ratio_check(solution, depth: int, word_cap: int = 20_000):
     n = len(solution.masses)
     if scheme is None:
         return 1.0
-    m = scheme.map
+    m, branches = scheme.map, scheme.branches
     log_lam = solution.log_lam
     rng = np.random.default_rng(RATIO_SEED)
     k_best = 1.0
@@ -209,19 +211,13 @@ def scalar_gibbs_ratio_check(solution, depth: int, word_cap: int = 20_000):
         else:
             words = rng.integers(0, n, size=(word_cap, d)).tolist()
         for w in words:
-            suffix = [None] * d
-            lo, hi = scheme.branches[w[-1]].lo, scheme.branches[w[-1]].hi
-            suffix[d - 1] = (lo, hi)
-            for k in range(d - 2, -1, -1):
-                br = scheme.branches[w[k]]
-                a = br.pullback(m, suffix[k + 1][0])
-                b = br.pullback(m, suffix[k + 1][1])
-                suffix[k] = (min(a, b), max(a, b))
+            xs = [branches[w[-1]].midpoint]
+            for i in reversed(w[:-1]):
+                xs.append(branches[i].pullback(m, xs[-1]))
             psi = 0.0
-            for k, i in enumerate(w):
-                br = scheme.branches[i]
-                df = br.dF(m, 0.5 * (suffix[k][0] + suffix[k][1]))
-                psi += -model.t * math.log(df) - solution.shift * br.tau
+            for x, i in zip(reversed(xs), w):
+                br = branches[i]
+                psi += -model.t * math.log(br.dF(m, x)) - solution.shift * br.tau
             mass = float(np.prod([solution.masses[i] for i in w]))
             ratio = mass / math.exp(psi - d * log_lam)
             k_best = max(k_best, ratio, 1.0 / ratio)

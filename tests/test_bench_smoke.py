@@ -19,7 +19,7 @@ TINY_DIGESTS = {
     "quad4_ext_scan": "a5167ba68e26c535756b31a0a1741c369730123788449f78d30593921f7dacf5",
     "markov_scan": "a51aacf118c0e0863871d5439dfb85854422dc44dfc7b8dbfb40aab8d669ab38",
     "pressure_queries": "fc5c2e54076bf318cbca69dfc7f7724e156ad61f21b09b36c285c62fd25b5d9f",
-    "sine_gibbs": "db3987df749d0103c0aa0f48c84d4425eba3de9a583faba98d24bb9515ff223f",
+    "sine_gibbs": "6e8c49ffd1b762ba86faed5b76e9da7ee864cba67111537ec45ed8d98531ec37",
 }
 
 

@@ -299,6 +299,26 @@ class TestRunCli:
         assert run(["pressure", "--map", "quad4", "--t", "1e10"]) == 3
         assert "depth-2 weights vanish" in capsys.readouterr().err
 
+    def test_scan_records_a_numeric_failure_in_its_row(self, capsys):
+        # the t = 1e10 row fails as ``pressure --t 1e10`` does; the t = -1
+        # row is the one a scan without t = 1e10 writes
+        assert run(["scan", "--map", "quad4", "--t-min", "-1", "--t-max", "1e10",
+                    "--steps", "2"]) == 0
+        rows = capsys.readouterr().out.splitlines()
+        assert rows[2] == "1e+10,nan,nan,nan,error:numeric,nan,nan,nan,nan"
+        assert run(["scan", "--map", "quad4", "--t-min", "-1", "--t-max", "1",
+                    "--steps", "2"]) == 0
+        assert capsys.readouterr().out.splitlines()[:2] == rows[:2]
+
+    @pytest.mark.parametrize("delta", ["1e-160", "1e-200"])
+    def test_tiny_delta_gives_a_bracket(self, capsys, delta):
+        # the Koebe bound is inf once (1 + 2d)/d^2 leaves the float range:
+        # at 1e-200 through d^2 underflowing to 0
+        assert run(["pressure", "--map", "quad4", "--scheme", "extendible",
+                    "--delta", delta, "--x-point", "0.3", "--x-depth", "2",
+                    "--cap", "8", "--t", "1"]) == 0
+        assert capsys.readouterr().out.startswith("P_+ bracket: [")
+
     @pytest.mark.parametrize("t,code", [("-60", 0)])
     def test_overflowing_depth2_weights_exit_three(self, capsys, t, code):
         # the negative-t case, which never overflowed, still exits 0

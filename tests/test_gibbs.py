@@ -14,7 +14,7 @@ from thermomap.thermo import synthetic_model
 import conftest
 from conftest import (ACIP_LYAP, JOIN_MAP, LOG_GOLDEN, SINE_SPEC, hexes,
                       linear_gurevich_pressure, linear_solve_gibbs,
-                      scalar_gibbs_ratio_check, scalar_project_measure)
+                      pointwise_gibbs_ratio_check, scalar_project_measure)
 
 GOLDEN = (1 + math.sqrt(5)) / 2
 
@@ -222,7 +222,7 @@ def _edge_targets(scheme):
 class TestAgainstScalarOracle:
     """Projection and the Gibbs-ratio check give the floats of their scalar
     oracles in conftest, which recompute every segment orbit, branch-end
-    image and suffix cylinder for each target and word."""
+    image and suffix point for each target and word."""
 
     @staticmethod
     def same_projection(scheme, sol, targets):
@@ -234,7 +234,7 @@ class TestAgainstScalarOracle:
     @staticmethod
     def same_ratio(sol, depth, word_cap=20_000):
         assert tm.gibbs_ratio_check(sol, depth, word_cap).hex() \
-            == scalar_gibbs_ratio_check(sol, depth, word_cap).hex()
+            == pointwise_gibbs_ratio_check(sol, depth, word_cap).hex()
 
     def test_sine_bench_targets(self):
         scheme = _oracle_scheme("sine")
@@ -266,6 +266,20 @@ class TestAgainstScalarOracle:
         lib, oracle = calls["library"], calls["oracle"]
         assert len(lib) == len(set(lib)) == len(set(oracle)) < len(oracle)
         assert set(lib) == set(oracle)
+
+    def test_depth_two_ratio_pulls_nothing_back(self, monkeypatch):
+        # the depth-2 solve caches |DF| at every point the check reads
+        scheme = dataclasses.replace(_oracle_scheme("sine"))
+        sol = tm.equilibrium_shift_solve(scheme, 1.0).solution
+        assert "depth2_derivatives" in vars(scheme)
+        calls = []
+        for module in (tm.interval_map, tm.inducing):
+            def pullback_word(m, word, y, inner=module.pullback_word):
+                calls.append(tuple(word))
+                return inner(m, word, y)
+            monkeypatch.setattr(module, "pullback_word", pullback_word)
+        tm.gibbs_ratio_check(sol, 2)
+        assert calls == []
 
     @pytest.mark.parametrize("t", [0.0, 1.0, 2.0])
     def test_quad4_cap14(self, t):

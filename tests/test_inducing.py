@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -132,6 +133,11 @@ class TestExtendibleReturn:
         assert bound == 9.0
         for b in quad_scheme.branches:
             assert b.distortion <= bound
+
+    @pytest.mark.parametrize("delta", [1e-160, 1e-200])
+    def test_koebe_bound_past_the_float_range(self, quad_scheme, delta):
+        # the quotient overflows at 1e-160; delta^2 underflows at 1e-200
+        assert replace(quad_scheme, delta=delta).koebe_bound() == math.inf
 
     def test_neighbourhood_must_fit(self, tent_map):
         with pytest.raises(DomainError):
@@ -359,13 +365,13 @@ class TestMultiWordReaders:
         want = 1.0
         for d in (1, 2):
             for w in itertools.product(range(len(brs)), repeat=d):
-                # the midpoints of the cylinder w and of its shift
+                # the point x_w of the cylinder w and its F-image: the
+                # midpoint of the last branch, pulled back along w
                 if d == 1:
                     zs = [brs[w[0]].midpoint]
                 else:
                     bi, bj = brs[w[0]], brs[w[1]]
-                    ends = (preimage(m, bi, bj.lo), preimage(m, bi, bj.hi))
-                    zs = [0.5 * sum(ends), bj.midpoint]
+                    zs = [preimage(m, bi, bj.midpoint), bj.midpoint]
                 psi = sum(-t * math.log(derivative_along(m, z, brs[i].tau))
                           - shift * brs[i].tau for z, i in zip(zs, w))
                 mass = math.prod(sol.masses[i] for i in w)
@@ -476,6 +482,17 @@ class TestValidateScheme:
         assert tm.validate_scheme(sch).max_distortion == math.inf
         with pytest.raises(DegenerateBranchError):
             tm.equilibrium_shift_solve(sch, 1.0)
+
+    def test_infinite_distortion_is_never_within_bound(self):
+        # delta = 0 makes the Koebe bound inf, and inf <= inf
+        sch = tm.first_return_scheme(tm.fixture("quad4"), (0.0, 0.5), 20)
+        rep = tm.validate_scheme(sch)
+        assert rep.koebe_bound == math.inf
+        flat = [c for c in rep.checks if c.distortion == math.inf]
+        assert len(flat) == 5
+        assert not any(c.distortion_ok for c in flat)
+        assert all(c.ok for c in rep.checks if c.distortion < math.inf)
+        assert not rep.ok
 
     def test_csv_rows(self, golden_scheme):
         from thermomap.inducing import scheme_to_csv_rows
