@@ -100,8 +100,8 @@ class ScanConfig:
             raise DomainError("t_min must be < t_max")
         if self.steps < 2:
             raise DomainError("steps must be >= 2")
-        if not self.tolerance > 0:
-            raise DomainError("tolerance must be > 0")
+        if not 0.0 < self.tolerance < math.inf:
+            raise DomainError(f"tolerance must be finite and > 0, got {self.tolerance!r}")
         if not math.isfinite((self.t_max - self.t_min) * (self.steps - 1)):
             raise DomainError("t-grid overflows: (t_max - t_min) * (steps - 1) "
                               "is not finite")

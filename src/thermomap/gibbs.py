@@ -411,27 +411,60 @@ def zero_entropy_competitor(scheme: InducingScheme, t: float) -> float:
                default=-math.inf)
 
 
-def _edge_bisect(f, lo: float, hi: float, tol: float) -> float:
-    """Zero crossing of the monotone-decreasing bound f, to width tol."""
-    a, b = lo, hi
+def _false_position(f, a: float, fa: float, b: float, fb: float,
+                    tol: float) -> float:
+    """Zero crossing of the decreasing bound f in [a, b], to width tol,
+    from the end values fa = f(a) > 0 >= fb = f(b).
+
+    Illinois false position: each step goes to the zero of the chord
+    through (a, fa) and (b, fb), and the end value kept at an end that
+    has stayed fixed twice in a row is halved, so both ends move.  A
+    chord zero within tol/2 of an end, an exact zero at the end
+    included, moves to tol/2 from it, so the bracket can close.  The
+    step is the midpoint when an end value is not finite (the upper
+    bound is +inf left of the tail's pole), or when the chord zero is
+    not in [a, b] or its moved step not strictly inside (a, b).  A moved
+    step that leaves the bracket open finds f flat at float level, as
+    it is where the float weight sum rounds to 1, and the rest of the
+    edge is bisected.
+    """
+    half = 0.5 * tol
+    kept = 0  # +1: the last step kept a, -1: it kept b
+    flat = False
     while b - a > tol:
         c = 0.5 * (a + b)
         if c == a or c == b:  # no float left strictly inside [a, b]
             break
-        if f(c) <= 0.0:
-            b = c
+        if not flat and fa < math.inf and -math.inf < fb < fa:
+            x = a + (b - a) * (fa / (fa - fb))
+            if a <= x <= b:
+                y = min(max(x, a + half), b - half)
+                if a < y < b:
+                    c, flat = y, y != x
+        fc = f(c)
+        if fc <= 0.0:
+            b, fb = c, fc
+            if kept == 1:
+                fa *= 0.5
+            kept = 1
         else:
-            a = c
+            a, fa = c, fc
+            if kept == -1:
+                fb *= 0.5
+            kept = -1
     return 0.5 * (a + b)
 
 
-def _bracket_end(bound, sign: float) -> float:
-    """The first s = sign * 2^k, k = 0, ..., 79, past the zero crossing
-    of the decreasing bound: sign * bound(s) < 0."""
+def _bracket_end(model: ThermoModel, sign: float) -> tuple[float, Bracket]:
+    """The first s = sign * 2^k, k = 0, ..., 79, past the zero crossing of
+    the decreasing pressure bound on that side, the upper bound negative
+    for sign > 0 and the lower bound positive for sign < 0, with the
+    pressure bracket at s."""
     for k in range(80):
         s = sign * 2.0 ** k
-        if sign * bound(s) < 0.0:
-            return s
+        p = gurevich_pressure(model, s)
+        if (p.hi < 0.0) if sign > 0 else (p.lo > 0.0):
+            return s, p
     raise InfinitePressureError(
         "upper pressure bound never went negative" if sign > 0
         else "lower pressure bound never went positive")
@@ -439,11 +472,13 @@ def _bracket_end(bound, sign: float) -> float:
 
 def equilibrium_shift_solve(scheme: InducingScheme, t: float,
                             tolerance: float = 1e-10) -> ShiftSolveResult:
-    """Solve P_G(Psi_S) = 0 for the shift S by bracket-aware bisection.
+    """Solve P_G(Psi_S) = 0 for the shift S by bracket-aware false position.
 
-    Monotone continuity of S -> P_G(Psi_S) justifies bisection; the two
-    edges (lower bound crossing zero, upper bound crossing zero) are
-    refined separately so the returned bracket is honest about model
+    Both bounds of S -> P_G(Psi_S) are continuous and decreasing, so
+    each has one zero crossing; the two edges (lower bound crossing
+    zero, upper bound crossing zero) are refined separately, by false
+    position with a midpoint fallback, to width ``tolerance`` or to
+    float resolution, so the returned bracket is honest about model
     width.  The solved S is the pressure estimate of the original
     potential at this t, relative to the chosen scheme.
     """
@@ -458,10 +493,12 @@ def equilibrium_shift_solve(scheme: InducingScheme, t: float,
         return gurevich_pressure(model, s).hi
 
     zeb = zero_entropy_competitor(scheme, t)
-    s_right = _bracket_end(p_up, 1.0)
-    s_left = _bracket_end(p_low, -1.0)
-    edge_hi = _edge_bisect(p_up, s_left, s_right, tol=tolerance)
-    edge_lo = _edge_bisect(p_low, s_left, s_right, tol=tolerance)
+    s_right, at_right = _bracket_end(model, 1.0)
+    s_left, at_left = _bracket_end(model, -1.0)
+    edge_hi = _false_position(p_up, s_left, at_left.hi, s_right, at_right.hi,
+                              tolerance)
+    edge_lo = _false_position(p_low, s_left, at_left.lo, s_right, at_right.lo,
+                              tolerance)
     # the float-evaluated bounds place their roots only to a few ulps
     pad = max(0.5 * tolerance,
               8.0 * math.ulp(max(1.0, abs(edge_lo), abs(edge_hi))))

@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 
 import thermomap as tm
 from thermomap import diagnostics as dg
-from thermomap.errors import CriticalOrbitError, DomainError
+from thermomap import gibbs
+from thermomap.errors import (CriticalOrbitError, DomainError,
+                              InfinitePressureError)
 from thermomap.gibbs import (PROJECTION_DEPTH, RATIO_SEED, REFINE_CAP,
                              RESIDUAL_TOL, _tau_mean_bracket)
 from thermomap.inducing import (CYLINDER_CAP, ONTO_RTOL, InducingScheme,
@@ -388,6 +390,49 @@ def linear_solve_gibbs(model, shift: float):
         if math.isfinite(lam_hi) else np.zeros(n)
     mass_hi = np.minimum(w_hi / lam_lo, 1.0)
     return lam, lam_lo, lam_hi, masses, mass_lo, mass_hi
+
+
+def bisection_shift_solve(scheme, t: float, tolerance: float) -> Bracket:
+    """``equilibrium_shift_solve`` as it was when it bisected each edge:
+    its bracket on S, an oracle for the library's false position.  Every
+    weight sum is one call of ``gibbs.gurevich_pressure``, looked up at
+    call time, so that a test can count them."""
+    model = tm.induced_potential(scheme, t)
+
+    def p_low(s):
+        return gibbs.gurevich_pressure(model, s).lo
+
+    def p_up(s):
+        return gibbs.gurevich_pressure(model, s).hi
+
+    def edge_bisect(f, a, b):
+        while b - a > tolerance:
+            c = 0.5 * (a + b)
+            if c == a or c == b:
+                break
+            if f(c) <= 0.0:
+                b = c
+            else:
+                a = c
+        return 0.5 * (a + b)
+
+    def bracket_end(bound, sign):
+        for k in range(80):
+            s = sign * 2.0 ** k
+            if sign * bound(s) < 0.0:
+                return s
+        raise InfinitePressureError("pressure bound never changed sign")
+
+    s_right = bracket_end(p_up, 1.0)
+    s_left = bracket_end(p_low, -1.0)
+    edge_hi = edge_bisect(p_up, s_left, s_right)
+    edge_lo = edge_bisect(p_low, s_left, s_right)
+    pad = max(0.5 * tolerance,
+              8.0 * math.ulp(max(1.0, abs(edge_lo), abs(edge_hi))))
+    s_lo = min(edge_lo, edge_hi) - pad
+    s_hi = max(edge_lo, edge_hi) + pad
+    tm.solve_gibbs(model, 0.5 * (s_lo + s_hi))
+    return Bracket(s_lo, s_hi)
 
 
 def stepwise_chain_rule(m, x: float, n: int):

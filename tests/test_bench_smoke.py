@@ -16,10 +16,10 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 # every output the repetition wrote.  A change that alters a number must
 # update its pin here and say in CHANGES.md why the number moved.
 TINY_DIGESTS = {
-    "quad4_ext_scan": "a5167ba68e26c535756b31a0a1741c369730123788449f78d30593921f7dacf5",
-    "markov_scan": "a51aacf118c0e0863871d5439dfb85854422dc44dfc7b8dbfb40aab8d669ab38",
-    "pressure_queries": "fc5c2e54076bf318cbca69dfc7f7724e156ad61f21b09b36c285c62fd25b5d9f",
-    "sine_gibbs": "6e8c49ffd1b762ba86faed5b76e9da7ee864cba67111537ec45ed8d98531ec37",
+    "quad4_ext_scan": "ca045c346640658351c53485bfe742f427cd95fe0426a82f60314a9e19779d48",
+    "markov_scan": "029c333491c962f073dea67c61044001ef1dd15fc46b7b3e3e56ba485a838661",
+    "pressure_queries": "efe5e1465b2bbe16cd0dd6ed9c7a1855fd8851e66743f56991106be2dcc838b6",
+    "sine_gibbs": "03f79aca158e786d5d529c64c1645f5737912ac7ddbefb7bc5f8572bdbaf9964",
 }
 
 
@@ -50,3 +50,16 @@ def test_traced_run_writes_the_untraced_digests():
         digest = re.search(rf"^# sha256 {kind} = ([0-9a-f]{{64}})$", proc.stdout, re.M)
         assert digest is not None, proc.stdout
         assert digest.group(1) == TINY_DIGESTS["sine_gibbs"], kind
+
+
+def test_shift_solve_evaluations_per_solve():
+    # the shift solve's edges by false position: bisection to 1e-10 took
+    # 72.4 weight sums per solve on this run
+    proc = subprocess.run(
+        [sys.executable, os.path.join("bench", "run.py"), "--workload", "markov_scan",
+         "--size", "tiny", "--seed", "1", "--seconds", "0", "--trace", "1"],
+        cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    found = re.search(r"^# layer gibbs\.evals_per_solve = (\S+) count$", proc.stdout, re.M)
+    assert found is not None, proc.stdout
+    assert float(found.group(1)) <= 30.0

@@ -121,6 +121,8 @@ class TestScanPressure:
             ScanConfig(tent_map, 0.0, 1.0, 5, tolerance=0.0)
         with pytest.raises(DomainError):
             ScanConfig(tent_map, 0.0, 1.0, 5, tolerance=math.nan)
+        with pytest.raises(DomainError):
+            ScanConfig(tent_map, 0.0, 1.0, 5, tolerance=math.inf)
         with pytest.raises(DomainError, match="unknown scheme kind"):
             ScanConfig(tent_map, 0.0, 1.0, 5, scheme_kind="bogus")
 

@@ -7,9 +7,11 @@ import numpy as np
 import pytest
 
 import thermomap as tm
-from thermomap.cli import default_base_cylinder
-from thermomap.errors import DomainError, InfinitePressureError, NumericError
-from thermomap.thermo import synthetic_model
+from thermomap import gibbs
+from thermomap.cli import build_scheme, default_base_cylinder
+from thermomap.errors import (DomainError, InfinitePressureError, NumericError,
+                              ThermomapError)
+from thermomap.thermo import Bracket, synthetic_model
 
 import conftest
 from conftest import (ACIP_LYAP, JOIN_MAP, LOG_GOLDEN, SINE_SPEC, hexes,
@@ -384,6 +386,48 @@ class TestAbramov:
         assert ab.lyap_f == pytest.approx(ab.tau_mean * ab.lyap, rel=1e-9)
 
 
+def _first_return_12(name):
+    return lambda: build_scheme(tm.fixture(name), scheme_kind="first-return",
+                                x_point=None, x_depth=1, delta=0.5, cap=12)
+
+
+#: The schemes on which the shift solve is checked against the bisection
+#: oracle: the markov_scan maps (the full map with breakpoint 1/24 among
+#: them) and quad4, at the bench's options.
+SHIFT_ORACLE_SCHEMES = {
+    "tent2": _first_return_12("tent2"),
+    "markov_golden": _first_return_12("markov_golden"),
+    "markov_full": _first_return_12("markov_full"),
+    "full_1_up": lambda: build_scheme(
+        tm.make_plinear([0.0, 1 / 24, 1.0], [(0.0, 1.0), (0.0, 1.0)], [1, 1]),
+        scheme_kind="first-return", x_point=None, x_depth=1, delta=0.5, cap=12),
+    "quad4": _first_return_12("quad4"),
+    "quad4_extendible": lambda: build_scheme(
+        tm.fixture("quad4"), scheme_kind="extendible", x_point=0.3, x_depth=2,
+        delta=0.5, cap=14),
+}
+#: The markov_scan grid, 61 points on [-1, 2], and large |t|.
+SHIFT_PROBE_TS = [-1.0 + 3.0 * k / 60 for k in range(61)] + \
+    [40.0, -40.0, 120.0, -120.0, 1000.0, -1000.0]
+
+
+def count_pressure_calls(monkeypatch):
+    """Count the shift solve's weight sums, ``gibbs.gurevich_pressure``
+    calls, in calls[0]; more than 1000 of them raise, so that a search
+    that does not stop fails."""
+    calls = [0]
+    inner = gibbs.gurevich_pressure
+
+    def counting(model, shift):
+        calls[0] += 1
+        if calls[0] > 1000:
+            raise RuntimeError("more than 1000 weight sums")
+        return inner(model, shift)
+
+    monkeypatch.setattr(gibbs, "gurevich_pressure", counting)
+    return calls
+
+
 class TestShiftSolve:
     def test_golden_t1_pressure_zero(self, golden_scheme):
         res = tm.equilibrium_shift_solve(golden_scheme, 1.0, 1e-10)
@@ -409,6 +453,57 @@ class TestShiftSolve:
             signal.alarm(0)
             signal.signal(signal.SIGALRM, previous)
         assert res.bracket.contains(math.log(2.0))
+
+    @pytest.mark.parametrize("case", sorted(SHIFT_ORACLE_SCHEMES))
+    def test_false_position_matches_bisection(self, monkeypatch, case):
+        # the same outcome as bisection, edges within the tolerance of the
+        # bisected ones, and no more weight sums
+        scheme = SHIFT_ORACLE_SCHEMES[case]()
+        calls = count_pressure_calls(monkeypatch)
+
+        def outcome(solve, t):
+            calls[0] = 0
+            try:
+                return solve(scheme, t, 1e-10), calls[0]
+            except ThermomapError as exc:
+                return type(exc), calls[0]
+
+        for t in SHIFT_PROBE_TS:
+            got, n_got = outcome(lambda *a: tm.equilibrium_shift_solve(*a).bracket, t)
+            want, n_want = outcome(conftest.bisection_shift_solve, t)
+            assert n_got <= n_want, (t, n_got, n_want)
+            if isinstance(want, Bracket):
+                assert (got.lo, got.hi) == pytest.approx((want.lo, want.hi), abs=1e-10), t
+            else:
+                assert got is want, t
+
+    def test_upper_edge_from_the_tail_pole(self, monkeypatch):
+        # left of the tail's pole the upper bound is +inf, so the upper
+        # edge starts from an infinite end value and takes midpoints
+        scheme = SHIFT_ORACLE_SCHEMES["tent2"]()
+        model = tm.induced_potential(scheme, 0.5)
+        assert tm.gurevich_pressure(model, -1.0).lo > 0.0  # s_left = -1
+        assert tm.gurevich_pressure(model, -1.0).hi == math.inf
+        calls = count_pressure_calls(monkeypatch)
+        want = conftest.bisection_shift_solve(scheme, 0.5, 1e-10)
+        n_want, calls[0] = calls[0], 0
+        res = tm.equilibrium_shift_solve(scheme, 0.5, 1e-10)
+        assert res.s_hi == pytest.approx(want.hi, abs=1e-10)
+        assert calls[0] <= n_want
+
+    @pytest.mark.parametrize("fixture", ["golden_scheme", "tent_trivial_scheme"])
+    def test_flat_bound_at_float_resolution(self, request, monkeypatch, fixture):
+        # at t = 1 the float weight sum is exactly 1 for |S| below about
+        # 1e-16: the bound is 0 on a whole interval, where a chord through
+        # an end value 0 stays at that end, so the edges are bisected
+        scheme = request.getfixturevalue(fixture)
+        calls = count_pressure_calls(monkeypatch)
+        want = conftest.bisection_shift_solve(scheme, 1.0, 1e-20)
+        n_want, calls[0] = calls[0], 0
+        res = tm.equilibrium_shift_solve(scheme, 1.0, 1e-20)
+        assert res.bracket.contains(0.0)
+        assert (res.s_lo, res.s_hi) == pytest.approx((want.lo, want.hi), abs=1e-20)
+        assert calls[0] <= 1.1 * n_want
 
     @pytest.mark.parametrize("tol", [math.nan, math.inf])
     def test_non_finite_tolerance_rejected(self, tent_trivial_scheme, tol):
