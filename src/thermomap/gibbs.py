@@ -33,7 +33,7 @@ from .errors import (
     NumericError,
 )
 from .inducing import InducingScheme
-from .interval_map import pullback_word
+from .interval_map import InverseSteps
 from .symbolic import DEGEN_TOL
 from .thermo import (Bracket, ThermoModel, _log_weights_of, gurevich_pressure,
                      induced_potential)
@@ -233,7 +233,20 @@ def project_measure(scheme: InducingScheme, solution: GibbsSolution,
     mu(A) comes from the lift formula.  Values on sub-intervals of the
     inducing base are resolved by the product (Bernoulli) rule of the
     branch masses, recursively, with a bracket for the unresolved leaves.
+    A target with an end that is not finite raises DomainError.
+
+    Two memos live for one call.  Target ends are pulled back along
+    segment words through one ``InverseSteps``, keyed by (letter, point),
+    so each inverse step is taken once however many segments and targets
+    share it.  F at a branch cut inside the base is kept per branch,
+    keyed by the cut, for the current and the previous target:
+    neighbouring targets share an end, which cuts the same branches at
+    the same points at every level of the product rule.
     """
+    spans = [(a.lo, a.hi) if hasattr(a, "lo") else a for a in targets]
+    for lo, hi in spans:
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise DomainError(f"target [{lo}, {hi}] has an end that is not finite")
     tau = _tau_mean_bracket(solution)
     m = scheme.map
     branches = scheme.branches
@@ -248,6 +261,23 @@ def project_measure(scheme: InducingScheme, solution: GibbsSolution,
     # is no longer than DEGEN_TOL
     inside = [mu if br.hi - br.lo > DEGEN_TOL else 0.0
               for br, mu in zip(branches, masses)]
+
+    # F at cuts per branch, keyed by the cut, a zero by its repr, which tells
+    # -0.0 from 0.0: this target's and the previous one's (one dict per
+    # branch keeps the peak memory below that of (branch, cut) keys)
+    cuts: list[dict[float | str, float]] = [{} for _ in branches]
+    cuts_before = cuts
+
+    def forward(i: int, x: float) -> float:
+        key = x if x else repr(x)
+        mine = cuts[i]
+        y = mine.get(key)
+        if y is None:
+            y = cuts_before[i].get(key)
+            if y is None:
+                y = branches[i].forward(m, x)
+            mine[key] = y
+        return y
 
     def base_mass(lo: float, hi: float, depth: int) -> tuple[float, float]:
         """Bracket (lo, hi) on mu_F of [lo, hi] intersected with the base X."""
@@ -280,30 +310,23 @@ def project_measure(scheme: InducingScheme, solution: GibbsSolution,
                 continue
             # an end cut off at a branch end maps to that end's image
             ends = images[i]
-            u = ends[0] if ends and lo < br.lo else br.forward(m, p)
-            v = ends[1] if ends and hi > br.hi else br.forward(m, q)
+            u = ends[0] if ends and lo < br.lo else forward(i, p)
+            v = ends[1] if ends and hi > br.hi else forward(i, q)
             inner_lo, inner_hi = base_mass(min(u, v), max(u, v), depth - 1)
             acc_lo += mass * inner_lo
             acc_hi += mass * inner_hi
         return acc_lo, min(acc_hi, 1.0)
 
-    # a target end shared by neighbouring targets is pulled back once per
-    # (segment, k); keyed by float.hex, which tells -0.0 from 0.0
-    pulled: dict[tuple[int, int, str], float] = {}
-
-    def pull(seg: int, k: int, word, y: float) -> float:
-        key = (seg, k, y.hex())
-        x = pulled.get(key)
-        if x is None:
-            x = pulled[key] = pullback_word(m, word[:k], y)
-        return x
+    pull = InverseSteps(m)
 
     def value(a_lo: float, a_hi: float) -> Bracket:
+        nonlocal cuts, cuts_before
+        cuts_before, cuts = cuts, [{} for _ in branches]
         if a_hi <= a_lo:
             return Bracket(0.0, 0.0)
         num_lo = 0.0
         num_hi = 0.0
-        for seg, (lo, hi, word, ends) in enumerate(scheme.segment_orbits):
+        for lo, hi, word, ends in scheme.segment_orbits:
             for k, (u, v) in enumerate(ends):
                 j_lo, j_hi = min(u, v), max(u, v)
                 p, q = max(j_lo, a_lo), min(j_hi, a_hi)
@@ -313,11 +336,11 @@ def project_measure(scheme: InducingScheme, solution: GibbsSolution,
                 if p == j_lo:
                     xa = lo if increasing else hi
                 else:
-                    xa = pull(seg, k, word, p)
+                    xa = pull(word[:k], p)
                 if q == j_hi:
                     xb = hi if increasing else lo
                 else:
-                    xb = pull(seg, k, word, q)
+                    xb = pull(word[:k], q)
                 part_lo, part_hi = base_mass(min(xa, xb), max(xa, xb),
                                              PROJECTION_DEPTH)
                 num_lo += part_lo
@@ -326,7 +349,6 @@ def project_measure(scheme: InducingScheme, solution: GibbsSolution,
         hi = min(num_hi / tau.lo, 1.0) if tau.lo > 0 else 1.0
         return Bracket(lo, hi)
 
-    spans = [(a.lo, a.hi) if hasattr(a, "lo") else a for a in targets]
     return [value(lo, hi) for lo, hi in spans]
 
 

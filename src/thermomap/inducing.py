@@ -22,6 +22,7 @@ from .errors import DomainError, ResourceError
 from .hofbauer import build_tower
 from .interval_map import (
     IntervalMap,
+    InverseSteps,
     WordPullbacks,
     derivative_along_word,
     derivative_along_word_array,
@@ -55,14 +56,19 @@ def _checked_x(x: tuple[float, float]) -> tuple[float, float]:
     return x_lo, x_hi
 
 
-def _pullback_through(m: IntervalMap, cyls: Sequence[Cylinder], y: float,
-                      default: Word) -> float:
-    """y pulled back along the word of the first cylinder whose image
-    holds it within 1e-12, else along ``default``."""
+def _word_through(cyls: Sequence[Cylinder], y: float, default: Word) -> Word:
+    """The word of the first cylinder whose image holds y within 1e-12,
+    else ``default``."""
     for c in cyls:
         if c.image_lo - 1e-12 <= y <= c.image_hi + 1e-12:
-            return pullback_word(m, c.word, y)
-    return pullback_word(m, default, y)
+            return c.word
+    return default
+
+
+def _pullback_through(m: IntervalMap, cyls: Sequence[Cylinder], y: float,
+                      default: Word) -> float:
+    """y pulled back along ``_word_through(cyls, y, default)``."""
+    return pullback_word(m, _word_through(cyls, y, default), y)
 
 
 def _along_parts(values: Callable[[Word], np.ndarray],
@@ -410,8 +416,8 @@ def extendible_return_scheme(m: IntervalMap, x: tuple[float, float],
     refined; the scheme is the one full refinement gives.
     """
     x_lo, x_hi = _checked_x(x)
-    if delta <= 0:
-        raise DomainError("delta must be > 0")
+    if not 0 < delta < math.inf:
+        raise DomainError(f"delta must be finite and > 0, got {delta!r}")
     if T < 1:
         raise DomainError("time cap must be >= 1")
     x_len = x_hi - x_lo
@@ -435,7 +441,13 @@ def extendible_return_scheme(m: IntervalMap, x: tuple[float, float],
                        for a, b in targets)
                 for c in run]
 
-    levels = refine_levels(m, T, cap=CYLINDER_CAP, keep=live)
+    # the refinement and the branch ends below share their inverse steps
+    steps = InverseSteps(m)
+
+    def pull(piece: list[Cylinder], y: float) -> float:
+        return steps(_word_through(piece, y, piece[0].word), y)
+
+    levels = refine_levels(m, T, cap=CYLINDER_CAP, keep=live, _steps=steps)
     exhausted = False
     for j, level in enumerate(levels, 1):
         if uncovered.total() <= DEGEN_TOL:
@@ -452,8 +464,8 @@ def extendible_return_scheme(m: IntervalMap, x: tuple[float, float],
                 continue
             # a piece's cylinder images meet within 1e-12 and cover Y, so
             # each pullback below finds the cylinder that holds its target
-            pa = _pullback_through(m, piece, x_lo, piece[0].word)
-            pb = _pullback_through(m, piece, x_hi, piece[0].word)
+            pa = pull(piece, x_lo)
+            pb = pull(piece, x_hi)
             b_lo, b_hi = min(pa, pb), max(pa, pb)
             # candidates must live inside X (clip boundary noise only)
             if b_lo < x_lo - tol or b_hi > x_hi + tol:
@@ -469,8 +481,8 @@ def extendible_return_scheme(m: IntervalMap, x: tuple[float, float],
             if state == "partial":
                 conflicts += 1
                 continue
-            ea = _pullback_through(m, piece, y_lo, piece[0].word)
-            eb = _pullback_through(m, piece, y_hi, piece[0].word)
+            ea = pull(piece, y_lo)
+            eb = pull(piece, y_hi)
             # the piece's cylinders that a point of [b_lo, b_hi] can fall in
             parts = tuple(c for c in piece
                           if c.hi + 1e-12 >= b_lo and c.lo - 1e-12 <= b_hi)

@@ -9,6 +9,7 @@ quadratic(a), chebyshev(d), piecewise-linear, and custom expressions.
 
 from __future__ import annotations
 
+import bisect
 import math
 import re
 from dataclasses import dataclass, field
@@ -117,6 +118,54 @@ class IntervalMap:
         x = self.snap(x)
         return any(abs(x - p) == 0.0 for p in self.breakpoints[1:-1])
 
+    @cached_property
+    def _tiled(self) -> bool:
+        """Whether the branches tile the domain exactly, each ending where
+        the next begins, with breakpoints more than 4 SNAP_TOL apart: then
+        at most one breakpoint is within SNAP_TOL of a point, and bisection
+        finds it and the point's branch."""
+        pts = self.breakpoints
+        return (self.domain == (pts[0], pts[-1])
+                and all(b.hi == nb.lo for b, nb in zip(self.branches,
+                                                        self.branches[1:]))
+                and all(q - p > 4.0 * SNAP_TOL for p, q in zip(pts, pts[1:])))
+
+    def _locate(self, x: float, side: str) -> tuple[int, float]:
+        """(``branch_index(x, side)``, ``snap(x)``), snapping once."""
+        lo, hi = self.domain
+        if x < lo - SNAP_TOL or x > hi + SNAP_TOL:
+            raise DomainError(f"point {x!r} outside domain [{lo}, {hi}]")
+        if self._tiled:
+            pts = self.breakpoints
+            i = bisect.bisect_left(pts, x)  # pts[i - 1] < x <= pts[i]
+            if i < len(pts) and pts[i] - x <= SNAP_TOL:
+                x = pts[i]
+                if i == 0 or side == "right" and i < len(pts) - 1:
+                    return i, x
+                return i - 1, x
+            if 0 < i < len(pts):
+                if x - pts[i - 1] <= SNAP_TOL:
+                    x = pts[i - 1]
+                    if i > 1 and side != "right":
+                        return i - 2, x
+                return i - 1, x
+        # a NaN, or a map whose branches leave gaps or overlap
+        x = self.snap(x)
+        for i, b in enumerate(self.branches):
+            if b.lo < x < b.hi:
+                return i, x
+            if x == b.lo:
+                if i == 0 or side == "right":
+                    return i, x
+                return i - 1, x
+            if x == b.hi and i == self.n_branches - 1:
+                return i, x
+        # not snapped but numerically at a boundary: pick the covering branch
+        for i, b in enumerate(self.branches):
+            if b.contains(x):
+                return i, x
+        raise DomainError(f"point {x!r} not covered by any branch")
+
     def branch_index(self, x: float, side: str = "left") -> int:
         """Index of the branch containing ``x``.
 
@@ -124,34 +173,21 @@ class IntervalMap:
         ``side='right'``.  This is the tie-breaking rule used everywhere
         the partition has to behave like a partition of open sets.
         """
-        lo, hi = self.domain
-        if x < lo - SNAP_TOL or x > hi + SNAP_TOL:
-            raise DomainError(f"point {x!r} outside domain [{lo}, {hi}]")
-        x = self.snap(x)
-        for i, b in enumerate(self.branches):
-            if b.lo < x < b.hi:
-                return i
-            if x == b.lo:
-                if i == 0 or side == "right":
-                    return i
-                return i - 1
-            if x == b.hi and i == self.n_branches - 1:
-                return i
-        # not snapped but numerically at a boundary: pick the covering branch
-        for i, b in enumerate(self.branches):
-            if b.contains(x):
-                return i
-        raise DomainError(f"point {x!r} not covered by any branch")
+        return self._locate(x, side)[0]
+
+    # apply and deriv clamp as min(max(v, lo), hi) does, written out
 
     def apply(self, x: float, side: str = "left") -> float:
-        b = self.branches[self.branch_index(x, side)]
-        y = b.fwd(b.clamp(self.snap(x)))
+        i, x = self._locate(x, side)
+        b = self.branches[i]
+        y = b.fwd(b.lo if b.lo > x else b.hi if b.hi < x else x)
         lo, hi = self.domain
-        return min(max(y, lo), hi)
+        return lo if lo > y else hi if hi < y else y
 
     def deriv(self, x: float, side: str = "left") -> float:
-        b = self.branches[self.branch_index(x, side)]
-        return b.deriv(b.clamp(self.snap(x)))
+        i, x = self._locate(x, side)
+        b = self.branches[i]
+        return b.deriv(b.lo if b.lo > x else b.hi if b.hi < x else x)
 
 
 # ---------------------------------------------------------------------------
@@ -322,6 +358,41 @@ class WordPullbacks:
             z = pullback_word_array(self.map, word[j:j + 1], z)
             z.flags.writeable = False
             known[word[j:]] = z
+        return z
+
+
+class InverseSteps:
+    """``pullback_word(m, word, y)``, float for float, taking each inverse
+    step once.
+
+    A step is one branch inverse at one point: ``pullback_word`` clamps z
+    into the image of branch ``a`` and applies ``a``'s inverse there, once
+    per letter.  Steps are memoised by (a, clamped z), so words that share
+    a suffix share its steps, as do pullbacks of different points that
+    pass through one point.  A zero is keyed by its repr, which tells -0.0
+    from 0.0.  The memo lives as long as the helper, which one
+    refinement, scheme build or projection makes for itself.
+    """
+
+    def __init__(self, m: IntervalMap):
+        self._images = [b.image for b in m.branches]
+        self._invs = [b.inv for b in m.branches]
+        self._memo: dict[tuple[int, float | str], float] = {}
+
+    def __call__(self, word: Sequence[int], y: float) -> float:
+        images, memo, z = self._images, self._memo, y
+        for a in reversed(word):
+            # BranchSpec.clamp_image, min(max(z, lo), hi), written out
+            lo, hi = images[a]
+            if lo > z:
+                z = lo
+            elif hi < z:
+                z = hi
+            key = (a, z) if z else (a, repr(z))
+            hit = memo.get(key)
+            if hit is None:
+                hit = memo[key] = self._invs[a](z)
+            z = hit
         return z
 
 

@@ -14,6 +14,7 @@ from typing import Callable, Iterable, Sequence
 from .errors import AmbiguityError, DomainError, NumericError, ResourceError
 from .interval_map import (
     IntervalMap,
+    InverseSteps,
     SNAP_TOL,
     derivative_along_word,
     eval_along_word,
@@ -52,47 +53,6 @@ class Cylinder:
         return 0.5 * (self.lo + self.hi)
 
 
-class _SuffixPullbacks:
-    """``pullback_word(m, word, y)`` memoised by word suffix.
-
-    ``pullback_word(m, w, y)`` is ``inv(clamp_image(pullback_word(m, w[1:], y)))``
-    on branch ``w[0]``: the same float operations in the same order.  A
-    word whose suffix is already known therefore costs one inverse step.
-    Refinement asks for the words of one level at a time, and a word's
-    suffix is one letter shorter, so only the two longest word lengths
-    seen so far are kept.
-    """
-
-    def __init__(self, m: IntervalMap):
-        self._branches = m.branches
-        self._top = 0
-        # (word length, y) -> {word: pullback of y along word}
-        self._memo: dict[tuple[int, float], dict[Word, float]] = {}
-
-    def __call__(self, word: Word, y: float) -> float:
-        n = len(word)
-        k, z = n, y  # the empty suffix word[n:] leaves y as it is
-        for i in range(n):
-            hit = self._memo.get((n - i, y), {}).get(word[i:])
-            if hit is not None:
-                k, z = i, hit
-                break
-        for i in range(k - 1, -1, -1):
-            b = self._branches[word[i]]
-            z = b.inv(b.clamp_image(z))
-            self._store(word[i:], y, z)
-        return z
-
-    def _store(self, word: Word, y: float, z: float) -> None:
-        n = len(word)
-        if n > self._top:
-            self._top = n
-            self._memo = {key: known for key, known in self._memo.items()
-                          if key[0] >= n - 1}
-        if n >= self._top - 1:
-            self._memo.setdefault((n, y), {})[word] = z
-
-
 def _branch_images(m: IntervalMap, lo: float, hi: float
                    ) -> list[tuple[int, float, float, float, float]]:
     """(a, p, q, img_lo, img_hi) for each branch a that meets [lo, hi].
@@ -111,7 +71,7 @@ def _branch_images(m: IntervalMap, lo: float, hi: float
 
 
 def _children(m: IntervalMap, cyl: Cylinder,
-              pull: _SuffixPullbacks) -> list[Cylinder]:
+              pull: InverseSteps) -> list[Cylinder]:
     out = []
     for a, p, q, img_lo, img_hi in _branch_images(m, cyl.image_lo,
                                                  cyl.image_hi):
@@ -143,7 +103,8 @@ def refine(m: IntervalMap, n: int, cap: int = 200_000) -> list[Cylinder]:
 
 
 def refine_levels(m: IntervalMap, n_max: int, cap: int = 200_000,
-                  keep: Callable[[list[Cylinder]], list[Cylinder]] | None = None
+                  keep: Callable[[list[Cylinder]], list[Cylinder]] | None = None,
+                  *, _steps: InverseSteps | None = None
                   ) -> Iterable[list[Cylinder]]:
     """Yield P_1, ..., P_{n_max} incrementally (shared work).
 
@@ -152,10 +113,14 @@ def refine_levels(m: IntervalMap, n_max: int, cap: int = 200_000,
     level's kept cylinders.  ``keep`` is called on a yielded level when
     the next one is asked for, after the caller has handled it; an
     emptied level is still yielded, and every later one is empty.
+
+    Cylinder ends are pulled back through ``_steps``, a fresh
+    ``InverseSteps`` unless the caller passes the one it pulls its own
+    points back with, so that the two share their steps.
     """
     level = sorted((Cylinder((a,), b.lo, b.hi, *b.image, b.orientation)
                     for a, b in enumerate(m.branches)), key=lambda c: c.lo)
-    pull = _SuffixPullbacks(m)
+    pull = InverseSteps(m) if _steps is None else _steps
     for _ in range(n_max - 1):
         yield level
         nxt: list[Cylinder] = []

@@ -90,6 +90,57 @@ def hexes(values):
     return [float(v).hex() for v in values]
 
 
+def counting_inverses(m):
+    """m with every branch inverse recording its calls, and the list they
+    go to: one (letter, float.hex of the point) per call."""
+    calls = []
+
+    def counted(a, inv):
+        def inv_counted(y):
+            calls.append((a, float(y).hex()))
+            return inv(y)
+        return inv_counted
+
+    return replace(m, branches=tuple(replace(b, inv=counted(a, b.inv))
+                                     for a, b in enumerate(m.branches))), calls
+
+
+def looping_branch_index(m, x: float, side: str = "left") -> int:
+    """``IntervalMap.branch_index`` as it was when it snapped and then
+    walked the branches: an oracle for the library's one-snap lookup."""
+    lo, hi = m.domain
+    if x < lo - SNAP_TOL or x > hi + SNAP_TOL:
+        raise DomainError(f"point {x!r} outside domain [{lo}, {hi}]")
+    x = m.snap(x)
+    for i, b in enumerate(m.branches):
+        if b.lo < x < b.hi:
+            return i
+        if x == b.lo:
+            if i == 0 or side == "right":
+                return i
+            return i - 1
+        if x == b.hi and i == m.n_branches - 1:
+            return i
+    for i, b in enumerate(m.branches):
+        if b.contains(x):
+            return i
+    raise DomainError(f"point {x!r} not covered by any branch")
+
+
+def looping_apply(m, x: float, side: str = "left") -> float:
+    """``IntervalMap.apply`` over ``looping_branch_index``, snapping twice."""
+    b = m.branches[looping_branch_index(m, x, side)]
+    y = b.fwd(b.clamp(m.snap(x)))
+    lo, hi = m.domain
+    return min(max(y, lo), hi)
+
+
+def looping_deriv(m, x: float, side: str = "left") -> float:
+    """``IntervalMap.deriv`` over ``looping_branch_index``."""
+    b = m.branches[looping_branch_index(m, x, side)]
+    return b.deriv(b.clamp(m.snap(x)))
+
+
 @st.composite
 def plinear_maps(draw):
     """2-4 affine branches with rational breakpoints and images, each

@@ -14,8 +14,9 @@ from thermomap.errors import (DomainError, InfinitePressureError, NumericError,
 from thermomap.thermo import Bracket, synthetic_model
 
 import conftest
-from conftest import (ACIP_LYAP, JOIN_MAP, LOG_GOLDEN, SINE_SPEC, hexes,
-                      linear_gurevich_pressure, linear_solve_gibbs,
+from conftest import (ACIP_LYAP, JOIN_MAP, LOG_GOLDEN, SINE_SPEC,
+                      counting_inverses, hexes, linear_gurevich_pressure,
+                      linear_solve_gibbs,
                       pointwise_gibbs_ratio_check, scalar_project_measure)
 
 GOLDEN = (1 + math.sqrt(5)) / 2
@@ -245,29 +246,19 @@ class TestAgainstScalarOracle:
                                            for k in range(32)])
         self.same_ratio(sol, 2)
 
-    def test_sine_bench_targets_pull_each_end_back_once(self, monkeypatch):
-        # neighbouring targets share an end; each (segment, k, end) is
-        # pulled back once per call, where the oracle pulls it back for
-        # every target that has it
+    def test_sine_bench_targets_take_each_inverse_step_once(self):
+        # neighbouring targets share an end, and segments share the words it
+        # is pulled back along; the parent pulled target ends back through a
+        # memo keyed by (segment, k) and made 1,517 inverse calls here
         scheme = _oracle_scheme("sine")
         sol = tm.equilibrium_shift_solve(scheme, 1.0).solution
         targets = [(k / 32, (k + 1) / 32) for k in range(32)]
-        calls = {"library": [], "oracle": []}
-
-        def counting(module, who):
-            inner = module.pullback_word
-
-            def pullback_word(m, word, y):
-                calls[who].append((tuple(word), y.hex()))
-                return inner(m, word, y)
-            monkeypatch.setattr(module, "pullback_word", pullback_word)
-
-        counting(tm.gibbs, "library")
-        counting(conftest, "oracle")
-        self.same_projection(scheme, sol, targets)
-        lib, oracle = calls["library"], calls["oracle"]
-        assert len(lib) == len(set(lib)) == len(set(oracle)) < len(oracle)
-        assert set(lib) == set(oracle)
+        m, calls = counting_inverses(scheme.map)
+        got = tm.project_measure(dataclasses.replace(scheme, map=m), sol, targets)
+        want = scalar_project_measure(scheme, sol, targets)
+        assert [hexes((b.lo, b.hi)) for b in got] \
+            == [hexes((b.lo, b.hi)) for b in want]
+        assert 0 < len(calls) == len(set(calls)) < 1517
 
     def test_depth_two_ratio_pulls_nothing_back(self, monkeypatch):
         # the depth-2 solve caches |DF| at every point the check reads
@@ -350,6 +341,16 @@ class TestProjectMeasure:
             left, right = tm.project_measure(
                 golden_scheme, sol, [(0.0, c), (c, 1.0)])
             assert left.mid + right.mid == pytest.approx(1.0, abs=1e-9)
+
+    @pytest.mark.parametrize("target", [(math.nan, 0.5), (0.2, math.nan),
+                                        (-math.inf, 0.5), (0.2, math.inf)])
+    def test_non_finite_target_end_refused(self, target):
+        m = tm.fixture("quad4")
+        scheme = tm.extendible_return_scheme(
+            m, default_base_cylinder(m, 0.3, 2), 0.5, 10)
+        sol = tm.equilibrium_shift_solve(scheme, 1.0).solution
+        with pytest.raises(DomainError, match="not finite"):
+            tm.project_measure(scheme, sol, [(0.2, 0.5), target])
 
 
 class TestAbramov:

@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import thermomap as tm
-from conftest import (JOIN_MAP, SINE_SPEC, hexes, plinear_maps,
-                      unpruned_extendible_return_scheme)
+from conftest import (JOIN_MAP, SINE_SPEC, counting_inverses, hexes,
+                      plinear_maps, unpruned_extendible_return_scheme)
 from thermomap import hofbauer, inducing
 from thermomap.cli import default_base_cylinder
 from thermomap.diagnostics import variation_decay
@@ -138,6 +138,14 @@ class TestExtendibleReturn:
     def test_koebe_bound_past_the_float_range(self, quad_scheme, delta):
         # the quotient overflows at 1e-160; delta^2 underflows at 1e-200
         assert replace(quad_scheme, delta=delta).koebe_bound() == math.inf
+
+    @pytest.mark.parametrize("delta", [math.nan, math.inf])
+    def test_non_finite_delta_refused(self, quad_map, delta):
+        # a NaN delta passed the old delta <= 0 test and built a scheme
+        # whose Koebe bound was NaN
+        x = default_base_cylinder(quad_map, 0.3, 2)
+        with pytest.raises(DomainError, match="delta must be finite"):
+            tm.extendible_return_scheme(quad_map, x, delta, 10)
 
     def test_neighbourhood_must_fit(self, tent_map):
         with pytest.raises(DomainError):
@@ -269,6 +277,18 @@ class TestPrunedRefinement:
         assert len(sch.branches) == 91
         # refining every cylinder of every level builds 2 + 4 + ... + 2^14
         assert 0 < built[0] <= 1_000
+
+    def test_sine_build_takes_each_inverse_step_once(self):
+        # the refinement and the branch ends share one InverseSteps; the
+        # parent pulled X's and Y's ends back along every piece's full word
+        # and made 3,004 inverse calls here
+        sine = parse_map_spec(SINE_SPEC)
+        x = default_base_cylinder(sine, 0.3, 2)
+        m, calls = counting_inverses(sine)
+        got = tm.extendible_return_scheme(m, x, 0.5, 10)
+        assert scheme_outputs(got) == scheme_outputs(
+            unpruned_extendible_return_scheme(sine, x, 0.5, 10))
+        assert 0 < len(calls) == len(set(calls)) < 3004
 
     def test_deep_caps_build_and_escape_falls(self):
         m, x = quad4_x()

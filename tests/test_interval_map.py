@@ -6,10 +6,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import thermomap as tm
-from conftest import (ORBIT_MAPS, SINE_SPEC, hexes, plinear_maps,
+from conftest import (ORBIT_MAPS, SINE_SPEC, hexes, looping_apply,
+                      looping_branch_index, looping_deriv, plinear_maps,
                       stepwise_derivative_along, stepwise_derivative_prefixes)
 from thermomap.errors import CriticalOrbitError, DomainError, SchemaError
-from thermomap.interval_map import (WordPullbacks, _orbit_derivatives,
+from thermomap.interval_map import (SNAP_TOL, InverseSteps, WordPullbacks,
+                                    _orbit_derivatives,
                                     derivative_along_word,
                                     derivative_along_word_array,
                                     derivative_prefixes, pullback_word,
@@ -136,6 +138,11 @@ def assert_kernels_match(m, word, points):
     pulled = WordPullbacks(m, pts)
     for w in (word[1:], word, word[::-1], (word[0],) + word, word):
         assert hexes(pulled(w)) == hexes(pullback_word(m, w, y) for y in points)
+    # memoised by step, one helper for every word and point
+    steps = InverseSteps(m)
+    for w in (word[1:], word, word[::-1], (word[0],) + word, word):
+        assert hexes(steps(w, y) for y in points) == hexes(
+            pullback_word(m, w, y) for y in points)
 
 
 @st.composite
@@ -345,3 +352,53 @@ class TestSnapping:
     def test_snap_tolerance(self, golden_map):
         x = 2.0 / 3.0 + 5e-15
         assert golden_map.branch_index(x) == 0
+
+    @staticmethod
+    def _gapped_tent():
+        # the right branch starts 1e-13 after the left one ends, as
+        # _validate allows, so the lookup falls back to walking the branches
+        m = tm.fixture("tent2")
+        left, right = m.branches
+        return dataclasses.replace(m, branches=(
+            left, dataclasses.replace(right, lo=0.5 + 1e-13)))
+
+    @pytest.mark.parametrize("name", ["tent2", "quad4", "markov_golden",
+                                      "markov_full", "sine", "chebyshev3",
+                                      "quad3.8", "gapped", "overshoot"])
+    def test_one_snap_lookup_equals_the_looping_one(self, name):
+        if name == "gapped":
+            m = self._gapped_tent()
+        elif name == "overshoot":
+            # images 5e-10 past the domain, as _validate allows, so apply's
+            # clamp to the domain acts
+            m = tm.make_plinear([0, 0.5, 1], [(0, 1 + 5e-10), (0, 1 + 5e-10)])
+        else:
+            m = ORBIT_MAPS[name]()
+        lo, hi = m.domain
+        points = np.random.default_rng(0).uniform(lo, hi, 200).tolist()
+        for p in m.breakpoints + (0.5 + 1e-13,):
+            points += [p, p - 1e-15, p + 1e-15]
+        for end in (lo, hi):
+            points += [end - SNAP_TOL, end + SNAP_TOL, end - 0.5 * SNAP_TOL,
+                       end + 0.5 * SNAP_TOL]
+        # out of the domain, and not covered by any branch
+        points += [lo - 2 * SNAP_TOL, hi + 2 * SNAP_TOL, lo - 1.0, math.nan]
+
+        def outcome(fn, x, side):
+            try:
+                value = fn(m, x, side)
+            except DomainError as exc:
+                return ("DomainError", str(exc))
+            return value if isinstance(value, int) else value.hex()
+
+        errors = 0
+        for x in points:
+            for side in ("left", "right"):
+                for new, old in [
+                        (tm.IntervalMap.branch_index, looping_branch_index),
+                        (tm.IntervalMap.apply, looping_apply),
+                        (tm.IntervalMap.deriv, looping_deriv)]:
+                    want = outcome(old, x, side)
+                    assert outcome(new, x, side) == want, (x, side)
+                    errors += isinstance(want, tuple)
+        assert errors == 4 * 2 * 3
