@@ -226,6 +226,75 @@ def _tau_mean_bracket(solution: GibbsSolution) -> Bracket:
     return Bracket(lo, hi)
 
 
+class _ProductRule:
+    """mu_F on sub-intervals of the base X by the product rule, for one
+    projection call.  F at a branch cut, a branch end included, is kept
+    per branch, keyed by the cut, a zero by its repr, which tells -0.0
+    from 0.0 (one dict per branch keeps the peak memory below that of
+    (branch, cut) keys)."""
+
+    def __init__(self, scheme: InducingScheme, masses: list[float]):
+        self.map, self.branches = scheme.map, scheme.branches
+        self.x_lo, self.x_hi = scheme.x_lo, scheme.x_hi
+        # branches are sorted by lo: those that can meet [lo, hi] run from
+        # the first whose running-maximum hi exceeds lo to the last with
+        # lo < hi
+        self.los = [br.lo for br in self.branches]
+        self.his = list(itertools.accumulate((br.hi for br in self.branches),
+                                             max))
+        self.masses = masses
+        # what a branch inside [lo, hi] adds: all its mass, or nothing when
+        # it is no longer than DEGEN_TOL
+        self.inside = [mu if br.hi - br.lo > DEGEN_TOL else 0.0
+                       for br, mu in zip(self.branches, masses)]
+        self.cuts: list[dict[float | str, float]] = [{} for _ in self.branches]
+
+    def forward(self, i: int, x: float) -> float:
+        """F(x) on branch i, memoised."""
+        key = x if x else repr(x)
+        mine = self.cuts[i]
+        y = mine.get(key)
+        if y is None:
+            y = mine[key] = self.branches[i].forward(self.map, x)
+        return y
+
+    def base_mass(self, lo: float, hi: float, depth: int) -> tuple[float, float]:
+        """Bracket (lo, hi) on mu_F of [lo, hi] intersected with the base X."""
+        lo = max(lo, self.x_lo)
+        hi = min(hi, self.x_hi)
+        if hi - lo <= DEGEN_TOL:
+            return 0.0, 0.0
+        if lo <= self.x_lo + DEGEN_TOL and hi >= self.x_hi - DEGEN_TOL:
+            return 1.0, 1.0
+        los, his, branches = self.los, self.his, self.branches
+        # branches in [in_lo, in_hi) lie inside [lo, hi]
+        in_lo, in_hi = bisect.bisect_left(los, lo), bisect.bisect_right(his, hi)
+        acc_lo = 0.0
+        acc_hi = 0.0
+        for i in range(bisect.bisect_right(his, lo), bisect.bisect_left(los, hi)):
+            if in_lo <= i < in_hi:
+                acc_lo += self.inside[i]
+                acc_hi += self.inside[i]
+                continue
+            br = branches[i]
+            p, q = max(lo, br.lo), min(hi, br.hi)
+            if q - p <= DEGEN_TOL:
+                continue
+            mass = self.masses[i]
+            if p <= br.lo + DEGEN_TOL and q >= br.hi - DEGEN_TOL:
+                acc_lo += mass
+                acc_hi += mass
+                continue
+            if depth <= 0:
+                acc_hi += mass
+                continue
+            u, v = self.forward(i, p), self.forward(i, q)
+            inner_lo, inner_hi = self.base_mass(min(u, v), max(u, v), depth - 1)
+            acc_lo += mass * inner_lo
+            acc_hi += mass * inner_hi
+        return acc_lo, min(acc_hi, 1.0)
+
+
 def project_measure(scheme: InducingScheme, solution: GibbsSolution,
                     targets: Sequence) -> list[Bracket]:
     """mu(A) for each target interval or cylinder A, as brackets.
@@ -235,95 +304,27 @@ def project_measure(scheme: InducingScheme, solution: GibbsSolution,
     branch masses, recursively, with a bracket for the unresolved leaves.
     A target with an end that is not finite raises DomainError.
 
-    Two memos live for one call.  Target ends are pulled back along
-    segment words through one ``InverseSteps``, keyed by (letter, point),
-    so each inverse step is taken once however many segments and targets
-    share it.  F at a branch cut inside the base is kept per branch,
-    keyed by the cut, for the current and the previous target:
-    neighbouring targets share an end, which cuts the same branches at
-    the same points at every level of the product rule.
+    Two memos live for one call and are freed when it returns.  Target
+    ends are pulled back along segment words through one
+    ``InverseSteps``, keyed by (letter, point), so each inverse step is
+    taken once however many segments and targets share it.  F at a
+    branch cut inside the base, a branch end included, is kept per
+    branch, keyed by the cut: neighbouring targets share an end, which
+    cuts the same branches at the same points at every level of the
+    product rule.
     """
     spans = [(a.lo, a.hi) if hasattr(a, "lo") else a for a in targets]
     for lo, hi in spans:
         if not (math.isfinite(lo) and math.isfinite(hi)):
             raise DomainError(f"target [{lo}, {hi}] has an end that is not finite")
     tau = _tau_mean_bracket(solution)
-    m = scheme.map
-    branches = scheme.branches
-    x_lo, x_hi = scheme.x_lo, scheme.x_hi
-    # branches are sorted by lo: those that can meet [lo, hi] run from the
-    # first whose running-maximum hi exceeds lo to the last with lo < hi
-    los = [br.lo for br in branches]
-    his = list(itertools.accumulate((br.hi for br in branches), max))
-    masses = solution.masses.tolist()
-    images = scheme.end_images
-    # what a branch inside [lo, hi] adds: all its mass, or nothing when it
-    # is no longer than DEGEN_TOL
-    inside = [mu if br.hi - br.lo > DEGEN_TOL else 0.0
-              for br, mu in zip(branches, masses)]
-
-    # F at cuts per branch, keyed by the cut, a zero by its repr, which tells
-    # -0.0 from 0.0: this target's and the previous one's (one dict per
-    # branch keeps the peak memory below that of (branch, cut) keys)
-    cuts: list[dict[float | str, float]] = [{} for _ in branches]
-    cuts_before = cuts
-
-    def forward(i: int, x: float) -> float:
-        key = x if x else repr(x)
-        mine = cuts[i]
-        y = mine.get(key)
-        if y is None:
-            y = cuts_before[i].get(key)
-            if y is None:
-                y = branches[i].forward(m, x)
-            mine[key] = y
-        return y
-
-    def base_mass(lo: float, hi: float, depth: int) -> tuple[float, float]:
-        """Bracket (lo, hi) on mu_F of [lo, hi] intersected with the base X."""
-        lo = max(lo, x_lo)
-        hi = min(hi, x_hi)
-        if hi - lo <= DEGEN_TOL:
-            return 0.0, 0.0
-        if lo <= x_lo + DEGEN_TOL and hi >= x_hi - DEGEN_TOL:
-            return 1.0, 1.0
-        # branches in [in_lo, in_hi) lie inside [lo, hi]
-        in_lo, in_hi = bisect.bisect_left(los, lo), bisect.bisect_right(his, hi)
-        acc_lo = 0.0
-        acc_hi = 0.0
-        for i in range(bisect.bisect_right(his, lo), bisect.bisect_left(los, hi)):
-            if in_lo <= i < in_hi:
-                acc_lo += inside[i]
-                acc_hi += inside[i]
-                continue
-            br = branches[i]
-            p, q = max(lo, br.lo), min(hi, br.hi)
-            if q - p <= DEGEN_TOL:
-                continue
-            mass = masses[i]
-            if p <= br.lo + DEGEN_TOL and q >= br.hi - DEGEN_TOL:
-                acc_lo += mass
-                acc_hi += mass
-                continue
-            if depth <= 0:
-                acc_hi += mass
-                continue
-            # an end cut off at a branch end maps to that end's image
-            ends = images[i]
-            u = ends[0] if ends and lo < br.lo else forward(i, p)
-            v = ends[1] if ends and hi > br.hi else forward(i, q)
-            inner_lo, inner_hi = base_mass(min(u, v), max(u, v), depth - 1)
-            acc_lo += mass * inner_lo
-            acc_hi += mass * inner_hi
-        return acc_lo, min(acc_hi, 1.0)
-
-    pull = InverseSteps(m)
-
-    def value(a_lo: float, a_hi: float) -> Bracket:
-        nonlocal cuts, cuts_before
-        cuts_before, cuts = cuts, [{} for _ in branches]
+    rule = _ProductRule(scheme, solution.masses.tolist())
+    pull = InverseSteps(scheme.map)
+    out = []
+    for a_lo, a_hi in spans:
         if a_hi <= a_lo:
-            return Bracket(0.0, 0.0)
+            out.append(Bracket(0.0, 0.0))
+            continue
         num_lo = 0.0
         num_hi = 0.0
         for lo, hi, word, ends in scheme.segment_orbits:
@@ -341,15 +342,14 @@ def project_measure(scheme: InducingScheme, solution: GibbsSolution,
                     xb = hi if increasing else lo
                 else:
                     xb = pull(word[:k], q)
-                part_lo, part_hi = base_mass(min(xa, xb), max(xa, xb),
-                                             PROJECTION_DEPTH)
+                part_lo, part_hi = rule.base_mass(min(xa, xb), max(xa, xb),
+                                                  PROJECTION_DEPTH)
                 num_lo += part_lo
                 num_hi += part_hi
         lo = min(max(num_lo / tau.hi, 0.0), 1.0)
         hi = min(num_hi / tau.lo, 1.0) if tau.lo > 0 else 1.0
-        return Bracket(lo, hi)
-
-    return [value(lo, hi) for lo, hi in spans]
+        out.append(Bracket(lo, hi))
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Sequence
 
@@ -56,36 +56,32 @@ def _checked_x(x: tuple[float, float]) -> tuple[float, float]:
     return x_lo, x_hi
 
 
-def _word_through(cyls: Sequence[Cylinder], y: float, default: Word) -> Word:
-    """The word of the first cylinder whose image holds y within 1e-12,
-    else ``default``."""
+def _word_of(cyls: Sequence[Cylinder], x: float, default: Word,
+             image: bool = False) -> Word:
+    """The word of the first cylinder whose interval, or with ``image`` its
+    image, holds x within 1e-12, else ``default``."""
     for c in cyls:
-        if c.image_lo - 1e-12 <= y <= c.image_hi + 1e-12:
+        lo, hi = (c.image_lo, c.image_hi) if image else (c.lo, c.hi)
+        if lo - 1e-12 <= x <= hi + 1e-12:
             return c.word
     return default
 
 
-def _pullback_through(m: IntervalMap, cyls: Sequence[Cylinder], y: float,
-                      default: Word) -> float:
-    """y pulled back along ``_word_through(cyls, y, default)``."""
-    return pullback_word(m, _word_through(cyls, y, default), y)
-
-
 def _along_parts(values: Callable[[Word], np.ndarray],
-                 spans: Sequence[tuple[float, float, Word]],
-                 zs: np.ndarray, default: Word) -> np.ndarray:
+                 cyls: Sequence[Cylinder], zs: np.ndarray, default: Word,
+                 image: bool = False) -> np.ndarray:
     """Each point of zs read off ``values(word)``, the values at every
-    point along one word, for the word of the first (lo, hi, word) span
-    that holds the point within 1e-12, else for ``default``: the scalar
-    readers' rule, point by point."""
-    if not spans:
+    point along one word, for ``_word_of(cyls, z, default, image)``: the
+    scalar readers' rule, point by point."""
+    if not cyls:
         return values(default)
     out = np.empty(len(zs))
     left = np.ones(len(zs), dtype=bool)
-    for lo, hi, word in spans:
+    for c in cyls:
+        lo, hi = (c.image_lo, c.image_hi) if image else (c.lo, c.hi)
         hit = left & (lo - 1e-12 <= zs) & (zs <= hi + 1e-12)
         if hit.any():
-            out[hit] = values(word)[hit]
+            out[hit] = values(c.word)[hit]
             left &= ~hit
     if left.any():
         out[left] = values(default)[left]
@@ -107,20 +103,13 @@ class SchemeBranch:
     #: one; empty when ``word`` holds on the whole branch
     parts: tuple[Cylinder, ...] = ()
 
-    def _word_at(self, x: float) -> tuple[int, ...]:
-        """The branch word of the cylinder containing x."""
-        for c in self.parts:
-            if c.lo - 1e-12 <= x <= c.hi + 1e-12:
-                return c.word
-        return self.word
-
     def forward(self, m: IntervalMap, x: float) -> float:
         """F(x), along the word of x's own cylinder."""
-        return eval_along_word(m, self._word_at(x), x)
+        return eval_along_word(m, _word_of(self.parts, x, self.word), x)
 
     def dF(self, m: IntervalMap, x: float) -> float:
         """|DF(x)|, along the word of x's own cylinder."""
-        return derivative_along_word(m, self._word_at(x), x)
+        return derivative_along_word(m, _word_of(self.parts, x, self.word), x)
 
     def pullback(self, m: IntervalMap, y: float) -> float:
         """The F-preimage in the branch of y in X.
@@ -129,20 +118,18 @@ class SchemeBranch:
         holds it; a single-word branch is exactly
         ``pullback_word(m, word, y)``.
         """
-        return _pullback_through(m, self.parts, y, self.word)
+        return pullback_word(m, _word_of(self.parts, y, self.word, image=True), y)
 
     def dF_array(self, m: IntervalMap, xs: np.ndarray) -> np.ndarray:
         """``dF`` at each point of a float64 array, float for float."""
         xs = np.asarray(xs, dtype=np.float64)
         return _along_parts(lambda w: derivative_along_word_array(m, w, xs),
-                            [(c.lo, c.hi, c.word) for c in self.parts], xs,
-                            self.word)
+                            self.parts, xs, self.word)
 
     def pullback_array(self, pulled: WordPullbacks) -> np.ndarray:
         """``pullback`` at each of the points ``pulled.ys``, float for
         float; branches that share ``pulled`` share its suffixes."""
-        return _along_parts(pulled, [(c.image_lo, c.image_hi, c.word)
-                                     for c in self.parts], pulled.ys, self.word)
+        return _along_parts(pulled, self.parts, pulled.ys, self.word, image=True)
 
     def segments(self) -> tuple[tuple[float, float, tuple[int, ...]], ...]:
         """The branch cut into (lo, hi, word) pieces that follow one word."""
@@ -209,19 +196,6 @@ class InducingScheme:
         return np.array(columns).reshape(n, n).T
 
     @cached_property
-    def end_images(self) -> list[tuple[float, float] | None]:
-        """(F(lo), F(hi)) of each branch by ``forward``, or None where
-        evaluating either end raises DomainError."""
-        m = self.map
-        out: list[tuple[float, float] | None] = []
-        for b in self.branches:
-            try:
-                out.append((b.forward(m, b.lo), b.forward(m, b.hi)))
-            except DomainError:
-                out.append(None)
-        return out
-
-    @cached_property
     def segment_orbits(self) -> list[tuple[float, float, Word,
                                            list[tuple[float, float]]]]:
         """(lo, hi, word, ends) for each segment of each branch, in order:
@@ -255,18 +229,30 @@ class InducingScheme:
         return orbits
 
 
-def _sample_derivative(m: IntervalMap, br: SchemeBranch,
-                       edge: float = 1e-12) -> SchemeBranch:
-    """br with df_lo, df_hi and df_mid: inf, sup and midpoint value of its
-    own |DF|, sampled.
+def _make_branch(m: IntervalMap, lo: float, hi: float, tau: int, word: Word,
+                 ext: tuple[float, float], parts: Sequence[Cylinder] = (),
+                 edge: float = 1e-12) -> SchemeBranch:
+    """The branch [lo, hi] with return time tau and extension ends ``ext``,
+    in either order, and its |DF| sampled: df_lo and df_hi are the inf and
+    sup of its values at the ends, a relative ``edge`` inside the branch,
+    and at DF_SAMPLES interior points, and df_mid its value at the
+    midpoint.
 
-    The two end samples sit a relative ``edge`` inside the branch.
+    ``parts`` are the cylinders of f^tau that a point of the branch can
+    fall in.  The branch word is that of the part holding the midpoint,
+    else ``word``; a branch with one part follows its word throughout.
     """
-    lo, hi, length = br.lo, br.hi, br.length
+    mid = 0.5 * (lo + hi)
+    word = _word_of(parts, mid, word)
+    parts = tuple(parts) if len(parts) > 1 else ()
+    length = hi - lo
     xs = [lo + length * edge, hi - length * edge]
     xs += [lo + length * k / (DF_SAMPLES + 1) for k in range(1, DF_SAMPLES + 1)]
-    *vals, mid = br.dF_array(m, np.array(xs + [br.midpoint])).tolist()
-    return replace(br, df_lo=min(vals), df_hi=max(vals), df_mid=mid)
+    xs = np.array(xs + [mid])
+    *vals, df_mid = _along_parts(lambda w: derivative_along_word_array(m, w, xs),
+                                 parts, xs, word).tolist()
+    return SchemeBranch(lo, hi, tau, word, min(ext), max(ext), min(vals),
+                        max(vals), df_mid, parts)
 
 
 # ---------------------------------------------------------------------------
@@ -334,10 +320,8 @@ def first_return_scheme(m: IntervalMap, x: tuple[float, float],
                     node = tower.nodes[node_i]
                     ext_a = pullback_word(m, word, node.lo)
                     ext_b = pullback_word(m, word, node.hi)
-                    branches.append(_sample_derivative(m, SchemeBranch(
-                        b_lo, b_hi, len(word), word,
-                        min(ext_a, ext_b), max(ext_a, ext_b),
-                        math.nan, math.nan, math.nan)))
+                    branches.append(_make_branch(m, b_lo, b_hi, len(word),
+                                                 word, (ext_a, ext_b)))
                     margins.append(min(c_lo - node.lo, node.hi - c_hi))
                 remainders = [(j_lo, ov_lo), (ov_hi, j_hi)]
         for r_lo, r_hi in remainders:
@@ -445,7 +429,7 @@ def extendible_return_scheme(m: IntervalMap, x: tuple[float, float],
     steps = InverseSteps(m)
 
     def pull(piece: list[Cylinder], y: float) -> float:
-        return steps(_word_through(piece, y, piece[0].word), y)
+        return steps(_word_of(piece, y, piece[0].word, image=True), y)
 
     levels = refine_levels(m, T, cap=CYLINDER_CAP, keep=live, _steps=steps)
     exhausted = False
@@ -481,16 +465,12 @@ def extendible_return_scheme(m: IntervalMap, x: tuple[float, float],
             if state == "partial":
                 conflicts += 1
                 continue
-            ea = pull(piece, y_lo)
-            eb = pull(piece, y_hi)
             # the piece's cylinders that a point of [b_lo, b_hi] can fall in
-            parts = tuple(c for c in piece
-                          if c.hi + 1e-12 >= b_lo and c.lo - 1e-12 <= b_hi)
-            br = SchemeBranch(b_lo, b_hi, j, piece[0].word, min(ea, eb),
-                              max(ea, eb), math.nan, math.nan, math.nan, parts)
-            br = replace(br, word=br._word_at(br.midpoint),
-                         parts=parts if len(parts) > 1 else ())
-            branches.append(_sample_derivative(m, br, edge=1e-9))
+            parts = [c for c in piece
+                     if c.hi + 1e-12 >= b_lo and c.lo - 1e-12 <= b_hi]
+            branches.append(_make_branch(
+                m, b_lo, b_hi, j, piece[0].word,
+                (pull(piece, y_lo), pull(piece, y_hi)), parts, edge=1e-9))
             uncovered.remove(b_lo, b_hi)
     else:
         exhausted = uncovered.total() <= max(DEGEN_TOL, 1e-12 * x_len)
@@ -539,7 +519,7 @@ def validate_scheme(scheme: InducingScheme) -> SchemeReport:
     bound = scheme.koebe_bound()
     ordered = sorted(range(len(scheme.branches)),
                      key=lambda i: scheme.branches[i].lo)
-    images = scheme.end_images
+    m = scheme.map
     checks = []
     for pos, i in enumerate(ordered):
         b = scheme.branches[i]
@@ -552,7 +532,10 @@ def validate_scheme(scheme: InducingScheme) -> SchemeReport:
                 disjoint = False
                 overlap_with = ordered[pos + 1]
                 overlap_interval = (nb.lo, min(b.hi, nb.hi))
-        v_lo, v_hi = images[i] or (math.nan, math.nan)
+        try:
+            v_lo, v_hi = b.forward(m, b.lo), b.forward(m, b.hi)
+        except DomainError:  # an end F cannot evaluate is not onto
+            v_lo = v_hi = math.nan
         lo_img, hi_img = min(v_lo, v_hi), max(v_lo, v_hi)
         # forward evaluation amplifies roundoff by |DF| per remaining step;
         # endpoints came from the contracting pullback, so allow that noise

@@ -318,28 +318,14 @@ def derivative_along_word_array(m: IntervalMap, word: Sequence[int],
     return prod
 
 
-def pullback_word_array(m: IntervalMap, word: Sequence[int],
-                        ys: np.ndarray) -> np.ndarray:
-    """``pullback_word`` at each point of a 1-D float64 array, float for
-    float."""
-    if not _array_kernels(m, word):
-        return np.array([pullback_word(m, word, y)
-                         for y in np.asarray(ys, dtype=np.float64).tolist()])
-    z = np.array(ys, dtype=np.float64)  # a copy: clamps work in place
-    for a in reversed(word):
-        b = m.branches[a]
-        z = b.array[2](_clamp_array(z, *b.image))
-    return z
-
-
 class WordPullbacks:
     """The points ``ys`` pulled back along any word, memoised by word
     suffix.
 
-    Called with a word, it gives ``pullback_word_array(m, word, ys)``,
-    float for float, taking one inverse step per letter past the longest
-    suffix of the word already pulled back.  The arrays it returns are
-    shared, so they are read-only.
+    Called with a word, it gives ``pullback_word`` at each point of
+    ``ys``, float for float, taking one inverse step per letter past the
+    longest suffix of the word already pulled back.  The arrays it
+    returns are shared, so they are read-only.
     """
 
     def __init__(self, m: IntervalMap, ys: np.ndarray):
@@ -355,7 +341,11 @@ class WordPullbacks:
             k += 1
         z = known[word[k:]]
         for j in range(k - 1, -1, -1):
-            z = pullback_word_array(self.map, word[j:j + 1], z)
+            b = self.map.branches[word[j]]
+            if b.array is None:
+                z = np.array([b.inv(b.clamp_image(y)) for y in z.tolist()])
+            else:  # a copy: the clamps work in place
+                z = b.array[2](_clamp_array(z.copy(), *b.image))
             z.flags.writeable = False
             known[word[j:]] = z
         return z
@@ -554,29 +544,44 @@ def make_custom(expr: str, breakpoints: Sequence[float],
         sym = sp.sympify(expr)
     except (sp.SympifyError, SyntaxError) as exc:
         raise SchemaError(f"expr: cannot parse {expr!r}: {exc}") from exc
-    f = sp.lambdify(x, sym, "math")
-    df = sp.lambdify(x, sp.diff(sym, x), "math")
+    if not isinstance(sym, sp.Expr):  # a list, a comparison, ...
+        raise SchemaError(f"expr: {expr!r} is not an expression in x")
+    # a symbol or a function sympy does not know cannot be evaluated
+    others = (sym.free_symbols - {x}) | sym.atoms(sp.core.function.AppliedUndef)
+    if others:
+        raise SchemaError(f"expr: {expr!r} names other than x: "
+                          f"{', '.join(sorted(map(str, others)))}")
     pts = list(breakpoints)
-    branches = []
-    for i, (lo, hi) in enumerate(zip(pts, pts[1:])):
-        mid_d = df(0.5 * (lo + hi))
-        ori = 1 if mid_d > 0 else -1
+    if len(pts) < 2:
+        raise SchemaError("breakpoints: need at least two")
+    try:
+        f = sp.lambdify(x, sym, "math")
+        df = sp.lambdify(x, sp.diff(sym, x), "math")
+        branches = []
+        for lo, hi in zip(pts, pts[1:]):
+            mid_d = df(0.5 * (lo + hi))
+            ori = 1 if mid_d > 0 else -1
 
-        def inv(y: float, lo=lo, hi=hi, ori=ori, f=f) -> float:
-            a, b = lo, hi
-            c = 0.5 * (a + b)
-            while c != a and c != b:  # until the midpoint can move no more
-                if (f(c) - y) * ori < 0:
-                    a = c
-                else:
-                    b = c
+            def inv(y: float, lo=lo, hi=hi, ori=ori, f=f) -> float:
+                a, b = lo, hi
                 c = 0.5 * (a + b)
-            return c
+                while c != a and c != b:  # until the midpoint can move no more
+                    if (f(c) - y) * ori < 0:
+                        a = c
+                    else:
+                        b = c
+                    c = 0.5 * (a + b)
+                return c
 
-        branches.append(BranchSpec(lo, hi, ori, f, df, inv))
-    m = IntervalMap((pts[0], pts[-1]), tuple(branches), tuple(crit),
-                    "custom", {"expr": expr})
-    _validate(m)
+            branches.append(BranchSpec(lo, hi, ori, f, df, inv))
+        m = IntervalMap((pts[0], pts[-1]), tuple(branches), tuple(crit),
+                        "custom", {"expr": expr})
+        _validate(m)
+    except (ArithmeticError, NotImplementedError, TypeError, ValueError) as exc:
+        # a derivative sympy cannot write as math code, a pole, a log or a
+        # root out of range, a complex value: the map cannot be evaluated
+        raise SchemaError(f"expr: cannot evaluate {expr!r} on "
+                          f"[{pts[0]}, {pts[-1]}]: {exc!r}") from exc
     return m
 
 

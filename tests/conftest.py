@@ -15,9 +15,8 @@ from thermomap.errors import (CriticalOrbitError, DomainError,
 from thermomap.gibbs import (PROJECTION_DEPTH, RATIO_SEED, REFINE_CAP,
                              RESIDUAL_TOL, _tau_mean_bracket)
 from thermomap.inducing import (CYLINDER_CAP, ONTO_RTOL, InducingScheme,
-                                SchemeBranch, _fit_neighbourhood,
-                                _pullback_through, _sample_derivative,
-                                _Uncovered)
+                                _fit_neighbourhood, _make_branch, _Uncovered,
+                                _word_of)
 from thermomap.interval_map import (SNAP_TOL, eval_along_word, eval_orbit,
                                     pullback_word)
 from thermomap.symbolic import DEGEN_TOL, monotone_pieces, refine_levels
@@ -199,8 +198,10 @@ def unpruned_extendible_return_scheme(m, x, delta: float, T: int):
                 continue
             # a piece's cylinder images meet within 1e-12 and cover Y, so
             # each pullback below finds the cylinder that holds its target
-            pa = _pullback_through(m, piece, x_lo, piece[0].word)
-            pb = _pullback_through(m, piece, x_hi, piece[0].word)
+            pa = pullback_word(
+                m, _word_of(piece, x_lo, piece[0].word, image=True), x_lo)
+            pb = pullback_word(
+                m, _word_of(piece, x_hi, piece[0].word, image=True), x_hi)
             b_lo, b_hi = min(pa, pb), max(pa, pb)
             # candidates must live inside X (clip boundary noise only)
             if b_lo < x_lo - tol or b_hi > x_hi + tol:
@@ -216,16 +217,15 @@ def unpruned_extendible_return_scheme(m, x, delta: float, T: int):
             if state == "partial":
                 conflicts += 1
                 continue
-            ea = _pullback_through(m, piece, y_lo, piece[0].word)
-            eb = _pullback_through(m, piece, y_hi, piece[0].word)
+            ea = pullback_word(
+                m, _word_of(piece, y_lo, piece[0].word, image=True), y_lo)
+            eb = pullback_word(
+                m, _word_of(piece, y_hi, piece[0].word, image=True), y_hi)
             # the piece's cylinders that a point of [b_lo, b_hi] can fall in
             parts = tuple(c for c in piece
                           if c.hi + 1e-12 >= b_lo and c.lo - 1e-12 <= b_hi)
-            br = SchemeBranch(b_lo, b_hi, j, piece[0].word, min(ea, eb),
-                              max(ea, eb), math.nan, math.nan, math.nan, parts)
-            br = replace(br, word=br._word_at(br.midpoint),
-                         parts=parts if len(parts) > 1 else ())
-            branches.append(_sample_derivative(m, br, edge=1e-9))
+            branches.append(_make_branch(m, b_lo, b_hi, j, piece[0].word,
+                                         (ea, eb), parts, edge=1e-9))
             uncovered.remove(b_lo, b_hi)
     else:
         exhausted = uncovered.total() <= max(DEGEN_TOL, 1e-12 * x_len)

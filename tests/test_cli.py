@@ -288,6 +288,23 @@ class TestRunCli:
         assert run(["oracle", "--map", str(spec), "--t", "0"]) == 2
         assert "zero denominator" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("spec, field", [
+        ("expr = sin(pi*x)\nbreakpoints = 0\n", "breakpoints"),
+        ("expr = 1/x\nbreakpoints = 0, 1\n", "expr"),
+        ("expr = log(x)\nbreakpoints = 0, 1\n", "expr"),
+        ("expr = y\nbreakpoints = 0, 1\n", "expr"),
+        ("expr = f(x)\nbreakpoints = 0, 1\n", "expr"),
+        ("expr = [x]\nbreakpoints = 0, 1\n", "expr"),
+        ("expr = Abs(x - 1/2)\nbreakpoints = 0, 1/2, 1\n", "expr"),
+    ], ids=["one-breakpoint", "pole", "log-of-zero", "free-symbol",
+            "unknown-function", "not-an-expression", "derivative-not-code"])
+    def test_unevaluable_custom_map_exits_two(self, tmp_path, capsys, spec,
+                                              field):
+        path = tmp_path / "m.map"
+        path.write_text("kind = custom\n" + spec + "crit = 1/2:2\n")
+        assert run(["oracle", "--map", str(path), "--t", "0"]) == 2
+        assert f"error: {field}:" in capsys.readouterr().err
+
     @pytest.mark.parametrize("t", ["1e308"])
     def test_underflowing_weights_exit_three(self, capsys, t):
         # -t log|DF| is held at the float range, where no shift the search

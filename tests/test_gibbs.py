@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import gc
 import math
 import signal
 
@@ -341,6 +342,22 @@ class TestProjectMeasure:
             left, right = tm.project_measure(
                 golden_scheme, sol, [(0.0, c), (c, 1.0)])
             assert left.mid + right.mid == pytest.approx(1.0, abs=1e-9)
+
+    def test_leaves_no_garbage_cycle(self):
+        # the call's memos are freed when it returns, without the cyclic
+        # collector
+        m = tm.parse_map_spec(SINE_SPEC)
+        scheme = tm.extendible_return_scheme(
+            m, default_base_cylinder(m, 0.3, 2), 0.5, 8)
+        sol = tm.equilibrium_shift_solve(scheme, 1.0).solution
+        targets = [(k / 8, (k + 1) / 8) for k in range(8)]
+        gc.collect()
+        gc.disable()
+        try:
+            tm.project_measure(scheme, sol, targets)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     @pytest.mark.parametrize("target", [(math.nan, 0.5), (0.2, math.nan),
                                         (-math.inf, 0.5), (0.2, math.inf)])

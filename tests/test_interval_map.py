@@ -1,5 +1,8 @@
 import dataclasses
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -14,8 +17,7 @@ from thermomap.interval_map import (SNAP_TOL, InverseSteps, WordPullbacks,
                                     _orbit_derivatives,
                                     derivative_along_word,
                                     derivative_along_word_array,
-                                    derivative_prefixes, pullback_word,
-                                    pullback_word_array)
+                                    derivative_prefixes, pullback_word)
 
 
 class TestEvalOrbit:
@@ -128,7 +130,7 @@ class TestDerivativeAlong:
 def assert_kernels_match(m, word, points):
     """Both array kernels equal their scalar kernels, point for point."""
     pts = np.array(points, dtype=np.float64)
-    pulled = pullback_word_array(m, word, pts)
+    pulled = WordPullbacks(m, pts)(word)
     assert hexes(pulled) == hexes(pullback_word(m, word, y) for y in points)
     derivs = derivative_along_word_array(m, word, pts)
     assert hexes(derivs) == hexes(derivative_along_word(m, word, x)
@@ -184,8 +186,9 @@ class TestArrayKernels:
         assert pullback_word(m, (0,), -0.0).hex() == "-0x0.0p+0"
 
     def test_empty_input(self, quad_map):
-        for kernel in (pullback_word_array, derivative_along_word_array):
-            assert kernel(quad_map, (0, 1), np.array([])).shape == (0,)
+        empty = np.array([])
+        assert WordPullbacks(quad_map, empty)((0, 1)).shape == (0,)
+        assert derivative_along_word_array(quad_map, (0, 1), empty).shape == (0,)
 
 
 class TestBranchData:
@@ -330,6 +333,22 @@ class TestParseMapSpec:
         assert tm.load_map("markov_golden").kind == "plinear"
         with pytest.raises(SchemaError):
             tm.load_map("no_such_fixture_or_file")
+
+    def test_only_custom_maps_import_sympy(self):
+        # in a fresh interpreter; importing sympy takes about 0.3 s on a
+        # 2-core machine, and only custom expressions need it
+        code = ("import sys, thermomap as tm\n"
+                "from thermomap.interval_map import _FIXTURES\n"
+                "for name in _FIXTURES: tm.fixture(name)\n"
+                "tm.parse_map_spec('kind = plinear\\nbreakpoints = 0, 2/3, 1\\n'\n"
+                "                  'images = [0,1], [0,2/3]\\n')\n"
+                "print('sympy' in sys.modules)\n")
+        src = os.path.dirname(os.path.dirname(tm.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, env=env, timeout=60)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")
 
 
 class TestCriticalPoints:
