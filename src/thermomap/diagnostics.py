@@ -336,10 +336,15 @@ def nice_check(m: IntervalMap, comps: Sequence[tuple[float, float]],
 def first_entry_derivative_bound(m: IntervalMap,
                                  comps: Sequence[tuple[float, float]],
                                  seed: int = 0) -> float:
-    """Sampled lower bound b on |Df^r| at the first entry time into U."""
+    """Sampled lower bound b on |Df^r| at the first entry time into U.
+
+    nan when no sampled orbit takes a step outside U (or every one that
+    does meets a critical point first), as when U covers the domain.
+    """
     rng = np.random.default_rng(seed)
     lo, hi = m.domain
     best = math.inf
+    seen = False
     for _ in range(ENTRY_SAMPLES):
         orb = [float(rng.uniform(lo, hi))]
         while len(orb) <= ENTRY_HORIZON and not _in_any(orb[-1], comps):
@@ -347,7 +352,8 @@ def first_entry_derivative_bound(m: IntervalMap,
         derivs = _orbit_derivatives(m, orb[:-1])
         if derivs and len(derivs) == len(orb) - 1:
             best = min(best, derivs[-1])
-    return best
+            seen = True
+    return best if seen else math.nan
 
 
 def growth_csv_rows(record: GrowthRecord) -> list[tuple]:

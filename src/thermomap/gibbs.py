@@ -43,8 +43,14 @@ from .thermo import (Bracket, ThermoModel, _log_weights_of, gurevich_pressure,
 REFINE_CAP = 256
 #: Relative residual at which the depth-2 power iteration stops.
 RESIDUAL_TOL = 1e-10
-#: Levels of the product rule that projection resolves inside the base.
+#: Guard on the levels of the product rule that projection resolves inside
+#: the base: it stops a chain whose weight does not fall to CHAIN_FLOOR
+#: (one through branches of mass 1).
 PROJECTION_DEPTH = 60
+#: Chain weight at or below which the product rule stops a chain, far below
+#: float resolution: on the 32 sin(pi x) bench targets no float moves at
+#: 2^-72, while one edge moves at 2^-64.
+CHAIN_FLOOR = 2.0 ** -80
 #: Largest x with exp(x) in the float range.
 LOG_FLOAT_MAX = math.log(sys.float_info.max)
 #: Seed of the word sample that the Gibbs-ratio check draws past its word cap.
@@ -258,8 +264,19 @@ class _ProductRule:
             y = mine[key] = self.branches[i].forward(self.map, x)
         return y
 
-    def base_mass(self, lo: float, hi: float, depth: int) -> tuple[float, float]:
-        """Bracket (lo, hi) on mu_F of [lo, hi] intersected with the base X."""
+    def base_mass(self, lo: float, hi: float, depth: int,
+                  weight: float) -> tuple[float, float]:
+        """Bracket (lo, hi) on mu_F of [lo, hi] intersected with the base X,
+        for a chain of the given weight: 1 at the top level, times the mass
+        of each partial branch the recursion has entered.
+
+        A partial branch whose weight times mass is at most CHAIN_FLOOR,
+        or met at depth 0, is a leaf: all of its mass goes to the upper
+        edge and none to the lower.  Float rounding is monotone, so each
+        edge lies outside the edge that recursing further would give, and
+        each chain stopped by the floor moves the edge of the top-level
+        sum outward by at most CHAIN_FLOOR.
+        """
         lo = max(lo, self.x_lo)
         hi = min(hi, self.x_hi)
         if hi - lo <= DEGEN_TOL:
@@ -285,11 +302,13 @@ class _ProductRule:
                 acc_lo += mass
                 acc_hi += mass
                 continue
-            if depth <= 0:
+            inner_weight = weight * mass
+            if depth <= 0 or inner_weight <= CHAIN_FLOOR:
                 acc_hi += mass
                 continue
             u, v = self.forward(i, p), self.forward(i, q)
-            inner_lo, inner_hi = self.base_mass(min(u, v), max(u, v), depth - 1)
+            inner_lo, inner_hi = self.base_mass(min(u, v), max(u, v), depth - 1,
+                                                inner_weight)
             acc_lo += mass * inner_lo
             acc_hi += mass * inner_hi
         return acc_lo, min(acc_hi, 1.0)
@@ -302,6 +321,12 @@ def project_measure(scheme: InducingScheme, solution: GibbsSolution,
     mu(A) comes from the lift formula.  Values on sub-intervals of the
     inducing base are resolved by the product (Bernoulli) rule of the
     branch masses, recursively, with a bracket for the unresolved leaves.
+    A chain of the recursion stops where its weight, the product of the
+    masses of the partial branches it has entered, falls to CHAIN_FLOOR
+    (2^-80), or at the guard depth PROJECTION_DEPTH: the stopped branch
+    puts all of its mass in the upper edge and none in the lower.  A
+    stop only widens a bracket, each by at most CHAIN_FLOOR in mu_F of
+    the base before the division by the mean inducing time.
     A target with an end that is not finite raises DomainError.
 
     Two memos live for one call and are freed when it returns.  Target
@@ -343,7 +368,7 @@ def project_measure(scheme: InducingScheme, solution: GibbsSolution,
                 else:
                     xb = pull(word[:k], q)
                 part_lo, part_hi = rule.base_mass(min(xa, xb), max(xa, xb),
-                                                  PROJECTION_DEPTH)
+                                                  PROJECTION_DEPTH, 1.0)
                 num_lo += part_lo
                 num_hi += part_hi
         lo = min(max(num_lo / tau.hi, 0.0), 1.0)

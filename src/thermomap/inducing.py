@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DomainError, ResourceError
+from .errors import DegenerateBranchError, DomainError, ResourceError
 from .hofbauer import build_tower
 from .interval_map import (
     IntervalMap,
@@ -194,6 +194,27 @@ class InducingScheme:
         columns = [bi.dF_array(m, bi.pullback_array(pulled))
                    for bi in self.branches]
         return np.array(columns).reshape(n, n).T
+
+    @cached_property
+    def potential_geometry(self) -> tuple[np.ndarray, np.ndarray, np.ndarray,
+                                          float]:
+        """What the induced potential reads at every t, read-only: (taus,
+        log df_lo and log df_hi stacked, log df_mid, k) over the branches,
+        where k is the Koebe bound, or the measured distortion (at least
+        1) where that is inf."""
+        bs = self.branches
+        df_lo = np.array([b.df_lo for b in bs])
+        if np.any(df_lo <= 0.0):
+            raise DegenerateBranchError(
+                "a branch has a vanishing derivative bracket")
+        arrays = (np.array([b.tau for b in bs], dtype=float),
+                  np.stack([np.log(df_lo), np.log([b.df_hi for b in bs])]),
+                  np.log([b.df_mid for b in bs]))
+        for a in arrays:
+            a.flags.writeable = False
+        kb = self.koebe_bound()
+        return (*arrays,
+                kb if math.isfinite(kb) else max(self.measured_distortion(), 1.0))
 
     @cached_property
     def segment_orbits(self) -> list[tuple[float, float, Word,

@@ -184,19 +184,11 @@ def induced_potential(scheme: InducingScheme, t: float) -> ThermoModel:
     """Log weight brackets -t log|DF| on each branch, at S = 0."""
     if not scheme.branches:
         raise DomainError("scheme has no branches")
-    taus = np.array([b.tau for b in scheme.branches], dtype=float)
-    df_lo = np.array([b.df_lo for b in scheme.branches])
-    df_hi = np.array([b.df_hi for b in scheme.branches])
-    df_pt = np.array([b.df_mid for b in scheme.branches])
-    if np.any(df_lo <= 0.0):
-        raise DegenerateBranchError("a branch has a vanishing derivative bracket")
-    log_df_lo, log_df_hi, log_df_pt = np.log(df_lo), np.log(df_hi), np.log(df_pt)
-    ends = _log_weights_of(t, np.stack([log_df_lo, log_df_hi]))
+    taus, log_df, log_df_pt, k_dist = scheme.potential_geometry
+    ends = _log_weights_of(t, log_df)
     log_w = np.stack([ends.min(axis=0), ends.max(axis=0)])
-    kb = scheme.koebe_bound()
-    k_dist = kb if math.isfinite(kb) else max(scheme.measured_distortion(), 1.0)
     return ThermoModel(taus, log_w, _log_weights_of(t, log_df_pt),
-                       log_df_lo, log_df_hi, log_df_pt,
+                       log_df[0], log_df[1], log_df_pt,
                        t, k_dist, tail=tail_info_for(scheme), scheme=scheme)
 
 

@@ -436,6 +436,14 @@ class TestRunCli:
         out = capsys.readouterr().out
         assert "growth verdict: CE" in out
 
+    def test_diagnose_with_u_over_the_domain_reads_nan(self, capsys):
+        # eps 2 puts the whole domain in U: no orbit takes a step outside
+        # it, so neither estimate has a sample
+        assert run(["diagnose", "--map", "quad4", "--n-max", "25",
+                    "--eps", "2"]) == 0
+        out = capsys.readouterr().out
+        assert "expansion outside U: nan  first-entry bound: nan" in out
+
     def test_diagnose_passes_t0_to_the_binding_sums(self, tmp_path, capsys):
         prefix = str(tmp_path / "diag")
         assert run(["diagnose", "--map", "quad4", "--n-max", "30",

@@ -223,6 +223,26 @@ def _edge_targets(scheme):
             (x_lo, x_hi), m.domain]
 
 
+BENCH_TARGETS = [(k / 32, (k + 1) / 32) for k in range(32)]
+
+
+def counted_projection(monkeypatch, scheme, sol, targets):
+    """project_measure's brackets, and how many times it evaluated F."""
+    calls = []
+    forward = tm.inducing.SchemeBranch.forward
+
+    def counted(br, m, x):
+        calls.append(x)
+        return forward(br, m, x)
+
+    monkeypatch.setattr(tm.inducing.SchemeBranch, "forward", counted)
+    try:
+        got = tm.project_measure(scheme, sol, targets)
+    finally:
+        monkeypatch.setattr(tm.inducing.SchemeBranch, "forward", forward)
+    return got, len(calls)
+
+
 class TestAgainstScalarOracle:
     """Projection and the Gibbs-ratio check give the floats of their scalar
     oracles in conftest, which recompute every segment orbit, branch-end
@@ -260,6 +280,14 @@ class TestAgainstScalarOracle:
         assert [hexes((b.lo, b.hi)) for b in got] \
             == [hexes((b.lo, b.hi)) for b in want]
         assert 0 < len(calls) == len(set(calls)) < 1517
+
+    def test_sine_bench_targets_stop_light_chains(self, monkeypatch):
+        # following every chain PROJECTION_DEPTH levels down evaluates F
+        # 8,515 times here
+        scheme = _oracle_scheme("sine")
+        sol = tm.equilibrium_shift_solve(scheme, 1.0).solution
+        _, evals = counted_projection(monkeypatch, scheme, sol, BENCH_TARGETS)
+        assert 0 < evals <= 4500
 
     def test_depth_two_ratio_pulls_nothing_back(self, monkeypatch):
         # the depth-2 solve caches |DF| at every point the check reads
@@ -302,6 +330,42 @@ class TestAgainstScalarOracle:
         scheme = _oracle_scheme(name)
         sol = tm.equilibrium_shift_solve(scheme, 1.0).solution
         self.same_projection(scheme, sol, _edge_targets(scheme))
+
+
+@functools.cache
+def _floor_case(name):
+    """The scheme, solution and scalar-oracle brackets of the bench targets
+    at t = 1 on which the chain floor is checked."""
+    scheme = _oracle_scheme(name)
+    sol = tm.equilibrium_shift_solve(scheme, 1.0).solution
+    return scheme, sol, scalar_project_measure(scheme, sol, BENCH_TARGETS)
+
+
+class TestChainFloor:
+    """A chain of the product rule stops where its weight falls to
+    CHAIN_FLOOR; the depth guard alone is the oracle's rule, and a higher
+    floor only widens brackets."""
+
+    @pytest.mark.parametrize("name", ["sine", "quad4"])
+    def test_depth_guard_alone_is_the_oracle(self, monkeypatch, name):
+        scheme, sol, want = _floor_case(name)
+        monkeypatch.setattr(gibbs, "CHAIN_FLOOR", 0.0)
+        got = tm.project_measure(scheme, sol, BENCH_TARGETS)
+        assert [hexes((b.lo, b.hi)) for b in got] \
+            == [hexes((b.lo, b.hi)) for b in want]
+
+    @pytest.mark.parametrize("name", ["sine", "quad4"])
+    def test_raised_floor_widens_outward(self, monkeypatch, name):
+        scheme, sol, want = _floor_case(name)
+        _, evals = counted_projection(monkeypatch, scheme, sol, BENCH_TARGETS)
+        for floor in (2.0 ** -20, 2.0 ** -10):
+            monkeypatch.setattr(gibbs, "CHAIN_FLOOR", floor)
+            got, fewer = counted_projection(monkeypatch, scheme, sol,
+                                            BENCH_TARGETS)
+            assert all(g.lo <= w.lo and w.hi <= g.hi
+                       for g, w in zip(got, want, strict=True)), floor
+            assert fewer < evals, floor
+            evals = fewer
 
 
 class TestProjectMeasure:
