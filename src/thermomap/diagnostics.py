@@ -336,10 +336,10 @@ def nice_check(m: IntervalMap, comps: Sequence[tuple[float, float]],
 def first_entry_derivative_bound(m: IntervalMap,
                                  comps: Sequence[tuple[float, float]],
                                  seed: int = 0) -> float:
-    """Sampled lower bound b on |Df^r| at the first entry time into U.
+    """Sampled lower bound b on |Df^r| at the first entry r <= ENTRY_HORIZON into U.
 
-    nan when no sampled orbit takes a step outside U (or every one that
-    does meets a critical point first), as when U covers the domain.
+    nan when no sampled orbit enters U after a step outside it (or every
+    one that does meets a critical point first), as when U covers the domain.
     """
     rng = np.random.default_rng(seed)
     lo, hi = m.domain
@@ -349,7 +349,7 @@ def first_entry_derivative_bound(m: IntervalMap,
         orb = [float(rng.uniform(lo, hi))]
         while len(orb) <= ENTRY_HORIZON and not _in_any(orb[-1], comps):
             orb.append(m.apply(orb[-1]))
-        derivs = _orbit_derivatives(m, orb[:-1])
+        derivs = _orbit_derivatives(m, orb[:-1]) if _in_any(orb[-1], comps) else []
         if derivs and len(derivs) == len(orb) - 1:
             best = min(best, derivs[-1])
             seen = True

@@ -16,7 +16,6 @@ system carries the Gibbs property computed here.
 from __future__ import annotations
 
 import bisect
-import functools
 import itertools
 import json
 import math
@@ -157,6 +156,8 @@ def gibbs_ratio_check(solution: GibbsSolution, depth: int,
     x_w = F_{w_0}^{-1}(x_{w_1 ... w_n}), so F^k(x_w) = x_{w_k ... w_n}.
     At length 2 these are the points the depth-2 solve weighs.
     Exhaustive when the word count is small, seeded sampling otherwise.
+    Each suffix's point and term are computed once, in one dict that is
+    freed when the call returns.
     A ratio that over- or underflows raises NumericError.
     """
     if not 1 <= depth <= 8:
@@ -169,39 +170,36 @@ def gibbs_ratio_check(solution: GibbsSolution, depth: int,
     m, branches = scheme.map, scheme.branches
     t, shift = model.t, solution.shift
     log_lam = solution.log_lam
-    # per word suffix s, memoised: the point x_s, found innermost first
-    # (pullbacks contract error, while forward iterates of one point would
-    # leave deep cylinders), and the term -t log|DF_{s_0}| - S tau_{s_0} at
-    # x_s; points are pulled back only for suffixes of length 3 or more
-    @functools.cache
-    def point(s: tuple[int, ...]) -> float:
-        if len(s) == 1:
-            return branches[s[0]].midpoint
-        return branches[s[0]].pullback(m, point(s[1:]))
-
-    @functools.cache
-    def term(s: tuple[int, ...]) -> float:
-        br = branches[s[0]]
-        if len(s) == 1:
-            df = br.df_mid
-        elif len(s) == 2:
-            df = scheme.depth2_derivatives[s[1], s[0]]
-        else:
-            df = br.dF(m, point(s))
-        return -t * math.log(df) - shift * br.tau
-
+    # per word suffix s: (x_s, the term -t log|DF_{s_0}| - S tau_{s_0} at
+    # x_s), points found innermost first (pullbacks contract error, while
+    # forward iterates of one point would leave deep cylinders)
+    memo: dict[tuple[int, ...], tuple[float | None, float]] = {}
     rng = np.random.default_rng(RATIO_SEED)
     k_best = 1.0
     for d in range(1, depth + 1):
-        total = n ** d
-        if total <= word_cap:
+        if n ** d <= word_cap:
             words = itertools.product(range(n), repeat=d)
         else:
             words = map(tuple, rng.integers(0, n, size=(word_cap, d)).tolist())
         for w in words:
+            for k in range(d - 1, -1, -1):
+                s = w[k:]
+                if s in memo:
+                    continue
+                br = branches[s[0]]
+                if len(s) == 1:
+                    x, df = br.midpoint, br.df_mid
+                elif len(s) == 2:
+                    # a longer suffix needs the point only past depth 2
+                    x = br.pullback(m, memo[s[1:]][0]) if depth > 2 else None
+                    df = scheme.depth2_derivatives[s[1], s[0]]
+                else:
+                    x = br.pullback(m, memo[s[1:]][0])
+                    df = br.dF(m, x)
+                memo[s] = (x, -t * math.log(df) - shift * br.tau)
             psi = 0.0
             for k in range(d):
-                psi += term(w[k:])
+                psi += memo[w[k:]][1]
             mass = float(np.prod([solution.masses[i] for i in w]))
             try:
                 ratio = mass / math.exp(psi - d * log_lam)
@@ -401,6 +399,12 @@ def _mass_weighted_bracket(mass_lo: np.ndarray, mass_hi: np.ndarray,
     return Bracket(float(lo.sum()), float(hi.sum()))
 
 
+def _per_tau(b_lo: float, b_hi: float, tau: Bracket) -> Bracket:
+    """The bracket [b_lo, b_hi] divided by the positive bracket tau."""
+    return Bracket(b_lo / tau.hi if b_lo >= 0 else b_lo / tau.lo,
+                   b_hi / tau.lo if b_hi >= 0 else b_hi / tau.hi)
+
+
 def abramov_quantities(scheme: InducingScheme,
                        solution: GibbsSolution) -> AbramovRecord:
     """Entropy, Lyapunov exponent and free energy of the projected measure.
@@ -424,12 +428,9 @@ def abramov_quantities(scheme: InducingScheme,
         + max(shift * tau_b.lo, shift * tau_b.hi)
     entropy = h_f_pt / tau_pt
     lyap = lyap_f_pt / tau_pt
-    entropy_b = Bracket(h_f_lo / tau_b.hi if h_f_lo >= 0 else h_f_lo / tau_b.lo,
-                        h_f_hi / tau_b.lo if h_f_hi >= 0 else h_f_hi / tau_b.hi)
-    lyap_b = Bracket(lyap_f_b.lo / tau_b.hi if lyap_f_b.lo >= 0 else lyap_f_b.lo / tau_b.lo,
-                     lyap_f_b.hi / tau_b.lo if lyap_f_b.hi >= 0 else lyap_f_b.hi / tau_b.hi)
     return AbramovRecord(tau_pt, tau_b, h_f_pt, entropy, lyap_f_pt, lyap,
-                         entropy - model.t * lyap, entropy_b, lyap_b)
+                         entropy - model.t * lyap, _per_tau(h_f_lo, h_f_hi, tau_b),
+                         _per_tau(lyap_f_b.lo, lyap_f_b.hi, tau_b))
 
 
 # ---------------------------------------------------------------------------

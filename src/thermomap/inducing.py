@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Sequence
 
@@ -48,11 +48,13 @@ CYLINDER_CAP = 400_000
 LIVE_MARGIN = 4
 
 
-def _checked_x(x: tuple[float, float]) -> tuple[float, float]:
-    """X's ends, refused unless x_lo < x_hi."""
+def _checked_x(x: tuple[float, float], T: int) -> tuple[float, float]:
+    """X's ends, refused unless x_lo < x_hi and the time cap T is >= 1."""
     x_lo, x_hi = x
     if not x_lo < x_hi:
         raise DomainError(f"X = [{x_lo}, {x_hi}] is empty or reversed")
+    if T < 1:
+        raise DomainError("time cap must be >= 1")
     return x_lo, x_hi
 
 
@@ -152,8 +154,63 @@ class SchemeBranch:
         return self.df_hi / self.df_lo if self.df_lo > 0.0 else math.inf
 
 
-@dataclass
+@dataclass(frozen=True)
+class TailInfo:
+    """Shift-independent data bounding branches beyond the time cap T.
+
+    The count of tau = n branches is bounded by lap growth c*e^{h*n} and
+    the total length of tau = n branches by the measured decay
+    c_len*e^{-alpha*n}.  A weight is comparable to (|X_i|/|X|)^t up to
+    distortion, so the Hoelder split bounds the omitted weight sum at
+    exponent t by  k^|t| (c_len e^{-a n}/|X|)^t (c e^{h n})^{1-t} e^{-n S}
+    for t in [0, 1], with the obvious one-factor versions outside [0, 1].
+    The length-decay rate is a measured-trend extrapolation, as flagged.
+    """
+
+    T: int
+    log_c: float
+    h: float
+    log_c_len: float
+    alpha_len: float
+    log_lam_max: float
+    log_x_len: float
+
+    def _log_term(self, t: float, s: float, log_k: float) -> tuple[float, float]:
+        """(log coefficient, log per-step ratio) of the tail bound."""
+        if t < 0.0:
+            coeff = self.log_c + abs(t) * log_k
+            rate = self.h + abs(t) * self.log_lam_max - s
+        elif t <= 1.0:
+            coeff = (abs(t) * log_k + t * (self.log_c_len - self.log_x_len)
+                     + (1.0 - t) * self.log_c)
+            rate = -t * self.alpha_len + (1.0 - t) * self.h - s
+        else:
+            coeff = abs(t) * log_k + t * (self.log_c_len - self.log_x_len)
+            rate = -t * self.alpha_len - s
+        return coeff, rate
+
+    def weight_tail(self, t: float, s: float, log_k: float) -> float:
+        """Log of an upper bound on the omitted weight sum; inf when divergent."""
+        coeff, rate = self._log_term(t, s, log_k)
+        if not (rate < 0.0 and coeff < math.inf):
+            return math.inf
+        return coeff + (self.T + 1) * rate - math.log(-math.expm1(rate))
+
+    def tau_weight_tail(self, t: float, s: float, log_k: float) -> float:
+        """Log of an upper bound on the omitted sum of tau * weight."""
+        coeff, rate = self._log_term(t, s, log_k)
+        if not (rate < 0.0 and coeff < math.inf):
+            return math.inf
+        q = -math.expm1(rate)
+        return (coeff + (self.T + 1) * rate + math.log1p(self.T * q)
+                - 2.0 * math.log(q))
+
+
+@dataclass(frozen=True)
 class InducingScheme:
+    """Frozen: its t-free data are cached properties, computed once and
+    shared by every t; a ``dataclasses.replace`` copy has its own caches."""
+
     map: IntervalMap
     x_lo: float
     x_hi: float
@@ -163,7 +220,6 @@ class InducingScheme:
     escaping_mass_bound: float
     exhausted: bool
     conflicts: int = 0
-    meta: dict = field(default_factory=dict)
 
     @property
     def x_len(self) -> float:
@@ -182,9 +238,6 @@ class InducingScheme:
 
     def measured_distortion(self) -> float:
         return max((b.distortion for b in self.branches), default=1.0)
-
-    # Geometry that does not depend on t, computed once and shared by every
-    # solve on this scheme; a scheme must not be changed after it is built.
 
     @cached_property
     def depth2_derivatives(self) -> np.ndarray:
@@ -215,6 +268,12 @@ class InducingScheme:
         kb = self.koebe_bound()
         return (*arrays,
                 kb if math.isfinite(kb) else max(self.measured_distortion(), 1.0))
+
+    @cached_property
+    def tail_info(self) -> TailInfo | None:
+        """``thermo.tail_info_for(self)``: tail data, None if exhausted."""
+        from .thermo import tail_info_for  # thermo imports this module
+        return tail_info_for(self)
 
     @cached_property
     def segment_orbits(self) -> list[tuple[float, float, Word,
@@ -291,9 +350,7 @@ def first_return_scheme(m: IntervalMap, x: tuple[float, float],
     The tower is built to level T, which every return of length <= T
     stays within.
     """
-    c_lo, c_hi = _checked_x(x)
-    if T < 1:
-        raise DomainError("time cap must be >= 1")
+    c_lo, c_hi = _checked_x(x, T)
     tower = build_tower(m, T)
     base = tower.nodes[0]
     if not base.contains_interval(c_lo, c_hi):
@@ -420,11 +477,9 @@ def extendible_return_scheme(m: IntervalMap, x: tuple[float, float],
     the cylinders that can still lead to a branch or a conflict are
     refined; the scheme is the one full refinement gives.
     """
-    x_lo, x_hi = _checked_x(x)
+    x_lo, x_hi = _checked_x(x, T)
     if not 0 < delta < math.inf:
         raise DomainError(f"delta must be finite and > 0, got {delta!r}")
-    if T < 1:
-        raise DomainError("time cap must be >= 1")
     x_len = x_hi - x_lo
     y_lo, y_hi = _fit_neighbourhood(m, x_lo, x_hi, delta)
     tol = ONTO_RTOL * max(x_len, 1e-30)
@@ -458,7 +513,7 @@ def extendible_return_scheme(m: IntervalMap, x: tuple[float, float],
         if uncovered.total() <= DEGEN_TOL:
             exhausted = True
             break
-        for piece in monotone_pieces(m, level):
+        for piece in monotone_pieces(level):
             # a candidate lies inside its piece, so a piece beside X yields
             # neither a branch nor a conflict
             if piece[-1].hi < x_lo - tol or piece[0].lo > x_hi + tol:
@@ -497,10 +552,8 @@ def extendible_return_scheme(m: IntervalMap, x: tuple[float, float],
         exhausted = uncovered.total() <= max(DEGEN_TOL, 1e-12 * x_len)
 
     branches.sort(key=lambda b: b.lo)
-    return InducingScheme(
-        m, x_lo, x_hi, branches, delta, T,
-        uncovered.total(), exhausted, conflicts,
-        meta={"y": (y_lo, y_hi)})
+    return InducingScheme(m, x_lo, x_hi, branches, delta, T,
+                          uncovered.total(), exhausted, conflicts)
 
 
 # ---------------------------------------------------------------------------

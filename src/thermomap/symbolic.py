@@ -178,23 +178,30 @@ class LapsRecord:
     cauchy_diff: float
 
 
-def monotone_pieces(m: IntervalMap, cylinders: list[Cylinder]) -> list[list[Cylinder]]:
+def _touching_runs(cylinders: list[Cylinder],
+                   joins: Callable[[Cylinder, Cylinder], bool]
+                   ) -> list[list[Cylinder]]:
+    """Cut a sorted cylinder level between neighbours that do not touch
+    within SNAP_TOL or that ``joins`` keeps apart."""
+    runs: list[list[Cylinder]] = []
+    for cyl in cylinders:
+        if runs and abs(runs[-1][-1].hi - cyl.lo) <= SNAP_TOL \
+                and joins(runs[-1][-1], cyl):
+            runs[-1].append(cyl)
+        else:
+            runs.append([cyl])
+    return runs
+
+
+def monotone_pieces(cylinders: list[Cylinder]) -> list[list[Cylinder]]:
     """Group a sorted cylinder level into maximal monotone pieces of f^n.
 
     Adjacent cylinders merge when f^n is continuous across the shared
     endpoint and keeps the same direction.
     """
-    pieces: list[list[Cylinder]] = []
-    for cyl in cylinders:
-        if pieces:
-            prev = pieces[-1][-1]
-            if abs(prev.hi - cyl.lo) <= SNAP_TOL and _joins(
-                    (prev.image_lo, prev.image_hi, prev.orientation),
-                    (cyl.image_lo, cyl.image_hi, cyl.orientation)):
-                pieces[-1].append(cyl)
-                continue
-        pieces.append([cyl])
-    return pieces
+    return _touching_runs(cylinders, lambda a, b: _joins(
+        (a.image_lo, a.image_hi, a.orientation),
+        (b.image_lo, b.image_hi, b.orientation)))
 
 
 def fold_free_runs(cylinders: list[Cylinder]) -> list[list[Cylinder]]:
@@ -207,18 +214,12 @@ def fold_free_runs(cylinders: list[Cylinder]) -> list[list[Cylinder]]:
     persist, and a monotone piece of any deeper f^k lies inside one run.
     A discontinuity of f^n is no cut, since f^k may join across it.
     """
-    runs: list[list[Cylinder]] = []
-    for cyl in cylinders:
-        if runs:
-            prev = runs[-1][-1]
-            end = prev.image_hi if prev.orientation > 0 else prev.image_lo
-            start = cyl.image_lo if cyl.orientation > 0 else cyl.image_hi
-            fold = prev.orientation != cyl.orientation and end == start
-            if abs(prev.hi - cyl.lo) <= SNAP_TOL and not fold:
-                runs[-1].append(cyl)
-                continue
-        runs.append([cyl])
-    return runs
+    def no_fold(prev: Cylinder, cyl: Cylinder) -> bool:
+        end = prev.image_hi if prev.orientation > 0 else prev.image_lo
+        start = cyl.image_lo if cyl.orientation > 0 else cyl.image_hi
+        return prev.orientation == cyl.orientation or end != start
+
+    return _touching_runs(cylinders, no_fold)
 
 
 def _joins(left: _State, right: _State) -> bool:

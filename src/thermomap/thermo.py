@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DegenerateBranchError, DomainError
-from .inducing import InducingScheme
+from .inducing import InducingScheme, TailInfo
 from .symbolic import laps_entropy
 
 #: Log weights are held inside [-LOG_W_MAX, LOG_W_MAX], where the
@@ -49,58 +49,6 @@ class Bracket:
 
     def contains(self, v: float, slack: float = 0.0) -> bool:
         return self.lo - slack <= v <= self.hi + slack
-
-
-@dataclass(frozen=True)
-class TailInfo:
-    """Shift-independent data bounding branches beyond the time cap T.
-
-    The count of tau = n branches is bounded by lap growth c*e^{h*n} and
-    the total length of tau = n branches by the measured decay
-    c_len*e^{-alpha*n}.  A weight is comparable to (|X_i|/|X|)^t up to
-    distortion, so the Hoelder split bounds the omitted weight sum at
-    exponent t by  k^|t| (c_len e^{-a n}/|X|)^t (c e^{h n})^{1-t} e^{-n S}
-    for t in [0, 1], with the obvious one-factor versions outside [0, 1].
-    The length-decay rate is a measured-trend extrapolation, as flagged.
-    """
-
-    T: int
-    log_c: float
-    h: float
-    log_c_len: float
-    alpha_len: float
-    log_lam_max: float
-    log_x_len: float
-
-    def _log_term(self, t: float, s: float, log_k: float) -> tuple[float, float]:
-        """(log coefficient, log per-step ratio) of the tail bound."""
-        if t < 0.0:
-            coeff = self.log_c + abs(t) * log_k
-            rate = self.h + abs(t) * self.log_lam_max - s
-        elif t <= 1.0:
-            coeff = (abs(t) * log_k + t * (self.log_c_len - self.log_x_len)
-                     + (1.0 - t) * self.log_c)
-            rate = -t * self.alpha_len + (1.0 - t) * self.h - s
-        else:
-            coeff = abs(t) * log_k + t * (self.log_c_len - self.log_x_len)
-            rate = -t * self.alpha_len - s
-        return coeff, rate
-
-    def weight_tail(self, t: float, s: float, log_k: float) -> float:
-        """Log of an upper bound on the omitted weight sum; inf when divergent."""
-        coeff, rate = self._log_term(t, s, log_k)
-        if not (rate < 0.0 and coeff < math.inf):
-            return math.inf
-        return coeff + (self.T + 1) * rate - math.log(-math.expm1(rate))
-
-    def tau_weight_tail(self, t: float, s: float, log_k: float) -> float:
-        """Log of an upper bound on the omitted sum of tau * weight."""
-        coeff, rate = self._log_term(t, s, log_k)
-        if not (rate < 0.0 and coeff < math.inf):
-            return math.inf
-        q = -math.expm1(rate)
-        return (coeff + (self.T + 1) * rate + math.log1p(self.T * q)
-                - 2.0 * math.log(q))
 
 
 @dataclass(frozen=True)
@@ -153,13 +101,11 @@ def _log_weights_of(t: float, log_df: np.ndarray) -> np.ndarray:
 def tail_info_for(scheme: InducingScheme) -> TailInfo | None:
     """Lap-growth tail data for a truncated scheme; None when exhausted.
 
-    Cached on the scheme, since it does not depend on (t, S).
+    They do not depend on (t, S): read them as ``scheme.tail_info``,
+    which computes them once per scheme.
     """
     if scheme.exhausted:
         return None
-    cached = scheme.meta.get("tail_info")
-    if cached is not None:
-        return cached
     rec = laps_entropy(scheme.map, LAP_DEPTH)
     h = rec.h_top_estimate + H_MARGIN
     log_c = max(math.log(lap) - h * (k + 1) for k, lap in enumerate(rec.laps))
@@ -174,10 +120,8 @@ def tail_info_for(scheme: InducingScheme) -> TailInfo | None:
                  if len(ns) >= 3 else 0.0)
     log_c_len = float(max(ys + alpha_len * ns))
     lam_max = max(b.df_hi ** (1.0 / b.tau) for b in scheme.branches)
-    info = TailInfo(scheme.truncation, log_c, h, log_c_len, alpha_len,
+    return TailInfo(scheme.truncation, log_c, h, log_c_len, alpha_len,
                     math.log(lam_max), math.log(scheme.x_len))
-    scheme.meta["tail_info"] = info
-    return info
 
 
 def induced_potential(scheme: InducingScheme, t: float) -> ThermoModel:
@@ -189,7 +133,7 @@ def induced_potential(scheme: InducingScheme, t: float) -> ThermoModel:
     log_w = np.stack([ends.min(axis=0), ends.max(axis=0)])
     return ThermoModel(taus, log_w, _log_weights_of(t, log_df_pt),
                        log_df[0], log_df[1], log_df_pt,
-                       t, k_dist, tail=tail_info_for(scheme), scheme=scheme)
+                       t, k_dist, tail=scheme.tail_info, scheme=scheme)
 
 
 def synthetic_model(weights: Sequence[float],

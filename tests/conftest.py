@@ -1,4 +1,5 @@
 import bisect
+import gc
 import itertools
 import math
 from dataclasses import replace
@@ -187,7 +188,7 @@ def unpruned_extendible_return_scheme(m, x, delta: float, T: int):
             exhausted = True
             break
         j = level[0].depth
-        for piece in monotone_pieces(m, level):
+        for piece in monotone_pieces(level):
             # a candidate lies inside its piece, so a piece beside X yields
             # neither a branch nor a conflict
             if piece[-1].hi < x_lo - tol or piece[0].lo > x_hi + tol:
@@ -231,10 +232,21 @@ def unpruned_extendible_return_scheme(m, x, delta: float, T: int):
         exhausted = uncovered.total() <= max(DEGEN_TOL, 1e-12 * x_len)
 
     branches.sort(key=lambda b: b.lo)
-    return InducingScheme(
-        m, x_lo, x_hi, branches, delta, T,
-        uncovered.total(), exhausted, conflicts,
-        meta={"y": (y_lo, y_hi)})
+    return InducingScheme(m, x_lo, x_hi, branches, delta, T,
+                          uncovered.total(), exhausted, conflicts)
+
+
+def unreachable_after(call, *args) -> int:
+    """The number of unreachable objects that ``call(*args)`` leaves for
+    the cyclic collector: it runs with the collector off, and one
+    collection then counts them."""
+    gc.collect()
+    gc.disable()
+    try:
+        call(*args)
+        return gc.collect()
+    finally:
+        gc.enable()
 
 
 def pointwise_gibbs_ratio_check(solution, depth: int, word_cap: int = 20_000):
@@ -632,10 +644,12 @@ def rewalking_mane_expansion_estimate(m, comps, seed: int = 0) -> float:
 
 def rewalking_first_entry_derivative_bound(m, comps, seed: int = 0) -> float:
     """``first_entry_derivative_bound`` as it was when |Df^r| walked the
-    orbit to U a second time."""
+    orbit to U a second time, with an orbit that has not entered U after
+    ENTRY_HORIZON steps counted as no entry, and nan when no orbit enters."""
     rng = np.random.default_rng(seed)
     lo, hi = m.domain
     best = math.inf
+    seen = False
     for _ in range(dg.ENTRY_SAMPLES):
         x = float(rng.uniform(lo, hi))
         z = x
@@ -643,13 +657,14 @@ def rewalking_first_entry_derivative_bound(m, comps, seed: int = 0) -> float:
         while r < dg.ENTRY_HORIZON and not dg._in_any(z, comps):
             z = m.apply(z)
             r += 1
-        if r == 0:
+        if r == 0 or not dg._in_any(z, comps):
             continue
         try:
             best = min(best, stepwise_derivative_along(m, x, r))
+            seen = True
         except CriticalOrbitError:
             continue
-    return best
+    return best if seen else math.nan
 
 
 @pytest.fixture(scope="session")

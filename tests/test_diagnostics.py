@@ -132,6 +132,28 @@ class TestNeighbourhoodChecks:
         b = dg.first_entry_derivative_bound(quad_map, comps, seed=1)
         assert b > 0
 
+    def test_first_entry_bound_counts_only_entries(self):
+        # at a = 2.5 most orbits are drawn to the fixed point 0.6, outside
+        # U; counted as entries at step ENTRY_HORIZON they read 4.34e-61
+        a = 2.5
+        m = tm.make_quadratic(a)
+        comps = dg.critical_neighbourhood(m, 0.01)
+        (u_lo, u_hi), = comps
+        rng = np.random.default_rng(0)
+        want = math.inf
+        for _ in range(dg.ENTRY_SAMPLES):
+            z = float(rng.uniform(0.0, 1.0))
+            r, df = 0, 1.0
+            while r < dg.ENTRY_HORIZON and not u_lo < z < u_hi:
+                df *= abs(a * (1.0 - 2.0 * z))
+                z = a * z * (1.0 - z)
+                r += 1
+            if r > 0 and u_lo < z < u_hi:
+                want = min(want, df)
+        assert 0.5 < want < 1.0
+        assert dg.first_entry_derivative_bound(m, comps, seed=0) == \
+            pytest.approx(want, rel=1e-12)
+
     def test_csv_rows(self, quad_map):
         g = dg.critical_orbit_growth(quad_map, 25, 0.9)
         rows = dg.growth_csv_rows(g.records[0])

@@ -1,6 +1,5 @@
 import dataclasses
 import functools
-import gc
 import math
 import signal
 
@@ -18,7 +17,8 @@ import conftest
 from conftest import (ACIP_LYAP, JOIN_MAP, LOG_GOLDEN, SINE_SPEC,
                       counting_inverses, hexes, linear_gurevich_pressure,
                       linear_solve_gibbs,
-                      pointwise_gibbs_ratio_check, scalar_project_measure)
+                      pointwise_gibbs_ratio_check, scalar_project_measure,
+                      unreachable_after)
 
 GOLDEN = (1 + math.sqrt(5)) / 2
 
@@ -181,6 +181,17 @@ class TestGibbsRatio:
         sol = tm.solve_gibbs(tm.induced_potential(golden_scheme, 1.0), 0.0)
         with pytest.raises(NumericError):
             tm.gibbs_ratio_check(dataclasses.replace(sol, log_lam=math.log(1e-300)), 2)
+
+    @pytest.mark.parametrize("depth", [2, 3])
+    def test_leaves_no_garbage_cycle(self, depth):
+        # the suffix memo is freed when the call returns, without the cyclic
+        # collector; two memoised closures, one calling itself, left 11
+        # objects at depth 2 and 28,082 at depth 3
+        m = tm.parse_map_spec(SINE_SPEC)
+        scheme = tm.extendible_return_scheme(
+            m, default_base_cylinder(m, 0.3, 2), 0.5, 8)
+        sol = tm.equilibrium_shift_solve(scheme, 1.0).solution
+        assert unreachable_after(tm.gibbs_ratio_check, sol, depth) == 0
 
     @pytest.mark.parametrize("depth", [0, -1])
     def test_depth_below_one_refused(self, golden_scheme, depth):
@@ -415,13 +426,7 @@ class TestProjectMeasure:
             m, default_base_cylinder(m, 0.3, 2), 0.5, 8)
         sol = tm.equilibrium_shift_solve(scheme, 1.0).solution
         targets = [(k / 8, (k + 1) / 8) for k in range(8)]
-        gc.collect()
-        gc.disable()
-        try:
-            tm.project_measure(scheme, sol, targets)
-            assert gc.collect() == 0
-        finally:
-            gc.enable()
+        assert unreachable_after(tm.project_measure, scheme, sol, targets) == 0
 
     @pytest.mark.parametrize("target", [(math.nan, 0.5), (0.2, math.nan),
                                         (-math.inf, 0.5), (0.2, math.inf)])

@@ -1,7 +1,7 @@
 import hashlib
 import itertools
 import math
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -14,10 +14,12 @@ from thermomap import hofbauer, inducing
 from thermomap.cli import default_base_cylinder
 from thermomap.diagnostics import variation_decay
 from thermomap.errors import DegenerateBranchError, DomainError
-from thermomap.inducing import SchemeBranch, scheme_to_csv_rows
+from thermomap.inducing import (InducingScheme, SchemeBranch, _fit_neighbourhood,
+                                scheme_to_csv_rows)
 from thermomap.interval_map import (WordPullbacks, derivative_along,
                                     eval_along_word, eval_orbit,
                                     parse_map_spec, pullback_word)
+from thermomap.thermo import tail_info_for
 
 
 def tower_first_return_time(tower, c_lo, c_hi, x, t_cap=50):
@@ -112,7 +114,7 @@ class TestExtendibleReturn:
     def test_golden_aa_full_branches(self, golden_map):
         sch = tm.extendible_return_scheme(golden_map, (0.0, 4.0 / 9.0), 0.25, 12)
         assert sch.conflicts == 0
-        y_lo, y_hi = sch.meta["y"]
+        y_lo, y_hi = _fit_neighbourhood(golden_map, sch.x_lo, sch.x_hi, 0.25)
         assert y_hi - y_lo == pytest.approx(1.5 * sch.x_len, abs=1e-12)
         # every extension maps onto the scaled neighbourhood
         for b in sch.branches:
@@ -470,6 +472,39 @@ class TestGeometryArrays:
             assert hexes(row) == hexes(want_row)
 
 
+class TestFrozenScheme:
+    """A scheme is frozen and caches its own t-free data: a ``replace``
+    copy computes its own."""
+
+    @pytest.fixture
+    def quad_cap10(self, quad_map, quad_x_cylinder):
+        return tm.extendible_return_scheme(
+            quad_map, (quad_x_cylinder.lo, quad_x_cylinder.hi), 0.5, 10)
+
+    def test_replace_gives_a_copy_its_own_caches(self, quad_cap10):
+        s = quad_cap10
+        for t in (0.5, 1.0):  # fill every cache of the original
+            tm.equilibrium_shift_solve(s, t)
+        assert not s.exhausted and len(s.branches) == 45
+        copy = replace(s, delta=0.05, branches=s.branches[:5])
+        fresh = InducingScheme(s.map, s.x_lo, s.x_hi, s.branches[:5], 0.05,
+                               s.truncation, s.escaping_mass_bound,
+                               s.exhausted, s.conflicts)
+        assert tail_info_for(copy) == tail_info_for(fresh)
+        for t in (0.5, 1.0):
+            got = tm.equilibrium_shift_solve(copy, t).bracket
+            want = tm.equilibrium_shift_solve(fresh, t).bracket
+            assert hexes((got.lo, got.hi)) == hexes((want.lo, want.hi)), t
+        assert copy.tail_info == tail_info_for(fresh) != s.tail_info
+
+    def test_frozen(self, quad_cap10):
+        assert not hasattr(quad_cap10, "meta")
+        with pytest.raises(FrozenInstanceError):
+            quad_cap10.delta = 0.05
+        with pytest.raises(FrozenInstanceError):
+            quad_cap10.meta = {}
+
+
 class TestValidateScheme:
     def test_golden_passes(self, golden_scheme):
         rep = tm.validate_scheme(golden_scheme)
@@ -482,12 +517,10 @@ class TestValidateScheme:
         assert rep.max_distortion <= rep.koebe_bound
 
     def test_corrupted_overlap_detected(self, golden_scheme):
-        import copy
-        sch = copy.copy(golden_scheme)
         b = golden_scheme.branches[0]
         bad = SchemeBranch(b.lo, 0.5, b.tau, b.word, b.ext_lo, b.ext_hi,
                            b.df_lo, b.df_hi, b.df_mid)
-        sch.branches = [bad, golden_scheme.branches[1]]
+        sch = replace(golden_scheme, branches=[bad, golden_scheme.branches[1]])
         rep = tm.validate_scheme(sch)
         assert not rep.ok
         failed = [c for c in rep.checks if not c.disjoint]

@@ -58,7 +58,7 @@ def refined_laps(m, n):
     whether refinement dropped a cylinder narrower than DEGEN_TOL."""
     counts, dropped, prev = [], False, None
     for level in refine_levels(m, n):
-        counts.append(len(monotone_pieces(m, level)))
+        counts.append(len(monotone_pieces(level)))
         if prev is not None:
             kids = sum(min(c.image_hi, b.hi) - max(c.image_lo, b.lo) > DEGEN_TOL
                        for c in prev for b in m.branches)
@@ -148,7 +148,7 @@ def assert_pieces_inside_runs(m, n):
     for j, level in enumerate(levels):
         runs = [(r[0].lo, r[-1].hi) for r in fold_free_runs(level)]
         for deeper in levels[j:]:
-            for piece in monotone_pieces(m, deeper):
+            for piece in monotone_pieces(deeper):
                 lo, hi = piece[0].lo, piece[-1].hi
                 assert any(a - SNAP_TOL <= lo and hi <= b + SNAP_TOL
                            for a, b in runs), (j + 1, [c.word for c in piece])
@@ -168,7 +168,7 @@ class TestFoldFreeRuns:
 
     def test_quad4_folds_between_all_pieces(self, quad_map):
         level = tm.refine(quad_map, 6)
-        assert len(fold_free_runs(level)) == len(monotone_pieces(quad_map, level)) == 64
+        assert len(fold_free_runs(level)) == len(monotone_pieces(level)) == 64
 
     def test_discontinuity_is_no_cut(self):
         # f^2 jumps from 1 to 0 between the words (1, 2) and (1, 1); branches
@@ -177,7 +177,7 @@ class TestFoldFreeRuns:
                             [(0.8, 1), (0, 1), (0, 1), (0.6, 0.8)], [1, -1, -1, 1])
         runs = [[c.word for c in run] for run in fold_free_runs(tm.refine(m, 2))]
         assert any({(1, 2), (1, 1)} <= set(run) for run in runs)
-        pieces = [[c.word for c in p] for p in monotone_pieces(m, tm.refine(m, 3))]
+        pieces = [[c.word for c in p] for p in monotone_pieces(tm.refine(m, 3))]
         assert [(1, 2, 3), (1, 1, 0)] in pieces
 
 
