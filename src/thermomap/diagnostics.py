@@ -10,14 +10,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 from typing import Sequence
 
 import numpy as np
 
 from .errors import DomainError
 from .inducing import InducingScheme
-from .interval_map import (IntervalMap, _orbit_derivatives, derivative_prefixes,
-                           eval_orbit, pullback_word)
+from .interval_map import (IntervalMap, _chain, _chain_step, _walk,
+                           derivative_prefixes, eval_orbit, pullback_word)
 from .thermo import _fit_line
 
 #: R^2 that the exponential fit of every critical orbit must reach for CE.
@@ -78,10 +79,12 @@ def critical_orbit_growth(m: IntervalMap, n_max: int, t0: float) -> GrowthVerdic
         # a cut list stops at the critical hit: its length is the hit time
         truncated = len(derivs) if len(derivs) < n_max else None
         arr = np.array(derivs)
-        ns = np.arange(1, len(arr) + 1, dtype=float)
-        if len(arr) >= 3:
-            alpha, a_r2 = _fit_line(ns, np.log(arr))
-            beta, b_r2 = _fit_line(np.log(ns), np.log(arr))
+        # fit the values in float range: 4^n on quad4 is inf from n = 512
+        fits = (arr > 0.0) & np.isfinite(arr)
+        ns, logs = np.arange(1.0, len(arr) + 1)[fits], np.log(arr[fits])
+        if len(logs) >= 3:
+            alpha, a_r2 = _fit_line(ns, logs)
+            beta, b_r2 = _fit_line(np.log(ns), logs)
             if a_r2 < 0.9:  # fits below this are not reported
                 alpha = math.nan
             if b_r2 < 0.9:
@@ -158,23 +161,22 @@ def binding_analysis(m: IntervalMap, eps: float, delta_x: float, n_max: int,
     f_prime: dict[int, float] = {}
     growth = []  # |Df^n(f(c))| for n = 1.. up to the orbit's first critical hit
     for (u_lo, u_hi), cp in zip(comps, crits):
-        orb_c = eval_orbit(m, cp.c, n_max)
-        growth.append(_orbit_derivatives(m, orb_c[1:]))
+        # one walk: orb_c[k] = f^k(c) and ds[k] = |Df^k(f(c))|
+        pts, ds = zip(*islice(_chain(m, islice(_walk(m, cp.c), 1, None)), n_max + 1))
+        orb_c = (cp.c,) + pts
+        growth.append([d for d in ds[1:] if d is not None])
         for k in range(1, BINDING_SAMPLES + 1):
             x = u_lo + (u_hi - u_lo) * k / (BINDING_SAMPLES + 1)
             if abs(x - cp.c) < 1e-12:
                 continue
-            orb_x = eval_orbit(m, x, n_max)
-            p = n_max
-            for k2 in range(1, n_max + 1):
-                dist_c = min(abs(orb_c[k2] - cc) for cc in crit_pts)
-                if abs(orb_x[k2] - orb_c[k2]) >= gammas[k2 - 1] * dist_c:
-                    p = k2
+            # walk x's orbit to its binding period p; d = |Df^p(x)|
+            for p, (z, d) in enumerate(islice(_chain(m, _walk(m, x)), 1, n_max + 1), 1):
+                dist_c = min(abs(orb_c[p] - cc) for cc in crit_pts)
+                if abs(z - orb_c[p]) >= gammas[p - 1] * dist_c:
                     break
             p_u = min(p_u, p)
-            derivs = _orbit_derivatives(m, orb_x[:p])
-            if len(derivs) == p:
-                f_prime[p] = min(f_prime.get(p, math.inf), derivs[-1])
+            if d is not None:
+                f_prime[p] = min(f_prime.get(p, math.inf), d)
     # gauge-weighted growth sums, worst critical point
     worst: list[float] = []
     for cp, derivs in zip(crits, growth):
@@ -282,7 +284,10 @@ def variation_decay(scheme: InducingScheme, t: float,
 # ---------------------------------------------------------------------------
 
 def _in_any(x: float, comps: Sequence[tuple[float, float]]) -> bool:
-    return any(lo < x < hi for lo, hi in comps)
+    for lo, hi in comps:  # not any(): a generator per point costs more
+        if lo < x < hi:
+            return True
+    return False
 
 
 def mane_expansion_estimate(m: IntervalMap, comps: Sequence[tuple[float, float]],
@@ -298,20 +303,22 @@ def mane_expansion_estimate(m: IntervalMap, comps: Sequence[tuple[float, float]]
     best = math.inf
     seen = False
     for _ in range(MANE_ORBITS):
-        x = float(rng.uniform(lo, hi))
-        orb = eval_orbit(m, x, MANE_ORBIT_LEN)
-        start = None
-        for idx, z in enumerate(orb):
+        # the window out of U so far: k points, the last w (the first one
+        # snapped, as in _chain) and d = |Df^k| at its first; not a _chain
+        # per window, since most are a few points long
+        k, d, w = 0, 1.0, 0.0
+        walk = _walk(m, float(rng.uniform(lo, hi)))
+        for z, i, u in islice(walk, MANE_ORBIT_LEN + 1):
+            if k and d is not None:
+                d = _chain_step(m, d, w, i, u)
             if _in_any(z, comps):
-                if start is not None and idx - start >= MANE_K_MIN:
-                    k = idx - start
-                    derivs = _orbit_derivatives(m, orb[start:idx])
-                    if len(derivs) == k:
-                        best = min(best, math.log(derivs[-1]) / k)
-                        seen = True
-                start = None
-            elif start is None:
-                start = idx
+                if k >= MANE_K_MIN and d is not None:
+                    best = min(best, math.log(d) / k)
+                    seen = True
+                k, d = 0, 1.0
+            else:
+                w = z if k else m.snap(z)
+                k += 1
     return best if seen else math.nan
 
 
@@ -346,13 +353,13 @@ def first_entry_derivative_bound(m: IntervalMap,
     best = math.inf
     seen = False
     for _ in range(ENTRY_SAMPLES):
-        orb = [float(rng.uniform(lo, hi))]
-        while len(orb) <= ENTRY_HORIZON and not _in_any(orb[-1], comps):
-            orb.append(m.apply(orb[-1]))
-        derivs = _orbit_derivatives(m, orb[:-1]) if _in_any(orb[-1], comps) else []
-        if derivs and len(derivs) == len(orb) - 1:
-            best = min(best, derivs[-1])
-            seen = True
+        walk = _walk(m, float(rng.uniform(lo, hi)))
+        for r, (z, d) in enumerate(islice(_chain(m, walk), ENTRY_HORIZON + 1)):
+            if d is None or _in_any(z, comps):  # a cut, or the entry
+                if d is not None and r:
+                    best = min(best, d)
+                    seen = True
+                break
     return best if seen else math.nan
 
 

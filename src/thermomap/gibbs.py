@@ -170,6 +170,7 @@ def gibbs_ratio_check(solution: GibbsSolution, depth: int,
     m, branches = scheme.map, scheme.branches
     t, shift = model.t, solution.shift
     log_lam = solution.log_lam
+    masses = solution.masses.tolist()
     # per word suffix s: (x_s, the term -t log|DF_{s_0}| - S tau_{s_0} at
     # x_s), points found innermost first (pullbacks contract error, while
     # forward iterates of one point would leave deep cylinders)
@@ -200,7 +201,7 @@ def gibbs_ratio_check(solution: GibbsSolution, depth: int,
             psi = 0.0
             for k in range(d):
                 psi += memo[w[k:]][1]
-            mass = float(np.prod([solution.masses[i] for i in w]))
+            mass = math.prod([masses[i] for i in w])
             try:
                 ratio = mass / math.exp(psi - d * log_lam)
                 k_best = max(k_best, ratio, 1.0 / ratio)

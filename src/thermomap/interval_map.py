@@ -14,7 +14,8 @@ import math
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Sequence
+from itertools import islice, takewhile
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -113,11 +114,6 @@ class IntervalMap:
                 return p
         return x
 
-    def boundary_hit(self, x: float) -> bool:
-        """True when ``x`` snaps to an interior breakpoint."""
-        x = self.snap(x)
-        return any(abs(x - p) == 0.0 for p in self.breakpoints[1:-1])
-
     @cached_property
     def _tiled(self) -> bool:
         """Whether the branches tile the domain exactly, each ending where
@@ -131,7 +127,8 @@ class IntervalMap:
                 and all(q - p > 4.0 * SNAP_TOL for p, q in zip(pts, pts[1:])))
 
     def _locate(self, x: float, side: str) -> tuple[int, float]:
-        """(``branch_index(x, side)``, ``snap(x)``), snapping once."""
+        """(``branch_index(x, side)``, ``snap(x)`` clamped into that branch,
+        which holds it where the branches tile): the step rule of orbits."""
         lo, hi = self.domain
         if x < lo - SNAP_TOL or x > hi + SNAP_TOL:
             raise DomainError(f"point {x!r} outside domain [{lo}, {hi}]")
@@ -157,13 +154,13 @@ class IntervalMap:
             if x == b.lo:
                 if i == 0 or side == "right":
                     return i, x
-                return i - 1, x
+                return i - 1, self.branches[i - 1].clamp(x)
             if x == b.hi and i == self.n_branches - 1:
                 return i, x
         # not snapped but numerically at a boundary: pick the covering branch
         for i, b in enumerate(self.branches):
             if b.contains(x):
-                return i, x
+                return i, b.clamp(x)
         raise DomainError(f"point {x!r} not covered by any branch")
 
     def branch_index(self, x: float, side: str = "left") -> int:
@@ -175,59 +172,65 @@ class IntervalMap:
         """
         return self._locate(x, side)[0]
 
-    # apply and deriv clamp as min(max(v, lo), hi) does, written out
-
     def apply(self, x: float, side: str = "left") -> float:
         i, x = self._locate(x, side)
-        b = self.branches[i]
-        y = b.fwd(b.lo if b.lo > x else b.hi if b.hi < x else x)
+        y = self.branches[i].fwd(x)
         lo, hi = self.domain
-        return lo if lo > y else hi if hi < y else y
+        return lo if lo > y else hi if hi < y else y  # min(max(y, lo), hi)
 
     def deriv(self, x: float, side: str = "left") -> float:
         i, x = self._locate(x, side)
-        b = self.branches[i]
-        return b.deriv(b.lo if b.lo > x else b.hi if b.hi < x else x)
+        return self.branches[i].deriv(x)
 
 
 # ---------------------------------------------------------------------------
 # orbit-level operations
 # ---------------------------------------------------------------------------
 
-def eval_orbit(m: IntervalMap, x: float, n: int) -> list[float]:
-    """Return the orbit segment ``[x, f(x), ..., f^n(x)]``."""
+def _walk(m: IntervalMap, x: float, side: str = "left"
+          ) -> Iterator[tuple[float, int | None, float | None]]:
+    """Yield (z, i, u) for z = f^k(x), k = 0, 1, ..., the start snapped:
+    (i, u) is ``_locate`` of z's predecessor (None at k = 0), looked up
+    only when z is asked for, so n steps cost n lookups."""
     lo, hi = m.domain
     if x < lo - SNAP_TOL or x > hi + SNAP_TOL:
         raise DomainError(f"orbit start {x!r} outside domain")
+    z, i, u = m.snap(min(max(x, lo), hi)), None, None
+    while True:
+        yield z, i, u
+        i, u = m._locate(z, side)
+        z = m.branches[i].fwd(u)
+        z = lo if lo > z else hi if hi < z else z  # as apply clamps
+
+
+def _chain_step(m: IntervalMap, d: float, w: float, i: int, u: float) -> float | None:
+    """d times |f'| at the input u of branch i, the step from the point w;
+    None where w meets a critical point where f' vanishes, or f' == 0."""
+    for c in m.crit:
+        if c.vanishing and abs(w - c.c) <= SNAP_TOL:
+            return None
+    df = m.branches[i].deriv(u)
+    return None if df == 0.0 else d * abs(df)
+
+
+def _chain(m: IntervalMap, steps: Iterable[tuple[float, int | None, float | None]]
+           ) -> Iterator[tuple[float, float | None]]:
+    """Yield (z, |Df^k|) for z the k-th point of a stretch of ``_walk``
+    steps, by ``_chain_step`` from 1.0 (None once cut); the critical test
+    takes the first point snapped and later ones as walked."""
+    d, w = 1.0, None
+    for z, i, u in steps:
+        if w is not None and d is not None:
+            d = _chain_step(m, d, w, i, u)
+        yield z, d
+        w = m.snap(z) if w is None else z
+
+
+def eval_orbit(m: IntervalMap, x: float, n: int) -> list[float]:
+    """Return the orbit segment ``[x, f(x), ..., f^n(x)]`` of one walk."""
     if n < 0:
         raise DomainError("orbit length must be >= 0")
-    orbit = [m.snap(min(max(x, lo), hi))]
-    for _ in range(n):
-        orbit.append(m.apply(orbit[-1]))
-    return orbit
-
-
-def _orbit_derivatives(m: IntervalMap, orbit: list[float]) -> list[float]:
-    """[|Df^k(orbit[0])| for k = 1, ..., len(orbit)]: the products of
-    |f'| over the given orbit points in order, cut before the first point
-    that meets a critical point where the derivative vanishes, or where
-    f' == 0, so that the length of a cut list is the hitting time.
-
-    The first point is snapped, as an orbit starting there would be.
-    """
-    vanish = [c.c for c in m.crit if c.vanishing]
-    out: list[float] = []
-    prod = 1.0
-    for z in [m.snap(z) for z in orbit[:1]] + orbit[1:]:
-        for c in vanish:
-            if abs(z - c) <= SNAP_TOL:
-                return out
-        d = m.deriv(z)
-        if d == 0.0:
-            return out
-        prod *= abs(d)
-        out.append(prod)
-    return out
+    return [z for z, _, _ in islice(_walk(m, x), n + 1)]
 
 
 def derivative_along(m: IntervalMap, x: float, n: int) -> float:
@@ -246,8 +249,9 @@ def derivative_along(m: IntervalMap, x: float, n: int) -> float:
 
 def derivative_prefixes(m: IntervalMap, x: float, n: int) -> list[float]:
     """[|Df^k(x)| for k = 1, ..., n], cut before the first k at which
-    ``derivative_along(m, x, k)`` would raise."""
-    return _orbit_derivatives(m, eval_orbit(m, x, n - 1)) if n > 0 else []
+    ``derivative_along(m, x, k)`` would raise; one walk, stopped there."""
+    points = islice(_chain(m, _walk(m, x)), 1, n + 1) if n > 0 else ()
+    return [d for _, d in takewhile(lambda zd: zd[1] is not None, points)]
 
 
 def eval_along_word(m: IntervalMap, word: Sequence[int], x: float) -> float:

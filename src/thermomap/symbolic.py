@@ -9,6 +9,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
+from itertools import islice
 from typing import Callable, Iterable, Sequence
 
 from .errors import AmbiguityError, DomainError, NumericError, ResourceError
@@ -16,6 +17,7 @@ from .interval_map import (
     IntervalMap,
     InverseSteps,
     SNAP_TOL,
+    _walk,
     derivative_along_word,
     eval_along_word,
 )
@@ -150,20 +152,19 @@ def cylinder_of_word(m: IntervalMap, word: Sequence[int]) -> Cylinder | None:
 
 def itinerary(m: IntervalMap, x: float, n: int,
               side: str | None = None) -> Word:
-    """Symbolic address of x through the branch partition, n letters.
+    """Symbolic address of x through the branch partition: the branches
+    of n ``_walk`` steps.
 
     Boundary hits raise AmbiguityError (with the hitting time) unless a
     side flag 'left'/'right' is supplied.
     """
     letters = []
-    z = m.snap(x)
-    for k in range(n):
-        if m.boundary_hit(z) and side is None:
+    steps = islice(_walk(m, x, side or "left"), 1, max(n, 0) + 1)
+    for k, (_, i, u) in enumerate(steps):
+        if side is None and u in m.breakpoints[1:-1]:
             raise AmbiguityError(
                 f"orbit meets a branch boundary at time {k}", hit_time=k)
-        s = side or "left"
-        letters.append(m.branch_index(z, s))
-        z = m.apply(z, s)
+        letters.append(i)
     return tuple(letters)
 
 

@@ -257,7 +257,10 @@ class TailRecord:
 
 
 def _fit_line(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
-    """Least-squares slope of y against x, and the R^2 of the line."""
+    """Least-squares slope of y against x, and the R^2 of the line; both
+    nan where an input is not finite, which polyfit may also reject."""
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        return math.nan, math.nan
     slope, intercept = np.polyfit(x, y, 1)
     fit = slope * x + intercept
     ss_tot = float(np.sum((y - y.mean()) ** 2))

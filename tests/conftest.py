@@ -105,6 +105,34 @@ def counting_inverses(m):
                                      for a, b in enumerate(m.branches))), calls
 
 
+def counting_lookups(m):
+    """A copy of m, and two lists it records to: the point of each
+    ``_locate`` call (a lookup), and that of each branch forward map
+    evaluation (a step; the branch images are evaluated beforehand, so
+    they are not counted)."""
+    lookups, steps = [], []
+
+    def counted(fwd):
+        def fwd_counted(x):
+            steps.append(x)
+            return fwd(x)
+        return fwd_counted
+
+    m = replace(m, branches=tuple(replace(b, fwd=counted(b.fwd))
+                                  for b in m.branches))
+    for b in m.branches:
+        b.image
+    steps.clear()
+    locate = m._locate
+
+    def locate_counted(x, side):
+        lookups.append(x)
+        return locate(x, side)
+
+    object.__setattr__(m, "_locate", locate_counted)
+    return m, lookups, steps
+
+
 def looping_branch_index(m, x: float, side: str = "left") -> int:
     """``IntervalMap.branch_index`` as it was when it snapped and then
     walked the branches: an oracle for the library's one-snap lookup."""

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import thermomap as tm
-from conftest import (ORBIT_MAPS, hexes, inline_critical_neighbourhood,
+from conftest import (ORBIT_MAPS, SINE_SPEC, counting_lookups, hexes,
+                      inline_critical_neighbourhood,
                       rewalking_binding_analysis,
                       rewalking_first_entry_derivative_bound,
                       rewalking_mane_expansion_estimate)
@@ -42,6 +43,19 @@ class TestCriticalOrbitGrowth:
         beta, r2 = dg._fit_line(np.log(ns), np.log(ns ** 1.0))
         assert beta == pytest.approx(1.0, abs=1e-12) and r2 == pytest.approx(1.0)
         assert beta < 2.0 * (1 + 1 / 0.9) - 1.0
+
+    def test_fit_skips_derivatives_past_float_range(self, quad_map, recwarn):
+        # |Df^n(f(c))| = 4^n is inf from n = 512 on
+        v = dg.critical_orbit_growth(quad_map, 520, 0.9)
+        rec = v.records[0]
+        assert math.isinf(rec.derivatives[-1])
+        assert v.verdict == "CE"
+        assert rec.alpha == pytest.approx(math.log(4.0), abs=1e-9)
+        assert rec.alpha_r2 >= dg.R2_CE
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+        # a line fit to values past float range fits nothing
+        ns = np.arange(1.0, len(rec.derivatives) + 1)
+        assert all(map(math.isnan, dg._fit_line(ns, np.log(rec.derivatives))))
 
     def test_requires_horizon(self, quad_map):
         with pytest.raises(tm.DomainError):
@@ -187,6 +201,32 @@ class TestOrbitReuse:
                 rewalking_mane_expansion_estimate(m, comps, seed)), seed
             assert repr(dg.first_entry_derivative_bound(m, comps, seed)) == repr(
                 rewalking_first_entry_derivative_bound(m, comps, seed)), seed
+
+    def test_each_walked_point_is_looked_up_once(self):
+        m, lookups, steps = counting_lookups(tm.parse_map_spec(SINE_SPEC))
+        for eps in (0.25, 0.05):
+            comps = dg.critical_neighbourhood(m, eps)
+            lookups.clear()
+            dg.mane_expansion_estimate(m, comps, seed=0)
+            assert len(lookups) == dg.MANE_ORBITS * dg.MANE_ORBIT_LEN, eps
+            for estimate in (dg.first_entry_derivative_bound,
+                             dg.nice_check):
+                lookups.clear()
+                steps.clear()
+                estimate(m, comps)
+                assert 0 < len(lookups) <= len(steps), estimate
+        lookups.clear()
+        steps.clear()
+        dg.critical_orbit_growth(m, 40, 0.9)
+        assert 0 < len(lookups) <= len(steps)
+        lookups.clear()
+        steps.clear()
+        dg.binding_analysis(m, 0.05, 0.1, 40)
+        # critical_neighbourhood looks c up once from each side
+        assert 0 < len(lookups) <= len(steps) + 2
+        lookups.clear()
+        assert tm.itinerary(m, 0.3, 2, side="left") == (0, 1)
+        assert len(lookups) == 2
 
     def test_superstable_growth_is_cut_at_the_return_to_c(self):
         # f(c) = a/4 and f^2(c) = c: the critical growth has one term

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -14,8 +15,7 @@ from conftest import (ORBIT_MAPS, SINE_SPEC, hexes, looping_apply,
                       stepwise_derivative_along, stepwise_derivative_prefixes)
 from thermomap.errors import CriticalOrbitError, DomainError, SchemaError
 from thermomap.interval_map import (SNAP_TOL, InverseSteps, WordPullbacks,
-                                    _orbit_derivatives,
-                                    derivative_along_word,
+                                    _chain, _walk, derivative_along_word,
                                     derivative_along_word_array,
                                     derivative_prefixes, pullback_word)
 
@@ -93,8 +93,16 @@ class TestDerivativeAlong:
             tm.CriticalPoint(0.5 + 8e-15, 2.0, 1.0, vanishing=True),))
         x = 0.5 - 8e-15
         assert stepwise_derivative_prefixes(m, x, 2) == []
-        assert _orbit_derivatives(m, [x, m.apply(x)]) == []
-        assert _orbit_derivatives(m, [0.25, x]) == [2.0, 4.0]
+        assert derivative_prefixes(m, x, 2) == []
+        # a later point is tested as walked: x, the image of x / 2, is
+        # 1.6e-14 from c and not cut
+        assert m.apply(x / 2) == x
+        assert stepwise_derivative_prefixes(m, x / 2, 2) == [2.0, 4.0]
+        assert derivative_prefixes(m, x / 2, 2) == [2.0, 4.0]
+        # a stretch that starts mid-orbit, as the binding analysis's
+        # critical growth does, snaps its first point too
+        stretch = _chain(m, islice(_walk(m, x / 2), 1, None))
+        assert [d for _, d in islice(stretch, 3)] == [1.0, None, None]
 
     @pytest.mark.parametrize("name", sorted(ORBIT_MAPS))
     def test_same_floats_and_hit_times_as_a_stepwise_walk(self, name):
