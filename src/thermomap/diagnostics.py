@@ -10,15 +10,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import islice
+from itertools import chain, islice
 from typing import Sequence
 
 import numpy as np
 
 from .errors import DomainError
 from .inducing import InducingScheme
-from .interval_map import (IntervalMap, _chain, _chain_step, _walk,
-                           derivative_prefixes, eval_orbit, pullback_word)
+from .interval_map import (IntervalMap, _chain, _walk, derivative_prefixes,
+                           eval_orbit, pullback_word)
 from .thermo import _fit_line
 
 #: R^2 that the exponential fit of every critical orbit must reach for CE.
@@ -79,8 +79,7 @@ def critical_orbit_growth(m: IntervalMap, n_max: int, t0: float) -> GrowthVerdic
         # a cut list stops at the critical hit: its length is the hit time
         truncated = len(derivs) if len(derivs) < n_max else None
         arr = np.array(derivs)
-        # fit the values in float range: 4^n on quad4 is inf from n = 512
-        fits = (arr > 0.0) & np.isfinite(arr)
+        fits = (arr > 0.0) & np.isfinite(arr)  # 4^n is inf from n = 512
         ns, logs = np.arange(1.0, len(arr) + 1)[fits], np.log(arr[fits])
         if len(logs) >= 3:
             alpha, a_r2 = _fit_line(ns, logs)
@@ -284,10 +283,7 @@ def variation_decay(scheme: InducingScheme, t: float,
 # ---------------------------------------------------------------------------
 
 def _in_any(x: float, comps: Sequence[tuple[float, float]]) -> bool:
-    for lo, hi in comps:  # not any(): a generator per point costs more
-        if lo < x < hi:
-            return True
-    return False
+    return any(lo < x < hi for lo, hi in comps)
 
 
 def mane_expansion_estimate(m: IntervalMap, comps: Sequence[tuple[float, float]],
@@ -303,22 +299,18 @@ def mane_expansion_estimate(m: IntervalMap, comps: Sequence[tuple[float, float]]
     best = math.inf
     seen = False
     for _ in range(MANE_ORBITS):
-        # the window out of U so far: k points, the last w (the first one
-        # snapped, as in _chain) and d = |Df^k| at its first; not a _chain
-        # per window, since most are a few points long
-        k, d, w = 0, 1.0, 0.0
+        window = []  # the walk's steps out of U since it last left U
         walk = _walk(m, float(rng.uniform(lo, hi)))
-        for z, i, u in islice(walk, MANE_ORBIT_LEN + 1):
-            if k and d is not None:
-                d = _chain_step(m, d, w, i, u)
-            if _in_any(z, comps):
-                if k >= MANE_K_MIN and d is not None:
-                    best = min(best, math.log(d) / k)
+        for step in islice(walk, MANE_ORBIT_LEN + 1):
+            if not _in_any(step[0], comps):
+                window.append(step)
+                continue
+            if len(window) >= MANE_K_MIN:  # chain it to its return to U
+                *_, (_, d) = _chain(m, window + [step])
+                if d is not None:
+                    best = min(best, math.log(d) / len(window))
                     seen = True
-                k, d = 0, 1.0
-            else:
-                w = z if k else m.snap(z)
-                k += 1
+            window = []
     return best if seen else math.nan
 
 
@@ -331,12 +323,10 @@ class NiceReport:
 def nice_check(m: IntervalMap, comps: Sequence[tuple[float, float]],
                n_max: int = 64) -> NiceReport:
     """Check f^n(boundary of U) never enters the open set U, n <= n_max."""
-    for lo, hi in comps:
-        for endpoint in (lo, hi):
-            orb = eval_orbit(m, endpoint, n_max)
-            for n, z in enumerate(orb[1:], start=1):
-                if _in_any(z, comps):
-                    return NiceReport(False, n)
+    for endpoint in chain.from_iterable(comps):
+        for n, z in enumerate(eval_orbit(m, endpoint, n_max)[1:], start=1):
+            if _in_any(z, comps):
+                return NiceReport(False, n)
     return NiceReport(True, None)
 
 

@@ -127,8 +127,7 @@ class IntervalMap:
                 and all(q - p > 4.0 * SNAP_TOL for p, q in zip(pts, pts[1:])))
 
     def _locate(self, x: float, side: str) -> tuple[int, float]:
-        """(``branch_index(x, side)``, ``snap(x)`` clamped into that branch,
-        which holds it where the branches tile): the step rule of orbits."""
+        """(``branch_index(x, side)``, ``snap(x)`` clamped into that branch)."""
         lo, hi = self.domain
         if x < lo - SNAP_TOL or x > hi + SNAP_TOL:
             raise DomainError(f"point {x!r} outside domain [{lo}, {hi}]")
@@ -203,25 +202,20 @@ def _walk(m: IntervalMap, x: float, side: str = "left"
         z = lo if lo > z else hi if hi < z else z  # as apply clamps
 
 
-def _chain_step(m: IntervalMap, d: float, w: float, i: int, u: float) -> float | None:
-    """d times |f'| at the input u of branch i, the step from the point w;
-    None where w meets a critical point where f' vanishes, or f' == 0."""
-    for c in m.crit:
-        if c.vanishing and abs(w - c.c) <= SNAP_TOL:
-            return None
-    df = m.branches[i].deriv(u)
-    return None if df == 0.0 else d * abs(df)
-
-
 def _chain(m: IntervalMap, steps: Iterable[tuple[float, int | None, float | None]]
            ) -> Iterator[tuple[float, float | None]]:
     """Yield (z, |Df^k|) for z the k-th point of a stretch of ``_walk``
-    steps, by ``_chain_step`` from 1.0 (None once cut); the critical test
-    takes the first point snapped and later ones as walked."""
+    steps: |f'| at the recorded inputs, multiplied from 1.0 in orbit order,
+    and None from the step that leaves a point w on a critical point where
+    f' vanishes (w the first point snapped, later ones as walked) or where
+    f' == 0."""
+    vanish = [c.c for c in m.crit if c.vanishing]
     d, w = 1.0, None
     for z, i, u in steps:
         if w is not None and d is not None:
-            d = _chain_step(m, d, w, i, u)
+            hit = any(abs(w - c) <= SNAP_TOL for c in vanish)
+            df = 0.0 if hit else m.branches[i].deriv(u)
+            d = None if df == 0.0 else d * abs(df)
         yield z, d
         w = m.snap(z) if w is None else z
 

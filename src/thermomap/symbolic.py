@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from itertools import islice
+from itertools import islice, pairwise
 from typing import Callable, Iterable, Sequence
 
 from .errors import AmbiguityError, DomainError, NumericError, ResourceError
@@ -152,16 +152,14 @@ def cylinder_of_word(m: IntervalMap, word: Sequence[int]) -> Cylinder | None:
 
 def itinerary(m: IntervalMap, x: float, n: int,
               side: str | None = None) -> Word:
-    """Symbolic address of x through the branch partition: the branches
-    of n ``_walk`` steps.
-
-    Boundary hits raise AmbiguityError (with the hitting time) unless a
-    side flag 'left'/'right' is supplied.
-    """
+    """Symbolic address of x: the branches of n ``_walk`` steps, one
+    lookup each.  An orbit point that snaps onto an interior breakpoint
+    raises AmbiguityError (with the hitting time) unless a side flag
+    'left'/'right' is supplied."""
     letters = []
-    steps = islice(_walk(m, x, side or "left"), 1, max(n, 0) + 1)
-    for k, (_, i, u) in enumerate(steps):
-        if side is None and u in m.breakpoints[1:-1]:
+    steps = islice(_walk(m, x, side or "left"), max(n, 0) + 1)
+    for k, ((z, _, _), (_, i, _)) in enumerate(pairwise(steps)):
+        if side is None and m.snap(z) in m.breakpoints[1:-1]:
             raise AmbiguityError(
                 f"orbit meets a branch boundary at time {k}", hit_time=k)
         letters.append(i)

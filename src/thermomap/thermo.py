@@ -257,14 +257,12 @@ class TailRecord:
 
 
 def _fit_line(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
-    """Least-squares slope of y against x, and the R^2 of the line; both
-    nan where an input is not finite, which polyfit may also reject."""
-    if not (np.isfinite(x).all() and np.isfinite(y).all()):
-        return math.nan, math.nan
+    """Least-squares slope of y against x, and the R^2 of the line (both
+    nan, not an R^2 of 1, where y is not finite)."""
     slope, intercept = np.polyfit(x, y, 1)
     fit = slope * x + intercept
     ss_tot = float(np.sum((y - y.mean()) ** 2))
-    r2 = 1.0 - float(np.sum((y - fit) ** 2)) / ss_tot if ss_tot > 0 else 1.0
+    r2 = 1.0 - float(np.sum((y - fit) ** 2)) / ss_tot if ss_tot != 0 else 1.0
     return float(slope), r2
 
 

@@ -234,6 +234,21 @@ class TestItinerary:
         assert tm.itinerary(golden_map, 2.0 / 3.0, 1, side="left") == (0,)
         assert tm.itinerary(golden_map, 2.0 / 3.0, 1, side="right") == (1,)
 
+    def test_boundary_of_a_gapped_map_needs_side(self):
+        # the right branch starts 1e-13 after the left one ends, as
+        # _validate allows: a point on its start is a boundary hit, though
+        # the left branch's lookup clamps it to 1/2
+        m = tm.fixture("tent2")
+        left, right = m.branches
+        p = 0.5 + 1e-13
+        m = dataclasses.replace(m, branches=(left, dataclasses.replace(right, lo=p)))
+        for x, hit_time in ((p, 0), (p / 2, 1)):
+            with pytest.raises(AmbiguityError) as exc:
+                tm.itinerary(m, x, 2)
+            assert exc.value.hit_time == hit_time
+        assert tm.itinerary(m, p / 2, 2, side="left") == (0, 0)
+        assert tm.itinerary(m, p / 2, 2, side="right") == (0, 1)
+
     @pytest.mark.parametrize("name", ["tent2", "markov_golden", "markov_full"])
     def test_midpoint_consistency(self, name):
         m = tm.fixture(name)
