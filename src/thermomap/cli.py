@@ -31,6 +31,7 @@ from .errors import (
     ThermomapError,
 )
 from .gibbs import (
+    _shift_solves,
     abramov_quantities,
     equilibrium_shift_solve,
     mass_by_tau,
@@ -184,17 +185,20 @@ def scan_pressure(config: ScanConfig,
                   scheme: InducingScheme | None = None) -> PressureCurve:
     """Solve the shift equation on the t-grid and assemble the curve.
 
-    Grid rows are independent of each other (evaluated sequentially for
-    deterministic output); per-row numeric failures are recorded in the
-    row and the scan continues.
+    The shift solves of all grid points run in lockstep, one batched
+    weight sum per search step; each row's floats are those of its own
+    ``equilibrium_shift_solve``.  Per-row numeric failures are recorded
+    in the row and the scan continues.
     """
     if scheme is None:
         scheme = build_scheme(config.map, **_scheme_options(config))
     curve = PressureCurve()
     nan = math.nan
-    for t in config.t_grid():
+    ts = config.t_grid()
+    for t, res in zip(ts, _shift_solves(scheme, ts, config.tolerance)):
         try:
-            res = equilibrium_shift_solve(scheme, t, config.tolerance)
+            if isinstance(res, ThermomapError):
+                raise res
             ab = abramov_quantities(scheme, res.solution)
             tail = tail_classify(mass_by_tau(res.solution))
             rate = tail.rate if tail.kind == "exponential" else tail.exponent
@@ -208,6 +212,8 @@ def scan_pressure(config: ScanConfig,
             kind = "error:non-compatible"
         except NumericError:
             kind = "error:numeric"
+        finally:
+            del res  # a failure's traceback holds this frame: make no cycle
         curve.rows.append(CurveRow(t, nan, nan, nan, kind, nan, nan, nan, nan))
     return curve
 

@@ -30,12 +30,13 @@ from .errors import (
     InfinitePressureError,
     NonCompatibleError,
     NumericError,
+    ThermomapError,
 )
 from .inducing import InducingScheme
 from .interval_map import InverseSteps
 from .symbolic import DEGEN_TOL
-from .thermo import (Bracket, ThermoModel, _log_weights_of, gurevich_pressure,
-                     induced_potential)
+from .thermo import (Bracket, ThermoModel, _log_weights_of, induced_potential,
+                     log_weight_sums)
 
 
 #: Largest branch family refined by the depth-2 power iteration.
@@ -460,10 +461,10 @@ def zero_entropy_competitor(scheme: InducingScheme, t: float) -> float:
                default=-math.inf)
 
 
-def _false_position(f, a: float, fa: float, b: float, fb: float,
-                    tol: float) -> float:
-    """Zero crossing of the decreasing bound f in [a, b], to width tol,
-    from the end values fa = f(a) > 0 >= fb = f(b).
+def _false_position(a: float, fa: float, b: float, fb: float, tol: float):
+    """Zero crossing of a decreasing bound f in [a, b], to width tol,
+    from the end values fa = f(a) > 0 >= fb = f(b): a generator that
+    yields each step c and is sent f(c), and returns the crossing.
 
     Illinois false position: each step goes to the zero of the chord
     through (a, fa) and (b, fb), and the end value kept at an end that
@@ -490,7 +491,7 @@ def _false_position(f, a: float, fa: float, b: float, fb: float,
                 y = min(max(x, a + half), b - half)
                 if a < y < b:
                     c, flat = y, y != x
-        fc = f(c)
+        fc = yield c
         if fc <= 0.0:
             b, fb = c, fc
             if kept == 1:
@@ -504,19 +505,107 @@ def _false_position(f, a: float, fa: float, b: float, fb: float,
     return 0.5 * (a + b)
 
 
-def _bracket_end(model: ThermoModel, sign: float) -> tuple[float, Bracket]:
+def _bracket_end(sign: float):
     """The first s = sign * 2^k, k = 0, ..., 79, past the zero crossing of
     the decreasing pressure bound on that side, the upper bound negative
-    for sign > 0 and the lower bound positive for sign < 0, with the
-    pressure bracket at s."""
+    for sign > 0 and the lower bound positive for sign < 0: a generator
+    that yields each s and is sent the pressure bracket there, and
+    returns s with that bracket."""
     for k in range(80):
         s = sign * 2.0 ** k
-        p = gurevich_pressure(model, s)
+        p = yield s
         if (p.hi < 0.0) if sign > 0 else (p.lo > 0.0):
             return s, p
     raise InfinitePressureError(
         "upper pressure bound never went negative" if sign > 0
         else "lower pressure bound never went positive")
+
+
+def _asking(model: ThermoModel, upper: bool | None, search):
+    """A scalar search over the shift as a lockstep member: each step it
+    asks for (model, row, shift) for the upper row, the lower one, or
+    both when upper is None, and sends the search that bound, or both as
+    a Bracket."""
+    rows = (False, True) if upper is None else (upper,)
+    value = None
+    while True:
+        try:
+            s = search.send(value)
+        except StopIteration as stop:
+            return stop.value
+        got = yield [(model, row, s) for row in rows]
+        value = got[0] if upper is not None else Bracket(*got)
+
+
+def _lockstep(members):
+    """Run generators side by side, one step each per step.  Each member
+    yields a list of requests and is sent the list of their values; this
+    yields the requests of every open member in order, is sent their
+    values in the same order, and returns the members' results.  A
+    member's error propagates at once, the other members dropped."""
+    out = [None] * len(members)
+    sent = [(k, None) for k in range(len(members))]  # open members' values
+    while True:
+        asks, reqs = [], []
+        for k, value in sent:
+            try:
+                more = members[k].send(value)
+            except StopIteration as stop:
+                out[k] = stop.value
+                continue
+            asks.append((k, len(reqs), len(reqs) + len(more)))
+            reqs += more
+        if not asks:
+            return out
+        got = yield reqs
+        sent = [(k, got[i:j]) for k, i, j in asks]
+
+
+def _solve(scheme: InducingScheme, t: float, tolerance: float):
+    """``equilibrium_shift_solve`` at t as a lockstep member: the two
+    ends side by side, then the two false-position edges side by side,
+    the upper bound's crossing and the lower bound's, and the Gibbs
+    solve at the bracket's midpoint.  Returns the result, or the
+    ThermomapError that the solve raises.  An end fails only at its
+    last step, k = 79, where the right end is advanced first, so its
+    error wins over the left end's."""
+    try:
+        model = induced_potential(scheme, t)
+        zeb = zero_entropy_competitor(scheme, t)
+        (s_right, at_right), (s_left, at_left) = yield from _lockstep(
+            [_asking(model, None, _bracket_end(1.0)),
+             _asking(model, None, _bracket_end(-1.0))])
+        edge_hi, edge_lo = yield from _lockstep(
+            [_asking(model, True, _false_position(s_left, at_left.hi, s_right,
+                                                  at_right.hi, tolerance)),
+             _asking(model, False, _false_position(s_left, at_left.lo, s_right,
+                                                   at_right.lo, tolerance))])
+        # the float-evaluated bounds place their roots only to a few ulps
+        pad = max(0.5 * tolerance,
+                  8.0 * math.ulp(max(1.0, abs(edge_lo), abs(edge_hi))))
+        s_lo = min(edge_lo, edge_hi) - pad
+        s_hi = max(edge_lo, edge_hi) + pad
+        solution = solve_gibbs(model, 0.5 * (s_lo + s_hi))
+        return ShiftSolveResult(s_lo, s_hi, solution, zeb)
+    except ThermomapError as exc:
+        return exc
+
+
+def _shift_solves(scheme: InducingScheme, ts: Sequence[float],
+                  tolerance: float) -> list[ShiftSolveResult | ThermomapError]:
+    """``equilibrium_shift_solve`` at each t, with the searches of every t
+    run in lockstep: each step evaluates every weight sum that an open
+    search asks for in one ``log_weight_sums`` call.  Entry k is the
+    result at ts[k], or the ThermomapError that solve raises."""
+    if not 0.0 < tolerance < math.inf:
+        raise DomainError(f"tolerance must be finite and > 0, got {tolerance!r}")
+    run = _lockstep([_solve(scheme, t, tolerance) for t in ts])
+    try:
+        asks = next(run)
+        while True:
+            asks = run.send(log_weight_sums(*zip(*asks)))
+    except StopIteration as stop:
+        return stop.value
 
 
 def equilibrium_shift_solve(scheme: InducingScheme, t: float,
@@ -529,32 +618,17 @@ def equilibrium_shift_solve(scheme: InducingScheme, t: float,
     position with a midpoint fallback, to width ``tolerance`` or to
     float resolution, so the returned bracket is honest about model
     width.  The solved S is the pressure estimate of the original
-    potential at this t, relative to the chosen scheme.
+    potential at this t, relative to the chosen scheme.  It is the
+    one-t case of the lockstep searches that ``scan_pressure`` runs over
+    its whole t-grid.
     """
-    if not 0.0 < tolerance < math.inf:
-        raise DomainError(f"tolerance must be finite and > 0, got {tolerance!r}")
-    model = induced_potential(scheme, t)
-
-    def p_low(s: float) -> float:
-        return gurevich_pressure(model, s).lo
-
-    def p_up(s: float) -> float:
-        return gurevich_pressure(model, s).hi
-
-    zeb = zero_entropy_competitor(scheme, t)
-    s_right, at_right = _bracket_end(model, 1.0)
-    s_left, at_left = _bracket_end(model, -1.0)
-    edge_hi = _false_position(p_up, s_left, at_left.hi, s_right, at_right.hi,
-                              tolerance)
-    edge_lo = _false_position(p_low, s_left, at_left.lo, s_right, at_right.lo,
-                              tolerance)
-    # the float-evaluated bounds place their roots only to a few ulps
-    pad = max(0.5 * tolerance,
-              8.0 * math.ulp(max(1.0, abs(edge_lo), abs(edge_hi))))
-    s_lo = min(edge_lo, edge_hi) - pad
-    s_hi = max(edge_lo, edge_hi) + pad
-    solution = solve_gibbs(model, 0.5 * (s_lo + s_hi))
-    return ShiftSolveResult(s_lo, s_hi, solution, zeb)
+    result, = _shift_solves(scheme, [t], tolerance)
+    if isinstance(result, ThermomapError):
+        try:
+            raise result
+        finally:
+            del result  # its traceback holds this frame: make no cycle
+    return result
 
 
 def solution_to_json(solution: GibbsSolution) -> str:

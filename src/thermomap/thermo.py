@@ -79,16 +79,29 @@ class ThermoModel:
 
     def weight_sum(self, shift: float) -> tuple[float, float]:
         """(lower, upper) bracket on the log of the full weight sum at the
-        shift S; the upper edge adds the tail bound by a scalar log-add,
-        and is +inf when the tail diverges."""
-        logs = self.log_w - shift * self.taus
-        top = logs.max(axis=1)
-        lo, hi = (top + np.log(np.exp(logs - top[:, None]).sum(axis=1))).tolist()
-        if self.tail is not None:
-            tail = self.tail.weight_tail(self.t, shift, math.log(self.k_dist))
-            top_hi = max(hi, tail)
-            hi = top_hi + math.log1p(math.exp(min(hi, tail) - top_hi))
+        shift S: ``log_weight_sums`` of both edges."""
+        lo, hi = log_weight_sums((self, self), (False, True), (shift, shift))
         return lo, hi
+
+
+def log_weight_sums(models: Sequence[ThermoModel], upper: Sequence[bool],
+                    shifts: Sequence[float]) -> list[float]:
+    """Log of the lower or upper weight sum of each model at its shift S,
+    in one numpy pass over the models' stacked log weights: entry r is
+    models[r]'s upper edge where upper[r], else its lower edge.  The
+    models share their inducing times.  An upper edge adds the tail bound
+    by a scalar log-add, and is +inf when the tail diverges.  Each row is
+    reduced alone, so its float does not depend on the other rows."""
+    logs = np.array([m.log_w[int(u)] for m, u in zip(models, upper)]) \
+        - np.array(shifts, dtype=float)[:, None] * models[0].taus
+    top = logs.max(axis=1)
+    sums = (top + np.log(np.exp(logs - top[:, None]).sum(axis=1))).tolist()
+    for r, (m, u, shift) in enumerate(zip(models, upper, shifts)):
+        if u and m.tail is not None:
+            tail = m.tail.weight_tail(m.t, shift, math.log(m.k_dist))
+            top_hi = max(sums[r], tail)
+            sums[r] = top_hi + math.log1p(math.exp(min(sums[r], tail) - top_hi))
+    return sums
 
 
 def _log_weights_of(t: float, log_df: np.ndarray) -> np.ndarray:
@@ -176,12 +189,18 @@ def _as_model(model_or_scheme, t: float | None) -> ThermoModel:
 
 def pressure_vs_shift(scheme_or_model, t: float | None,
                       s_grid: Sequence[float]) -> list[tuple[float, Bracket]]:
-    """Pressure brackets along an ascending grid of shifts."""
+    """Pressure brackets along an ascending grid of shifts, the
+    ``gurevich_pressure`` of each, from one ``log_weight_sums`` call."""
     s_grid = list(s_grid)
     if any(b <= a for a, b in zip(s_grid, s_grid[1:])):
         raise DomainError("shift grid must be ascending")
     model = _as_model(scheme_or_model, t)
-    return [(s, gurevich_pressure(model, s)) for s in s_grid]
+    if not s_grid:
+        return []
+    n = len(s_grid)
+    sums = log_weight_sums([model] * (2 * n), [False, True] * n,
+                           [s for s in s_grid for _ in (0, 1)])
+    return [(s, Bracket(lo, hi)) for s, lo, hi in zip(s_grid, sums[::2], sums[1::2])]
 
 
 # ---------------------------------------------------------------------------

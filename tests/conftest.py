@@ -483,18 +483,26 @@ def linear_solve_gibbs(model, shift: float):
     return lam, lam_lo, lam_hi, masses, mass_lo, mass_hi
 
 
+def counted_pressure(model, shift: float) -> Bracket:
+    """``gurevich_pressure`` through ``gibbs.log_weight_sums``, looked up at
+    call time, so that a test counting that kernel's (t, shift) pairs
+    counts it as one weight sum."""
+    return Bracket(*gibbs.log_weight_sums((model, model), (False, True),
+                                         (shift, shift)))
+
+
 def bisection_shift_solve(scheme, t: float, tolerance: float) -> Bracket:
     """``equilibrium_shift_solve`` as it was when it bisected each edge:
     its bracket on S, an oracle for the library's false position.  Every
-    weight sum is one call of ``gibbs.gurevich_pressure``, looked up at
-    call time, so that a test can count them."""
+    weight sum is one ``counted_pressure``, so that a test can count
+    them."""
     model = tm.induced_potential(scheme, t)
 
     def p_low(s):
-        return gibbs.gurevich_pressure(model, s).lo
+        return counted_pressure(model, s).lo
 
     def p_up(s):
-        return gibbs.gurevich_pressure(model, s).hi
+        return counted_pressure(model, s).hi
 
     def edge_bisect(f, a, b):
         while b - a > tolerance:
@@ -524,6 +532,86 @@ def bisection_shift_solve(scheme, t: float, tolerance: float) -> Bracket:
     s_hi = max(edge_lo, edge_hi) + pad
     tm.solve_gibbs(model, 0.5 * (s_lo + s_hi))
     return Bracket(s_lo, s_hi)
+
+
+def scalar_weight_sum(model, shift: float) -> tuple[float, float]:
+    """``ThermoModel.weight_sum`` as it was before the batched kernel: the
+    log-sum-exp of both rows at one shift, and the tail's scalar log-add."""
+    logs = model.log_w - shift * model.taus
+    top = logs.max(axis=1)
+    lo, hi = (top + np.log(np.exp(logs - top[:, None]).sum(axis=1))).tolist()
+    if model.tail is not None:
+        tail = model.tail.weight_tail(model.t, shift, math.log(model.k_dist))
+        top_hi = max(hi, tail)
+        hi = top_hi + math.log1p(math.exp(min(hi, tail) - top_hi))
+    return lo, hi
+
+
+def scalar_shift_solve(scheme, t: float, tolerance: float = 1e-10):
+    """``equilibrium_shift_solve`` as it was when it solved one t alone,
+    each weight sum one ``scalar_weight_sum`` call: an oracle, float for
+    float, for the lockstep searches.  Returns (ShiftSolveResult, the
+    ``scalar_weight_sum`` at its midpoint)."""
+    if not 0.0 < tolerance < math.inf:
+        raise DomainError(f"tolerance must be finite and > 0, got {tolerance!r}")
+    model = tm.induced_potential(scheme, t)
+
+    def p_low(s):
+        return scalar_weight_sum(model, s)[0]
+
+    def p_up(s):
+        return scalar_weight_sum(model, s)[1]
+
+    def false_position(f, a, fa, b, fb):
+        half = 0.5 * tolerance
+        kept = 0
+        flat = False
+        while b - a > tolerance:
+            c = 0.5 * (a + b)
+            if c == a or c == b:
+                break
+            if not flat and fa < math.inf and -math.inf < fb < fa:
+                x = a + (b - a) * (fa / (fa - fb))
+                if a <= x <= b:
+                    y = min(max(x, a + half), b - half)
+                    if a < y < b:
+                        c, flat = y, y != x
+            fc = f(c)
+            if fc <= 0.0:
+                b, fb = c, fc
+                if kept == 1:
+                    fa *= 0.5
+                kept = 1
+            else:
+                a, fa = c, fc
+                if kept == -1:
+                    fb *= 0.5
+                kept = -1
+        return 0.5 * (a + b)
+
+    def bracket_end(sign):
+        for k in range(80):
+            s = sign * 2.0 ** k
+            p = Bracket(*scalar_weight_sum(model, s))
+            if (p.hi < 0.0) if sign > 0 else (p.lo > 0.0):
+                return s, p
+        raise InfinitePressureError(
+            "upper pressure bound never went negative" if sign > 0
+            else "lower pressure bound never went positive")
+
+    zeb = gibbs.zero_entropy_competitor(scheme, t)
+    s_right, at_right = bracket_end(1.0)
+    s_left, at_left = bracket_end(-1.0)
+    edge_hi = false_position(p_up, s_left, at_left.hi, s_right, at_right.hi)
+    edge_lo = false_position(p_low, s_left, at_left.lo, s_right, at_right.lo)
+    pad = max(0.5 * tolerance,
+              8.0 * math.ulp(max(1.0, abs(edge_lo), abs(edge_hi))))
+    s_lo = min(edge_lo, edge_hi) - pad
+    s_hi = max(edge_lo, edge_hi) + pad
+    mid = 0.5 * (s_lo + s_hi)
+    solution = tm.solve_gibbs(model, mid)
+    return gibbs.ShiftSolveResult(s_lo, s_hi, solution, zeb), \
+        scalar_weight_sum(model, mid)
 
 
 def stepwise_chain_rule(m, x: float, n: int):

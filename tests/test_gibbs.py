@@ -8,7 +8,8 @@ import pytest
 
 import thermomap as tm
 from thermomap import gibbs
-from thermomap.cli import build_scheme, default_base_cylinder
+from thermomap.cli import (CurveRow, PressureCurve, ScanConfig, build_scheme,
+                           default_base_cylinder, scan_pressure)
 from thermomap.errors import (DomainError, InfinitePressureError, NumericError,
                               ThermomapError)
 from thermomap.thermo import Bracket, synthetic_model
@@ -499,19 +500,21 @@ SHIFT_PROBE_TS = [-1.0 + 3.0 * k / 60 for k in range(61)] + \
 
 
 def count_pressure_calls(monkeypatch):
-    """Count the shift solve's weight sums, ``gibbs.gurevich_pressure``
-    calls, in calls[0]; more than 1000 of them raise, so that a search
-    that does not stop fails."""
+    """Count the shift solve's weight sums in calls[0]: each distinct
+    (t, shift) that one ``gibbs.log_weight_sums`` call evaluates is one
+    weight sum, one ``gurevich_pressure`` of a solve that searches alone;
+    more than 1000 of them raise, so that a search that does not stop
+    fails."""
     calls = [0]
-    inner = gibbs.gurevich_pressure
+    inner = gibbs.log_weight_sums
 
-    def counting(model, shift):
-        calls[0] += 1
+    def counting(models, upper, shifts):
+        calls[0] += len({(m.t, s) for m, s in zip(models, shifts)})
         if calls[0] > 1000:
             raise RuntimeError("more than 1000 weight sums")
-        return inner(model, shift)
+        return inner(models, upper, shifts)
 
-    monkeypatch.setattr(gibbs, "gurevich_pressure", counting)
+    monkeypatch.setattr(gibbs, "log_weight_sums", counting)
     return calls
 
 
@@ -558,7 +561,7 @@ class TestShiftSolve:
         for t in SHIFT_PROBE_TS:
             got, n_got = outcome(lambda *a: tm.equilibrium_shift_solve(*a).bracket, t)
             want, n_want = outcome(conftest.bisection_shift_solve, t)
-            assert n_got <= n_want, (t, n_got, n_want)
+            assert 0 < n_got <= n_want, (t, n_got, n_want)
             if isinstance(want, Bracket):
                 assert (got.lo, got.hi) == pytest.approx((want.lo, want.hi), abs=1e-10), t
             else:
@@ -576,7 +579,7 @@ class TestShiftSolve:
         n_want, calls[0] = calls[0], 0
         res = tm.equilibrium_shift_solve(scheme, 0.5, 1e-10)
         assert res.s_hi == pytest.approx(want.hi, abs=1e-10)
-        assert calls[0] <= n_want
+        assert 0 < calls[0] <= n_want
 
     @pytest.mark.parametrize("fixture", ["golden_scheme", "tent_trivial_scheme"])
     def test_flat_bound_at_float_resolution(self, request, monkeypatch, fixture):
@@ -590,7 +593,7 @@ class TestShiftSolve:
         res = tm.equilibrium_shift_solve(scheme, 1.0, 1e-20)
         assert res.bracket.contains(0.0)
         assert (res.s_lo, res.s_hi) == pytest.approx((want.lo, want.hi), abs=1e-20)
-        assert calls[0] <= 1.1 * n_want
+        assert 0 < calls[0] <= 1.1 * n_want
 
     @pytest.mark.parametrize("tol", [math.nan, math.inf])
     def test_non_finite_tolerance_rejected(self, tent_trivial_scheme, tol):
@@ -631,6 +634,103 @@ class TestShiftSolve:
         # truncated sums stay finite; just confirm the solve runs
         sol = tm.solve_gibbs(model, 0.0)
         assert sol.masses.sum() == pytest.approx(1.0, abs=1e-9)
+
+
+class TestLockstepShiftSolves:
+    """The lockstep searches against ``conftest.scalar_shift_solve``, the
+    solve as it was when each t searched alone, float for float."""
+
+    # at t = +-1e300 an end search fails: the lower bound never goes
+    # positive, or the upper bound never goes negative
+    CASES = [(name, t) for name in sorted(SHIFT_ORACLE_SCHEMES)
+             for t in SHIFT_PROBE_TS + [1e300, -1e300]] + \
+        [("quad4_extendible_10", t) for t in (-1.0, 0.0, 0.5, 1.0, 2.0, 3.0)]
+
+    @staticmethod
+    def _scheme(name):
+        if name == "quad4_extendible_10":
+            return build_scheme(tm.fixture("quad4"), scheme_kind="extendible",
+                                x_point=0.3, x_depth=2, delta=0.5, cap=10)
+        return SHIFT_ORACLE_SCHEMES[name]()
+
+    @staticmethod
+    def _assert_same(got, scheme, t):
+        try:
+            want, want_sum = conftest.scalar_shift_solve(scheme, t, 1e-10)
+        except ThermomapError as exc:
+            assert (type(got), str(got)) == (type(exc), str(exc)), t
+            return
+        assert not isinstance(got, ThermomapError), (t, got)
+        sol, ref = got.solution, want.solution
+        assert hexes([got.s_lo, got.s_hi, got.zero_entropy_bound, sol.shift,
+                      sol.log_lam, sol.log_lam_bracket.lo, sol.log_lam_bracket.hi]) \
+            == hexes([want.s_lo, want.s_hi, want.zero_entropy_bound, ref.shift,
+                      ref.log_lam, *want_sum]), t
+        assert hexes(sol.masses) == hexes(ref.masses), t
+
+    @pytest.mark.parametrize("name", sorted(SHIFT_ORACLE_SCHEMES) + ["quad4_extendible_10"])
+    def test_same_floats_as_the_scalar_solve(self, name):
+        scheme = self._scheme(name)
+        ts = [t for case, t in self.CASES if case == name]
+        for t, got in zip(ts, gibbs._shift_solves(scheme, ts, 1e-10)):
+            self._assert_same(got, scheme, t)
+        for t in ts:
+            try:
+                got = tm.equilibrium_shift_solve(scheme, t, 1e-10)
+            except ThermomapError as exc:
+                got = exc
+            self._assert_same(got, scheme, t)
+
+    @pytest.mark.parametrize("name", ["tent2", "markov_golden", "full_1_up"])
+    def test_scan_csv_matches_scalar_rows(self, name):
+        scheme = SHIFT_ORACLE_SCHEMES[name]()
+        cfg = ScanConfig(scheme.map, -1.0, 2.0, 61)
+        want = PressureCurve()
+        nan = math.nan
+        for t in cfg.t_grid():
+            try:
+                res, _ = conftest.scalar_shift_solve(scheme, t, cfg.tolerance)
+            except InfinitePressureError:
+                want.rows.append(CurveRow(t, nan, nan, nan, "error:infinite-pressure",
+                                          nan, nan, nan, nan))
+                continue
+            ab = tm.abramov_quantities(scheme, res.solution)
+            tail = tm.tail_classify(tm.mass_by_tau(res.solution))
+            rate = tail.rate if tail.kind == "exponential" else tail.exponent
+            want.rows.append(CurveRow(t, res.s_lo, res.s_hi, res.zero_entropy_bound,
+                                      tail.kind, rate, ab.tau_mean, ab.lyap,
+                                      ab.entropy))
+        got = scan_pressure(cfg, scheme=scheme).to_csv()
+        assert got == want.to_csv()
+        if name == "full_1_up":
+            assert "error:infinite-pressure" in got
+
+    @pytest.mark.parametrize("name", ["tent2", "markov_golden"])
+    def test_scan_takes_no_more_steps_than_its_slowest_t(self, monkeypatch, name):
+        # one kernel call per lockstep step; a scan that searched its t
+        # values one after another, one weight sum per call, would make
+        # about 1,200
+        scheme = SHIFT_ORACLE_SCHEMES[name]()
+        cfg = ScanConfig(scheme.map, -1.0, 2.0, 61)
+        calls = [0]
+        inner = gibbs.log_weight_sums
+
+        def counting(*args):
+            calls[0] += 1
+            return inner(*args)
+
+        monkeypatch.setattr(gibbs, "log_weight_sums", counting)
+        alone = []
+        for t in cfg.t_grid():
+            calls[0] = 0
+            try:
+                tm.equilibrium_shift_solve(scheme, t, cfg.tolerance)
+            except ThermomapError:
+                pass
+            alone.append(calls[0])
+        calls[0] = 0
+        scan_pressure(cfg, scheme=scheme)
+        assert 0 < calls[0] <= max(alone), (calls[0], max(alone))
 
 
 class TestSchemeGeometryCache:

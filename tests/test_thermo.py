@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import thermomap as tm
-from thermomap.thermo import synthetic_model
+from thermomap.cli import default_base_cylinder
+from thermomap.thermo import Bracket, synthetic_model
 
-from conftest import partition_function_exact
+from conftest import hexes, partition_function_exact, scalar_weight_sum
 
 LOG_GOLDEN = math.log((1 + math.sqrt(5)) / 2)
 
@@ -190,6 +191,36 @@ class TestPressureVsShift:
         widths = [pb.width for _, pb in pts]
         for k in range(len(mids) - 1):
             assert mids[k + 1] <= mids[k] + widths[k] + widths[k + 1] + 1e-12
+
+
+class TestLogWeightSums:
+    @pytest.mark.parametrize("name", ["tent2", "quad4-extendible"])
+    def test_each_row_is_the_scalar_weight_sum(self, name):
+        # rows of many models, edges and shifts in one call, in a shuffled
+        # order: each is the float of the two-row scalar weight sum
+        m = tm.fixture(name.split("-")[0])
+        if name == "quad4-extendible":
+            scheme = tm.extendible_return_scheme(
+                m, default_base_cylinder(m, 0.3, 2), 0.5, 10)
+        else:
+            scheme = tm.first_return_scheme(m, default_base_cylinder(m, None, 1), 12)
+        models = [tm.induced_potential(scheme, t) for t in (-3.0, -0.5, 0.0, 1.0, 2.5)]
+        shifts = [-64.0, -1.0, -0.3, 0.0, 1e-17, 0.2, 2.0, 512.0]
+        reqs = [(mi, u, si) for mi in range(len(models)) for u in (0, 1)
+                for si in range(len(shifts))]
+        np.random.default_rng(0).shuffle(reqs)
+        got = tm.thermo.log_weight_sums([models[mi] for mi, _, _ in reqs],
+                                        [bool(u) for _, u, _ in reqs],
+                                        [shifts[si] for _, _, si in reqs])
+        want = [scalar_weight_sum(models[mi], shifts[si])[u] for mi, u, si in reqs]
+        assert hexes(got) == hexes(want)
+
+    def test_pressure_vs_shift_is_gurevich_pressure(self, golden_scheme):
+        grid = [-2.0, -0.5, 0.0, 0.1, 3.0]
+        model = tm.induced_potential(golden_scheme, 0.7)
+        assert tm.pressure_vs_shift(model, None, grid) == \
+            [(s, Bracket(*scalar_weight_sum(model, s))) for s in grid]
+        assert tm.pressure_vs_shift(model, None, []) == []
 
 
 class TestPStarDiscriminant:
