@@ -2,8 +2,8 @@
 
 Everything here is a trend verdict at a finite horizon and is labelled
 as such: derivative growth along critical orbits, binding periods and
-summability gauges, variation decay of induced potentials, and sampled
-expansion outside a critical neighbourhood.
+summability gauges, and sampled expansion outside a critical
+neighbourhood.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DomainError
-from .inducing import InducingScheme
 from .interval_map import (IntervalMap, _chain, _walk, derivative_prefixes,
                            eval_orbit, pullback_word)
 from .thermo import _fit_line
@@ -27,10 +26,6 @@ R2_CE = 0.99
 ZETA = 1.0
 #: Points sampled in each critical-neighbourhood component for binding.
 BINDING_SAMPLES = 64
-#: Variation decay: the longest branches followed, and the widest
-#: pullback intervals kept per level.
-VARIATION_BRANCHES = 12
-VARIATION_KEEP = 64
 #: Mane estimate: shortest avoidance window, orbit count and orbit length.
 MANE_K_MIN = 4
 MANE_ORBITS = 24
@@ -218,67 +213,6 @@ def _composition_sums(crits, growth, gammas, p_u, n_max) -> list[float]:
 
 
 # ---------------------------------------------------------------------------
-# variation decay
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class VariationRecord:
-    v_n: tuple[float, ...]
-    geometric_rate: float
-    fit_r2: float
-    summable_trend: bool
-
-
-def variation_decay(scheme: InducingScheme, t: float,
-                    n_max: int = 6) -> VariationRecord:
-    """Oscillation of the induced potential over scheme n-cylinders.
-
-    The potential -t log|DF| only sees the first letter of a cylinder
-    word, so V_n is the oscillation over depth-n pullback intervals.
-    Words are drawn from the longest branches and the widest intervals
-    are kept per level (the full cylinder count explodes).
-    """
-    if n_max > 8:
-        raise DomainError("n_max must be <= 8 (cylinder blow-up)")
-    m = scheme.map
-    branches = sorted(scheme.branches, key=lambda b: -b.length)[:VARIATION_BRANCHES]
-    if not branches:
-        raise DomainError("scheme has no branches")
-
-    def osc_on(br, lo: float, hi: float) -> float:
-        xs = [lo + (hi - lo) * k / 6 for k in range(7)]
-        vals = [-t * math.log(br.dF(m, x)) for x in xs]
-        return max(vals) - min(vals)
-
-    v_n = []
-    # level n holds (first branch, interval): depth-n cylinder pullbacks
-    level = [(br, br.lo, br.hi) for br in branches]
-    for n in range(1, n_max + 1):
-        v_n.append(max(osc_on(br, lo, hi) for br, lo, hi in level))
-        if n == n_max:
-            break
-        nxt = []
-        for parent in branches:
-            for _, lo, hi in level:
-                a = parent.pullback(m, lo)
-                b = parent.pullback(m, hi)
-                if abs(b - a) > 1e-15:
-                    nxt.append((parent, min(a, b), max(a, b)))
-        nxt.sort(key=lambda r: r[1] - r[2])
-        level = nxt[:VARIATION_KEEP]
-    arr = np.array(v_n)
-    pos = arr > 1e-15
-    if pos.sum() >= 3:
-        ns = np.arange(1, n_max + 1, dtype=float)[pos]
-        slope, r2 = _fit_line(ns, np.log(arr[pos]))
-        rate = math.exp(slope)
-    else:
-        rate, r2 = 0.0, 1.0
-    summable = rate < 1.0
-    return VariationRecord(tuple(v_n), rate, r2, summable)
-
-
-# ---------------------------------------------------------------------------
 # expansion outside a neighbourhood, niceness, first-entry derivatives
 # ---------------------------------------------------------------------------
 
@@ -293,6 +227,11 @@ def mane_expansion_estimate(m: IntervalMap, comps: Sequence[tuple[float, float]]
     Long generic orbits are cut into maximal excursions outside U of
     length >= MANE_K_MIN; a positive minimum is the finite-horizon
     reading of uniform expansion away from the critical neighbourhood.
+    A window counts only when it returns to U: one still open at the end
+    of its orbit is dropped.  nan means that no window counted, either
+    because no orbit steps outside U or because none of the windows
+    outside it returns: on quad4 at eps 1e-9, U is 3.2e-5 wide, and with
+    seeds 0 and 1 no sampled orbit comes back to it.
     """
     rng = np.random.default_rng(seed)
     lo, hi = m.domain

@@ -461,151 +461,149 @@ def zero_entropy_competitor(scheme: InducingScheme, t: float) -> float:
                default=-math.inf)
 
 
-def _false_position(a: float, fa: float, b: float, fb: float, tol: float):
-    """Zero crossing of a decreasing bound f in [a, b], to width tol,
-    from the end values fa = f(a) > 0 >= fb = f(b): a generator that
-    yields each step c and is sent f(c), and returns the crossing.
+def _chord_step(a: float, fa: float, b: float, fb: float, flat: bool,
+                tol: float) -> tuple[float, bool] | None:
+    """The next step of the false-position search for the zero crossing of
+    a decreasing bound f in [a, b], from the end values fa = f(a) > 0 >=
+    fb = f(b): the step c with the flat flag that it leaves, or None once
+    the edge is closed, at width tol or with no float strictly inside.
 
-    Illinois false position: each step goes to the zero of the chord
-    through (a, fa) and (b, fb), and the end value kept at an end that
-    has stayed fixed twice in a row is halved, so both ends move.  A
+    The step is the zero of the chord through (a, fa) and (b, fb).  A
     chord zero within tol/2 of an end, an exact zero at the end
     included, moves to tol/2 from it, so the bracket can close.  The
     step is the midpoint when an end value is not finite (the upper
     bound is +inf left of the tail's pole), or when the chord zero is
     not in [a, b] or its moved step not strictly inside (a, b).  A moved
     step that leaves the bracket open finds f flat at float level, as
-    it is where the float weight sum rounds to 1, and the rest of the
-    edge is bisected.
+    it is where the float weight sum rounds to 1: the caller passes
+    flat on, and the rest of the edge is bisected.
     """
+    if b - a <= tol:
+        return None
+    c = 0.5 * (a + b)
+    if c == a or c == b:  # no float left strictly inside [a, b]
+        return None
     half = 0.5 * tol
-    kept = 0  # +1: the last step kept a, -1: it kept b
-    flat = False
-    while b - a > tol:
-        c = 0.5 * (a + b)
-        if c == a or c == b:  # no float left strictly inside [a, b]
-            break
-        if not flat and fa < math.inf and -math.inf < fb < fa:
-            x = a + (b - a) * (fa / (fa - fb))
-            if a <= x <= b:
-                y = min(max(x, a + half), b - half)
-                if a < y < b:
-                    c, flat = y, y != x
-        fc = yield c
-        if fc <= 0.0:
-            b, fb = c, fc
-            if kept == 1:
-                fa *= 0.5
-            kept = 1
-        else:
-            a, fa = c, fc
-            if kept == -1:
-                fb *= 0.5
-            kept = -1
-    return 0.5 * (a + b)
+    if not flat and fa < math.inf and -math.inf < fb < fa:
+        x = a + (b - a) * (fa / (fa - fb))
+        if a <= x <= b:
+            y = min(max(x, a + half), b - half)
+            if a < y < b:
+                c, flat = y, y != x
+    return c, flat
 
 
-def _bracket_end(sign: float):
-    """The first s = sign * 2^k, k = 0, ..., 79, past the zero crossing of
-    the decreasing pressure bound on that side, the upper bound negative
-    for sign > 0 and the lower bound positive for sign < 0: a generator
-    that yields each s and is sent the pressure bracket there, and
-    returns s with that bracket."""
-    for k in range(80):
-        s = sign * 2.0 ** k
-        p = yield s
-        if (p.hi < 0.0) if sign > 0 else (p.lo > 0.0):
-            return s, p
-    raise InfinitePressureError(
-        "upper pressure bound never went negative" if sign > 0
-        else "lower pressure bound never went positive")
-
-
-def _asking(model: ThermoModel, upper: bool | None, search):
-    """A scalar search over the shift as a lockstep member: each step it
-    asks for (model, row, shift) for the upper row, the lower one, or
-    both when upper is None, and sends the search that bound, or both as
-    a Bracket."""
-    rows = (False, True) if upper is None else (upper,)
-    value = None
-    while True:
-        try:
-            s = search.send(value)
-        except StopIteration as stop:
-            return stop.value
-        got = yield [(model, row, s) for row in rows]
-        value = got[0] if upper is not None else Bracket(*got)
-
-
-def _lockstep(members):
-    """Run generators side by side, one step each per step.  Each member
-    yields a list of requests and is sent the list of their values; this
-    yields the requests of every open member in order, is sent their
-    values in the same order, and returns the members' results.  A
-    member's error propagates at once, the other members dropped."""
-    out = [None] * len(members)
-    sent = [(k, None) for k in range(len(members))]  # open members' values
-    while True:
-        asks, reqs = [], []
-        for k, value in sent:
-            try:
-                more = members[k].send(value)
-            except StopIteration as stop:
-                out[k] = stop.value
-                continue
-            asks.append((k, len(reqs), len(reqs) + len(more)))
-            reqs += more
-        if not asks:
-            return out
-        got = yield reqs
-        sent = [(k, got[i:j]) for k, i, j in asks]
-
-
-def _solve(scheme: InducingScheme, t: float, tolerance: float):
-    """``equilibrium_shift_solve`` at t as a lockstep member: the two
-    ends side by side, then the two false-position edges side by side,
-    the upper bound's crossing and the lower bound's, and the Gibbs
-    solve at the bracket's midpoint.  Returns the result, or the
-    ThermomapError that the solve raises.  An end fails only at its
-    last step, k = 79, where the right end is advanced first, so its
-    error wins over the left end's."""
+def _finish(model: ThermoModel, zeb: float, edge_lo: float, edge_hi: float,
+            tolerance: float) -> ShiftSolveResult | ThermomapError:
+    """The shift bracket between the two edges, padded, with the Gibbs
+    solve at its midpoint, or the ThermomapError that solve raises."""
+    # the float-evaluated bounds place their roots only to a few ulps
+    pad = max(0.5 * tolerance,
+              8.0 * math.ulp(max(1.0, abs(edge_lo), abs(edge_hi))))
+    s_lo = min(edge_lo, edge_hi) - pad
+    s_hi = max(edge_lo, edge_hi) + pad
     try:
-        model = induced_potential(scheme, t)
-        zeb = zero_entropy_competitor(scheme, t)
-        (s_right, at_right), (s_left, at_left) = yield from _lockstep(
-            [_asking(model, None, _bracket_end(1.0)),
-             _asking(model, None, _bracket_end(-1.0))])
-        edge_hi, edge_lo = yield from _lockstep(
-            [_asking(model, True, _false_position(s_left, at_left.hi, s_right,
-                                                  at_right.hi, tolerance)),
-             _asking(model, False, _false_position(s_left, at_left.lo, s_right,
-                                                   at_right.lo, tolerance))])
-        # the float-evaluated bounds place their roots only to a few ulps
-        pad = max(0.5 * tolerance,
-                  8.0 * math.ulp(max(1.0, abs(edge_lo), abs(edge_hi))))
-        s_lo = min(edge_lo, edge_hi) - pad
-        s_hi = max(edge_lo, edge_hi) + pad
-        solution = solve_gibbs(model, 0.5 * (s_lo + s_hi))
-        return ShiftSolveResult(s_lo, s_hi, solution, zeb)
+        return ShiftSolveResult(s_lo, s_hi, solve_gibbs(model, 0.5 * (s_lo + s_hi)),
+                                zeb)
     except ThermomapError as exc:
-        return exc
+        return exc.with_traceback(None)  # a stored traceback makes a cycle
 
 
 def _shift_solves(scheme: InducingScheme, ts: Sequence[float],
                   tolerance: float) -> list[ShiftSolveResult | ThermomapError]:
     """``equilibrium_shift_solve`` at each t, with the searches of every t
-    run in lockstep: each step evaluates every weight sum that an open
-    search asks for in one ``log_weight_sums`` call.  Entry k is the
-    result at ts[k], or the ThermomapError that solve raises."""
+    run side by side: each step evaluates every weight sum that an open
+    search asks for in one ``log_weight_sums`` call.  Entry i is the
+    result at ts[i], or the ThermomapError that solve raises.
+
+    Each t first searches its two ends, s = 2^k and s = -2^k for k = 0,
+    ..., 79, both bounds at each s, for the first s where the upper
+    bound is negative and the first where the lower bound is positive.
+    In the step after both ends are found it searches its two edges,
+    the upper and the lower bound's zero crossing between the ends, by
+    Illinois false position: each step is ``_chord_step``'s, and the end
+    value kept at an end that has stayed fixed twice in a row is halved,
+    so both ends move.  An end fails only at k = 79; the right end's
+    error wins when both fail.
+    """
     if not 0.0 < tolerance < math.inf:
         raise DomainError(f"tolerance must be finite and > 0, got {tolerance!r}")
-    run = _lockstep([_solve(scheme, t, tolerance) for t in ts])
-    try:
-        asks = next(run)
-        while True:
-            asks = run.send(log_weight_sums(*zip(*asks)))
-    except StopIteration as stop:
-        return stop.value
+    out: list[ShiftSolveResult | ThermomapError | None] = [None] * len(ts)
+    # each open t: [entry, model, zeb, k, ends, edges]; an end is (s, the
+    # pressure Bracket there), None while k searches; edges is None until
+    # both ends are found, then two lists [a, fa, b, fb, kept, c, flat],
+    # c the step asked for, None once the edge is closed, and kept +1 when
+    # the last step kept a, -1 when it kept b
+    solves = []
+    for i, t in enumerate(ts):
+        try:
+            solves.append([i, induced_potential(scheme, t),
+                           zero_entropy_competitor(scheme, t), 0, [None, None], None])
+        except ThermomapError as exc:
+            out[i] = exc.with_traceback(None)  # a stored traceback makes a cycle
+    while solves:
+        asks = []
+        for _, model, _, k, ends, edges in solves:
+            if edges is None:
+                for sign, end in zip((1.0, -1.0), ends):
+                    if end is None:
+                        asks += [(model, False, sign * 2.0 ** k),
+                                 (model, True, sign * 2.0 ** k)]
+            else:
+                asks += [(model, upper, edge[5])
+                         for upper, edge in zip((True, False), edges)
+                         if edge[5] is not None]
+        got = iter(log_weight_sums(*zip(*asks)))
+        still = []
+        for solve in solves:
+            i, model, zeb, k, ends, edges = solve
+            if edges is None:
+                for j, sign in enumerate((1.0, -1.0)):
+                    if ends[j] is None:
+                        p = Bracket(next(got), next(got))
+                        if (p.hi < 0.0) if sign > 0 else (p.lo > 0.0):
+                            ends[j] = (sign * 2.0 ** k, p)
+                if None in ends:
+                    if k == 79:
+                        out[i] = InfinitePressureError(
+                            "upper pressure bound never went negative"
+                            if ends[0] is None
+                            else "lower pressure bound never went positive")
+                    else:
+                        solve[3] = k + 1
+                        still.append(solve)
+                    continue
+                (s_right, at_right), (s_left, at_left) = ends
+                moved = solve[5] = edges = [
+                    [s_left, at_left.hi, s_right, at_right.hi, 0, None, False],
+                    [s_left, at_left.lo, s_right, at_right.lo, 0, None, False]]
+            else:
+                moved = [edge for edge in edges if edge[5] is not None]
+                for edge in moved:
+                    a, fa, b, fb, kept, c, _ = edge
+                    fc = next(got)
+                    if fc <= 0.0:
+                        b, fb = c, fc
+                        if kept == 1:
+                            fa *= 0.5
+                        kept = 1
+                    else:
+                        a, fa = c, fc
+                        if kept == -1:
+                            fb *= 0.5
+                        kept = -1
+                    edge[:5] = a, fa, b, fb, kept
+            for edge in moved:
+                a, fa, b, fb, _, _, flat = edge
+                edge[5:] = _chord_step(a, fa, b, fb, flat, tolerance) or (None, flat)
+            if edges[0][5] is None and edges[1][5] is None:
+                up, low = edges
+                out[i] = _finish(model, zeb, 0.5 * (low[0] + low[2]),
+                                 0.5 * (up[0] + up[2]), tolerance)
+            else:
+                still.append(solve)
+        solves = still
+    return out
 
 
 def equilibrium_shift_solve(scheme: InducingScheme, t: float,
@@ -619,8 +617,8 @@ def equilibrium_shift_solve(scheme: InducingScheme, t: float,
     float resolution, so the returned bracket is honest about model
     width.  The solved S is the pressure estimate of the original
     potential at this t, relative to the chosen scheme.  It is the
-    one-t case of the lockstep searches that ``scan_pressure`` runs over
-    its whole t-grid.
+    one-t case of the searches that ``scan_pressure`` runs side by side
+    over its whole t-grid.
     """
     result, = _shift_solves(scheme, [t], tolerance)
     if isinstance(result, ThermomapError):

@@ -104,24 +104,6 @@ class TestKoebe:
         assert tm.validate_scheme(sch).koebe_bound == pytest.approx(4.0)
 
 
-class TestVariationDecay:
-    def test_golden_locally_constant(self, golden_scheme):
-        rec = dg.variation_decay(golden_scheme, 1.0)
-        assert all(v == pytest.approx(0.0, abs=1e-12) for v in rec.v_n)
-        assert rec.summable_trend
-
-    def test_t_zero_vanishes(self, quad_scheme):
-        rec = dg.variation_decay(quad_scheme, 0.0, n_max=4)
-        assert all(v == pytest.approx(0.0, abs=1e-12) for v in rec.v_n)
-
-    def test_quadratic_geometric_decay(self, quad_scheme):
-        rec = dg.variation_decay(quad_scheme, 1.0, n_max=6)
-        arr = list(rec.v_n)
-        assert all(b < a for a, b in zip(arr, arr[1:]))
-        assert rec.geometric_rate < 1.0
-        assert rec.fit_r2 >= 0.9
-
-
 class TestNeighbourhoodChecks:
     def test_quadratic_nice_at_quarter(self, quad_map):
         # eps = 1/4 puts the boundary of U on the fixed point 3/4

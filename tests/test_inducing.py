@@ -12,7 +12,6 @@ from conftest import (JOIN_MAP, SINE_SPEC, counting_inverses, hexes,
                       plinear_maps, unpruned_extendible_return_scheme)
 from thermomap import hofbauer, inducing
 from thermomap.cli import default_base_cylinder
-from thermomap.diagnostics import variation_decay
 from thermomap.errors import DegenerateBranchError, DomainError
 from thermomap.inducing import (InducingScheme, SchemeBranch, _fit_neighbourhood,
                                 scheme_to_csv_rows)
@@ -400,18 +399,6 @@ class TestMultiWordReaders:
                 ratio = mass / math.exp(psi - d * sol.log_lam)
                 want = max(want, ratio, 1.0 / ratio)
         assert tm.gibbs_ratio_check(sol, 2) == pytest.approx(want, rel=1e-9)
-
-    def test_variation_decay_first_level(self, join):
-        m, sch = join
-        brs = sorted(sch.branches, key=lambda b: -b.length)[:12]
-        want = 0.0
-        for br in brs:
-            vals = [-math.log(derivative_along(
-                m, br.lo + (br.hi - br.lo) * k / 6, br.tau)) for k in range(7)]
-            want = max(want, max(vals) - min(vals))
-        assert want > 0.5
-        rec = variation_decay(sch, 1.0, n_max=3)
-        assert rec.v_n[0] == pytest.approx(want, rel=1e-9)
 
 
 def scalar_depth2(sch):
