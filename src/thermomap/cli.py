@@ -32,9 +32,9 @@ from .errors import (
 )
 from .gibbs import (
     _shift_solves,
-    abramov_quantities,
+    abramov_rows,
     equilibrium_shift_solve,
-    mass_by_tau,
+    mass_by_tau_rows,
     solution_to_json,
 )
 from .hofbauer import build_tower, tower_to_dot, tower_to_json
@@ -46,7 +46,7 @@ from .inducing import (
 )
 from .interval_map import IntervalMap, load_map
 from .symbolic import cylinder_of_word, itinerary
-from .thermo import _log_weights_of, tail_classify
+from .thermo import _log_weights_of, tail_classify_rows
 
 CSV_HEADER = ("t", "p_lo", "p_hi", "zero_entropy", "tail_kind", "tail_rate",
               "tau_mean", "lyap", "entropy")
@@ -181,40 +181,53 @@ def build_scheme(m: IntervalMap, *, scheme_kind: str, x_point: float | None,
     return first_return_scheme(m, x, cap)
 
 
+def _error_kind(exc: ThermomapError) -> str:
+    """The kind that a scan row records for its failure; any other error
+    is raised, and ends the scan."""
+    if isinstance(exc, InfinitePressureError):
+        return "error:infinite-pressure"
+    if isinstance(exc, NonCompatibleError):
+        return "error:non-compatible"
+    if isinstance(exc, NumericError):
+        return "error:numeric"
+    raise exc
+
+
 def scan_pressure(config: ScanConfig,
                   scheme: InducingScheme | None = None) -> PressureCurve:
     """Solve the shift equation on the t-grid and assemble the curve.
 
     The shift solves of all grid points run in lockstep, one batched
-    weight sum per search step; each row's floats are those of its own
-    ``equilibrium_shift_solve``.  Per-row numeric failures are recorded
-    in the row and the scan continues.
+    weight sum per search step.  What follows the search is done once
+    for the whole grid, on (T, n) arrays: the Gibbs masses at every
+    midpoint (one more batched weight sum), the Abramov sums, the masses
+    by inducing time and the tail fits.  Each row's floats are those of
+    its own ``equilibrium_shift_solve``, ``abramov_quantities`` and
+    ``tail_classify``.  Per-row numeric failures are recorded in the row
+    and the scan continues.
     """
     if scheme is None:
         scheme = build_scheme(config.map, **_scheme_options(config))
     curve = PressureCurve()
     nan = math.nan
     ts = config.t_grid()
-    for t, res in zip(ts, _shift_solves(scheme, ts, config.tolerance)):
-        try:
-            if isinstance(res, ThermomapError):
-                raise res
-            ab = abramov_quantities(scheme, res.solution)
-            tail = tail_classify(mass_by_tau(res.solution))
-            rate = tail.rate if tail.kind == "exponential" else tail.exponent
-            curve.rows.append(CurveRow(t, res.s_lo, res.s_hi,
-                                       res.zero_entropy_bound, tail.kind, rate,
-                                       ab.tau_mean, ab.lyap, ab.entropy))
-            continue
-        except InfinitePressureError:
-            kind = "error:infinite-pressure"
-        except NonCompatibleError:
-            kind = "error:non-compatible"
-        except NumericError:
-            kind = "error:numeric"
-        finally:
-            del res  # a failure's traceback holds this frame: make no cycle
-        curve.rows.append(CurveRow(t, nan, nan, nan, kind, nan, nan, nan, nan))
+    results = _shift_solves(scheme, ts, config.tolerance)
+    solutions = [res.solution for res in results
+                 if not isinstance(res, ThermomapError)]
+    post = zip(abramov_rows(solutions),
+               tail_classify_rows(mass_by_tau_rows(solutions)))
+    for t, res in zip(ts, results):
+        if not isinstance(res, ThermomapError):
+            ab, tail = next(post)
+            if not isinstance(ab, ThermomapError):
+                rate = tail.rate if tail.kind == "exponential" else tail.exponent
+                curve.rows.append(CurveRow(t, res.s_lo, res.s_hi,
+                                           res.zero_entropy_bound, tail.kind, rate,
+                                           ab.tau_mean, ab.lyap, ab.entropy))
+                continue
+            res = ab
+        curve.rows.append(CurveRow(t, nan, nan, nan, _error_kind(res),
+                                   nan, nan, nan, nan))
     return curve
 
 

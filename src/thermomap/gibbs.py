@@ -35,7 +35,7 @@ from .errors import (
 from .inducing import InducingScheme
 from .interval_map import InverseSteps
 from .symbolic import DEGEN_TOL
-from .thermo import (Bracket, ThermoModel, _log_weights_of, induced_potential,
+from .thermo import (Bracket, ThermoModel, _log_weights_of, induced_potentials,
                      log_weight_sums)
 
 
@@ -83,30 +83,75 @@ def solve_gibbs(model: ThermoModel, shift: float) -> GibbsSolution:
     of an undistorted scheme: on quad4's extendible scheme (X the depth-2
     cylinder at 0.3, delta 0.5, t = 1) the Lyapunov exponent is 0.700499
     at caps 20 and 22, but 0.697993 at cap 24 (276 branches), where the
-    depth-2 solve would still give 0.700499.
+    depth-2 solve would still give 0.700499.  It is the one-row case of
+    ``_solve_gibbs_rows``.
     """
-    log_lo, log_hi = model.weight_sum(shift)
-    if log_hi == math.inf:
-        raise InfinitePressureError("weight sum diverges at this shift")
-    w_lo, w_hi, w_pt = model.log_weights(shift)
-    top = float(w_pt.max())
-    log_lam = top + math.log(float(np.exp(w_pt - top).sum()))
-    masses = np.exp(w_pt - log_lam)
-    n = model.n
-    rho = np.ones(n)
-    conformal = masses.copy()
-    residual = 0.0
+    return _raised(_solve_gibbs_rows([model], [shift])[0])
 
-    nontrivial = model.scheme is not None and \
-        model.scheme.measured_distortion() > 1.0 + 1e-12
-    if nontrivial and n <= REFINE_CAP:
-        log_lam, rho, conformal, residual = _depth2_power_iteration(model, shift)
-        masses = rho * conformal
-        masses = masses / masses.sum()
-    mass_lo = np.exp(np.minimum(w_lo - max(log_hi, log_lam), 0.0))
-    mass_hi = np.exp(np.minimum(w_hi - log_lo, 0.0))
-    return GibbsSolution(model, shift, log_lam, Bracket(log_lo, log_hi), masses,
-                         mass_lo, mass_hi, conformal, rho, residual)
+
+def _raised(result):
+    """A one-row result as it is, or the ThermomapError stored for it,
+    raised."""
+    if isinstance(result, ThermomapError):
+        try:
+            raise result
+        finally:
+            del result  # its traceback holds this frame: make no cycle
+    return result
+
+
+def _solve_gibbs_rows(models: Sequence[ThermoModel], shifts: Sequence[float]
+                      ) -> list[GibbsSolution | ThermomapError]:
+    """``solve_gibbs`` at each row (models[r], shifts[r]), the models of one
+    scheme: entry r is that solution, or the ThermomapError it raises.
+
+    One ``log_weight_sums`` call gives every row's eigenvalue bracket.  The
+    rank-one log lam, masses and mass brackets are (R, n) arrays, each row
+    reduced alone, so its floats do not depend on the other rows; log lam
+    takes a scalar log per row.  A distorted scheme runs the depth-2 power
+    iteration row by row.  The solutions hold row views of the arrays.
+    """
+    if not models:
+        return []
+    sums = log_weight_sums([m for m in models for _ in (0, 1)],
+                           [False, True] * len(models),
+                           [s for s in shifts for _ in (0, 1)])
+    log_lo, log_hi = sums[0::2], sums[1::2]
+    model = models[0]
+    decay = np.array(shifts)[:, None] * model.taus
+    w_edges = np.array([m.log_w for m in models]) - decay[:, None]
+    w_pt = np.array([m.log_w_pt for m in models]) - decay
+    top = w_pt.max(axis=1)
+    log_lam = [a + math.log(b) for a, b in
+               zip(top.tolist(), np.exp(w_pt - top[:, None]).sum(axis=1).tolist())]
+    masses = np.exp(w_pt - np.array(log_lam)[:, None])
+    rho, conformal, residual = np.ones_like(masses), masses.copy(), [0.0] * len(models)
+    # a diverging row keeps its rank-one arrays, and its error replaces them
+    out: list[GibbsSolution | ThermomapError | None] = [
+        InfinitePressureError("weight sum diverges at this shift") if hi == math.inf
+        else None for hi in log_hi]
+    if model.scheme is not None and model.n <= REFINE_CAP and \
+            model.scheme.measured_distortion() > 1.0 + 1e-12:
+        for r in [r for r, res in enumerate(out) if res is None]:
+            try:
+                log_lam[r], rho[r], conformal[r], residual[r] = \
+                    _depth2_power_iteration(models[r], shifts[r])
+            except ThermomapError as exc:
+                out[r] = exc.with_traceback(None)  # a stored traceback makes a cycle
+                continue
+            mixed = rho[r] * conformal[r]
+            masses[r] = mixed / mixed.sum()
+    # the mass bracket: w_lo / max(upper sum, lam) and w_hi / lower sum,
+    # each at most 1
+    divisors = np.array([(max(hi, lam), lo)
+                         for lo, hi, lam in zip(log_lo, log_hi, log_lam)])
+    mass_lo, mass_hi = np.exp(np.minimum(w_edges - divisors[:, :, None], 0.0)
+                              ).transpose(1, 0, 2)
+    return [res if res is not None else
+            GibbsSolution(m, shift, lam, Bracket(lo, hi), masses[r], mass_lo[r],
+                          mass_hi[r], conformal[r], rho[r], residual[r])
+            for r, (res, m, shift, lam, lo, hi) in enumerate(
+                zip(out, models, shifts, log_lam, log_lo, log_hi))]
 
 
 def _depth2_power_iteration(model: ThermoModel, shift: float
@@ -218,18 +263,31 @@ def gibbs_ratio_check(solution: GibbsSolution, depth: int,
 
 def _tau_mean_bracket(solution: GibbsSolution) -> Bracket:
     """Bracket on the mean inducing time, the tail bound included."""
-    model = solution.model
-    lo = float(np.sum(model.taus * solution.mass_lo))
-    hi = float(np.sum(model.taus * solution.mass_hi))
-    if model.tail is not None:
-        log_extra = model.tail.tau_weight_tail(model.t, solution.shift,
-                                               math.log(model.k_dist)) \
-            - solution.log_lam_bracket.lo
-        if not log_extra < LOG_FLOAT_MAX:
-            raise NonCompatibleError(
-                "inducing time not integrable within the truncation bound")
-        hi += math.exp(log_extra)
-    return Bracket(lo, hi)
+    return _raised(_tau_mean_brackets([solution], solution.mass_lo[None],
+                                      solution.mass_hi[None])[0])
+
+
+def _tau_mean_brackets(solutions: Sequence[GibbsSolution], mass_lo: np.ndarray,
+                       mass_hi: np.ndarray) -> list[Bracket | ThermomapError]:
+    """``_tau_mean_bracket`` of each solution, from the (R, n) stacks of
+    their mass brackets: two row-wise sums, and a scalar tail term per row.
+    Entry r is the bracket, or the NonCompatibleError of its row."""
+    taus = solutions[0].model.taus
+    out: list[Bracket | ThermomapError] = []
+    for sol, lo, hi in zip(solutions, (taus * mass_lo).sum(axis=1).tolist(),
+                           (taus * mass_hi).sum(axis=1).tolist()):
+        model = sol.model
+        if model.tail is not None:
+            log_extra = model.tail.tau_weight_tail(model.t, sol.shift,
+                                                   math.log(model.k_dist)) \
+                - sol.log_lam_bracket.lo
+            if not log_extra < LOG_FLOAT_MAX:
+                out.append(NonCompatibleError(
+                    "inducing time not integrable within the truncation bound"))
+                continue
+            hi += math.exp(log_extra)
+        out.append(Bracket(lo, hi))
+    return out
 
 
 class _ProductRule:
@@ -394,13 +452,6 @@ class AbramovRecord:
     lyap_bracket: Bracket
 
 
-def _mass_weighted_bracket(mass_lo: np.ndarray, mass_hi: np.ndarray,
-                           v_lo: np.ndarray, v_hi: np.ndarray) -> Bracket:
-    lo = np.where(v_lo >= 0, mass_lo * v_lo, mass_hi * v_lo)
-    hi = np.where(v_hi >= 0, mass_hi * v_hi, mass_lo * v_hi)
-    return Bracket(float(lo.sum()), float(hi.sum()))
-
-
 def _per_tau(b_lo: float, b_hi: float, tau: Bracket) -> Bracket:
     """The bracket [b_lo, b_hi] divided by the positive bracket tau."""
     return Bracket(b_lo / tau.hi if b_lo >= 0 else b_lo / tau.lo,
@@ -413,26 +464,50 @@ def abramov_quantities(scheme: InducingScheme,
 
     Induced quantities divide by the mean inducing time; the induced
     entropy comes from h_F = log(lam) + t*lyap_F + S*tau_mean, which at
-    the solved shift reduces to the equilibrium identity.
+    the solved shift reduces to the equilibrium identity.  It is the
+    one-row case of ``abramov_rows``.
     """
-    model = solution.model
-    shift = solution.shift
-    tau_b = _tau_mean_bracket(solution)
-    tau_pt = float(np.sum(model.taus * solution.masses))
-    lyap_f_pt = float(np.sum(solution.masses * model.log_df_pt))
-    lyap_f_b = _mass_weighted_bracket(solution.mass_lo, solution.mass_hi,
-                                      model.log_df_lo, model.log_df_hi)
-    log_lam = solution.log_lam_bracket
-    h_f_pt = solution.log_lam + model.t * lyap_f_pt + shift * tau_pt
-    h_f_lo = log_lam.lo + min(model.t * lyap_f_b.lo, model.t * lyap_f_b.hi) \
-        + min(shift * tau_b.lo, shift * tau_b.hi)
-    h_f_hi = log_lam.hi + max(model.t * lyap_f_b.lo, model.t * lyap_f_b.hi) \
-        + max(shift * tau_b.lo, shift * tau_b.hi)
-    entropy = h_f_pt / tau_pt
-    lyap = lyap_f_pt / tau_pt
-    return AbramovRecord(tau_pt, tau_b, h_f_pt, entropy, lyap_f_pt, lyap,
-                         entropy - model.t * lyap, _per_tau(h_f_lo, h_f_hi, tau_b),
-                         _per_tau(lyap_f_b.lo, lyap_f_b.hi, tau_b))
+    return _raised(abramov_rows([solution])[0])
+
+
+def abramov_rows(solutions: Sequence[GibbsSolution]
+                 ) -> list[AbramovRecord | ThermomapError]:
+    """``abramov_quantities`` of each solution, the solutions of one scheme:
+    every mass-weighted sum is a row-wise reduction of the stacked masses,
+    and the rest is scalar per row.  Entry r is the record, or the
+    ThermomapError of its row."""
+    if not solutions:
+        return []
+    model = solutions[0].model
+    masses, mass_lo, mass_hi = (np.array([getattr(sol, name) for sol in solutions])
+                                for name in ("masses", "mass_lo", "mass_hi"))
+    tau_pts = (model.taus * masses).sum(axis=1).tolist()
+    lyap_f_pts = (masses * model.log_df_pt).sum(axis=1).tolist()
+    # the mass-weighted bracket on lyap_F: each edge takes the mass edge
+    # that moves it outward
+    v_lo, v_hi = model.log_df_lo, model.log_df_hi
+    lyap_los = np.where(v_lo >= 0, mass_lo * v_lo, mass_hi * v_lo).sum(axis=1).tolist()
+    lyap_his = np.where(v_hi >= 0, mass_hi * v_hi, mass_lo * v_hi).sum(axis=1).tolist()
+    out: list[AbramovRecord | ThermomapError] = []
+    for sol, tau_b, tau_pt, lyap_f_pt, lyap_lo, lyap_hi in zip(
+            solutions, _tau_mean_brackets(solutions, mass_lo, mass_hi),
+            tau_pts, lyap_f_pts, lyap_los, lyap_his):
+        if isinstance(tau_b, ThermomapError):
+            out.append(tau_b)
+            continue
+        t, shift = sol.model.t, sol.shift
+        log_lam = sol.log_lam_bracket
+        h_f_pt = sol.log_lam + t * lyap_f_pt + shift * tau_pt
+        h_f_lo = log_lam.lo + min(t * lyap_lo, t * lyap_hi) \
+            + min(shift * tau_b.lo, shift * tau_b.hi)
+        h_f_hi = log_lam.hi + max(t * lyap_lo, t * lyap_hi) \
+            + max(shift * tau_b.lo, shift * tau_b.hi)
+        entropy = h_f_pt / tau_pt
+        lyap = lyap_f_pt / tau_pt
+        out.append(AbramovRecord(tau_pt, tau_b, h_f_pt, entropy, lyap_f_pt, lyap,
+                                 entropy - t * lyap, _per_tau(h_f_lo, h_f_hi, tau_b),
+                                 _per_tau(lyap_lo, lyap_hi, tau_b)))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -493,22 +568,6 @@ def _chord_step(a: float, fa: float, b: float, fb: float, flat: bool,
     return c, flat
 
 
-def _finish(model: ThermoModel, zeb: float, edge_lo: float, edge_hi: float,
-            tolerance: float) -> ShiftSolveResult | ThermomapError:
-    """The shift bracket between the two edges, padded, with the Gibbs
-    solve at its midpoint, or the ThermomapError that solve raises."""
-    # the float-evaluated bounds place their roots only to a few ulps
-    pad = max(0.5 * tolerance,
-              8.0 * math.ulp(max(1.0, abs(edge_lo), abs(edge_hi))))
-    s_lo = min(edge_lo, edge_hi) - pad
-    s_hi = max(edge_lo, edge_hi) + pad
-    try:
-        return ShiftSolveResult(s_lo, s_hi, solve_gibbs(model, 0.5 * (s_lo + s_hi)),
-                                zeb)
-    except ThermomapError as exc:
-        return exc.with_traceback(None)  # a stored traceback makes a cycle
-
-
 def _shift_solves(scheme: InducingScheme, ts: Sequence[float],
                   tolerance: float) -> list[ShiftSolveResult | ThermomapError]:
     """``equilibrium_shift_solve`` at each t, with the searches of every t
@@ -524,7 +583,9 @@ def _shift_solves(scheme: InducingScheme, ts: Sequence[float],
     Illinois false position: each step is ``_chord_step``'s, and the end
     value kept at an end that has stayed fixed twice in a row is halved,
     so both ends move.  An end fails only at k = 79; the right end's
-    error wins when both fail.
+    error wins when both fail.  Once every search has closed, one
+    ``_solve_gibbs_rows`` call solves every closed t at the midpoint of
+    its padded bracket.
     """
     if not 0.0 < tolerance < math.inf:
         raise DomainError(f"tolerance must be finite and > 0, got {tolerance!r}")
@@ -535,12 +596,14 @@ def _shift_solves(scheme: InducingScheme, ts: Sequence[float],
     # c the step asked for, None once the edge is closed, and kept +1 when
     # the last step kept a, -1 when it kept b
     solves = []
-    for i, t in enumerate(ts):
+    for i, (t, model) in enumerate(zip(ts, induced_potentials(scheme, ts))):
         try:
-            solves.append([i, induced_potential(scheme, t),
-                           zero_entropy_competitor(scheme, t), 0, [None, None], None])
+            solves.append([i, model, zero_entropy_competitor(scheme, t), 0,
+                           [None, None], None])
         except ThermomapError as exc:
             out[i] = exc.with_traceback(None)  # a stored traceback makes a cycle
+    # each closed t: (entry, model, zeb, s_lo, s_hi)
+    closed = []
     while solves:
         asks = []
         for _, model, _, k, ends, edges in solves:
@@ -598,11 +661,21 @@ def _shift_solves(scheme: InducingScheme, ts: Sequence[float],
                 edge[5:] = _chord_step(a, fa, b, fb, flat, tolerance) or (None, flat)
             if edges[0][5] is None and edges[1][5] is None:
                 up, low = edges
-                out[i] = _finish(model, zeb, 0.5 * (low[0] + low[2]),
-                                 0.5 * (up[0] + up[2]), tolerance)
+                edge_lo, edge_hi = 0.5 * (low[0] + low[2]), 0.5 * (up[0] + up[2])
+                # the float-evaluated bounds place their roots only to a
+                # few ulps
+                pad = max(0.5 * tolerance,
+                          8.0 * math.ulp(max(1.0, abs(edge_lo), abs(edge_hi))))
+                closed.append((i, model, zeb, min(edge_lo, edge_hi) - pad,
+                               max(edge_lo, edge_hi) + pad))
             else:
                 still.append(solve)
         solves = still
+    solutions = _solve_gibbs_rows([c[1] for c in closed],
+                                  [0.5 * (c[3] + c[4]) for c in closed])
+    for (i, _, zeb, s_lo, s_hi), sol in zip(closed, solutions):
+        out[i] = sol if isinstance(sol, ThermomapError) \
+            else ShiftSolveResult(s_lo, s_hi, sol, zeb)
     return out
 
 
@@ -620,13 +693,7 @@ def equilibrium_shift_solve(scheme: InducingScheme, t: float,
     one-t case of the searches that ``scan_pressure`` runs side by side
     over its whole t-grid.
     """
-    result, = _shift_solves(scheme, [t], tolerance)
-    if isinstance(result, ThermomapError):
-        try:
-            raise result
-        finally:
-            del result  # its traceback holds this frame: make no cycle
-    return result
+    return _raised(_shift_solves(scheme, [t], tolerance)[0])
 
 
 def solution_to_json(solution: GibbsSolution) -> str:
@@ -649,9 +716,20 @@ def solution_to_json(solution: GibbsSolution) -> str:
 
 
 def mass_by_tau(solution: GibbsSolution) -> list[float]:
-    """Masses grouped by inducing time: entry k is mu_F{tau = k+1}."""
-    taus = solution.model.taus.astype(int)
-    out = [0.0] * int(taus.max())
-    for tau, mu in zip(taus, solution.masses):
-        out[tau - 1] += float(mu)
+    """Masses grouped by inducing time: entry k is mu_F{tau = k+1}.  It is
+    the one-row case of ``mass_by_tau_rows``."""
+    return mass_by_tau_rows([solution])[0].tolist()
+
+
+def mass_by_tau_rows(solutions: Sequence[GibbsSolution]) -> np.ndarray:
+    """``mass_by_tau`` of each solution, the solutions of one scheme, as the
+    rows of one (R, max tau) array: each entry adds its branches' masses
+    one at a time, in branch order (``np.add.at`` is unbuffered)."""
+    if not solutions:
+        return np.zeros((0, 0))
+    cols = solutions[0].model.taus.astype(int) - 1
+    out = np.zeros((len(solutions), int(cols.max()) + 1))
+    cells = np.arange(len(out))[:, None] * out.shape[1] + cols
+    np.add.at(out.reshape(-1), cells.ravel(),
+              np.array([sol.masses for sol in solutions]).ravel())
     return out

@@ -104,9 +104,10 @@ def log_weight_sums(models: Sequence[ThermoModel], upper: Sequence[bool],
     return sums
 
 
-def _log_weights_of(t: float, log_df: np.ndarray) -> np.ndarray:
+def _log_weights_of(t: float | np.ndarray, log_df: np.ndarray) -> np.ndarray:
     """-t log|DF|, held inside [-LOG_W_MAX, LOG_W_MAX], so that no log-sum
-    meets inf - inf; only |t| log|DF| beyond 4.4e307 reaches the edge."""
+    meets inf - inf; only |t| log|DF| beyond 4.4e307 reaches the edge.
+    An array t broadcasts against log|DF|, one IEEE product per entry."""
     with np.errstate(over="ignore"):
         return np.clip(-t * log_df, -LOG_W_MAX, LOG_W_MAX)
 
@@ -137,16 +138,28 @@ def tail_info_for(scheme: InducingScheme) -> TailInfo | None:
                     math.log(lam_max), math.log(scheme.x_len))
 
 
-def induced_potential(scheme: InducingScheme, t: float) -> ThermoModel:
-    """Log weight brackets -t log|DF| on each branch, at S = 0."""
+def induced_potentials(scheme: InducingScheme,
+                       ts: Sequence[float]) -> list[ThermoModel]:
+    """``induced_potential`` at each t of ``ts``: -t log|DF| is one (T, 2, n)
+    clip of -t (x) log|DF|, and model i holds row views of it."""
     if not scheme.branches:
         raise DomainError("scheme has no branches")
     taus, log_df, log_df_pt, k_dist = scheme.potential_geometry
-    ends = _log_weights_of(t, log_df)
-    log_w = np.stack([ends.min(axis=0), ends.max(axis=0)])
-    return ThermoModel(taus, log_w, _log_weights_of(t, log_df_pt),
-                       log_df[0], log_df[1], log_df_pt,
-                       t, k_dist, tail=scheme.tail_info, scheme=scheme)
+    t_col = np.asarray(ts, dtype=float)[:, None]
+    ends = _log_weights_of(t_col[:, :, None], log_df)
+    log_w = np.empty_like(ends)
+    np.minimum(ends[:, 0], ends[:, 1], out=log_w[:, 0])
+    np.maximum(ends[:, 0], ends[:, 1], out=log_w[:, 1])
+    log_w_pt = _log_weights_of(t_col, log_df_pt)
+    tail = scheme.tail_info
+    return [ThermoModel(taus, w, w_pt, log_df[0], log_df[1], log_df_pt,
+                        t, k_dist, tail=tail, scheme=scheme)
+            for t, w, w_pt in zip(ts, log_w, log_w_pt)]
+
+
+def induced_potential(scheme: InducingScheme, t: float) -> ThermoModel:
+    """Log weight brackets -t log|DF| on each branch, at S = 0."""
+    return induced_potentials(scheme, [t])[0]
 
 
 def synthetic_model(weights: Sequence[float],
@@ -277,12 +290,33 @@ class TailRecord:
 
 def _fit_line(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
     """Least-squares slope of y against x, and the R^2 of the line (both
-    nan, not an R^2 of 1, where y is not finite)."""
+    nan, not an R^2 of 1, where y is not finite).
+
+    The t-free fits, ``tail_info_for``'s length decay and
+    ``diagnostics.critical_orbit_growth``, keep ``np.polyfit``: their
+    floats feed every upper pressure bracket (through alpha_len) and the
+    ``diagnose`` output.  The closed form of ``_fit_lines`` moves them in
+    the last bits, which changes printed scan, pressure and diagnose
+    values.
+    """
     slope, intercept = np.polyfit(x, y, 1)
     fit = slope * x + intercept
     ss_tot = float(np.sum((y - y.mean()) ** 2))
     r2 = 1.0 - float(np.sum((y - fit) ** 2)) / ss_tot if ss_tot != 0 else 1.0
     return float(slope), r2
+
+
+def _fit_lines(x: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``_fit_line`` of each row of ys against x, as two arrays, by the
+    closed-form least squares on centred x: the slope may differ from
+    ``np.polyfit``'s in the last bits."""
+    xc = x - x.mean()
+    dy = ys - ys.mean(axis=1, keepdims=True)
+    slope = (dy * xc).sum(axis=1) / float((xc ** 2).sum())
+    ss_tot = (dy ** 2).sum(axis=1)
+    ss_res = ((dy - slope[:, None] * xc) ** 2).sum(axis=1)
+    flat = ss_tot == 0
+    return slope, np.where(flat, 1.0, 1.0 - ss_res / np.where(flat, 1.0, ss_tot))
 
 
 def tail_classify(masses: Sequence[float]) -> TailRecord:
@@ -291,26 +325,45 @@ def tail_classify(masses: Sequence[float]) -> TailRecord:
     ``masses[k]`` is the mass of inducing time n = k+1.  A family whose
     support simply ends (trailing zeros after fewer than MIN_TAIL_MASSES
     entries) is reported as exponential with the finite-support flag.
+    It is the one-row case of ``tail_classify_rows``.
     """
+    return tail_classify_rows(np.asarray(masses, dtype=float)[None])[0]
+
+
+def tail_classify_rows(masses: np.ndarray) -> list[TailRecord]:
+    """``tail_classify`` of each row of a (R, L) array of masses by inducing
+    time.  The rows that share their positive entries share the x of their
+    fits, so each such group is fitted in one batch."""
+    nan = math.nan
     arr = np.asarray(masses, dtype=float)
-    ns = np.arange(1, len(arr) + 1, dtype=float)
+    ns = np.arange(1, arr.shape[1] + 1, dtype=float)
     pos = arr > 0.0
-    n_pos = int(pos.sum())
-    if n_pos < MIN_TAIL_MASSES:
-        # a clean prefix of nonzero masses followed by zeros = finite support
-        last = int(np.nonzero(pos)[0][-1]) if n_pos else -1
-        prefix = bool(np.all(pos[:last + 1]))
-        if n_pos >= 2 and prefix:
-            slope, r2 = _fit_line(ns[pos], np.log(arr[pos]))
-            return TailRecord("exponential", -slope, math.nan, r2,
-                              finite_support=True)
-        return TailRecord("inconclusive", math.nan, math.nan, math.nan,
-                          finite_support=n_pos < 2)
-    x, y = ns[pos], np.log(arr[pos])
-    slope_e, r2_e = _fit_line(x, y)
-    slope_p, r2_p = _fit_line(np.log(x), y)
-    if max(r2_e, r2_p) < TAIL_R2_FLOOR:
-        return TailRecord("inconclusive", math.nan, math.nan, max(r2_e, r2_p))
-    if r2_e >= r2_p:
-        return TailRecord("exponential", -slope_e, math.nan, r2_e)
-    return TailRecord("polynomial", math.nan, -slope_p, r2_p)
+    out: list[TailRecord | None] = [None] * len(arr)
+    groups: dict[bytes, list[int]] = {}
+    for r, row in enumerate(pos):
+        groups.setdefault(row.tobytes(), []).append(r)
+    for rows in groups.values():
+        pat = pos[rows[0]]
+        n_pos = int(pat.sum())
+        # in C order, so that each row is reduced as a one-row call reduces it
+        x, y = ns[pat], np.log(np.ascontiguousarray(arr[rows][:, pat]))
+        if n_pos >= MIN_TAIL_MASSES:
+            recs = []
+            for slope_e, r2_e, slope_p, r2_p in zip(
+                    *(a.tolist() for a in _fit_lines(x, y) + _fit_lines(np.log(x), y))):
+                if max(r2_e, r2_p) < TAIL_R2_FLOOR:
+                    recs.append(TailRecord("inconclusive", nan, nan, max(r2_e, r2_p)))
+                elif r2_e >= r2_p:
+                    recs.append(TailRecord("exponential", -slope_e, nan, r2_e))
+                else:
+                    recs.append(TailRecord("polynomial", nan, -slope_p, r2_p))
+        elif n_pos >= 2 and pat[:n_pos].all():
+            # a clean prefix of nonzero masses followed by zeros = finite support
+            recs = [TailRecord("exponential", -slope, nan, r2, finite_support=True)
+                    for slope, r2 in zip(*(a.tolist() for a in _fit_lines(x, y)))]
+        else:
+            recs = [TailRecord("inconclusive", nan, nan, nan,
+                               finite_support=n_pos < 2)] * len(rows)
+        for r, rec in zip(rows, recs):
+            out[r] = rec
+    return out

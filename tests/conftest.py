@@ -11,17 +11,20 @@ from hypothesis import strategies as st
 import thermomap as tm
 from thermomap import diagnostics as dg
 from thermomap import gibbs
+from thermomap.cli import CurveRow
 from thermomap.errors import (CriticalOrbitError, DomainError,
-                              InfinitePressureError)
-from thermomap.gibbs import (PROJECTION_DEPTH, RATIO_SEED, REFINE_CAP,
-                             RESIDUAL_TOL, _tau_mean_bracket)
+                              InfinitePressureError, NonCompatibleError,
+                              NumericError)
+from thermomap.gibbs import (LOG_FLOAT_MAX, PROJECTION_DEPTH, RATIO_SEED,
+                             REFINE_CAP, RESIDUAL_TOL, _tau_mean_bracket)
 from thermomap.inducing import (CYLINDER_CAP, ONTO_RTOL, InducingScheme,
                                 _fit_neighbourhood, _make_branch, _Uncovered,
                                 _word_of)
 from thermomap.interval_map import (SNAP_TOL, eval_along_word, eval_orbit,
                                     pullback_word)
 from thermomap.symbolic import DEGEN_TOL, monotone_pieces, refine_levels
-from thermomap.thermo import Bracket
+from thermomap.thermo import (MIN_TAIL_MASSES, TAIL_R2_FLOOR, Bracket,
+                              TailRecord, ThermoModel, _log_weights_of)
 
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
 # f is continuous and increasing across 1/4 with slopes 1.2 and 2.8, so a
@@ -547,14 +550,163 @@ def scalar_weight_sum(model, shift: float) -> tuple[float, float]:
     return lo, hi
 
 
+def scalar_induced_potential(scheme, t: float):
+    """``induced_potential`` as it was when it built one t alone."""
+    if not scheme.branches:
+        raise DomainError("scheme has no branches")
+    taus, log_df, log_df_pt, k_dist = scheme.potential_geometry
+    ends = _log_weights_of(t, log_df)
+    log_w = np.stack([ends.min(axis=0), ends.max(axis=0)])
+    return ThermoModel(taus, log_w, _log_weights_of(t, log_df_pt),
+                       log_df[0], log_df[1], log_df_pt,
+                       t, k_dist, tail=scheme.tail_info, scheme=scheme)
+
+
+def scalar_solve_gibbs(model, shift: float):
+    """``solve_gibbs`` as it was when it solved one (t, shift) alone, its
+    weight sums one ``scalar_weight_sum`` call."""
+    log_lo, log_hi = scalar_weight_sum(model, shift)
+    if log_hi == math.inf:
+        raise InfinitePressureError("weight sum diverges at this shift")
+    w_lo, w_hi, w_pt = model.log_weights(shift)
+    top = float(w_pt.max())
+    log_lam = top + math.log(float(np.exp(w_pt - top).sum()))
+    masses = np.exp(w_pt - log_lam)
+    n = model.n
+    rho = np.ones(n)
+    conformal = masses.copy()
+    residual = 0.0
+    nontrivial = model.scheme is not None and \
+        model.scheme.measured_distortion() > 1.0 + 1e-12
+    if nontrivial and n <= REFINE_CAP:
+        log_lam, rho, conformal, residual = gibbs._depth2_power_iteration(model, shift)
+        masses = rho * conformal
+        masses = masses / masses.sum()
+    mass_lo = np.exp(np.minimum(w_lo - max(log_hi, log_lam), 0.0))
+    mass_hi = np.exp(np.minimum(w_hi - log_lo, 0.0))
+    return gibbs.GibbsSolution(model, shift, log_lam, Bracket(log_lo, log_hi), masses,
+                               mass_lo, mass_hi, conformal, rho, residual)
+
+
+def scalar_tau_mean_bracket(solution) -> Bracket:
+    """``_tau_mean_bracket`` as it was for one solution alone."""
+    model = solution.model
+    lo = float(np.sum(model.taus * solution.mass_lo))
+    hi = float(np.sum(model.taus * solution.mass_hi))
+    if model.tail is not None:
+        log_extra = model.tail.tau_weight_tail(model.t, solution.shift,
+                                               math.log(model.k_dist)) \
+            - solution.log_lam_bracket.lo
+        if not log_extra < LOG_FLOAT_MAX:
+            raise NonCompatibleError(
+                "inducing time not integrable within the truncation bound")
+        hi += math.exp(log_extra)
+    return Bracket(lo, hi)
+
+
+def scalar_abramov_quantities(solution):
+    """``abramov_quantities`` as it was for one solution alone."""
+    model = solution.model
+    shift = solution.shift
+    tau_b = scalar_tau_mean_bracket(solution)
+    tau_pt = float(np.sum(model.taus * solution.masses))
+    lyap_f_pt = float(np.sum(solution.masses * model.log_df_pt))
+    v_lo, v_hi = model.log_df_lo, model.log_df_hi
+    m_lo, m_hi = solution.mass_lo, solution.mass_hi
+    lyap_lo = float(np.where(v_lo >= 0, m_lo * v_lo, m_hi * v_lo).sum())
+    lyap_hi = float(np.where(v_hi >= 0, m_hi * v_hi, m_lo * v_hi).sum())
+    log_lam = solution.log_lam_bracket
+    h_f_pt = solution.log_lam + model.t * lyap_f_pt + shift * tau_pt
+    h_f_lo = log_lam.lo + min(model.t * lyap_lo, model.t * lyap_hi) \
+        + min(shift * tau_b.lo, shift * tau_b.hi)
+    h_f_hi = log_lam.hi + max(model.t * lyap_lo, model.t * lyap_hi) \
+        + max(shift * tau_b.lo, shift * tau_b.hi)
+    entropy = h_f_pt / tau_pt
+    lyap = lyap_f_pt / tau_pt
+    return gibbs.AbramovRecord(tau_pt, tau_b, h_f_pt, entropy, lyap_f_pt, lyap,
+                               entropy - model.t * lyap,
+                               gibbs._per_tau(h_f_lo, h_f_hi, tau_b),
+                               gibbs._per_tau(lyap_lo, lyap_hi, tau_b))
+
+
+def scalar_mass_by_tau(solution) -> list[float]:
+    """``mass_by_tau`` as it was: one Python add per branch."""
+    taus = solution.model.taus.astype(int)
+    out = [0.0] * int(taus.max())
+    for tau, mu in zip(taus, solution.masses):
+        out[tau - 1] += float(mu)
+    return out
+
+
+def polyfit_fit_line(x, y) -> tuple[float, float]:
+    """Slope and R^2 of the ``np.polyfit`` line of y against x."""
+    slope, intercept = np.polyfit(x, y, 1)
+    ss_tot = float(np.sum((y - y.mean()) ** 2))
+    r2 = 1.0 - float(np.sum((y - (slope * x + intercept)) ** 2)) / ss_tot \
+        if ss_tot != 0 else 1.0
+    return float(slope), r2
+
+
+def polyfit_tail_classify(masses) -> TailRecord:
+    """``tail_classify`` as it was, with two ``np.polyfit`` fits per call."""
+    arr = np.asarray(masses, dtype=float)
+    ns = np.arange(1, len(arr) + 1, dtype=float)
+    pos = arr > 0.0
+    n_pos = int(pos.sum())
+    if n_pos < MIN_TAIL_MASSES:
+        last = int(np.nonzero(pos)[0][-1]) if n_pos else -1
+        if n_pos >= 2 and bool(np.all(pos[:last + 1])):
+            slope, r2 = polyfit_fit_line(ns[pos], np.log(arr[pos]))
+            return TailRecord("exponential", -slope, math.nan, r2,
+                              finite_support=True)
+        return TailRecord("inconclusive", math.nan, math.nan, math.nan,
+                          finite_support=n_pos < 2)
+    x, y = ns[pos], np.log(arr[pos])
+    slope_e, r2_e = polyfit_fit_line(x, y)
+    slope_p, r2_p = polyfit_fit_line(np.log(x), y)
+    if max(r2_e, r2_p) < TAIL_R2_FLOOR:
+        return TailRecord("inconclusive", math.nan, math.nan, max(r2_e, r2_p))
+    if r2_e >= r2_p:
+        return TailRecord("exponential", -slope_e, math.nan, r2_e)
+    return TailRecord("polynomial", math.nan, -slope_p, r2_p)
+
+
+def scalar_scan_rows(scheme, ts, tolerance: float = 1e-10) -> list:
+    """``scan_pressure``'s rows at each t of ts, as they were when every t
+    was solved alone and its Gibbs masses, Abramov quantities and tail fit
+    (two ``np.polyfit`` calls) were computed for that t alone: an oracle
+    for the scan's stacked stage.  An error that no row records raises."""
+    nan = math.nan
+    rows = []
+    for t in ts:
+        try:
+            res, _ = scalar_shift_solve(scheme, t, tolerance)
+            ab = scalar_abramov_quantities(res.solution)
+            tail = polyfit_tail_classify(scalar_mass_by_tau(res.solution))
+        except InfinitePressureError:
+            kind = "error:infinite-pressure"
+        except NonCompatibleError:
+            kind = "error:non-compatible"
+        except NumericError:
+            kind = "error:numeric"
+        else:
+            rate = tail.rate if tail.kind == "exponential" else tail.exponent
+            rows.append(CurveRow(t, res.s_lo, res.s_hi, res.zero_entropy_bound,
+                                 tail.kind, rate, ab.tau_mean, ab.lyap, ab.entropy))
+            continue
+        rows.append(CurveRow(t, nan, nan, nan, kind, nan, nan, nan, nan))
+    return rows
+
+
 def scalar_shift_solve(scheme, t: float, tolerance: float = 1e-10):
     """``equilibrium_shift_solve`` as it was when it solved one t alone,
-    each weight sum one ``scalar_weight_sum`` call: an oracle, float for
-    float, for the lockstep searches.  Returns (ShiftSolveResult, the
-    ``scalar_weight_sum`` at its midpoint)."""
+    each weight sum one ``scalar_weight_sum`` call and the Gibbs solve
+    ``scalar_solve_gibbs``: an oracle, float for float, for the lockstep
+    searches.  Returns (ShiftSolveResult, the ``scalar_weight_sum`` at its
+    midpoint)."""
     if not 0.0 < tolerance < math.inf:
         raise DomainError(f"tolerance must be finite and > 0, got {tolerance!r}")
-    model = tm.induced_potential(scheme, t)
+    model = scalar_induced_potential(scheme, t)
 
     def p_low(s):
         return scalar_weight_sum(model, s)[0]
@@ -609,7 +761,7 @@ def scalar_shift_solve(scheme, t: float, tolerance: float = 1e-10):
     s_lo = min(edge_lo, edge_hi) - pad
     s_hi = max(edge_lo, edge_hi) + pad
     mid = 0.5 * (s_lo + s_hi)
-    solution = tm.solve_gibbs(model, mid)
+    solution = scalar_solve_gibbs(model, mid)
     return gibbs.ShiftSolveResult(s_lo, s_hi, solution, zeb), \
         scalar_weight_sum(model, mid)
 

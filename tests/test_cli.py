@@ -281,6 +281,17 @@ class TestRunCli:
         assert run(["pressure", "--map", "tent2", "--t", "0", "--x-depth", "-1"]) == 2
         assert "x_depth must be >= 0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["pressure", "--t", "1"],
+        ["scan", "--t-min", "0", "--t-max", "1", "--steps", "2"],
+    ], ids=["pressure", "scan"])
+    def test_scheme_without_branches_exits_two(self, capsys, argv):
+        # quad4's depth-40 cylinder, 1.2e-12 wide, gets no branch within
+        # the cap: a scan's stacked stage must not turn this into numpy's
+        # max over an empty axis
+        assert run(argv + ["--map", "quad4", "--x-depth", "40"]) == 2
+        assert capsys.readouterr().err == "error: scheme has no branches\n"
+
     def test_zero_denominator_in_map_spec_exits_two(self, tmp_path, capsys):
         spec = tmp_path / "m.map"
         spec.write_text("kind = plinear\nbreakpoints = 0, 1/0, 1\n"

@@ -8,11 +8,12 @@ import pytest
 
 import thermomap as tm
 from thermomap import gibbs
-from thermomap.cli import (CurveRow, PressureCurve, ScanConfig, build_scheme,
-                           default_base_cylinder, scan_pressure)
+from thermomap.cli import (CSV_HEADER, CurveRow, PressureCurve, ScanConfig,
+                           build_scheme, default_base_cylinder, scan_pressure)
 from thermomap.errors import (DomainError, InfinitePressureError, NumericError,
                               ThermomapError)
-from thermomap.thermo import Bracket, synthetic_model
+from thermomap.thermo import (Bracket, induced_potentials, synthetic_model,
+                              tail_classify_rows)
 
 import conftest
 from conftest import (ACIP_LYAP, JOIN_MAP, LOG_GOLDEN, SINE_SPEC,
@@ -750,6 +751,154 @@ class TestLockstepShiftSolves:
         calls[0] = 0
         scan_pressure(cfg, scheme=scheme)
         assert 0 < calls[0] <= max(alone), (calls[0], max(alone))
+
+
+@dataclasses.dataclass(frozen=True)
+class GridConfig(ScanConfig):
+    """A ScanConfig whose t-grid is any list of t."""
+
+    grid: tuple = ()
+
+    def t_grid(self) -> list[float]:
+        return list(self.grid)
+
+
+def _scan_at(scheme, ts) -> PressureCurve:
+    return scan_pressure(GridConfig(scheme.map, -1.0, 1.0, 2, grid=tuple(ts)),
+                         scheme=scheme)
+
+
+def _assert_same_result(got, want):
+    """Two one-row results are the same error, or the same floats."""
+    if isinstance(want, ThermomapError):
+        assert (type(got), str(got)) == (type(want), str(want))
+        return
+    assert not isinstance(got, ThermomapError), got
+    for name in ("masses", "mass_lo", "mass_hi", "conformal", "rho"):
+        assert hexes(getattr(got, name)) == hexes(getattr(want, name)), name
+    assert hexes([got.shift, got.log_lam, *dataclasses.astuple(got.log_lam_bracket),
+                  got.residual]) == \
+        hexes([want.shift, want.log_lam, *dataclasses.astuple(want.log_lam_bracket),
+               want.residual])
+
+
+def _flat(record) -> list:
+    """A record's fields, the fields of its brackets among them."""
+    out = []
+    for v in dataclasses.astuple(record):
+        out += list(v) if isinstance(v, tuple) else [v]
+    return out
+
+
+def _one_row(fn, *args):
+    try:
+        return fn(*args)
+    except ThermomapError as exc:
+        return exc
+
+
+class TestStackedScanStage:
+    """What follows the search, done for every row of a scan at once, is
+    the per-t path row by row: ``conftest.scalar_scan_rows`` is that path
+    as it was, each t alone, with ``np.polyfit`` tail fits."""
+
+    TS = SHIFT_PROBE_TS + [1e300, -1e300]
+
+    @pytest.mark.parametrize("name", sorted(SHIFT_ORACLE_SCHEMES) + ["quad4_extendible_10"])
+    def test_same_rows_as_the_scalar_path(self, name):
+        scheme = TestLockstepShiftSolves._scheme(name)
+        want, raising = [], []
+        for t in self.TS:
+            try:
+                want += conftest.scalar_scan_rows(scheme, [t])
+            except ZeroDivisionError:
+                # quad4 at t = 40, 120 and 1000: the lower edge of tau_mean
+                # is 0, and the Abramov brackets divide by it
+                raising.append(t)
+        got = _scan_at(scheme, [row.t for row in want])
+        assert len(got.rows) == len(want)
+        floats = [i for i, k in enumerate(CSV_HEADER)
+                  if k not in ("tail_kind", "tail_rate")]
+        for g, w in zip(got.rows, want):
+            assert g.tail_kind == w.tail_kind, g.t
+            assert hexes([g.as_tuple()[i] for i in floats]) == \
+                hexes([w.as_tuple()[i] for i in floats]), g.t
+            assert g.tail_rate == pytest.approx(w.tail_rate, rel=1e-12, nan_ok=True), g.t
+        assert got.to_csv() == PressureCurve(want).to_csv()
+        for t in raising:
+            with pytest.raises(ZeroDivisionError):
+                _scan_at(scheme, [t])
+        if name == "full_1_up":
+            assert "error:infinite-pressure" in got.to_csv()
+
+    @pytest.mark.parametrize("name", ["markov_full", "full_1_up", "tent2",
+                                      "quad4_extendible_10"])
+    def test_each_one_t_function_is_one_row(self, name):
+        scheme = TestLockstepShiftSolves._scheme(name)
+        ts = [-1.0, -0.5, 0.0, 0.5, 1.0, 1.5, 2.0, -120.0, -1000.0, 1e300]
+        models = induced_potentials(scheme, ts)
+        for t, model in zip(ts, models):
+            one = tm.induced_potential(scheme, t)
+            assert (model.t, hexes(model.log_w.ravel()), hexes(model.log_w_pt)) == \
+                (one.t, hexes(one.log_w.ravel()), hexes(one.log_w_pt))
+        # the solved midpoints (0 where the search fails), and t = 0.5 at
+        # S = -1, where tent2's upper weight sum diverges
+        shifts = [res.solution.shift if not isinstance(res, ThermomapError) else 0.0
+                  for res in gibbs._shift_solves(scheme, ts, 1e-10)] + [-1.0]
+        models.append(tm.induced_potential(scheme, 0.5))
+        rows = gibbs._solve_gibbs_rows(models, shifts)
+        for model, shift, row in zip(models, shifts, rows):
+            _assert_same_result(row, _one_row(tm.solve_gibbs, model, shift))
+            _assert_same_result(row, _one_row(conftest.scalar_solve_gibbs, model, shift))
+        if name == "tent2":
+            assert isinstance(rows[-1], InfinitePressureError)
+        sols = [row for row in rows if not isinstance(row, ThermomapError)]
+        # quad4's extendible scheme is distorted: its rows take the depth-2
+        # power iteration
+        assert any(sol.residual > 0.0 for sol in sols) == (name == "quad4_extendible_10")
+        for sol, got in zip(sols, gibbs.abramov_rows(sols)):
+            for want in (_one_row(tm.abramov_quantities, scheme, sol),
+                         _one_row(conftest.scalar_abramov_quantities, sol)):
+                if isinstance(want, ThermomapError):
+                    assert (type(got), str(got)) == (type(want), str(want))
+                else:
+                    assert hexes(_flat(got)) == hexes(_flat(want))
+        by_tau = gibbs.mass_by_tau_rows(sols)
+        for sol, got, tail in zip(sols, by_tau, tail_classify_rows(by_tau)):
+            assert hexes(got) == hexes(tm.mass_by_tau(sol)) == \
+                hexes(conftest.scalar_mass_by_tau(sol))
+            want = tm.tail_classify(tm.mass_by_tau(sol))
+            assert (tail.kind, tail.finite_support) == (want.kind, want.finite_support)
+            assert hexes([tail.rate, tail.exponent, tail.r2]) == \
+                hexes([want.rate, want.exponent, want.r2])
+
+    def test_masses_by_tau_add_in_branch_order(self):
+        # many branches share each inducing time, so the order of the adds
+        # shows in the last bits
+        rng = np.random.default_rng(0)
+        taus = np.repeat([1, 2, 3], 40)
+        sols = [tm.solve_gibbs(synthetic_model(rng.uniform(0.5, 1.5, 120), taus), 0.0)
+                for _ in range(3)]
+        for sol, got in zip(sols, gibbs.mass_by_tau_rows(sols)):
+            assert hexes(got) == hexes(tm.mass_by_tau(sol)) == \
+                hexes(conftest.scalar_mass_by_tau(sol))
+
+    @pytest.mark.parametrize("masses", [
+        [0.5 ** n for n in range(1, 13)],
+        [n ** -3.0 for n in range(1, 21)],
+        [2 / 3, 1 / 3] + [0.0] * 10,
+        [0.5, 0.0, 0.25, 0.0],
+        [(1 - 0.3) * 0.3 ** (n - 1) / (1 - 0.3 ** 40) for n in range(1, 41)],
+    ], ids=["geometric", "power-law", "finite-support", "too-few", "theta-0.3"])
+    def test_tail_fit_is_the_polyfit_fit(self, masses):
+        got = tm.tail_classify(masses)
+        want = conftest.polyfit_tail_classify(masses)
+        assert (got.kind, got.finite_support) == (want.kind, want.finite_support)
+        assert got.rate == pytest.approx(want.rate, rel=1e-12, nan_ok=True)
+        assert got.exponent == pytest.approx(want.exponent, rel=1e-12, nan_ok=True)
+        for row in tail_classify_rows(np.array([masses, masses])):
+            assert hexes([row.rate, row.exponent, row.r2]) == \
+                hexes([got.rate, got.exponent, got.r2])
 
 
 class TestSchemeGeometryCache:
