@@ -452,10 +452,17 @@ class AbramovRecord:
     lyap_bracket: Bracket
 
 
+def _over(v: float, d: float) -> float:
+    """v / d for d >= 0, where v / 0 is +-inf, or v itself for v == 0."""
+    return v / d if d else math.copysign(math.inf, v) if v else v
+
+
 def _per_tau(b_lo: float, b_hi: float, tau: Bracket) -> Bracket:
-    """The bracket [b_lo, b_hi] divided by the positive bracket tau."""
-    return Bracket(b_lo / tau.hi if b_lo >= 0 else b_lo / tau.lo,
-                   b_hi / tau.lo if b_hi >= 0 else b_hi / tau.hi)
+    """The bracket [b_lo, b_hi] divided by the non-negative bracket tau:
+    an edge that would divide by a tau edge of 0 (tau_mean's lower edge
+    underflows at large t) is +-inf, or 0 where it is 0."""
+    return Bracket(_over(b_lo, tau.hi) if b_lo >= 0 else _over(b_lo, tau.lo),
+                   _over(b_hi, tau.lo) if b_hi >= 0 else _over(b_hi, tau.hi))
 
 
 def abramov_quantities(scheme: InducingScheme,

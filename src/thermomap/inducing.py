@@ -14,7 +14,7 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -25,9 +25,10 @@ from .interval_map import (
     InverseSteps,
     WordPullbacks,
     derivative_along_word,
-    derivative_along_word_array,
+    derivative_along_words,
     eval_along_word,
     pullback_word,
+    pullback_words,
 )
 from .symbolic import (Cylinder, DEGEN_TOL, Word, _branch_images,
                        fold_free_runs, monotone_pieces, periodic_point,
@@ -69,25 +70,35 @@ def _word_of(cyls: Sequence[Cylinder], x: float, default: Word,
     return default
 
 
-def _along_parts(values: Callable[[Word], np.ndarray],
-                 cyls: Sequence[Cylinder], zs: np.ndarray, default: Word,
-                 image: bool = False) -> np.ndarray:
-    """Each point of zs read off ``values(word)``, the values at every
-    point along one word, for ``_word_of(cyls, z, default, image)``: the
-    scalar readers' rule, point by point."""
-    if not cyls:
-        return values(default)
-    out = np.empty(len(zs))
-    left = np.ones(len(zs), dtype=bool)
-    for c in cyls:
+def _part_words(cyls: Sequence[Cylinder], zs: np.ndarray, default: Word,
+                image: bool = False) -> tuple[list[Word], np.ndarray]:
+    """(words, index) with words[index[r]] = ``_word_of(cyls, zs[r],
+    default, image)``: the scalar readers' rule, point by point."""
+    index = np.full(len(zs), len(cyls), dtype=np.intp)
+    for k in range(len(cyls) - 1, -1, -1):  # the first cylinder wins
+        c = cyls[k]
         lo, hi = (c.image_lo, c.image_hi) if image else (c.lo, c.hi)
-        hit = left & (lo - 1e-12 <= zs) & (zs <= hi + 1e-12)
-        if hit.any():
-            out[hit] = values(c.word)[hit]
-            left &= ~hit
-    if left.any():
-        out[left] = values(default)[left]
-    return out
+        index[(lo - 1e-12 <= zs) & (zs <= hi + 1e-12)] = k
+    return [c.word for c in cyls] + [default], index
+
+
+def _derivatives(m: IntervalMap,
+                 blocks: Sequence[tuple[Sequence[Cylinder], Word]],
+                 xs: np.ndarray) -> np.ndarray:
+    """|DF| at each point of the 2-D array xs, in one
+    ``derivative_along_words`` call: the points of row i follow the words
+    that ``_part_words`` gives them for blocks[i] = (parts, word)."""
+    words: list[Word] = []
+    index = np.empty(xs.shape, dtype=np.intp)
+    for i, (parts, word) in enumerate(blocks):
+        if parts:
+            ws, index[i] = _part_words(parts, xs[i], word)
+            index[i] += len(words)
+            words += ws
+        else:
+            index[i] = len(words)
+            words.append(word)
+    return derivative_along_words(m, words, index.ravel(), xs.ravel())
 
 
 @dataclass(frozen=True)
@@ -125,13 +136,19 @@ class SchemeBranch:
     def dF_array(self, m: IntervalMap, xs: np.ndarray) -> np.ndarray:
         """``dF`` at each point of a float64 array, float for float."""
         xs = np.asarray(xs, dtype=np.float64)
-        return _along_parts(lambda w: derivative_along_word_array(m, w, xs),
-                            self.parts, xs, self.word)
+        return _derivatives(m, [(self.parts, self.word)], xs.reshape(1, -1))
 
     def pullback_array(self, pulled: WordPullbacks) -> np.ndarray:
         """``pullback`` at each of the points ``pulled.ys``, float for
         float; branches that share ``pulled`` share its suffixes."""
-        return _along_parts(pulled, self.parts, pulled.ys, self.word, image=True)
+        if not self.parts:
+            return pulled(self.word)
+        words, index = _part_words(self.parts, pulled.ys, self.word, image=True)
+        out = np.empty(len(index))
+        for k in set(index.tolist()):
+            hit = index == k
+            out[hit] = pulled(words[k])[hit]
+        return out
 
     def segments(self) -> tuple[tuple[float, float, tuple[int, ...]], ...]:
         """The branch cut into (lo, hi, word) pieces that follow one word."""
@@ -242,11 +259,15 @@ class InducingScheme:
     @cached_property
     def depth2_derivatives(self) -> np.ndarray:
         """Entry [j, i] is |DF_i| at the F_i-preimage of branch j's midpoint."""
-        m, n = self.map, len(self.branches)
-        pulled = WordPullbacks(m, [b.midpoint for b in self.branches])
-        columns = [bi.dF_array(m, bi.pullback_array(pulled))
-                   for bi in self.branches]
-        return np.array(columns).reshape(n, n).T
+        m, bs, n = self.map, self.branches, len(self.branches)
+        pulled = WordPullbacks(m, [b.midpoint for b in bs])
+        xs = np.array([bi.pullback_array(pulled) for bi in bs]).reshape(n, n)
+        del pulled  # frees the suffix memo before the stacked pass
+        # row i of xs and of the values is column i of the matrix: the
+        # matrix is their transposed (F-ordered) view, whose layout sets
+        # the summation order of the depth-2 power iteration
+        return _derivatives(m, [(bi.parts, bi.word) for bi in bs],
+                            xs).reshape(n, n).T
 
     @cached_property
     def potential_geometry(self) -> tuple[np.ndarray, np.ndarray, np.ndarray,
@@ -309,30 +330,46 @@ class InducingScheme:
         return orbits
 
 
-def _make_branch(m: IntervalMap, lo: float, hi: float, tau: int, word: Word,
-                 ext: tuple[float, float], parts: Sequence[Cylinder] = (),
-                 edge: float = 1e-12) -> SchemeBranch:
-    """The branch [lo, hi] with return time tau and extension ends ``ext``,
-    in either order, and its |DF| sampled: df_lo and df_hi are the inf and
-    sup of its values at the ends, a relative ``edge`` inside the branch,
-    and at DF_SAMPLES interior points, and df_mid its value at the
-    midpoint.
+#: What a scheme builder records of a branch before its |DF| is sampled:
+#: (lo, hi, tau, word, ext, parts, edge), as ``_make_branch`` takes them.
+BranchGeometry = tuple[float, float, int, Word, tuple[float, float],
+                       Sequence[Cylinder], float]
+
+
+def _make_branches(m: IntervalMap,
+                   geometry: Sequence[BranchGeometry]) -> list[SchemeBranch]:
+    """Each branch [lo, hi] with return time tau and extension ends
+    ``ext``, in either order, and its |DF| sampled: df_lo and df_hi are the
+    inf and sup of its values at the ends, a relative ``edge`` inside the
+    branch, and at DF_SAMPLES interior points, and df_mid its value at the
+    midpoint.  Every branch is sampled in one stacked pass.
 
     ``parts`` are the cylinders of f^tau that a point of the branch can
     fall in.  The branch word is that of the part holding the midpoint,
     else ``word``; a branch with one part follows its word throughout.
     """
-    mid = 0.5 * (lo + hi)
-    word = _word_of(parts, mid, word)
-    parts = tuple(parts) if len(parts) > 1 else ()
-    length = hi - lo
-    xs = [lo + length * edge, hi - length * edge]
-    xs += [lo + length * k / (DF_SAMPLES + 1) for k in range(1, DF_SAMPLES + 1)]
-    xs = np.array(xs + [mid])
-    *vals, df_mid = _along_parts(lambda w: derivative_along_word_array(m, w, xs),
-                                 parts, xs, word).tolist()
-    return SchemeBranch(lo, hi, tau, word, min(ext), max(ext), min(vals),
-                        max(vals), df_mid, parts)
+    blocks, xs = [], []
+    for lo, hi, _, word, _, parts, edge in geometry:
+        mid = 0.5 * (lo + hi)
+        length = hi - lo
+        xs.append([lo + length * edge, hi - length * edge]
+                  + [lo + length * k / (DF_SAMPLES + 1)
+                     for k in range(1, DF_SAMPLES + 1)] + [mid])
+        blocks.append((tuple(parts) if len(parts) > 1 else (),
+                       _word_of(parts, mid, word)))
+    xs = np.array(xs).reshape(len(blocks), DF_SAMPLES + 3)
+    vals = _derivatives(m, blocks, xs).reshape(xs.shape).tolist()
+    return [SchemeBranch(lo, hi, tau, word, min(ext), max(ext), min(ends),
+                         max(ends), df_mid, parts)
+            for (lo, hi, tau, _, ext, _, _), (parts, word), (*ends, df_mid)
+            in zip(geometry, blocks, vals)]
+
+
+def _make_branch(m: IntervalMap, lo: float, hi: float, tau: int, word: Word,
+                 ext: tuple[float, float], parts: Sequence[Cylinder] = (),
+                 edge: float = 1e-12) -> SchemeBranch:
+    """The one branch that ``_make_branches`` makes of this geometry."""
+    return _make_branches(m, [(lo, hi, tau, word, ext, parts, edge)])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -361,7 +398,8 @@ def first_return_scheme(m: IntervalMap, x: tuple[float, float],
     qualifying = {d.index for d in tower.nodes
                   if d.contains_interval(c_lo, c_hi)}
 
-    branches: list[SchemeBranch] = []
+    # (word, node.lo, node.hi) of each return, pulled back at the end
+    returns: list[tuple[Word, float, float]] = []
     margins: list[float] = []
     conflicts = 0
     exhausted = True
@@ -392,20 +430,24 @@ def first_return_scheme(m: IntervalMap, x: tuple[float, float],
                     conflicts += 1
                     exhausted = False
                 else:
-                    x_i_a = pullback_word(m, word, c_lo)
-                    x_i_b = pullback_word(m, word, c_hi)
-                    b_lo, b_hi = min(x_i_a, x_i_b), max(x_i_a, x_i_b)
                     node = tower.nodes[node_i]
-                    ext_a = pullback_word(m, word, node.lo)
-                    ext_b = pullback_word(m, word, node.hi)
-                    branches.append(_make_branch(m, b_lo, b_hi, len(word),
-                                                 word, (ext_a, ext_b)))
+                    returns.append((word, node.lo, node.hi))
                     margins.append(min(c_lo - node.lo, node.hi - c_hi))
                 remainders = [(j_lo, ov_lo), (ov_hi, j_hi)]
         for r_lo, r_hi in remainders:
             if r_hi - r_lo > DEGEN_TOL:
                 push_children(node_i, r_lo, r_hi, word)
 
+    # X's ends and the tower domain's ends, pulled back along every
+    # return word at once
+    ends = pullback_words(m, [w for w, _, _ in returns],
+                          np.repeat(np.arange(len(returns)), 4),
+                          [y for _, n_lo, n_hi in returns
+                           for y in (c_lo, c_hi, n_lo, n_hi)])
+    branches = _make_branches(m, [
+        (min(a, b), max(a, b), len(w), w, (e_a, e_b), (), 1e-12)
+        for (w, _, _), (a, b, e_a, e_b) in zip(returns,
+                                                ends.reshape(-1, 4).tolist())])
     branches.sort(key=lambda b: b.lo)
     covered = sum(b.length for b in branches)
     delta = max(0.0, min(margins) / x_len) if margins else 0.0
@@ -485,7 +527,7 @@ def extendible_return_scheme(m: IntervalMap, x: tuple[float, float],
     tol = ONTO_RTOL * max(x_len, 1e-30)
 
     uncovered = _Uncovered(x_lo, x_hi)
-    branches: list[SchemeBranch] = []
+    geometry: list[BranchGeometry] = []  # sampled at the end
     conflicts = 0
 
     def live(level: list[Cylinder]) -> list[Cylinder]:
@@ -544,13 +586,14 @@ def extendible_return_scheme(m: IntervalMap, x: tuple[float, float],
             # the piece's cylinders that a point of [b_lo, b_hi] can fall in
             parts = [c for c in piece
                      if c.hi + 1e-12 >= b_lo and c.lo - 1e-12 <= b_hi]
-            branches.append(_make_branch(
-                m, b_lo, b_hi, j, piece[0].word,
-                (pull(piece, y_lo), pull(piece, y_hi)), parts, edge=1e-9))
+            geometry.append((b_lo, b_hi, j, piece[0].word,
+                             (pull(piece, y_lo), pull(piece, y_hi)), parts,
+                             1e-9))
             uncovered.remove(b_lo, b_hi)
     else:
         exhausted = uncovered.total() <= max(DEGEN_TOL, 1e-12 * x_len)
 
+    branches = _make_branches(m, geometry)
     branches.sort(key=lambda b: b.lo)
     return InducingScheme(m, x_lo, x_hi, branches, delta, T,
                           uncovered.total(), exhausted, conflicts)

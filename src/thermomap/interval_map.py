@@ -298,22 +298,81 @@ def _array_kernels(m: IntervalMap, word: Sequence[int]) -> bool:
     return all(m.branches[a].array is not None for a in word)
 
 
+def _letter_steps(m: IntervalMap, words: Sequence[Sequence[int]],
+                  index: np.ndarray, reverse: bool = False
+                  ) -> tuple[np.ndarray, Iterator[tuple[BranchSpec,
+                                                        np.ndarray | slice]]]:
+    """The walk of the stacked word kernels, row r along words[index[r]]:
+    (scalar, steps), where ``scalar`` lists the rows whose word has a
+    letter without array kernels, and ``steps`` yields, letter position by
+    letter position (from the word's end with ``reverse``), each branch
+    with a boolean mask of the rows that take it there, or a full slice
+    where every word takes it.  The letter table has one row per word, not
+    per point, and is read one position at a time."""
+    arrays = [_array_kernels(m, w) for w in words]
+    width = max(map(len, words), default=0)
+    table = np.full((len(words), width), -1, dtype=np.intp)
+    for k, (w, ok) in enumerate(zip(words, arrays)):
+        if ok and w:  # a scalar row takes no stacked step
+            table[k, :len(w)] = w[::-1] if reverse else w
+    scalar = np.flatnonzero(~np.array(arrays, dtype=bool)[index])
+
+    def steps() -> Iterator[tuple[BranchSpec, np.ndarray | slice]]:
+        for k in range(width):
+            column = table[:, k]
+            letters = set(column.tolist())
+            for a in letters - {-1}:
+                rows = slice(None) if letters == {a} else (column == a)[index]
+                yield m.branches[a], rows
+
+    return scalar, steps()
+
+
+def derivative_along_words(m: IntervalMap, words: Sequence[Sequence[int]],
+                           index: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """``derivative_along_word(m, words[index[r]], xs[r])`` for each row r,
+    float for float.
+
+    One pass over the letter positions applies each branch's array
+    kernels to the rows that take it there; rows whose word uses a branch
+    without array kernels run the scalar kernel one by one.
+    """
+    xs = np.asarray(xs, dtype=np.float64)
+    index = np.asarray(index, dtype=np.intp)
+    z = xs.copy()  # clamps work in place
+    prod = np.ones(len(z))
+    scalar, steps = _letter_steps(m, words, index)
+    for b, rows in steps:
+        fwd, deriv, _ = b.array
+        zr = _clamp_array(z[rows], b.lo, b.hi)
+        prod[rows] *= abs(deriv(zr))
+        z[rows] = fwd(zr)
+    for r in scalar.tolist():
+        prod[r] = derivative_along_word(m, words[index[r]], float(xs[r]))
+    return prod
+
+
 def derivative_along_word_array(m: IntervalMap, word: Sequence[int],
                                 xs: np.ndarray) -> np.ndarray:
     """``derivative_along_word`` at each point of a 1-D float64 array,
-    float for float."""
-    if not _array_kernels(m, word):
-        return np.array([derivative_along_word(m, word, x)
-                         for x in np.asarray(xs, dtype=np.float64).tolist()])
-    z = np.array(xs, dtype=np.float64)  # a copy: clamps work in place
-    prod = np.ones(len(z))
-    for a in word:
-        b = m.branches[a]
-        fwd, deriv, _ = b.array
-        z = _clamp_array(z, b.lo, b.hi)
-        prod *= abs(deriv(z))
-        z = fwd(z)
-    return prod
+    float for float: ``derivative_along_words`` with one word."""
+    return derivative_along_words(m, [word], np.zeros(len(xs), dtype=np.intp), xs)
+
+
+def pullback_words(m: IntervalMap, words: Sequence[Sequence[int]],
+                   index: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """``pullback_word(m, words[index[r]], ys[r])`` for each row r, float
+    for float, in one pass over the letter positions from the words'
+    ends, as ``derivative_along_words`` walks them."""
+    ys = np.asarray(ys, dtype=np.float64)
+    index = np.asarray(index, dtype=np.intp)
+    z = ys.copy()
+    scalar, steps = _letter_steps(m, words, index, reverse=True)
+    for b, rows in steps:
+        z[rows] = b.array[2](_clamp_array(z[rows], *b.image))
+    for r in scalar.tolist():
+        z[r] = pullback_word(m, words[index[r]], float(ys[r]))
+    return z
 
 
 class WordPullbacks:

@@ -20,8 +20,8 @@ from thermomap.gibbs import (LOG_FLOAT_MAX, PROJECTION_DEPTH, RATIO_SEED,
 from thermomap.inducing import (CYLINDER_CAP, ONTO_RTOL, InducingScheme,
                                 _fit_neighbourhood, _make_branch, _Uncovered,
                                 _word_of)
-from thermomap.interval_map import (SNAP_TOL, eval_along_word, eval_orbit,
-                                    pullback_word)
+from thermomap.interval_map import (SNAP_TOL, WordPullbacks, eval_along_word,
+                                    eval_orbit, pullback_word)
 from thermomap.symbolic import DEGEN_TOL, monotone_pieces, refine_levels
 from thermomap.thermo import (MIN_TAIL_MASSES, TAIL_R2_FLOOR, Bracket,
                               TailRecord, ThermoModel, _log_weights_of)
@@ -265,6 +265,18 @@ def unpruned_extendible_return_scheme(m, x, delta: float, T: int):
     branches.sort(key=lambda b: b.lo)
     return InducingScheme(m, x_lo, x_hi, branches, delta, T,
                           uncovered.total(), exhausted, conflicts)
+
+
+def column_depth2(scheme) -> np.ndarray:
+    """The depth-2 matrix built one branch column at a time, each column
+    one ``dF_array`` at the branch's pullbacks of every midpoint, and
+    returned as the transposed view of the stacked columns: the float
+    layout that the depth-2 power iteration sums in."""
+    m, n = scheme.map, len(scheme.branches)
+    pulled = WordPullbacks(m, [b.midpoint for b in scheme.branches])
+    columns = [bi.dF_array(m, bi.pullback_array(pulled))
+               for bi in scheme.branches]
+    return np.array(columns).reshape(n, n).T
 
 
 def unreachable_after(call, *args) -> int:

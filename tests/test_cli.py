@@ -340,6 +340,18 @@ class TestRunCli:
                     "--steps", "2"]) == 0
         assert capsys.readouterr().out.splitlines()[:2] == rows[:2]
 
+    def test_scan_where_tau_mean_reaches_zero(self, capsys):
+        # at t = 39 and 40 the lower edge of tau_mean underflows to 0: the
+        # Abramov brackets that divide by it are +-inf, and the rows keep
+        # their pressure brackets
+        assert run(["scan", "--map", "quad4", "--t-min", "39", "--t-max", "40",
+                    "--steps", "2"]) == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert len(rows) == 2
+        for row in rows:
+            t, p_lo, p_hi = map(float, row.split(",")[:3])
+            assert p_lo <= (1.0 - t) * math.log(2.0) <= p_hi
+
     @pytest.mark.parametrize("delta", ["1e-160", "1e-200"])
     def test_tiny_delta_gives_a_bracket(self, capsys, delta):
         # the Koebe bound is inf once (1 + 2d)/d^2 leaves the float range:

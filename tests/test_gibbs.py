@@ -442,6 +442,16 @@ class TestProjectMeasure:
 
 
 class TestAbramov:
+    def test_per_tau_at_a_zero_tau_edge(self):
+        # an edge that would divide by tau's 0 edge is +-inf, or 0 where
+        # the edge itself is 0
+        tau = Bracket(0.0, 4.0)
+        assert gibbs._per_tau(-1.0, 2.0, tau) == Bracket(-math.inf, math.inf)
+        assert gibbs._per_tau(1.0, 2.0, tau) == Bracket(0.25, math.inf)
+        assert gibbs._per_tau(-2.0, -1.0, tau) == Bracket(-math.inf, -0.25)
+        assert gibbs._per_tau(0.0, 0.0, tau) == Bracket(0.0, 0.0)
+        assert gibbs._per_tau(-1.0, 2.0, Bracket(0.5, 4.0)) == Bracket(-2.0, 4.0)
+
     def test_golden_t1_acip_quantities(self, golden_scheme):
         model = tm.induced_potential(golden_scheme, 1.0)
         sol = tm.solve_gibbs(model, 0.0)
@@ -803,19 +813,16 @@ class TestStackedScanStage:
     as it was, each t alone, with ``np.polyfit`` tail fits."""
 
     TS = SHIFT_PROBE_TS + [1e300, -1e300]
+    #: The t at which the lower edge of tau_mean underflows to 0, by scheme
+    TAU_LO_ZERO = {"quad4": [40.0, 120.0, 1000.0]}
 
     @pytest.mark.parametrize("name", sorted(SHIFT_ORACLE_SCHEMES) + ["quad4_extendible_10"])
     def test_same_rows_as_the_scalar_path(self, name):
         scheme = TestLockstepShiftSolves._scheme(name)
-        want, raising = [], []
+        want = []
         for t in self.TS:
-            try:
-                want += conftest.scalar_scan_rows(scheme, [t])
-            except ZeroDivisionError:
-                # quad4 at t = 40, 120 and 1000: the lower edge of tau_mean
-                # is 0, and the Abramov brackets divide by it
-                raising.append(t)
-        got = _scan_at(scheme, [row.t for row in want])
+            want += conftest.scalar_scan_rows(scheme, [t])
+        got = _scan_at(scheme, self.TS)
         assert len(got.rows) == len(want)
         floats = [i for i, k in enumerate(CSV_HEADER)
                   if k not in ("tail_kind", "tail_rate")]
@@ -825,9 +832,13 @@ class TestStackedScanStage:
                 hexes([w.as_tuple()[i] for i in floats]), g.t
             assert g.tail_rate == pytest.approx(w.tail_rate, rel=1e-12, nan_ok=True), g.t
         assert got.to_csv() == PressureCurve(want).to_csv()
-        for t in raising:
-            with pytest.raises(ZeroDivisionError):
-                _scan_at(scheme, [t])
+        for t in self.TAU_LO_ZERO.get(name, []):
+            # the Abramov brackets that divide by the 0 edge are +-inf, and
+            # the row keeps its pressure bracket, which holds the closed form
+            sol = tm.equilibrium_shift_solve(scheme, t).solution
+            assert gibbs._tau_mean_bracket(sol).lo == 0.0, t
+            (row,) = [row for row in got.rows if row.t == t]
+            assert row.p_lo <= (1.0 - t) * math.log(2.0) <= row.p_hi, t
         if name == "full_1_up":
             assert "error:infinite-pressure" in got.to_csv()
 

@@ -8,16 +8,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import thermomap as tm
-from conftest import (JOIN_MAP, SINE_SPEC, counting_inverses, hexes,
-                      plinear_maps, unpruned_extendible_return_scheme)
+from conftest import (JOIN_MAP, SINE_SPEC, column_depth2, counting_inverses,
+                      hexes, plinear_maps, unpruned_extendible_return_scheme)
 from thermomap import hofbauer, inducing
 from thermomap.cli import default_base_cylinder
 from thermomap.errors import DegenerateBranchError, DomainError
 from thermomap.inducing import (InducingScheme, SchemeBranch, _fit_neighbourhood,
                                 scheme_to_csv_rows)
 from thermomap.interval_map import (WordPullbacks, derivative_along,
-                                    eval_along_word, eval_orbit,
-                                    parse_map_spec, pullback_word)
+                                    derivative_along_word,
+                                    derivative_along_words, eval_along_word,
+                                    eval_orbit, parse_map_spec, pullback_word)
 from thermomap.thermo import tail_info_for
 
 
@@ -369,6 +370,23 @@ class TestMultiWordReaders:
         assert all(c.onto for c in rep.checks)
         assert rep.ok
 
+    def test_stacked_kernel_on_every_part_word(self, join):
+        # rows of every part word of every multi-part branch, at points on
+        # and beside the part ends, in one stacked call
+        m, sch = join
+        words, index, xs = [], [], []
+        for br in sch.branches:
+            for c in br.parts:
+                words.append(c.word)
+                for x in (c.lo, c.hi, 0.5 * (c.lo + c.hi), c.lo - 1e-12,
+                          c.hi + 1e-12, br.lo, br.hi):
+                    index.append(len(words) - 1)
+                    xs.append(x)
+        assert len(set(words)) > 1
+        assert hexes(derivative_along_words(m, words, index, np.array(xs))) \
+            == hexes(derivative_along_word(m, words[k], x)
+                     for k, x in zip(index, xs))
+
     def test_depth2_derivatives(self, join):
         m, sch = join
         assert len(sch.branches) == 8
@@ -457,6 +475,85 @@ class TestGeometryArrays:
         assert sch.branches
         for row, want_row in zip(sch.depth2_derivatives, scalar_depth2(sch)):
             assert hexes(row) == hexes(want_row)
+
+    def test_branch_samples_equal_the_scalar_readers(self, scheme):
+        # every branch is sampled in one stacked pass; each sample is the
+        # scalar |DF| along the word of the sample's own cylinder
+        m, k = scheme.map, inducing.DF_SAMPLES + 1
+        for br in scheme.branches:
+            lo, hi, length = br.lo, br.hi, br.hi - br.lo
+            xs = [lo + length * 1e-9, hi - length * 1e-9]
+            xs += [lo + length * i / k for i in range(1, k)]
+            vals = [br.dF(m, x) for x in xs]
+            assert hexes((br.df_lo, br.df_hi, br.df_mid)) == hexes(
+                (min(vals), max(vals), br.dF(m, br.midpoint)))
+
+
+class TestStackedSampling:
+    """Both builders sample every branch in one stacked |DF| pass, and the
+    depth-2 matrix takes one more, keeping the layout of the matrix built
+    one column at a time."""
+
+    @staticmethod
+    def counted(monkeypatch):
+        calls = []
+
+        def counting(m, words, index, xs, inner=inducing.derivative_along_words):
+            calls.append(len(xs))
+            return inner(m, words, index, xs)
+        monkeypatch.setattr(inducing, "derivative_along_words", counting)
+        return calls
+
+    def test_quad4_cap14_takes_two_stacked_calls(self, monkeypatch):
+        calls = self.counted(monkeypatch)
+        sch = tm.extendible_return_scheme(*quad4_x(), 0.5, 14)
+        sch.depth2_derivatives
+        n = len(sch.branches)
+        assert calls == [n * (inducing.DF_SAMPLES + 3), n * n]
+
+    def test_first_return_takes_one_stacked_call(self, monkeypatch):
+        calls = self.counted(monkeypatch)
+        sch = tm.first_return_scheme(*quad4_x(), 12)
+        assert calls == [len(sch.branches) * (inducing.DF_SAMPLES + 3)]
+
+    def test_first_return_ends_equal_the_scalar_pullbacks(self):
+        m, (x_lo, x_hi) = quad4_x()
+        sch = tm.first_return_scheme(m, (x_lo, x_hi), 12)
+        tower = hofbauer.build_tower(m, 12)
+        ends = {(n.lo, n.hi) for n in tower.nodes
+                if n.contains_interval(x_lo, x_hi)}
+        for br in sch.branches:
+            a, b = (pullback_word(m, br.word, y) for y in (x_lo, x_hi))
+            assert hexes((br.lo, br.hi)) == hexes((min(a, b), max(a, b)))
+            # the extension ends are those of one qualifying tower domain
+            assert any(hexes((br.ext_lo, br.ext_hi)) == hexes(sorted(
+                pullback_word(m, br.word, y) for y in end)) for end in ends)
+
+    def test_empty_schemes(self, monkeypatch):
+        calls = self.counted(monkeypatch)
+        sch = tm.extendible_return_scheme(*quad4_x(), 0.5, 1)
+        assert sch.branches == []
+        assert sch.depth2_derivatives.shape == (0, 0)
+        assert calls == [0, 0]
+
+    def test_depth2_layout_sets_the_gibbs_floats(self):
+        # B @ rho and B.T @ mvec sum in the matrix's layout order, so a
+        # C-ordered copy of the same entries gives other floats
+        m = parse_map_spec(SINE_SPEC)
+        sch = tm.extendible_return_scheme(m, (0.25, 0.5), 0.5, 6)
+        shift = tm.equilibrium_shift_solve(sch, 1.0).solution.shift
+
+        def solved(matrix=None):
+            copy = replace(sch)
+            if matrix is not None:
+                vars(copy)["depth2_derivatives"] = matrix
+            sol = tm.solve_gibbs(tm.induced_potential(copy, 1.0), shift)
+            assert sol.residual > 0.0  # the depth-2 power iteration ran
+            return hexes([sol.log_lam, *sol.masses, *sol.rho, sol.residual])
+
+        columns = column_depth2(sch)
+        assert solved() == solved(columns)
+        assert solved(np.ascontiguousarray(columns)) != solved(columns)
 
 
 class TestFrozenScheme:

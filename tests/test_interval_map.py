@@ -17,7 +17,9 @@ from thermomap.errors import CriticalOrbitError, DomainError, SchemaError
 from thermomap.interval_map import (SNAP_TOL, InverseSteps, WordPullbacks,
                                     _chain, _walk, derivative_along_word,
                                     derivative_along_word_array,
-                                    derivative_prefixes, pullback_word)
+                                    derivative_along_words,
+                                    derivative_prefixes, pullback_word,
+                                    pullback_words)
 
 
 class TestEvalOrbit:
@@ -197,6 +199,81 @@ class TestArrayKernels:
         empty = np.array([])
         assert WordPullbacks(quad_map, empty)((0, 1)).shape == (0,)
         assert derivative_along_word_array(quad_map, (0, 1), empty).shape == (0,)
+
+
+def assert_stacked_kernels_match(m, words, index, points):
+    """Both stacked kernels equal their scalar kernels, row for row."""
+    pts = np.array(points, dtype=np.float64)
+    assert hexes(derivative_along_words(m, words, index, pts)) == hexes(
+        derivative_along_word(m, words[k], x) for k, x in zip(index, points))
+    assert hexes(pullback_words(m, words, index, pts)) == hexes(
+        pullback_word(m, words[k], y) for k, y in zip(index, points))
+    assert hexes(pts) == hexes(points)  # the input is left as it was
+
+
+@st.composite
+def maps_rows(draw):
+    """A plinear or quadratic(a >= 3.5) map, words of mixed length (the
+    empty word among them) and rows that each take one word at one point,
+    on and off the branch ends and image ends."""
+    m = draw(plinear_maps() | st.floats(3.5, 4.0).map(tm.make_quadratic))
+    words = [()] + draw(st.lists(
+        st.lists(st.integers(0, m.n_branches - 1), max_size=8).map(tuple),
+        min_size=1, max_size=6))
+    ends = [v for b in m.branches for v in (b.lo, b.hi, *b.image)]
+    point = (st.sampled_from(ends + [-0.0])
+             | st.floats(-0.1, 1.1, allow_nan=False))
+    rows = draw(st.lists(st.tuples(st.integers(0, len(words) - 1), point),
+                         max_size=40))
+    return m, words, [k for k, _ in rows], [x for _, x in rows]
+
+
+class TestStackedKernels:
+    """``derivative_along_words`` and ``pullback_words`` walk many (word,
+    point) rows at once and give each row the scalar kernel's float."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=maps_rows())
+    def test_equal_to_the_scalar_kernels(self, case):
+        assert_stacked_kernels_match(*case)
+
+    def test_mixed_lengths_and_repeated_words(self, quad_map):
+        words = [(0, 1, 1, 0, 1), (), (1,), (0, 0, 1, 1, 0, 1, 0, 1, 1, 0)]
+        points = [k / 23 for k in range(24)] + [-0.0, 0.5, 1.0]
+        index = [k % len(words) for k in range(len(points))]
+        assert_stacked_kernels_match(quad_map, words, index, points)
+        # rows that all take one word are the one-word array kernel
+        one = np.array(points)
+        assert hexes(derivative_along_words(quad_map, words, [3] * len(points),
+                                            one)) == hexes(
+            derivative_along_word_array(quad_map, words[3], one))
+
+    def test_empty_input(self, quad_map):
+        for words in ([], [(0, 1)], [(), (1,)]):
+            for kernel in (derivative_along_words, pullback_words):
+                got = kernel(quad_map, words, [], np.array([]))
+                assert got.shape == (0,) and got.dtype == np.float64
+
+    @pytest.mark.parametrize("m", [tm.make_chebyshev(3),
+                                   tm.parse_map_spec(SINE_SPEC)],
+                             ids=["chebyshev3", "sine"])
+    def test_scalar_fallback(self, m):
+        assert all(b.array is None for b in m.branches)
+        words = [(0,), (), (1, 0), (0, 1, 1), (m.n_branches - 1, 0, 1)]
+        points = [k / 37 for k in range(38)] + [-0.0, 1e-300, 0.5]
+        index = [k % len(words) for k in range(len(points))]
+        assert_stacked_kernels_match(m, words, index, points)
+
+    def test_mixed_array_and_scalar_branches(self, quad_map):
+        # a branch without array kernels sends every row whose word uses
+        # it to the scalar kernel; the other rows stay stacked
+        left, right = quad_map.branches
+        m = dataclasses.replace(quad_map, branches=(
+            left, dataclasses.replace(right, array=None)))
+        words = [(0, 0, 0), (0, 1), (1,), (), (1, 0, 0)]
+        points = [k / 29 for k in range(30)]
+        index = [k % len(words) for k in range(len(points))]
+        assert_stacked_kernels_match(m, words, index, points)
 
 
 class TestBranchData:
