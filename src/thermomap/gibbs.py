@@ -201,13 +201,18 @@ def gibbs_ratio_check(solution: GibbsSolution, depth: int,
     x_w of the cylinder [w]: x_(j) is the midpoint of branch j, and
     x_w = F_{w_0}^{-1}(x_{w_1 ... w_n}), so F^k(x_w) = x_{w_k ... w_n}.
     At length 2 these are the points the depth-2 solve weighs.
-    Exhaustive when the word count is small, seeded sampling otherwise.
-    Each suffix's point and term are computed once, in one dict that is
-    freed when the call returns.
+    Exhaustive when the word count at a depth is at most ``word_cap``,
+    ``word_cap`` seeded samples otherwise.  Each suffix's point and term
+    are computed once, in one dict that is freed when the call returns.
+    At depth 2 with every length-2 word checked, their terms are read
+    from the depth-2 matrix; otherwise the length-2 suffixes that the
+    words end in, and only those, are computed in one stacked pass.
     A ratio that over- or underflows raises NumericError.
     """
     if not 1 <= depth <= 8:
         raise DomainError(f"depth must be in 1..8, got {depth!r}")
+    if not isinstance(word_cap, (int, np.integer)) or word_cap < 1:
+        raise DomainError(f"word_cap must be an integer >= 1, got {word_cap!r}")
     model = solution.model
     scheme = model.scheme
     n = len(solution.masses)
@@ -217,33 +222,41 @@ def gibbs_ratio_check(solution: GibbsSolution, depth: int,
     t, shift = model.t, solution.shift
     log_lam = solution.log_lam
     masses = solution.masses.tolist()
+    rng = np.random.default_rng(RATIO_SEED)
+    words = [list(itertools.product(range(n), repeat=d)) if n ** d <= word_cap
+             else list(map(tuple, rng.integers(0, n, size=(word_cap, d)).tolist()))
+             for d in range(1, depth + 1)]
     # per word suffix s: (x_s, the term -t log|DF_{s_0}| - S tau_{s_0} at
     # x_s), points found innermost first (pullbacks contract error, while
     # forward iterates of one point would leave deep cylinders)
     memo: dict[tuple[int, ...], tuple[float | None, float]] = {}
-    rng = np.random.default_rng(RATIO_SEED)
+
+    def remember(s: tuple[int, ...], x: float | None, df: float) -> None:
+        memo[s] = (x, -t * math.log(df) - shift * branches[s[0]].tau)
+
+    for j, br in enumerate(branches):
+        remember((j,), br.midpoint, br.df_mid)
+    pairs = list(dict.fromkeys(w[-2:] for ws in words[1:] for w in ws))
+    first, second = [s[0] for s in pairs], [s[1] for s in pairs]
+    if depth == 2 and n * n <= word_cap:
+        # every pair is checked, and only |DF| is read: the depth-2 solve
+        # has these entries cached
+        xs = itertools.repeat(None)
+        dfs = scheme.depth2_derivatives[second, first].tolist()
+    else:
+        ys = np.array([branches[j].midpoint for j in second])[:, None]
+        xs, dfs = (a.ravel().tolist() for a in scheme.depth2_points(first, ys))
+    for s, x, df in zip(pairs, xs, dfs):
+        remember(s, x, df)
     k_best = 1.0
-    for d in range(1, depth + 1):
-        if n ** d <= word_cap:
-            words = itertools.product(range(n), repeat=d)
-        else:
-            words = map(tuple, rng.integers(0, n, size=(word_cap, d)).tolist())
-        for w in words:
-            for k in range(d - 1, -1, -1):
+    for d, ws in enumerate(words, 1):
+        for w in ws:
+            for k in range(d - 3, -1, -1):
                 s = w[k:]
-                if s in memo:
-                    continue
-                br = branches[s[0]]
-                if len(s) == 1:
-                    x, df = br.midpoint, br.df_mid
-                elif len(s) == 2:
-                    # a longer suffix needs the point only past depth 2
-                    x = br.pullback(m, memo[s[1:]][0]) if depth > 2 else None
-                    df = scheme.depth2_derivatives[s[1], s[0]]
-                else:
+                if s not in memo:
+                    br = branches[s[0]]
                     x = br.pullback(m, memo[s[1:]][0])
-                    df = br.dF(m, x)
-                memo[s] = (x, -t * math.log(df) - shift * br.tau)
+                    remember(s, x, br.dF(m, x))
             psi = 0.0
             for k in range(d):
                 psi += memo[w[k:]][1]

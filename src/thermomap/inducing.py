@@ -23,7 +23,6 @@ from .hofbauer import build_tower
 from .interval_map import (
     IntervalMap,
     InverseSteps,
-    WordPullbacks,
     derivative_along_word,
     derivative_along_words,
     eval_along_word,
@@ -82,23 +81,24 @@ def _part_words(cyls: Sequence[Cylinder], zs: np.ndarray, default: Word,
     return [c.word for c in cyls] + [default], index
 
 
-def _derivatives(m: IntervalMap,
+def _along_words(m: IntervalMap,
                  blocks: Sequence[tuple[Sequence[Cylinder], Word]],
-                 xs: np.ndarray) -> np.ndarray:
-    """|DF| at each point of the 2-D array xs, in one
-    ``derivative_along_words`` call: the points of row i follow the words
-    that ``_part_words`` gives them for blocks[i] = (parts, word)."""
-    words: list[Word] = []
+                 xs: np.ndarray, image: bool = False) -> np.ndarray:
+    """|DF| at each point of the 2-D array xs, or with ``image`` the
+    F-preimage of each point, flat, in one stacked kernel call: the points
+    of row i follow the words that ``_part_words`` gives them for
+    blocks[i] = (parts, word), as ``SchemeBranch.dF`` and ``pullback`` do
+    point by point.  The kernel gets each distinct word once."""
+    slots: dict[Word, int] = {}
     index = np.empty(xs.shape, dtype=np.intp)
     for i, (parts, word) in enumerate(blocks):
         if parts:
-            ws, index[i] = _part_words(parts, xs[i], word)
-            index[i] += len(words)
-            words += ws
+            ws, k = _part_words(parts, xs[i], word, image)
+            index[i] = np.array([slots.setdefault(w, len(slots)) for w in ws])[k]
         else:
-            index[i] = len(words)
-            words.append(word)
-    return derivative_along_words(m, words, index.ravel(), xs.ravel())
+            index[i] = slots.setdefault(word, len(slots))
+    kernel = pullback_words if image else derivative_along_words
+    return kernel(m, list(slots), index.ravel(), xs.ravel())
 
 
 @dataclass(frozen=True)
@@ -132,23 +132,6 @@ class SchemeBranch:
         ``pullback_word(m, word, y)``.
         """
         return pullback_word(m, _word_of(self.parts, y, self.word, image=True), y)
-
-    def dF_array(self, m: IntervalMap, xs: np.ndarray) -> np.ndarray:
-        """``dF`` at each point of a float64 array, float for float."""
-        xs = np.asarray(xs, dtype=np.float64)
-        return _derivatives(m, [(self.parts, self.word)], xs.reshape(1, -1))
-
-    def pullback_array(self, pulled: WordPullbacks) -> np.ndarray:
-        """``pullback`` at each of the points ``pulled.ys``, float for
-        float; branches that share ``pulled`` share its suffixes."""
-        if not self.parts:
-            return pulled(self.word)
-        words, index = _part_words(self.parts, pulled.ys, self.word, image=True)
-        out = np.empty(len(index))
-        for k in set(index.tolist()):
-            hit = index == k
-            out[hit] = pulled(words[k])[hit]
-        return out
 
     def segments(self) -> tuple[tuple[float, float, tuple[int, ...]], ...]:
         """The branch cut into (lo, hi, word) pieces that follow one word."""
@@ -256,18 +239,26 @@ class InducingScheme:
     def measured_distortion(self) -> float:
         return max((b.distortion for b in self.branches), default=1.0)
 
+    def depth2_points(self, first: Sequence[int], ys: np.ndarray
+                      ) -> tuple[np.ndarray, np.ndarray]:
+        """(xs, dfs) for the 2-D array ys: xs[r, k] is the F_i-preimage of
+        ys[r, k] for i = first[r], and dfs[r, k] is |DF_i| there, in two
+        stacked passes; ``SchemeBranch.pullback`` and ``dF`` float for
+        float."""
+        blocks = [(self.branches[i].parts, self.branches[i].word)
+                  for i in first]
+        xs = _along_words(self.map, blocks, ys, image=True).reshape(ys.shape)
+        return xs, _along_words(self.map, blocks, xs).reshape(ys.shape)
+
     @cached_property
     def depth2_derivatives(self) -> np.ndarray:
         """Entry [j, i] is |DF_i| at the F_i-preimage of branch j's midpoint."""
-        m, bs, n = self.map, self.branches, len(self.branches)
-        pulled = WordPullbacks(m, [b.midpoint for b in bs])
-        xs = np.array([bi.pullback_array(pulled) for bi in bs]).reshape(n, n)
-        del pulled  # frees the suffix memo before the stacked pass
-        # row i of xs and of the values is column i of the matrix: the
-        # matrix is their transposed (F-ordered) view, whose layout sets
-        # the summation order of the depth-2 power iteration
-        return _derivatives(m, [(bi.parts, bi.word) for bi in bs],
-                            xs).reshape(n, n).T
+        n = len(self.branches)
+        mids = np.tile([b.midpoint for b in self.branches], (n, 1))
+        # row i is column i of the matrix: the matrix is the transposed
+        # (F-ordered) view, whose layout sets the summation order of the
+        # depth-2 power iteration
+        return self.depth2_points(range(n), mids)[1].T
 
     @cached_property
     def potential_geometry(self) -> tuple[np.ndarray, np.ndarray, np.ndarray,
@@ -331,7 +322,7 @@ class InducingScheme:
 
 
 #: What a scheme builder records of a branch before its |DF| is sampled:
-#: (lo, hi, tau, word, ext, parts, edge), as ``_make_branch`` takes them.
+#: (lo, hi, tau, word, ext, parts, edge).
 BranchGeometry = tuple[float, float, int, Word, tuple[float, float],
                        Sequence[Cylinder], float]
 
@@ -358,18 +349,11 @@ def _make_branches(m: IntervalMap,
         blocks.append((tuple(parts) if len(parts) > 1 else (),
                        _word_of(parts, mid, word)))
     xs = np.array(xs).reshape(len(blocks), DF_SAMPLES + 3)
-    vals = _derivatives(m, blocks, xs).reshape(xs.shape).tolist()
+    vals = _along_words(m, blocks, xs).reshape(xs.shape).tolist()
     return [SchemeBranch(lo, hi, tau, word, min(ext), max(ext), min(ends),
                          max(ends), df_mid, parts)
             for (lo, hi, tau, _, ext, _, _), (parts, word), (*ends, df_mid)
             in zip(geometry, blocks, vals)]
-
-
-def _make_branch(m: IntervalMap, lo: float, hi: float, tau: int, word: Word,
-                 ext: tuple[float, float], parts: Sequence[Cylinder] = (),
-                 edge: float = 1e-12) -> SchemeBranch:
-    """The one branch that ``_make_branches`` makes of this geometry."""
-    return _make_branches(m, [(lo, hi, tau, word, ext, parts, edge)])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -440,10 +424,10 @@ def first_return_scheme(m: IntervalMap, x: tuple[float, float],
 
     # X's ends and the tower domain's ends, pulled back along every
     # return word at once
-    ends = pullback_words(m, [w for w, _, _ in returns],
-                          np.repeat(np.arange(len(returns)), 4),
-                          [y for _, n_lo, n_hi in returns
-                           for y in (c_lo, c_hi, n_lo, n_hi)])
+    ends = _along_words(m, [((), w) for w, _, _ in returns],
+                        np.array([(c_lo, c_hi, n_lo, n_hi)
+                                  for _, n_lo, n_hi in returns]).reshape(-1, 4),
+                        image=True)
     branches = _make_branches(m, [
         (min(a, b), max(a, b), len(w), w, (e_a, e_b), (), 1e-12)
         for (w, _, _), (a, b, e_a, e_b) in zip(returns,

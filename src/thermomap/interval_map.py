@@ -13,7 +13,7 @@ import bisect
 import math
 import re
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import islice, takewhile
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -294,38 +294,42 @@ def _clamp_array(z: np.ndarray, lo: float, hi: float) -> np.ndarray:
     return z
 
 
-def _array_kernels(m: IntervalMap, word: Sequence[int]) -> bool:
-    return all(m.branches[a].array is not None for a in word)
+def _per_point(f: Callable[[float], float], z: np.ndarray) -> np.ndarray:
+    """The scalar ``f`` at each point of z, called once per distinct float
+    (a zero's sign included): how the stacked kernels apply a branch
+    without array kernels."""
+    values, back = np.unique(z.view(np.int64), return_inverse=True)
+    return np.array([f(v) for v in values.view(np.float64).tolist()],
+                    dtype=np.float64)[back]
+
+
+def _kernels(b: BranchSpec) -> tuple[Callable, Callable, Callable]:
+    """b's array (fwd, deriv, inv), or its scalar ones by ``_per_point``."""
+    if b.array is not None:
+        return b.array
+    return tuple(partial(_per_point, f) for f in (b.fwd, b.deriv, b.inv))
 
 
 def _letter_steps(m: IntervalMap, words: Sequence[Sequence[int]],
                   index: np.ndarray, reverse: bool = False
-                  ) -> tuple[np.ndarray, Iterator[tuple[BranchSpec,
-                                                        np.ndarray | slice]]]:
+                  ) -> Iterator[tuple[BranchSpec, np.ndarray | slice]]:
     """The walk of the stacked word kernels, row r along words[index[r]]:
-    (scalar, steps), where ``scalar`` lists the rows whose word has a
-    letter without array kernels, and ``steps`` yields, letter position by
-    letter position (from the word's end with ``reverse``), each branch
-    with a boolean mask of the rows that take it there, or a full slice
-    where every word takes it.  The letter table has one row per word, not
-    per point, and is read one position at a time."""
-    arrays = [_array_kernels(m, w) for w in words]
+    letter position by letter position (from the word's end with
+    ``reverse``), each branch with a boolean mask of the rows that take it
+    there, or a full slice where every word takes it.  The letter table
+    has one row per word, not per point, and is read one position at a
+    time."""
     width = max(map(len, words), default=0)
     table = np.full((len(words), width), -1, dtype=np.intp)
-    for k, (w, ok) in enumerate(zip(words, arrays)):
-        if ok and w:  # a scalar row takes no stacked step
+    for k, w in enumerate(words):
+        if w:
             table[k, :len(w)] = w[::-1] if reverse else w
-    scalar = np.flatnonzero(~np.array(arrays, dtype=bool)[index])
-
-    def steps() -> Iterator[tuple[BranchSpec, np.ndarray | slice]]:
-        for k in range(width):
-            column = table[:, k]
-            letters = set(column.tolist())
-            for a in letters - {-1}:
-                rows = slice(None) if letters == {a} else (column == a)[index]
-                yield m.branches[a], rows
-
-    return scalar, steps()
+    for k in range(width):
+        column = table[:, k]
+        letters = set(column.tolist())
+        for a in letters - {-1}:
+            rows = slice(None) if letters == {a} else (column == a)[index]
+            yield m.branches[a], rows
 
 
 def derivative_along_words(m: IntervalMap, words: Sequence[Sequence[int]],
@@ -333,79 +337,35 @@ def derivative_along_words(m: IntervalMap, words: Sequence[Sequence[int]],
     """``derivative_along_word(m, words[index[r]], xs[r])`` for each row r,
     float for float.
 
-    One pass over the letter positions applies each branch's array
-    kernels to the rows that take it there; rows whose word uses a branch
-    without array kernels run the scalar kernel one by one.
+    One pass over the letter positions applies each branch's kernels to
+    the rows that take it there: its array kernels, or its scalar ones
+    once per distinct point.
     """
     xs = np.asarray(xs, dtype=np.float64)
     index = np.asarray(index, dtype=np.intp)
     z = xs.copy()  # clamps work in place
     prod = np.ones(len(z))
-    scalar, steps = _letter_steps(m, words, index)
-    for b, rows in steps:
-        fwd, deriv, _ = b.array
+    for b, rows in _letter_steps(m, words, index):
+        fwd, deriv, _ = _kernels(b)
         zr = _clamp_array(z[rows], b.lo, b.hi)
         prod[rows] *= abs(deriv(zr))
         z[rows] = fwd(zr)
-    for r in scalar.tolist():
-        prod[r] = derivative_along_word(m, words[index[r]], float(xs[r]))
     return prod
-
-
-def derivative_along_word_array(m: IntervalMap, word: Sequence[int],
-                                xs: np.ndarray) -> np.ndarray:
-    """``derivative_along_word`` at each point of a 1-D float64 array,
-    float for float: ``derivative_along_words`` with one word."""
-    return derivative_along_words(m, [word], np.zeros(len(xs), dtype=np.intp), xs)
 
 
 def pullback_words(m: IntervalMap, words: Sequence[Sequence[int]],
                    index: np.ndarray, ys: np.ndarray) -> np.ndarray:
     """``pullback_word(m, words[index[r]], ys[r])`` for each row r, float
     for float, in one pass over the letter positions from the words'
-    ends, as ``derivative_along_words`` walks them."""
+    ends, as ``derivative_along_words`` walks them.  A branch without
+    array kernels inverts each distinct point once per letter position,
+    so rows that share a suffix and a point share its inverse steps."""
     ys = np.asarray(ys, dtype=np.float64)
     index = np.asarray(index, dtype=np.intp)
     z = ys.copy()
-    scalar, steps = _letter_steps(m, words, index, reverse=True)
-    for b, rows in steps:
-        z[rows] = b.array[2](_clamp_array(z[rows], *b.image))
-    for r in scalar.tolist():
-        z[r] = pullback_word(m, words[index[r]], float(ys[r]))
+    for b, rows in _letter_steps(m, words, index, reverse=True):
+        z[rows] = _kernels(b)[2](_clamp_array(z[rows], *b.image))
     return z
-
-
-class WordPullbacks:
-    """The points ``ys`` pulled back along any word, memoised by word
-    suffix.
-
-    Called with a word, it gives ``pullback_word`` at each point of
-    ``ys``, float for float, taking one inverse step per letter past the
-    longest suffix of the word already pulled back.  The arrays it
-    returns are shared, so they are read-only.
-    """
-
-    def __init__(self, m: IntervalMap, ys: np.ndarray):
-        self.map = m
-        self.ys = np.array(ys, dtype=np.float64)
-        self.ys.flags.writeable = False
-        self._known: dict[tuple[int, ...], np.ndarray] = {(): self.ys}
-
-    def __call__(self, word: Sequence[int]) -> np.ndarray:
-        word, known = tuple(word), self._known
-        k = 0
-        while word[k:] not in known:
-            k += 1
-        z = known[word[k:]]
-        for j in range(k - 1, -1, -1):
-            b = self.map.branches[word[j]]
-            if b.array is None:
-                z = np.array([b.inv(b.clamp_image(y)) for y in z.tolist()])
-            else:  # a copy: the clamps work in place
-                z = b.array[2](_clamp_array(z.copy(), *b.image))
-            z.flags.writeable = False
-            known[word[j:]] = z
-        return z
 
 
 class InverseSteps:

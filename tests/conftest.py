@@ -18,10 +18,10 @@ from thermomap.errors import (CriticalOrbitError, DomainError,
 from thermomap.gibbs import (LOG_FLOAT_MAX, PROJECTION_DEPTH, RATIO_SEED,
                              REFINE_CAP, RESIDUAL_TOL, _tau_mean_bracket)
 from thermomap.inducing import (CYLINDER_CAP, ONTO_RTOL, InducingScheme,
-                                _fit_neighbourhood, _make_branch, _Uncovered,
+                                _fit_neighbourhood, _make_branches, _Uncovered,
                                 _word_of)
-from thermomap.interval_map import (SNAP_TOL, WordPullbacks, eval_along_word,
-                                    eval_orbit, pullback_word)
+from thermomap.interval_map import (SNAP_TOL, eval_along_word, eval_orbit,
+                                    pullback_word)
 from thermomap.symbolic import DEGEN_TOL, monotone_pieces, refine_levels
 from thermomap.thermo import (MIN_TAIL_MASSES, TAIL_R2_FLOOR, Bracket,
                               TailRecord, ThermoModel, _log_weights_of)
@@ -256,8 +256,8 @@ def unpruned_extendible_return_scheme(m, x, delta: float, T: int):
             # the piece's cylinders that a point of [b_lo, b_hi] can fall in
             parts = tuple(c for c in piece
                           if c.hi + 1e-12 >= b_lo and c.lo - 1e-12 <= b_hi)
-            branches.append(_make_branch(m, b_lo, b_hi, j, piece[0].word,
-                                         (ea, eb), parts, edge=1e-9))
+            branches += _make_branches(m, [(b_lo, b_hi, j, piece[0].word,
+                                            (ea, eb), parts, 1e-9)])
             uncovered.remove(b_lo, b_hi)
     else:
         exhausted = uncovered.total() <= max(DEGEN_TOL, 1e-12 * x_len)
@@ -268,13 +268,12 @@ def unpruned_extendible_return_scheme(m, x, delta: float, T: int):
 
 
 def column_depth2(scheme) -> np.ndarray:
-    """The depth-2 matrix built one branch column at a time, each column
-    one ``dF_array`` at the branch's pullbacks of every midpoint, and
-    returned as the transposed view of the stacked columns: the float
-    layout that the depth-2 power iteration sums in."""
+    """The depth-2 matrix built one branch column at a time, each entry
+    the scalar ``SchemeBranch.dF`` at the branch's scalar ``pullback`` of
+    a midpoint, and returned as the transposed view of the stacked
+    columns: the float layout that the depth-2 power iteration sums in."""
     m, n = scheme.map, len(scheme.branches)
-    pulled = WordPullbacks(m, [b.midpoint for b in scheme.branches])
-    columns = [bi.dF_array(m, bi.pullback_array(pulled))
+    columns = [[bi.dF(m, bi.pullback(m, bj.midpoint)) for bj in scheme.branches]
                for bi in scheme.branches]
     return np.array(columns).reshape(n, n).T
 

@@ -201,6 +201,14 @@ class TestGibbsRatio:
         with pytest.raises(DomainError):
             tm.gibbs_ratio_check(sol, depth)
 
+    @pytest.mark.parametrize("word_cap", [0, -1, 2.5])
+    def test_word_cap_not_a_positive_integer_refused(self, golden_scheme,
+                                                     word_cap):
+        # a cap of 0 checked no word and read a perfect constant, 1.0
+        sol = tm.solve_gibbs(tm.induced_potential(golden_scheme, 1.0), 0.0)
+        with pytest.raises(DomainError, match="word_cap"):
+            tm.gibbs_ratio_check(sol, 2, word_cap=word_cap)
+
 
 @functools.cache
 def _oracle_scheme(name):
@@ -336,6 +344,20 @@ class TestAgainstScalarOracle:
         sol = tm.equilibrium_shift_solve(scheme, 1.0).solution
         assert len(scheme.branches) ** 3 > 3000
         self.same_ratio(sol, 3, word_cap=3000)
+
+    @pytest.mark.parametrize("depth", [2, 3])
+    def test_sampled_pairs_leave_the_matrix_unbuilt(self, depth):
+        # 45 branches: 2,025 length-2 words, of which 500 are sampled, and
+        # only the pairs the sampled words end in are computed
+        m = tm.fixture("quad4")
+        scheme = tm.extendible_return_scheme(
+            m, default_base_cylinder(m, 0.3, 2), 0.5, 10)
+        sol = tm.equilibrium_shift_solve(scheme, 1.0).solution
+        fresh = dataclasses.replace(scheme)  # without the solve's matrix
+        sol = dataclasses.replace(
+            sol, model=dataclasses.replace(sol.model, scheme=fresh))
+        self.same_ratio(sol, depth, word_cap=500)
+        assert "depth2_derivatives" not in vars(fresh)
 
     @pytest.mark.parametrize("name", ["sine", "quad4", "tent2",
                                       "markov_golden", "join"])

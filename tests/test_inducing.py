@@ -15,8 +15,7 @@ from thermomap.cli import default_base_cylinder
 from thermomap.errors import DegenerateBranchError, DomainError
 from thermomap.inducing import (InducingScheme, SchemeBranch, _fit_neighbourhood,
                                 scheme_to_csv_rows)
-from thermomap.interval_map import (WordPullbacks, derivative_along,
-                                    derivative_along_word,
+from thermomap.interval_map import (derivative_along, derivative_along_word,
                                     derivative_along_words, eval_along_word,
                                     eval_orbit, parse_map_spec, pullback_word)
 from thermomap.thermo import tail_info_for
@@ -431,12 +430,18 @@ class TestGeometryArrays:
     scalar readers' floats, and the branch readers their Python float type."""
 
     @pytest.fixture(scope="class", params=["quad4", (0.0, 0.5), (0.1, 0.4),
-                                           (0.6, 0.9)])
+                                           (0.6, 0.9), "chebyshev3"])
     def scheme(self, request):
         if request.param == "quad4":
             m = tm.fixture("quad4")
             c = tm.cylinder_of_word(m, tm.itinerary(m, 0.3, 2, side="left"))
             return tm.extendible_return_scheme(m, (c.lo, c.hi), 0.5, 14)
+        if request.param == "chebyshev3":
+            # no array kernels: each letter position applies the scalar
+            # kernels once per distinct point
+            m = tm.make_chebyshev(3)
+            return tm.extendible_return_scheme(
+                m, default_base_cylinder(m, 0.3, 2), 0.5, 6)
         return tm.extendible_return_scheme(tm.make_plinear(*JOIN_MAP),
                                            request.param, 0.25, 8)
 
@@ -461,13 +466,15 @@ class TestGeometryArrays:
             ends = [v for c in br.parts for v in (c.lo, c.hi)]
             xs = [br.lo, br.hi, br.midpoint] + ends
             xs += [v + d for v in ends for d in (-2e-12, -1e-12, 1e-12, 2e-12)]
-            assert hexes(br.dF_array(m, np.array(xs))) == hexes(
-                br.dF(m, x) for x in xs)
+            block = [(br.parts, br.word)]
+            assert hexes(inducing._along_words(m, block, np.array([xs]))) \
+                == hexes(br.dF(m, x) for x in xs)
             img = [v for c in br.parts for v in (c.image_lo, c.image_hi)]
             ys = [scheme.x_lo, scheme.x_hi, 0.3] + img
             ys += [v + d for v in img for d in (-2e-12, -1e-12, 1e-12, 2e-12)]
-            assert hexes(br.pullback_array(WordPullbacks(m, ys))) == hexes(
-                br.pullback(m, y) for y in ys)
+            assert hexes(inducing._along_words(m, block, np.array([ys]),
+                                               image=True)) \
+                == hexes(br.pullback(m, y) for y in ys)
 
     def test_sine_fallback_equals_the_scalar_readers(self):
         m = parse_map_spec(SINE_SPEC)
@@ -491,30 +498,51 @@ class TestGeometryArrays:
 
 class TestStackedSampling:
     """Both builders sample every branch in one stacked |DF| pass, and the
-    depth-2 matrix takes one more, keeping the layout of the matrix built
-    one column at a time."""
+    depth-2 matrix takes one stacked pullback and one more |DF| pass,
+    keeping the layout of the matrix built one column at a time."""
 
     @staticmethod
     def counted(monkeypatch):
+        """The (kernel, rows) of each stacked kernel call in ``inducing``."""
         calls = []
-
-        def counting(m, words, index, xs, inner=inducing.derivative_along_words):
-            calls.append(len(xs))
-            return inner(m, words, index, xs)
-        monkeypatch.setattr(inducing, "derivative_along_words", counting)
+        for name in ("derivative_along_words", "pullback_words"):
+            def counting(m, words, index, xs, name=name,
+                         inner=getattr(inducing, name)):
+                calls.append((name, len(xs)))
+                return inner(m, words, index, xs)
+            monkeypatch.setattr(inducing, name, counting)
         return calls
 
-    def test_quad4_cap14_takes_two_stacked_calls(self, monkeypatch):
+    def test_quad4_cap14_takes_three_stacked_calls(self, monkeypatch):
         calls = self.counted(monkeypatch)
         sch = tm.extendible_return_scheme(*quad4_x(), 0.5, 14)
         sch.depth2_derivatives
         n = len(sch.branches)
-        assert calls == [n * (inducing.DF_SAMPLES + 3), n * n]
+        assert calls == [("derivative_along_words", n * (inducing.DF_SAMPLES + 3)),
+                         ("pullback_words", n * n),
+                         ("derivative_along_words", n * n)]
 
-    def test_first_return_takes_one_stacked_call(self, monkeypatch):
+    def test_first_return_takes_two_stacked_calls(self, monkeypatch):
         calls = self.counted(monkeypatch)
         sch = tm.first_return_scheme(*quad4_x(), 12)
-        assert calls == [len(sch.branches) * (inducing.DF_SAMPLES + 3)]
+        n = len(sch.branches)
+        assert calls == [("pullback_words", 4 * n),
+                         ("derivative_along_words", n * (inducing.DF_SAMPLES + 3))]
+
+    @pytest.mark.parametrize("name, T, calls", [("sine", 10, 4180),
+                                                ("chebyshev3", 7, 140_824)],
+                             ids=["sine", "chebyshev3"])
+    def test_depth2_takes_each_inverse_step_once(self, name, T, calls):
+        # rows that share a suffix and a point share its scalar inverse
+        # steps; one scalar pullback per entry takes 14,080 and 344,752
+        m = (tm.parse_map_spec(SINE_SPEC) if name == "sine"
+             else tm.make_chebyshev(3))
+        sch = tm.extendible_return_scheme(m, default_base_cylinder(m, 0.3, 2),
+                                          0.5, T)
+        counting, made = counting_inverses(m)
+        assert all(b.array is None for b in m.branches)
+        replace(sch, map=counting).depth2_derivatives
+        assert 0 < len(made) == len(set(made)) <= calls
 
     def test_first_return_ends_equal_the_scalar_pullbacks(self):
         m, (x_lo, x_hi) = quad4_x()
@@ -534,7 +562,7 @@ class TestStackedSampling:
         sch = tm.extendible_return_scheme(*quad4_x(), 0.5, 1)
         assert sch.branches == []
         assert sch.depth2_derivatives.shape == (0, 0)
-        assert calls == [0, 0]
+        assert [rows for _, rows in calls] == [0, 0, 0]
 
     def test_depth2_layout_sets_the_gibbs_floats(self):
         # B @ rho and B.T @ mvec sum in the matrix's layout order, so a
@@ -552,6 +580,8 @@ class TestStackedSampling:
             return hexes([sol.log_lam, *sol.masses, *sol.rho, sol.residual])
 
         columns = column_depth2(sch)
+        assert columns.strides == sch.depth2_derivatives.strides
+        assert hexes(columns.ravel()) == hexes(sch.depth2_derivatives.ravel())
         assert solved() == solved(columns)
         assert solved(np.ascontiguousarray(columns)) != solved(columns)
 

@@ -14,9 +14,8 @@ from conftest import (ORBIT_MAPS, SINE_SPEC, hexes, looping_apply,
                       looping_branch_index, looping_deriv, plinear_maps,
                       stepwise_derivative_along, stepwise_derivative_prefixes)
 from thermomap.errors import CriticalOrbitError, DomainError, SchemaError
-from thermomap.interval_map import (SNAP_TOL, InverseSteps, WordPullbacks,
-                                    _chain, _walk, derivative_along_word,
-                                    derivative_along_word_array,
+from thermomap.interval_map import (SNAP_TOL, InverseSteps, _chain, _walk,
+                                    derivative_along_word,
                                     derivative_along_words,
                                     derivative_prefixes, pullback_word,
                                     pullback_words)
@@ -138,18 +137,21 @@ class TestDerivativeAlong:
 
 
 def assert_kernels_match(m, word, points):
-    """Both array kernels equal their scalar kernels, point for point."""
+    """Both stacked kernels, given one word, equal their scalar kernels,
+    point for point."""
     pts = np.array(points, dtype=np.float64)
-    pulled = WordPullbacks(m, pts)(word)
+    one = np.zeros(len(points), dtype=np.intp)
+    pulled = pullback_words(m, [word], one, pts)
     assert hexes(pulled) == hexes(pullback_word(m, word, y) for y in points)
-    derivs = derivative_along_word_array(m, word, pts)
+    derivs = derivative_along_words(m, [word], one, pts)
     assert hexes(derivs) == hexes(derivative_along_word(m, word, x)
                                   for x in points)
     assert hexes(pts) == hexes(points)  # the input is left as it was
-    # memoised by suffix: the words' own suffixes first, then others
-    pulled = WordPullbacks(m, pts)
-    for w in (word[1:], word, word[::-1], (word[0],) + word, word):
-        assert hexes(pulled(w)) == hexes(pullback_word(m, w, y) for y in points)
+    # words that share suffixes, each at every point, in one call
+    words = [word[1:], word, word[::-1], (word[0],) + word, word]
+    index = np.repeat(np.arange(len(words)), len(points))
+    assert hexes(pullback_words(m, words, index, np.tile(pts, len(words)))) \
+        == hexes(pullback_word(m, w, y) for w in words for y in points)
     # memoised by step, one helper for every word and point
     steps = InverseSteps(m)
     for w in (word[1:], word, word[::-1], (word[0],) + word, word):
@@ -197,8 +199,8 @@ class TestArrayKernels:
 
     def test_empty_input(self, quad_map):
         empty = np.array([])
-        assert WordPullbacks(quad_map, empty)((0, 1)).shape == (0,)
-        assert derivative_along_word_array(quad_map, (0, 1), empty).shape == (0,)
+        for kernel in (pullback_words, derivative_along_words):
+            assert kernel(quad_map, [(0, 1)], [], empty).shape == (0,)
 
 
 def assert_stacked_kernels_match(m, words, index, points):
@@ -242,11 +244,11 @@ class TestStackedKernels:
         points = [k / 23 for k in range(24)] + [-0.0, 0.5, 1.0]
         index = [k % len(words) for k in range(len(points))]
         assert_stacked_kernels_match(quad_map, words, index, points)
-        # rows that all take one word are the one-word array kernel
+        # rows that all take one word are the kernel given that word alone
         one = np.array(points)
         assert hexes(derivative_along_words(quad_map, words, [3] * len(points),
                                             one)) == hexes(
-            derivative_along_word_array(quad_map, words[3], one))
+            derivative_along_words(quad_map, [words[3]], [0] * len(points), one))
 
     def test_empty_input(self, quad_map):
         for words in ([], [(0, 1)], [(), (1,)]):
@@ -265,8 +267,9 @@ class TestStackedKernels:
         assert_stacked_kernels_match(m, words, index, points)
 
     def test_mixed_array_and_scalar_branches(self, quad_map):
-        # a branch without array kernels sends every row whose word uses
-        # it to the scalar kernel; the other rows stay stacked
+        # a branch without array kernels applies its scalar kernels, once
+        # per distinct point, to the rows that take it at a letter position;
+        # the array branches stay stacked
         left, right = quad_map.branches
         m = dataclasses.replace(quad_map, branches=(
             left, dataclasses.replace(right, array=None)))
