@@ -56,6 +56,8 @@ from .hofbauer import (
 from .inducing import (
     InducingScheme,
     SchemeBranch,
+    build_scheme,
+    default_base_cylinder,
     extendible_return_scheme,
     first_return_scheme,
     validate_scheme,
@@ -65,6 +67,7 @@ from .thermo import (
     ThermoModel,
     gurevich_pressure,
     induced_potential,
+    markov_oracle,
     p_star_discriminant,
     pressure_vs_shift,
     synthetic_model,
@@ -72,19 +75,17 @@ from .thermo import (
 )
 from .gibbs import (
     GibbsSolution,
+    PressureCurve,
+    ScanConfig,
     abramov_quantities,
     equilibrium_shift_solve,
     gibbs_ratio_check,
     mass_by_tau,
     project_measure,
+    scan_pressure,
     solve_gibbs,
 )
-from .cli import (
-    PressureCurve,
-    ScanConfig,
-    detect_phase_transition,
-    markov_oracle,
-    scan_pressure,
-)
+from . import cli
+from .cli import detect_phase_transition
 
 __version__ = "0.1.0"

@@ -1,234 +1,40 @@
-"""Pressure-curve scanning, phase-transition detection, the Markov matrix
-oracle, and the command-line front end.
+"""The command-line front end: argument parsing, dispatch and printing,
+and phase-transition detection on a scanned curve.
 
 Subcommands: tower | induce | pressure | scan | diagnose | oracle.
-Exit codes: 0 success, 2 configuration error, 3 numeric failure.
+Exit codes: 0 success, 2 configuration error or an output that cannot be
+written, 3 numeric failure.
 All numeric output uses 9 significant digits; identical configurations
-produce byte-identical files.
+produce byte-identical files.  The scan itself is ``gibbs.scan_pressure``,
+the scheme options ``inducing.build_scheme`` and the Markov oracle
+``thermo.markov_oracle``.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import io
 import math
 import statistics
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
 from . import diagnostics
-from .errors import (
-    DomainError,
-    InfinitePressureError,
-    NonCompatibleError,
-    NotApplicableError,
-    NumericError,
-    SchemaError,
-    ThermomapError,
-)
+from .errors import DomainError, SchemaError, ThermomapError
 from .gibbs import (
-    _shift_solves,
-    abramov_rows,
+    PressureCurve,
+    ScanConfig,
+    _fmt,
     equilibrium_shift_solve,
-    mass_by_tau_rows,
+    scan_pressure,
     solution_to_json,
+    write_csv,
 )
 from .hofbauer import build_tower, tower_to_dot, tower_to_json
-from .inducing import (
-    InducingScheme,
-    extendible_return_scheme,
-    first_return_scheme,
-    scheme_to_csv_rows,
-)
-from .interval_map import IntervalMap, load_map
-from .symbolic import cylinder_of_word, itinerary
-from .thermo import _log_weights_of, tail_classify_rows
-
-CSV_HEADER = ("t", "p_lo", "p_hi", "zero_entropy", "tail_kind", "tail_rate",
-              "tau_mean", "lyap", "entropy")
-
-
-def _fmt(v) -> str:
-    if isinstance(v, float):
-        return f"{v + 0.0:.9g}"  # +0.0 normalizes negative zero
-    return str(v)
-
-
-def write_csv(path_or_buf, header: Sequence[str], rows: Sequence[Sequence]) -> None:
-    own = isinstance(path_or_buf, str)
-    fh = open(path_or_buf, "w", encoding="utf-8", newline="\n") if own else path_or_buf
-    try:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
-    finally:
-        if own:
-            fh.close()
-
-
-# ---------------------------------------------------------------------------
-# configuration and curve types
-# ---------------------------------------------------------------------------
-
-SCHEME_KINDS = ("first-return", "extendible")
-
-
-def _check_scheme_kind(kind: str) -> None:
-    if kind not in SCHEME_KINDS:
-        raise DomainError(f"unknown scheme kind {kind!r}")
-
-
-@dataclass(frozen=True)
-class ScanConfig:
-    map: IntervalMap
-    t_min: float
-    t_max: float
-    steps: int
-    scheme_kind: str = "first-return"   # "first-return" | "extendible"
-    x_point: float | None = None
-    x_depth: int = 1
-    delta: float = 0.5
-    cap: int = 12                        # inducing time cap T
-    tolerance: float = 1e-10
-
-    def __post_init__(self):
-        _check_scheme_kind(self.scheme_kind)
-        if not self.t_min < self.t_max:
-            raise DomainError("t_min must be < t_max")
-        if self.steps < 2:
-            raise DomainError("steps must be >= 2")
-        if not 0.0 < self.tolerance < math.inf:
-            raise DomainError(f"tolerance must be finite and > 0, got {self.tolerance!r}")
-        if not math.isfinite((self.t_max - self.t_min) * (self.steps - 1)):
-            raise DomainError("t-grid overflows: (t_max - t_min) * (steps - 1) "
-                              "is not finite")
-
-    def t_grid(self) -> list[float]:
-        span = self.t_max - self.t_min
-        return [self.t_min + span * k / (self.steps - 1) for k in range(self.steps)]
-
-
-@dataclass(frozen=True)
-class CurveRow:
-    t: float
-    p_lo: float
-    p_hi: float
-    zero_entropy: float
-    tail_kind: str
-    tail_rate: float
-    tau_mean: float
-    lyap: float
-    entropy: float
-
-    @property
-    def p_mid(self) -> float:
-        return 0.5 * (self.p_lo + self.p_hi)
-
-    @property
-    def width(self) -> float:
-        return self.p_hi - self.p_lo
-
-    def as_tuple(self) -> tuple:
-        return (self.t, self.p_lo, self.p_hi, self.zero_entropy, self.tail_kind,
-                self.tail_rate, self.tau_mean, self.lyap, self.entropy)
-
-
-@dataclass
-class PressureCurve:
-    rows: list[CurveRow] = field(default_factory=list)
-
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        write_csv(buf, CSV_HEADER, [r.as_tuple() for r in self.rows])
-        return buf.getvalue()
-
-
-def _scheme_options(obj) -> dict:
-    """The build_scheme keywords, read off a ScanConfig or parsed arguments."""
-    return {k: getattr(obj, k) for k in
-            ("scheme_kind", "x_point", "x_depth", "delta", "cap")}
-
-
-def default_base_cylinder(m: IntervalMap, x_point: float | None,
-                          x_depth: int) -> tuple[float, float]:
-    """The depth-d cylinder containing x_point (whole domain at depth 0)."""
-    if x_depth < 0:
-        raise DomainError(f"x_depth must be >= 0, got {x_depth}")
-    if x_depth == 0:
-        return m.domain
-    if x_point is None:
-        b = m.branches[0]
-        x_point = 0.5 * (b.lo + b.hi)
-    word = itinerary(m, x_point, x_depth, side="left")
-    cyl = cylinder_of_word(m, word)
-    if cyl is None:
-        raise DomainError(f"cylinder of depth {x_depth} at {x_point} is empty")
-    return (cyl.lo, cyl.hi)
-
-
-def build_scheme(m: IntervalMap, *, scheme_kind: str, x_point: float | None,
-                 x_depth: int, delta: float, cap: int) -> InducingScheme:
-    """The chosen inducing scheme on the depth-x_depth cylinder at x_point,
-    truncated by the time cap alone."""
-    _check_scheme_kind(scheme_kind)
-    x = default_base_cylinder(m, x_point, x_depth)
-    if scheme_kind == "extendible":
-        return extendible_return_scheme(m, x, delta, cap)
-    return first_return_scheme(m, x, cap)
-
-
-def _error_kind(exc: ThermomapError) -> str:
-    """The kind that a scan row records for its failure; any other error
-    is raised, and ends the scan."""
-    if isinstance(exc, InfinitePressureError):
-        return "error:infinite-pressure"
-    if isinstance(exc, NonCompatibleError):
-        return "error:non-compatible"
-    if isinstance(exc, NumericError):
-        return "error:numeric"
-    raise exc
-
-
-def scan_pressure(config: ScanConfig,
-                  scheme: InducingScheme | None = None) -> PressureCurve:
-    """Solve the shift equation on the t-grid and assemble the curve.
-
-    The shift solves of all grid points run in lockstep, one batched
-    weight sum per search step.  What follows the search is done once
-    for the whole grid, on (T, n) arrays: the Gibbs masses at every
-    midpoint (one more batched weight sum), the Abramov sums, the masses
-    by inducing time and the tail fits.  Each row's floats are those of
-    its own ``equilibrium_shift_solve``, ``abramov_quantities`` and
-    ``tail_classify``.  Per-row numeric failures are recorded in the row
-    and the scan continues.
-    """
-    if scheme is None:
-        scheme = build_scheme(config.map, **_scheme_options(config))
-    curve = PressureCurve()
-    nan = math.nan
-    ts = config.t_grid()
-    results = _shift_solves(scheme, ts, config.tolerance)
-    solutions = [res.solution for res in results
-                 if not isinstance(res, ThermomapError)]
-    post = zip(abramov_rows(solutions),
-               tail_classify_rows(mass_by_tau_rows(solutions)))
-    for t, res in zip(ts, results):
-        if not isinstance(res, ThermomapError):
-            ab, tail = next(post)
-            if not isinstance(ab, ThermomapError):
-                rate = tail.rate if tail.kind == "exponential" else tail.exponent
-                curve.rows.append(CurveRow(t, res.s_lo, res.s_hi,
-                                           res.zero_entropy_bound, tail.kind, rate,
-                                           ab.tau_mean, ab.lyap, ab.entropy))
-                continue
-            res = ab
-        curve.rows.append(CurveRow(t, nan, nan, nan, _error_kind(res),
-                                   nan, nan, nan, nan))
-    return curve
+from .inducing import SCHEME_KINDS, _scheme_options, build_scheme, scheme_to_csv_rows
+from .interval_map import load_map
+from .thermo import markov_oracle
 
 
 # ---------------------------------------------------------------------------
@@ -274,48 +80,6 @@ def detect_phase_transition(curve: PressureCurve) -> TransitionReport:
     return TransitionReport(tuple(kinks), tuple(crossings),
                             smooth=not kinks, inconclusive=False,
                             max_second_difference=max(d2) if d2 else math.nan)
-
-
-# ---------------------------------------------------------------------------
-# Markov matrix oracle
-# ---------------------------------------------------------------------------
-
-def markov_oracle(m: IntervalMap, t: float) -> float:
-    """log spectral radius of the weighted transition matrix.
-
-    Applies to Markov piecewise-linear maps only: every branch affine,
-    every branch image a union of branch-partition atoms.  Entry (a, b)
-    is |slope_a|^-t when atom b sits inside f(atom a).  The entries are
-    taken as exp(L_a - max L) for the log weights L_a = -t log|slope_a|,
-    and max L is added back to the log radius, so no |t| overflows.
-    """
-    atoms = [(b.lo, b.hi) for b in m.branches]
-    pts = m.breakpoints
-    slopes = []
-    for i, b in enumerate(m.branches):
-        d_lo, d_mid, d_hi = (b.deriv(b.lo + (b.hi - b.lo) * q)
-                             for q in (0.25, 0.5, 0.75))
-        if abs(d_lo - d_mid) > 1e-9 * abs(d_mid) or abs(d_hi - d_mid) > 1e-9 * abs(d_mid):
-            raise NotApplicableError(f"branch {i} is not affine")
-        img_lo, img_hi = b.image
-        if not any(abs(img_lo - p) <= 1e-9 for p in pts) or \
-           not any(abs(img_hi - p) <= 1e-9 for p in pts):
-            raise NotApplicableError(
-                f"branch {i} image is not a union of partition atoms")
-        slopes.append(abs(d_mid))
-    n = len(atoms)
-    logs = _log_weights_of(t, np.log(slopes))
-    top = float(logs.max())
-    mat = np.zeros((n, n))
-    for a in range(n):
-        img_lo, img_hi = m.branches[a].image
-        for b in range(n):
-            if atoms[b][0] >= img_lo - 1e-9 and atoms[b][1] <= img_hi + 1e-9:
-                mat[a, b] = math.exp(logs[a] - top)
-    radius = float(np.max(np.abs(np.linalg.eigvals(mat))))
-    if radius <= 0.0:
-        raise NumericError("transition matrix is nilpotent on the support")
-    return top + math.log(radius)
 
 
 # ---------------------------------------------------------------------------
@@ -443,7 +207,7 @@ def run(argv: Sequence[str]) -> int:
         return int(exc.code or 0)
     try:
         return _dispatch(args)
-    except (SchemaError, DomainError) as exc:
+    except (SchemaError, DomainError, OSError) as exc:  # OSError: an output path
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ThermomapError as exc:

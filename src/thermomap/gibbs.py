@@ -7,6 +7,10 @@ is non-trivial the solve is refined by power iteration on depth-2
 cylinder weights.  Projection back to the interval follows the standard
 lift formula mu(A) ~ sum_i sum_{k<tau_i} mu_F(X_i n f^-k A).
 
+The pressure by shift solve is read over a t-grid by ``scan_pressure``,
+which assembles a ``PressureCurve`` and writes it as CSV with 9
+significant digits.
+
 The projected interval measures are positive on open sets but are in
 general not Gibbs for unbounded geometric potentials (the comparison
 constant cannot be uniform near critical orbits); only the induced
@@ -16,11 +20,12 @@ system carries the Gibbs property computed here.
 from __future__ import annotations
 
 import bisect
+import io
 import itertools
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -32,11 +37,12 @@ from .errors import (
     NumericError,
     ThermomapError,
 )
-from .inducing import InducingScheme
-from .interval_map import InverseSteps
+from .inducing import (InducingScheme, _check_scheme_kind, _scheme_options,
+                       build_scheme)
+from .interval_map import IntervalMap, InverseSteps
 from .symbolic import DEGEN_TOL
 from .thermo import (Bracket, ThermoModel, _log_weights_of, induced_potentials,
-                     log_weight_sums)
+                     log_weight_sums, tail_classify_rows)
 
 
 #: Largest branch family refined by the depth-2 power iteration.
@@ -203,11 +209,12 @@ def gibbs_ratio_check(solution: GibbsSolution, depth: int,
     At length 2 these are the points the depth-2 solve weighs.
     Exhaustive when the word count at a depth is at most ``word_cap``,
     ``word_cap`` seeded samples otherwise.  Each suffix's point and term
-    are computed once, in one dict that is freed when the call returns.
-    At depth 2 with every length-2 word checked, their terms are read
-    from the depth-2 matrix; otherwise the length-2 suffixes that the
-    words end in, and only those, are computed in one stacked pass.
-    A ratio that over- or underflows raises NumericError.
+    are computed once, in one dict that is freed when the call returns:
+    for k = 2, ..., depth, the distinct length-k suffixes that the words
+    end in are pulled back in one stacked ``depth2_points`` pass, from
+    the points of their length-(k-1) suffixes.  At depth 2 with every
+    length-2 word checked, their terms are read from the depth-2 matrix
+    instead.  A ratio that over- or underflows raises NumericError.
     """
     if not 1 <= depth <= 8:
         raise DomainError(f"depth must be in 1..8, got {depth!r}")
@@ -218,7 +225,7 @@ def gibbs_ratio_check(solution: GibbsSolution, depth: int,
     n = len(solution.masses)
     if scheme is None:
         return 1.0
-    m, branches = scheme.map, scheme.branches
+    branches = scheme.branches
     t, shift = model.t, solution.shift
     log_lam = solution.log_lam
     masses = solution.masses.tolist()
@@ -236,27 +243,22 @@ def gibbs_ratio_check(solution: GibbsSolution, depth: int,
 
     for j, br in enumerate(branches):
         remember((j,), br.midpoint, br.df_mid)
-    pairs = list(dict.fromkeys(w[-2:] for ws in words[1:] for w in ws))
-    first, second = [s[0] for s in pairs], [s[1] for s in pairs]
-    if depth == 2 and n * n <= word_cap:
-        # every pair is checked, and only |DF| is read: the depth-2 solve
-        # has these entries cached
-        xs = itertools.repeat(None)
-        dfs = scheme.depth2_derivatives[second, first].tolist()
-    else:
-        ys = np.array([branches[j].midpoint for j in second])[:, None]
-        xs, dfs = (a.ravel().tolist() for a in scheme.depth2_points(first, ys))
-    for s, x, df in zip(pairs, xs, dfs):
-        remember(s, x, df)
+    for k in range(2, depth + 1):
+        suffixes = list(dict.fromkeys(w[-k:] for ws in words[k - 1:] for w in ws))
+        first = [s[0] for s in suffixes]
+        if depth == 2 and n * n <= word_cap:
+            # every pair is checked, and only |DF| is read: the depth-2
+            # solve has these entries cached
+            xs = itertools.repeat(None)
+            dfs = scheme.depth2_derivatives[[s[1] for s in suffixes], first].tolist()
+        else:
+            ys = np.array([memo[s[1:]][0] for s in suffixes])[:, None]
+            xs, dfs = (a.ravel().tolist() for a in scheme.depth2_points(first, ys))
+        for s, x, df in zip(suffixes, xs, dfs):
+            remember(s, x, df)
     k_best = 1.0
     for d, ws in enumerate(words, 1):
         for w in ws:
-            for k in range(d - 3, -1, -1):
-                s = w[k:]
-                if s not in memo:
-                    br = branches[s[0]]
-                    x = br.pullback(m, memo[s[1:]][0])
-                    remember(s, x, br.dF(m, x))
             psi = 0.0
             for k in range(d):
                 psi += memo[w[k:]][1]
@@ -753,3 +755,144 @@ def mass_by_tau_rows(solutions: Sequence[GibbsSolution]) -> np.ndarray:
     np.add.at(out.reshape(-1), cells.ravel(),
               np.array([sol.masses for sol in solutions]).ravel())
     return out
+
+
+# ---------------------------------------------------------------------------
+# pressure curve
+# ---------------------------------------------------------------------------
+
+CSV_HEADER = ("t", "p_lo", "p_hi", "zero_entropy", "tail_kind", "tail_rate",
+              "tau_mean", "lyap", "entropy")
+
+
+def _fmt(v) -> str:
+    if isinstance(v, float):
+        return f"{v + 0.0:.9g}"  # +0.0 normalizes negative zero
+    return str(v)
+
+
+def write_csv(path_or_buf, header: Sequence[str], rows: Sequence[Sequence]) -> None:
+    own = isinstance(path_or_buf, str)
+    fh = open(path_or_buf, "w", encoding="utf-8", newline="\n") if own else path_or_buf
+    try:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(_fmt(v) for v in row) + "\n")
+    finally:
+        if own:
+            fh.close()
+
+
+@dataclass(frozen=True)
+class ScanConfig:
+    map: IntervalMap
+    t_min: float
+    t_max: float
+    steps: int
+    scheme_kind: str = "first-return"   # "first-return" | "extendible"
+    x_point: float | None = None
+    x_depth: int = 1
+    delta: float = 0.5
+    cap: int = 12                        # inducing time cap T
+    tolerance: float = 1e-10
+
+    def __post_init__(self):
+        _check_scheme_kind(self.scheme_kind)
+        if not self.t_min < self.t_max:
+            raise DomainError("t_min must be < t_max")
+        if self.steps < 2:
+            raise DomainError("steps must be >= 2")
+        if not 0.0 < self.tolerance < math.inf:
+            raise DomainError(f"tolerance must be finite and > 0, got {self.tolerance!r}")
+        if not math.isfinite((self.t_max - self.t_min) * (self.steps - 1)):
+            raise DomainError("t-grid overflows: (t_max - t_min) * (steps - 1) "
+                              "is not finite")
+
+    def t_grid(self) -> list[float]:
+        span = self.t_max - self.t_min
+        return [self.t_min + span * k / (self.steps - 1) for k in range(self.steps)]
+
+
+@dataclass(frozen=True)
+class CurveRow:
+    t: float
+    p_lo: float
+    p_hi: float
+    zero_entropy: float
+    tail_kind: str
+    tail_rate: float
+    tau_mean: float
+    lyap: float
+    entropy: float
+
+    @property
+    def p_mid(self) -> float:
+        return 0.5 * (self.p_lo + self.p_hi)
+
+    @property
+    def width(self) -> float:
+        return self.p_hi - self.p_lo
+
+    def as_tuple(self) -> tuple:
+        return (self.t, self.p_lo, self.p_hi, self.zero_entropy, self.tail_kind,
+                self.tail_rate, self.tau_mean, self.lyap, self.entropy)
+
+
+@dataclass
+class PressureCurve:
+    rows: list[CurveRow] = field(default_factory=list)
+
+    def to_csv(self) -> str:
+        buf = io.StringIO()
+        write_csv(buf, CSV_HEADER, [r.as_tuple() for r in self.rows])
+        return buf.getvalue()
+
+
+def _error_kind(exc: ThermomapError) -> str:
+    """The kind that a scan row records for its failure; any other error
+    is raised, and ends the scan."""
+    if isinstance(exc, InfinitePressureError):
+        return "error:infinite-pressure"
+    if isinstance(exc, NonCompatibleError):
+        return "error:non-compatible"
+    if isinstance(exc, NumericError):
+        return "error:numeric"
+    raise exc
+
+
+def scan_pressure(config: ScanConfig,
+                  scheme: InducingScheme | None = None) -> PressureCurve:
+    """Solve the shift equation on the t-grid and assemble the curve.
+
+    The shift solves of all grid points run in lockstep, one batched
+    weight sum per search step.  What follows the search is done once
+    for the whole grid, on (T, n) arrays: the Gibbs masses at every
+    midpoint (one more batched weight sum), the Abramov sums, the masses
+    by inducing time and the tail fits.  Each row's floats are those of
+    its own ``equilibrium_shift_solve``, ``abramov_quantities`` and
+    ``tail_classify``.  Per-row numeric failures are recorded in the row
+    and the scan continues.
+    """
+    if scheme is None:
+        scheme = build_scheme(config.map, **_scheme_options(config))
+    curve = PressureCurve()
+    nan = math.nan
+    ts = config.t_grid()
+    results = _shift_solves(scheme, ts, config.tolerance)
+    solutions = [res.solution for res in results
+                 if not isinstance(res, ThermomapError)]
+    post = zip(abramov_rows(solutions),
+               tail_classify_rows(mass_by_tau_rows(solutions)))
+    for t, res in zip(ts, results):
+        if not isinstance(res, ThermomapError):
+            ab, tail = next(post)
+            if not isinstance(ab, ThermomapError):
+                rate = tail.rate if tail.kind == "exponential" else tail.exponent
+                curve.rows.append(CurveRow(t, res.s_lo, res.s_hi,
+                                           res.zero_entropy_bound, tail.kind, rate,
+                                           ab.tau_mean, ab.lyap, ab.entropy))
+                continue
+            res = ab
+        curve.rows.append(CurveRow(t, nan, nan, nan, _error_kind(res),
+                                   nan, nan, nan, nan))
+    return curve

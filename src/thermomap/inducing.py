@@ -5,7 +5,8 @@ X_i of X, each mapped monotonically onto X by F = f^{tau_i}.  Two
 constructions are provided: the first return map to a cylinder subset
 of the Hofbauer tower, and the first delta-extendible return in the
 interval itself.  Both are truncated at a time cap T; uncovered mass is
-reported, never silently dropped.
+reported, never silently dropped.  ``build_scheme`` chooses between them
+from the scheme options of a scan or of the command line.
 """
 
 from __future__ import annotations
@@ -30,8 +31,8 @@ from .interval_map import (
     pullback_words,
 )
 from .symbolic import (Cylinder, DEGEN_TOL, Word, _branch_images,
-                       fold_free_runs, monotone_pieces, periodic_point,
-                       refine_levels)
+                       cylinder_of_word, fold_free_runs, itinerary,
+                       monotone_pieces, periodic_point, refine_levels)
 
 #: Relative tolerance for onto/containment checks, in units of |X|.
 ONTO_RTOL = 1e-9
@@ -581,6 +582,52 @@ def extendible_return_scheme(m: IntervalMap, x: tuple[float, float],
     branches.sort(key=lambda b: b.lo)
     return InducingScheme(m, x_lo, x_hi, branches, delta, T,
                           uncovered.total(), exhausted, conflicts)
+
+
+# ---------------------------------------------------------------------------
+# scheme choice
+# ---------------------------------------------------------------------------
+
+SCHEME_KINDS = ("first-return", "extendible")
+
+
+def _check_scheme_kind(kind: str) -> None:
+    if kind not in SCHEME_KINDS:
+        raise DomainError(f"unknown scheme kind {kind!r}")
+
+
+def _scheme_options(obj) -> dict:
+    """The build_scheme keywords, read off a ScanConfig or parsed arguments."""
+    return {k: getattr(obj, k) for k in
+            ("scheme_kind", "x_point", "x_depth", "delta", "cap")}
+
+
+def default_base_cylinder(m: IntervalMap, x_point: float | None,
+                          x_depth: int) -> tuple[float, float]:
+    """The depth-d cylinder containing x_point (whole domain at depth 0)."""
+    if x_depth < 0:
+        raise DomainError(f"x_depth must be >= 0, got {x_depth}")
+    if x_depth == 0:
+        return m.domain
+    if x_point is None:
+        b = m.branches[0]
+        x_point = 0.5 * (b.lo + b.hi)
+    word = itinerary(m, x_point, x_depth, side="left")
+    cyl = cylinder_of_word(m, word)
+    if cyl is None:
+        raise DomainError(f"cylinder of depth {x_depth} at {x_point} is empty")
+    return (cyl.lo, cyl.hi)
+
+
+def build_scheme(m: IntervalMap, *, scheme_kind: str, x_point: float | None,
+                 x_depth: int, delta: float, cap: int) -> InducingScheme:
+    """The chosen inducing scheme on the depth-x_depth cylinder at x_point,
+    truncated by the time cap alone."""
+    _check_scheme_kind(scheme_kind)
+    x = default_base_cylinder(m, x_point, x_depth)
+    if scheme_kind == "extendible":
+        return extendible_return_scheme(m, x, delta, cap)
+    return first_return_scheme(m, x, cap)
 
 
 # ---------------------------------------------------------------------------

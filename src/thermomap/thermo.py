@@ -3,7 +3,9 @@
 Every quantity is carried as a two-sided bracket: per-branch weights
 come from derivative brackets, truncated branch families get an explicit
 tail bound (from lap growth and the scheme's expansion), and pressure is
-reported as an interval, never a bare point estimate.
+reported as an interval, never a bare point estimate.  For Markov
+piecewise-linear maps, ``markov_oracle`` gives the pressure independently,
+as the log spectral radius of the weighted transition matrix.
 """
 
 from __future__ import annotations
@@ -15,8 +17,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DegenerateBranchError, DomainError
+from .errors import (DegenerateBranchError, DomainError, NotApplicableError,
+                     NumericError)
 from .inducing import InducingScheme, TailInfo
+from .interval_map import IntervalMap
 from .symbolic import laps_entropy
 
 #: Log weights are held inside [-LOG_W_MAX, LOG_W_MAX], where the
@@ -110,6 +114,44 @@ def _log_weights_of(t: float | np.ndarray, log_df: np.ndarray) -> np.ndarray:
     An array t broadcasts against log|DF|, one IEEE product per entry."""
     with np.errstate(over="ignore"):
         return np.clip(-t * log_df, -LOG_W_MAX, LOG_W_MAX)
+
+
+def markov_oracle(m: IntervalMap, t: float) -> float:
+    """log spectral radius of the weighted transition matrix.
+
+    Applies to Markov piecewise-linear maps only: every branch affine,
+    every branch image a union of branch-partition atoms.  Entry (a, b)
+    is |slope_a|^-t when atom b sits inside f(atom a).  The entries are
+    taken as exp(L_a - max L) for the log weights L_a = -t log|slope_a|,
+    and max L is added back to the log radius, so no |t| overflows.
+    """
+    atoms = [(b.lo, b.hi) for b in m.branches]
+    pts = m.breakpoints
+    slopes = []
+    for i, b in enumerate(m.branches):
+        d_lo, d_mid, d_hi = (b.deriv(b.lo + (b.hi - b.lo) * q)
+                             for q in (0.25, 0.5, 0.75))
+        if abs(d_lo - d_mid) > 1e-9 * abs(d_mid) or abs(d_hi - d_mid) > 1e-9 * abs(d_mid):
+            raise NotApplicableError(f"branch {i} is not affine")
+        img_lo, img_hi = b.image
+        if not any(abs(img_lo - p) <= 1e-9 for p in pts) or \
+           not any(abs(img_hi - p) <= 1e-9 for p in pts):
+            raise NotApplicableError(
+                f"branch {i} image is not a union of partition atoms")
+        slopes.append(abs(d_mid))
+    n = len(atoms)
+    logs = _log_weights_of(t, np.log(slopes))
+    top = float(logs.max())
+    mat = np.zeros((n, n))
+    for a in range(n):
+        img_lo, img_hi = m.branches[a].image
+        for b in range(n):
+            if atoms[b][0] >= img_lo - 1e-9 and atoms[b][1] <= img_hi + 1e-9:
+                mat[a, b] = math.exp(logs[a] - top)
+    radius = float(np.max(np.abs(np.linalg.eigvals(mat))))
+    if radius <= 0.0:
+        raise NumericError("transition matrix is nilpotent on the support")
+    return top + math.log(radius)
 
 
 def tail_info_for(scheme: InducingScheme) -> TailInfo | None:

@@ -11,12 +11,12 @@ from hypothesis import strategies as st
 import thermomap as tm
 from thermomap import diagnostics as dg
 from thermomap import gibbs
-from thermomap.cli import CurveRow
 from thermomap.errors import (CriticalOrbitError, DomainError,
                               InfinitePressureError, NonCompatibleError,
                               NumericError)
 from thermomap.gibbs import (LOG_FLOAT_MAX, PROJECTION_DEPTH, RATIO_SEED,
-                             REFINE_CAP, RESIDUAL_TOL, _tau_mean_bracket)
+                             REFINE_CAP, RESIDUAL_TOL, CurveRow,
+                             _tau_mean_bracket)
 from thermomap.inducing import (CYLINDER_CAP, ONTO_RTOL, InducingScheme,
                                 _fit_neighbourhood, _make_branches, _Uncovered,
                                 _word_of)

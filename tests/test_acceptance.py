@@ -11,15 +11,9 @@ import numpy as np
 import pytest
 
 import thermomap as tm
-from thermomap.cli import (
-    CurveRow,
-    PressureCurve,
-    ScanConfig,
-    detect_phase_transition,
-    markov_oracle,
-    scan_pressure,
-)
-from thermomap.thermo import synthetic_model
+from thermomap.cli import detect_phase_transition
+from thermomap.gibbs import CurveRow, PressureCurve, ScanConfig, scan_pressure
+from thermomap.thermo import markov_oracle, synthetic_model
 
 from conftest import LOG_GOLDEN, partition_function_exact
 

@@ -8,19 +8,13 @@ import sys
 import pytest
 
 import thermomap
-from thermomap import cli
-from thermomap.cli import (
-    CurveRow,
-    PressureCurve,
-    ScanConfig,
-    detect_phase_transition,
-    markov_oracle,
-    run,
-    scan_pressure,
-)
+from thermomap import cli, gibbs, inducing
+from thermomap.cli import detect_phase_transition, run
 from thermomap.errors import DomainError, NotApplicableError
+from thermomap.gibbs import CurveRow, PressureCurve, ScanConfig, scan_pressure
 from thermomap.inducing import scheme_to_csv_rows
 from thermomap.interval_map import parse_map_spec
+from thermomap.thermo import markov_oracle
 
 from conftest import LOG_GOLDEN
 
@@ -431,10 +425,10 @@ class TestRunCli:
                     "--x-point", "0.6", "--cap", "14", "--out", str(out)]) == 0
         m = thermomap.load_map(str(spec))
         want = thermomap.first_return_scheme(
-            m, cli.default_base_cylinder(m, 0.6, 3), 14)
+            m, inducing.default_base_cylinder(m, 0.6, 3), 14)
         assert len(want.branches) == 82
         buf = io.StringIO()
-        cli.write_csv(buf, (), scheme_to_csv_rows(want))
+        gibbs.write_csv(buf, (), scheme_to_csv_rows(want))
         assert out.read_text().splitlines()[1:] == buf.getvalue().splitlines()[1:]
 
     def test_induce_extendible_cap_20(self, capsys):
@@ -488,6 +482,22 @@ class TestRunCli:
         out = capsys.readouterr().out
         assert out.startswith("t,p_lo,p_hi")
 
+    @pytest.mark.parametrize("argv", [
+        ["tower", "--map", "tent2", "--depth", "2", "--dot", "{}"],
+        ["tower", "--map", "tent2", "--depth", "2", "--json", "{}"],
+        ["induce", "--map", "tent2", "--out", "{}"],
+        ["pressure", "--map", "tent2", "--t", "1", "--json", "{}"],
+        ["scan", "--map", "tent2", "--x-depth", "0", "--t-min", "0",
+         "--t-max", "1", "--steps", "3", "--out", "{}"],
+        # tent2 has no vanishing-derivative point, so it writes nothing
+        ["diagnose", "--map", "quad4", "--n-max", "25", "--out", "{}"],
+    ])
+    def test_unwritable_output_exits_two(self, tmp_path, capsys, argv):
+        path = str(tmp_path / "no_such_dir" / "out")
+        assert run([a.format(path) for a in argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
     def test_map_spec_file(self, tmp_path, capsys):
         spec = tmp_path / "m.map"
         spec.write_text("kind = plinear\nbreakpoints = 0, 2/3, 1\n"
@@ -495,3 +505,26 @@ class TestRunCli:
         assert run(["oracle", "--map", str(spec), "--t", "0"]) == 0
         out = capsys.readouterr().out.strip()
         assert float(out) == pytest.approx(LOG_GOLDEN, abs=1e-9)
+
+
+class TestPackageSurface:
+    def test_import_alone_binds_the_cli(self):
+        src = os.path.dirname(os.path.dirname(thermomap.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, thermomap; "
+             "sys.exit(thermomap.cli.run(['oracle', '--map', 'tent2', '--t', '0']))"],
+            capture_output=True, text=True, env=env, timeout=60)
+        assert (proc.returncode, proc.stderr) == (0, "")
+
+    @pytest.mark.parametrize("module, name", [
+        (gibbs, "scan_pressure"),
+        (gibbs, "ScanConfig"),
+        (gibbs, "PressureCurve"),
+        (thermomap.thermo, "markov_oracle"),
+        (inducing, "build_scheme"),
+        (inducing, "default_base_cylinder"),
+    ])
+    def test_moved_names_are_one_object(self, module, name):
+        assert getattr(thermomap, name) is getattr(module, name)

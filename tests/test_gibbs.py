@@ -8,10 +8,11 @@ import pytest
 
 import thermomap as tm
 from thermomap import gibbs
-from thermomap.cli import (CSV_HEADER, CurveRow, PressureCurve, ScanConfig,
-                           build_scheme, default_base_cylinder, scan_pressure)
 from thermomap.errors import (DomainError, InfinitePressureError, NumericError,
                               ThermomapError)
+from thermomap.gibbs import (CSV_HEADER, CurveRow, PressureCurve, ScanConfig,
+                             scan_pressure)
+from thermomap.inducing import build_scheme, default_base_cylinder
 from thermomap.thermo import (Bracket, induced_potentials, synthetic_model,
                               tail_classify_rows)
 

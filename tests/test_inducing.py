@@ -11,10 +11,9 @@ import thermomap as tm
 from conftest import (JOIN_MAP, SINE_SPEC, column_depth2, counting_inverses,
                       hexes, plinear_maps, unpruned_extendible_return_scheme)
 from thermomap import hofbauer, inducing
-from thermomap.cli import default_base_cylinder
 from thermomap.errors import DegenerateBranchError, DomainError
 from thermomap.inducing import (InducingScheme, SchemeBranch, _fit_neighbourhood,
-                                scheme_to_csv_rows)
+                                default_base_cylinder, scheme_to_csv_rows)
 from thermomap.interval_map import (derivative_along, derivative_along_word,
                                     derivative_along_words, eval_along_word,
                                     eval_orbit, parse_map_spec, pullback_word)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import thermomap as tm
-from thermomap.cli import default_base_cylinder
+from thermomap.inducing import default_base_cylinder
 from thermomap.thermo import Bracket, synthetic_model
 
 from conftest import hexes, partition_function_exact, scalar_weight_sum
