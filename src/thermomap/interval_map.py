@@ -20,6 +20,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 import numpy as np
 
 from .errors import CriticalOrbitError, DomainError, SchemaError
+from .expr import compile_expr
 
 #: Points closer than this to a branch endpoint are snapped onto it.
 SNAP_TOL = 1e-14
@@ -553,27 +554,13 @@ def make_plinear(breakpoints: Sequence[float],
 
 def make_custom(expr: str, breakpoints: Sequence[float],
                 crit: Sequence[CriticalPoint]) -> IntervalMap:
-    """Map from a sympy expression in x; orders must be declared in ``crit``."""
-    import sympy as sp
-
-    x = sp.symbols("x")
-    try:
-        sym = sp.sympify(expr)
-    except (sp.SympifyError, SyntaxError) as exc:
-        raise SchemaError(f"expr: cannot parse {expr!r}: {exc}") from exc
-    if not isinstance(sym, sp.Expr):  # a list, a comparison, ...
-        raise SchemaError(f"expr: {expr!r} is not an expression in x")
-    # a symbol or a function sympy does not know cannot be evaluated
-    others = (sym.free_symbols - {x}) | sym.atoms(sp.core.function.AppliedUndef)
-    if others:
-        raise SchemaError(f"expr: {expr!r} names other than x: "
-                          f"{', '.join(sorted(map(str, others)))}")
+    """Map from an expression in x (grammar in ``thermomap.expr``); orders
+    must be declared in ``crit``."""
     pts = list(breakpoints)
     if len(pts) < 2:
         raise SchemaError("breakpoints: need at least two")
     try:
-        f = sp.lambdify(x, sym, "math")
-        df = sp.lambdify(x, sp.diff(sym, x), "math")
+        f, df = compile_expr(expr)
         branches = []
         for lo, hi in zip(pts, pts[1:]):
             mid_d = df(0.5 * (lo + hi))
@@ -594,9 +581,9 @@ def make_custom(expr: str, breakpoints: Sequence[float],
         m = IntervalMap((pts[0], pts[-1]), tuple(branches), tuple(crit),
                         "custom", {"expr": expr})
         _validate(m)
-    except (ArithmeticError, NotImplementedError, TypeError, ValueError) as exc:
-        # a derivative sympy cannot write as math code, a pole, a log or a
-        # root out of range, a complex value: the map cannot be evaluated
+    except (ArithmeticError, TypeError, ValueError) as exc:
+        # a constant out of the float range, a pole, a log or a root out of
+        # range, a complex power: the map cannot be evaluated
         raise SchemaError(f"expr: cannot evaluate {expr!r} on "
                           f"[{pts[0]}, {pts[-1]}]: {exc!r}") from exc
     return m
@@ -676,7 +663,7 @@ def parse_map_spec(text: str) -> IntervalMap:
       breakpoints comma-separated numbers, rationals like 2/3 accepted
       images      comma-separated pairs like [0,1], [1,0]  (plinear)
       orientations comma-separated +1/-1                    (plinear, optional)
-      expr        expression in x                           (custom)
+      expr        expression in x, see thermomap.expr       (custom)
       crit        comma-separated c:order entries           (custom, required)
     """
     fields: dict[str, str] = {}

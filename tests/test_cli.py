@@ -4,11 +4,12 @@ import os
 import re
 import subprocess
 import sys
+import time
 
 import pytest
 
 import thermomap
-from thermomap import cli, gibbs, inducing
+from thermomap import cli, expr, gibbs, inducing
 from thermomap.cli import detect_phase_transition, run
 from thermomap.errors import DomainError, NotApplicableError
 from thermomap.gibbs import CurveRow, PressureCurve, ScanConfig, scan_pressure
@@ -309,6 +310,24 @@ class TestRunCli:
         path.write_text("kind = custom\n" + spec + "crit = 1/2:2\n")
         assert run(["oracle", "--map", str(path), "--t", "0"]) == 2
         assert f"error: {field}:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", [
+        "x.real", "x[0]", '__import__("os")', "(lambda: x)()",
+        "[x for x in (1,)]", '"x"', "1j*x", "True*x", "sin(x=1)", "log(x, 2)",
+        "x < 1", "9**9**9**9*x"])
+    def test_refused_expression_builds_no_code(self, tmp_path, capsys,
+                                               monkeypatch, text):
+        def no_code(tree):
+            raise AssertionError(f"code built for {text!r}")
+
+        monkeypatch.setattr(expr, "_function", no_code)
+        path = tmp_path / "m.map"
+        path.write_text(f"kind = custom\nexpr = {text}\n"
+                        "breakpoints = 0, 1/2, 1\ncrit = 1/2:2\n")
+        start = time.perf_counter()
+        assert run(["oracle", "--map", str(path), "--t", "0"]) == 2
+        assert time.perf_counter() - start < 0.5
+        assert capsys.readouterr().err.startswith("error: expr:")
 
     @pytest.mark.parametrize("t", ["1e308"])
     def test_underflowing_weights_exit_three(self, capsys, t):

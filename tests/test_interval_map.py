@@ -423,20 +423,34 @@ class TestParseMapSpec:
             tm.load_map("no_such_fixture_or_file")
 
     def test_only_custom_maps_import_sympy(self):
-        # in a fresh interpreter; importing sympy takes about 0.3 s on a
-        # 2-core machine, and only custom expressions need it
-        code = ("import sys, thermomap as tm\n"
-                "from thermomap.interval_map import _FIXTURES\n"
-                "for name in _FIXTURES: tm.fixture(name)\n"
-                "tm.parse_map_spec('kind = plinear\\nbreakpoints = 0, 2/3, 1\\n'\n"
-                "                  'images = [0,1], [0,2/3]\\n')\n"
-                "print('sympy' in sys.modules)\n")
+        # in a fresh interpreter; importing sympy takes about 0.25 s on a
+        # 2-core machine, and no map kind needs it: custom expressions go
+        # through thermomap.expr
+        fixtures = ("import sys, thermomap as tm\n"
+                    "from thermomap.interval_map import _FIXTURES\n"
+                    "for name in _FIXTURES: tm.fixture(name)\n"
+                    "tm.parse_map_spec('kind = plinear\\nbreakpoints = 0, 2/3, 1\\n'\n"
+                    "                  'images = [0,1], [0,2/3]\\n')\n"
+                    "print('sympy' in sys.modules)\n")
+        custom = ("import contextlib, io, sys, tempfile, thermomap as tm\n"
+                  "from thermomap.inducing import build_scheme\n"
+                  f"m = tm.parse_map_spec({SINE_SPEC!r})\n"
+                  "build_scheme(m, scheme_kind='extendible', x_point=0.3,\n"
+                  "             x_depth=2, delta=0.5, cap=6)\n"
+                  "with tempfile.TemporaryDirectory() as tmp:\n"
+                  "    path = tmp + '/sine.map'\n"
+                  "    with open(path, 'w') as fh:\n"
+                  f"        fh.write({SINE_SPEC!r})\n"
+                  "    with contextlib.redirect_stdout(io.StringIO()):\n"
+                  "        code = tm.cli.run(['diagnose', '--map', path])\n"
+                  "print(code, 'sympy' in sys.modules)\n")
         src = os.path.dirname(os.path.dirname(tm.__file__))
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             filter(None, [src, os.environ.get("PYTHONPATH")])))
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                              text=True, env=env, timeout=60)
-        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")
+        for code, out in [(fixtures, "False\n"), (custom, "0 False\n")]:
+            proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                                  text=True, env=env, timeout=60)
+            assert (proc.returncode, proc.stdout, proc.stderr) == (0, out, "")
 
 
 class TestCriticalPoints:
