@@ -77,7 +77,9 @@ from .gibbs import (
     GibbsSolution,
     PressureCurve,
     ScanConfig,
+    TransitionReport,
     abramov_quantities,
+    detect_phase_transition,
     equilibrium_shift_solve,
     gibbs_ratio_check,
     mass_by_tau,
@@ -86,6 +88,5 @@ from .gibbs import (
     solve_gibbs,
 )
 from . import cli
-from .cli import detect_phase_transition
 
 __version__ = "0.1.0"

@@ -1,13 +1,14 @@
 """The command-line front end: argument parsing, dispatch and printing,
-and phase-transition detection on a scanned curve.
+and the one place that opens output files (UTF-8, LF line ends).
 
 Subcommands: tower | induce | pressure | scan | diagnose | oracle.
 Exit codes: 0 success, 2 configuration error or an output that cannot be
 written, 3 numeric failure.
-All numeric output uses 9 significant digits; identical configurations
-produce byte-identical files.  The scan itself is ``gibbs.scan_pressure``,
-the scheme options ``inducing.build_scheme`` and the Markov oracle
-``thermo.markov_oracle``.
+The library's exporters return text.  All numeric output uses 9
+significant digits; identical configurations produce byte-identical files.
+The scan itself is ``gibbs.scan_pressure``, its kink check
+``gibbs.detect_phase_transition``, the scheme options
+``inducing.build_scheme`` and the Markov oracle ``thermo.markov_oracle``.
 """
 
 from __future__ import annotations
@@ -15,76 +16,25 @@ from __future__ import annotations
 import argparse
 import functools
 import math
-import statistics
 import sys
-from dataclasses import dataclass
 from typing import Sequence
 
 from . import diagnostics
 from .errors import DomainError, SchemaError, ThermomapError
 from .gibbs import (
-    PressureCurve,
     ScanConfig,
     _fmt,
+    csv_text,
+    detect_phase_transition,
     equilibrium_shift_solve,
     scan_pressure,
     solution_to_json,
-    write_csv,
 )
 from .hofbauer import build_tower, tower_to_dot, tower_to_json
-from .inducing import SCHEME_KINDS, _scheme_options, build_scheme, scheme_to_csv_rows
+from .inducing import SCHEME_KINDS, _scheme_options, build_scheme, scheme_table
 from .interval_map import load_map
 from .thermo import markov_oracle
 
-
-# ---------------------------------------------------------------------------
-# phase-transition detection
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class TransitionReport:
-    kinks: tuple[float, ...]
-    competitor_crossings: tuple[float, ...]
-    smooth: bool
-    inconclusive: bool
-    max_second_difference: float
-
-
-def detect_phase_transition(curve: PressureCurve) -> TransitionReport:
-    """Flag grid points where the curve bends far above the noise floor.
-
-    The second central difference of bracket midpoints is compared with
-    5x the local bracket widths and with the background curvature level;
-    a clean kink stands out on both counts.  This is the numerical
-    stand-in for smoothness of the pressure curve: silence means "no
-    transition visible at this resolution", never a proof.
-    """
-    rows = [r for r in curve.rows if not math.isnan(r.p_lo)]
-    if len(rows) < 5:
-        return TransitionReport((), (), False, True, math.nan)
-    rows = sorted(rows, key=lambda r: r.t)
-    mids = [r.p_mid for r in rows]
-    widths = [r.width for r in rows]
-    scale = max(abs(v) for v in mids) * 1e-12 + 1e-15
-    d2 = [abs(mids[i - 1] - 2.0 * mids[i] + mids[i + 1])
-          for i in range(1, len(rows) - 1)]
-    med = statistics.median(d2)
-    kinks = []
-    for i in range(1, len(rows) - 1):
-        noise = widths[i - 1] + 2.0 * widths[i] + widths[i + 1]
-        v = d2[i - 1]
-        if v > 5.0 * noise + scale and v > 10.0 * med + scale:
-            kinks.append(rows[i].t)
-    crossings = [r.t for r in rows
-                 if not math.isnan(r.zero_entropy) and r.zero_entropy >= r.p_hi - 1e-12]
-    return TransitionReport(tuple(kinks), tuple(crossings),
-                            smooth=not kinks, inconclusive=False,
-                            max_second_difference=max(d2) if d2 else math.nan)
-
-
-# ---------------------------------------------------------------------------
-# command line
-# ---------------------------------------------------------------------------
 
 def _finite(text: str) -> float:
     """argparse type: a float that is neither NaN nor infinite."""
@@ -121,7 +71,10 @@ def _add_scheme_args(p: argparse.ArgumentParser) -> None:
                    help="point whose cylinder is the inducing base")
     p.add_argument("--x-depth", type=int, default=1,
                    help="cylinder depth of the inducing base (0 = whole domain)")
-    p.add_argument("--delta", type=_finite, default=0.5)
+    p.add_argument("--delta", type=_finite, default=0.5,
+                   help="extension margin of an extendible scheme, as a fraction "
+                        "of |X|; a first-return scheme ignores it and takes its "
+                        "margin from its tower domains")
     p.add_argument("--cap", type=_int_at_least(1), default=12,
                    help="inducing time cap T")
 
@@ -215,6 +168,11 @@ def run(argv: Sequence[str]) -> int:
         return 3
 
 
+def _write(path: str, text: str) -> None:
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(text)
+
+
 def _dispatch(args) -> int:
     if args.command == "tower":
         m = load_map(args.map)
@@ -223,11 +181,9 @@ def _dispatch(args) -> int:
         print(f"tower: {len(real)} nodes, {len(tower.real_edges())} edges, "
               f"complete={tower.complete}")
         if args.dot:
-            with open(args.dot, "w", encoding="utf-8") as fh:
-                fh.write(tower_to_dot(tower))
+            _write(args.dot, tower_to_dot(tower))
         if args.json:
-            with open(args.json, "w", encoding="utf-8") as fh:
-                fh.write(tower_to_json(tower))
+            _write(args.json, tower_to_json(tower))
         return 0
 
     if args.command == "induce":
@@ -237,9 +193,7 @@ def _dispatch(args) -> int:
               f"escape<={_fmt(scheme.escaping_mass_bound)}, "
               f"exhausted={scheme.exhausted}")
         if args.out:
-            write_csv(args.out,
-                      ("i", "lo", "hi", "tau", "inf_DF", "sup_DF", "ext_lo", "ext_hi"),
-                      scheme_to_csv_rows(scheme))
+            _write(args.out, csv_text(*scheme_table(scheme)))
         return 0
 
     if args.command == "pressure":
@@ -248,8 +202,7 @@ def _dispatch(args) -> int:
         print(f"P_+ bracket: [{_fmt(res.s_lo)}, {_fmt(res.s_hi)}]  "
               f"zero-entropy bound: {_fmt(res.zero_entropy_bound)}")
         if args.json:
-            with open(args.json, "w", encoding="utf-8") as fh:
-                fh.write(solution_to_json(res.solution))
+            _write(args.json, solution_to_json(res.solution))
         return 0
 
     if args.command == "scan":
@@ -258,8 +211,7 @@ def _dispatch(args) -> int:
         curve = scan_pressure(cfg)
         report = detect_phase_transition(curve)
         if args.out:
-            with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-                fh.write(curve.to_csv())
+            _write(args.out, curve.to_csv())
         else:
             sys.stdout.write(curve.to_csv())
         if report.kinks:
@@ -289,10 +241,10 @@ def _dispatch(args) -> int:
             print(f"expansion outside U: {_fmt(lam1)}  first-entry bound: {_fmt(bval)}  "
                   f"nice={nice.nice}")
             if args.out:
-                write_csv(args.out + "_growth.csv", ("n", "deriv"),
-                          diagnostics.growth_csv_rows(growth.records[0]))
-                write_csv(args.out + "_binding.csv", ("n", "gamma", "partial_sum"),
-                          diagnostics.binding_csv_rows(binding))
+                _write(args.out + "_growth.csv",
+                       csv_text(*diagnostics.growth_table(growth.records)))
+                _write(args.out + "_binding.csv",
+                       csv_text(*diagnostics.binding_table(binding)))
         else:
             print("no vanishing-derivative critical points; binding skipped")
         return 0

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain, islice
+from itertools import chain, islice, zip_longest
 from typing import Sequence
 
 import numpy as np
@@ -292,13 +292,19 @@ def first_entry_derivative_bound(m: IntervalMap,
     return best if seen else math.nan
 
 
-def growth_csv_rows(record: GrowthRecord) -> list[tuple]:
-    return [(n + 1, d) for n, d in enumerate(record.derivatives)]
+def growth_table(records: Sequence[GrowthRecord]) -> tuple[tuple, list[tuple]]:
+    """The growth CSV's header and rows: n, then |Df^n(f(c))| of each
+    critical orbit.  One orbit is headed ``deriv``; several get one column
+    each, headed by its c, with nan past an orbit's critical hit."""
+    header = ("n", "deriv") if len(records) == 1 else ("n", *(r.c for r in records))
+    cells = zip_longest(*(r.derivatives for r in records), fillvalue=math.nan)
+    return header, [(n, *row) for n, row in enumerate(cells, start=1)]
 
 
-def binding_csv_rows(record: BindingRecord) -> list[tuple]:
-    rows = []
-    for n, g in enumerate(record.gammas, start=1):
-        s = record.summable_partial[n - 1] if n - 1 < len(record.summable_partial) else math.nan
-        rows.append((n, g, s))
-    return rows
+def binding_table(record: BindingRecord) -> tuple[tuple, list[tuple]]:
+    """The binding CSV's header and rows: n, gamma_n and the summability
+    partial sum (nan past the sums computed)."""
+    partial = record.summable_partial
+    return ("n", "gamma", "partial_sum"), [
+        (n, g, partial[n - 1] if n <= len(partial) else math.nan)
+        for n, g in enumerate(record.gammas, start=1)]

@@ -8,8 +8,9 @@ cylinder weights.  Projection back to the interval follows the standard
 lift formula mu(A) ~ sum_i sum_{k<tau_i} mu_F(X_i n f^-k A).
 
 The pressure by shift solve is read over a t-grid by ``scan_pressure``,
-which assembles a ``PressureCurve`` and writes it as CSV with 9
-significant digits.
+which assembles a ``PressureCurve``: its ``to_csv`` is the curve as CSV
+text with 9 significant digits, and ``detect_phase_transition`` looks
+for kinks in it.
 
 The projected interval measures are positive on open sets but are in
 general not Gibbs for unbounded geometric potentials (the comparison
@@ -20,13 +21,14 @@ system carries the Gibbs property computed here.
 from __future__ import annotations
 
 import bisect
-import io
 import itertools
 import json
 import math
+import operator
+import statistics
 import sys
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import dataclass, field, fields
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -761,26 +763,17 @@ def mass_by_tau_rows(solutions: Sequence[GibbsSolution]) -> np.ndarray:
 # pressure curve
 # ---------------------------------------------------------------------------
 
-CSV_HEADER = ("t", "p_lo", "p_hi", "zero_entropy", "tail_kind", "tail_rate",
-              "tau_mean", "lyap", "entropy")
-
-
 def _fmt(v) -> str:
     if isinstance(v, float):
         return f"{v + 0.0:.9g}"  # +0.0 normalizes negative zero
     return str(v)
 
 
-def write_csv(path_or_buf, header: Sequence[str], rows: Sequence[Sequence]) -> None:
-    own = isinstance(path_or_buf, str)
-    fh = open(path_or_buf, "w", encoding="utf-8", newline="\n") if own else path_or_buf
-    try:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
-    finally:
-        if own:
-            fh.close()
+def csv_text(header: Sequence, rows: Iterable[Sequence]) -> str:
+    """A table as CSV text: one line per row, the header first, every
+    cell as ``_fmt`` writes it."""
+    return "".join(",".join(map(_fmt, row)) + "\n"
+                   for row in itertools.chain([header], rows))
 
 
 @dataclass(frozen=True)
@@ -834,8 +827,11 @@ class CurveRow:
         return self.p_hi - self.p_lo
 
     def as_tuple(self) -> tuple:
-        return (self.t, self.p_lo, self.p_hi, self.zero_entropy, self.tail_kind,
-                self.tail_rate, self.tau_mean, self.lyap, self.entropy)
+        return _curve_cells(self)
+
+
+CSV_HEADER = tuple(f.name for f in fields(CurveRow))
+_curve_cells = operator.attrgetter(*CSV_HEADER)
 
 
 @dataclass
@@ -843,9 +839,48 @@ class PressureCurve:
     rows: list[CurveRow] = field(default_factory=list)
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        write_csv(buf, CSV_HEADER, [r.as_tuple() for r in self.rows])
-        return buf.getvalue()
+        return csv_text(CSV_HEADER, map(_curve_cells, self.rows))
+
+
+@dataclass(frozen=True)
+class TransitionReport:
+    kinks: tuple[float, ...]
+    competitor_crossings: tuple[float, ...]
+    smooth: bool
+    inconclusive: bool
+    max_second_difference: float
+
+
+def detect_phase_transition(curve: PressureCurve) -> TransitionReport:
+    """Flag grid points where the curve bends far above the noise floor.
+
+    The second central difference of bracket midpoints is compared with
+    5x the local bracket widths and with the background curvature level;
+    a clean kink stands out on both counts.  This is the numerical
+    stand-in for smoothness of the pressure curve: silence means "no
+    transition visible at this resolution", never a proof.
+    """
+    rows = [r for r in curve.rows if not math.isnan(r.p_lo)]
+    if len(rows) < 5:
+        return TransitionReport((), (), False, True, math.nan)
+    rows = sorted(rows, key=lambda r: r.t)
+    mids = [r.p_mid for r in rows]
+    widths = [r.width for r in rows]
+    scale = max(abs(v) for v in mids) * 1e-12 + 1e-15
+    d2 = [abs(mids[i - 1] - 2.0 * mids[i] + mids[i + 1])
+          for i in range(1, len(rows) - 1)]
+    med = statistics.median(d2)
+    kinks = []
+    for i in range(1, len(rows) - 1):
+        noise = widths[i - 1] + 2.0 * widths[i] + widths[i + 1]
+        v = d2[i - 1]
+        if v > 5.0 * noise + scale and v > 10.0 * med + scale:
+            kinks.append(rows[i].t)
+    crossings = [r.t for r in rows
+                 if not math.isnan(r.zero_entropy) and r.zero_entropy >= r.p_hi - 1e-12]
+    return TransitionReport(tuple(kinks), tuple(crossings),
+                            smooth=not kinks, inconclusive=False,
+                            max_second_difference=max(d2) if d2 else math.nan)
 
 
 def _error_kind(exc: ThermomapError) -> str:

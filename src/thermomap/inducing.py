@@ -698,7 +698,8 @@ def validate_scheme(scheme: InducingScheme) -> SchemeReport:
     return SchemeReport(tuple(checks), bound, max_dist)
 
 
-def scheme_to_csv_rows(scheme: InducingScheme) -> list[tuple]:
-    """Rows (i, lo, hi, tau, inf_DF, sup_DF, ext_lo, ext_hi)."""
-    return [(i, b.lo, b.hi, b.tau, b.df_lo, b.df_hi, b.ext_lo, b.ext_hi)
-            for i, b in enumerate(scheme.branches)]
+def scheme_table(scheme: InducingScheme) -> tuple[tuple, list[tuple]]:
+    """The scheme CSV's header and rows, one row per branch."""
+    return (("i", "lo", "hi", "tau", "inf_DF", "sup_DF", "ext_lo", "ext_hi"),
+            [(i, b.lo, b.hi, b.tau, b.df_lo, b.df_hi, b.ext_lo, b.ext_hi)
+             for i, b in enumerate(scheme.branches)])

@@ -603,12 +603,15 @@ def _validate(m: IntervalMap) -> None:
         if ilo < dlo - 1e-9 or ihi > dhi + 1e-9:
             raise SchemaError(
                 f"branches[{i}]: image [{ilo}, {ihi}] escapes domain")
-        # sampled monotonicity / orientation
+        # sampled derivative: finite at the ends too, of one sign inside
         n_samp = 33
-        for k in range(1, n_samp):
-            xx = b.lo + (b.hi - b.lo) * k / n_samp
+        for k in range(n_samp + 1):
+            xx = b.hi if k == n_samp else b.lo + (b.hi - b.lo) * k / n_samp
             d = b.deriv(xx)
-            if d * b.orientation <= 0:
+            if not math.isfinite(d):
+                raise SchemaError(
+                    f"branches[{i}]: derivative {d} is not finite at x={xx:.6g}")
+            if 0 < k < n_samp and d * b.orientation <= 0:
                 raise SchemaError(
                     f"branches[{i}]: derivative sign flips inside the branch "
                     f"(at x={xx:.6g})")

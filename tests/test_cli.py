@@ -1,4 +1,4 @@
-import io
+import hashlib
 import math
 import os
 import re
@@ -13,7 +13,6 @@ from thermomap import cli, expr, gibbs, inducing
 from thermomap.cli import detect_phase_transition, run
 from thermomap.errors import DomainError, NotApplicableError
 from thermomap.gibbs import CurveRow, PressureCurve, ScanConfig, scan_pressure
-from thermomap.inducing import scheme_to_csv_rows
 from thermomap.interval_map import parse_map_spec
 from thermomap.thermo import markov_oracle
 
@@ -311,6 +310,16 @@ class TestRunCli:
         assert run(["oracle", "--map", str(path), "--t", "0"]) == 2
         assert f"error: {field}:" in capsys.readouterr().err
 
+    def test_derivative_pole_at_a_branch_end_exits_two(self, tmp_path, capsys):
+        # f' has a pole at the fixed point 0, where building the scheme
+        # would evaluate it: the map is refused when it is loaded
+        path = tmp_path / "s.map"
+        path.write_text("kind = custom\nexpr = sin(pi*sqrt(x))\n"
+                        "breakpoints = 0, 1/4, 1\ncrit = 1/4:2\n")
+        assert run(["pressure", "--map", str(path), "--t", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: expr: cannot evaluate") and "Traceback" not in err
+
     @pytest.mark.parametrize("text", [
         "x.real", "x[0]", '__import__("os")', "(lambda: x)()",
         "[x for x in (1,)]", '"x"', "1j*x", "True*x", "sin(x=1)", "log(x, 2)",
@@ -446,9 +455,7 @@ class TestRunCli:
         want = thermomap.first_return_scheme(
             m, inducing.default_base_cylinder(m, 0.6, 3), 14)
         assert len(want.branches) == 82
-        buf = io.StringIO()
-        gibbs.write_csv(buf, (), scheme_to_csv_rows(want))
-        assert out.read_text().splitlines()[1:] == buf.getvalue().splitlines()[1:]
+        assert out.read_text() == gibbs.csv_text(*inducing.scheme_table(want))
 
     def test_induce_extendible_cap_20(self, capsys):
         # only the cylinders that can still give a branch are refined, so
@@ -490,6 +497,19 @@ class TestRunCli:
         assert [float(r.split(",")[2]) for r in rows] == pytest.approx(
             want, rel=1e-8)
 
+    def test_diagnose_writes_every_critical_orbit(self, tmp_path, capsys):
+        spec = tmp_path / "cheb3.map"
+        spec.write_text("kind = chebyshev\nd = 3\n")
+        prefix = str(tmp_path / "diag")
+        assert run(["diagnose", "--map", str(spec), "--n-max", "20",
+                    "--out", prefix]) == 0
+        lines = (tmp_path / "diag_growth.csv").read_text().splitlines()
+        # c = 0.25 and 0.75 both map to an end of [0, 1], a fixed point of slope 9
+        assert lines[0] == "n,0.25,0.75"
+        assert len(lines) == 21
+        assert [line.split(",") for line in lines[1:3]] == [["1", "9", "9"],
+                                                           ["2", "81", "81"]]
+
     def test_diagnose_without_vanishing_crit(self, capsys):
         assert run(["diagnose", "--map", "markov_golden", "--n-max", "25"]) == 0
         out = capsys.readouterr().out
@@ -526,6 +546,51 @@ class TestRunCli:
         assert float(out) == pytest.approx(LOG_GOLDEN, abs=1e-9)
 
 
+#: The README's commands (``tower`` with ``--json`` as well) and the sha256
+#: of what each writes to stdout and to its output files, recorded before
+#: the exporters returned text and the command line alone opened files.
+README_OUTPUTS = [
+    (["tower", "--map", "markov_golden", "--depth", "5", "--dot", "tower.dot",
+      "--json", "tower.json"],
+     {"stdout": "76e12caf9d849b22dbe75da764e6dec280f4eb38c91f7a8ab43e87acb865be5a",
+      "tower.dot": "58362e783c1018d40965c2868303f1930145aa417ca3787e2cb6cc0cc834c856",
+      "tower.json": "5570b4d369aa3e2399691074dfa15a03aa10b6139cf27eff65db734aac483f9f"}),
+    (["induce", "--map", "quad4", "--scheme", "extendible", "--x-point", "0.3",
+      "--x-depth", "2", "--cap", "14", "--out", "scheme.csv"],
+     {"stdout": "cf0ec0ee979a440f3b1a0b1911b00339a05dd1925bb04a11456010e81b5ce053",
+      "scheme.csv": "27dba274d9f4a5a83fb5f2b62185dd7856fdb787140cfc187883583cf258f728"}),
+    (["pressure", "--map", "markov_golden", "--t", "1", "--x-point", "0.33",
+      "--json", "gibbs.json"],
+     {"stdout": "116519031a9ba3f653a8e9f65590219c7f719bc347daffaf33ef470a8496cff0",
+      "gibbs.json": "9aefb4f00c4453d7ba6b2abef2f99e9e76e057cc0e7bfbad5e1c821ea24d1e1d"}),
+    (["scan", "--map", "tent2", "--x-depth", "0", "--t-min", "-1", "--t-max", "2",
+      "--steps", "31", "--out", "curve.csv"],
+     {"stdout": "7d2df4ae62ef8fbca3d64cf9f97e4700e54afab34902b99d6bbc1287dd8d60aa",
+      "curve.csv": "0b37eb921e9ae151e5a172d841f25d2aadc2ccc7b55016838354c17f1a60a7f5"}),
+    (["scan", "--map", "tent2", "--x-depth", "0", "--t-min", "-1", "--t-max", "2",
+      "--steps", "31"],
+     {"stdout": "e355fafbc9484e2f3f846953f3997aa490d7eb10ec090850bf1df7251ca09f3c"}),
+    (["diagnose", "--map", "quad4", "--n-max", "40", "--out", "diag"],
+     {"stdout": "95709e93baf8f1849391d79682511af8b32a7a6f2ae4efef023d40396773e7bb",
+      "diag_growth.csv": "5793e89831e280135f2d6d914aba1260db11d55d233fb7551310017f7747d4b4",
+      "diag_binding.csv": "551740f111947a77669925a739df829d7708f62476b44ad046d792970b9d6ca4"}),
+]
+
+
+class TestOutputBytes:
+    @pytest.mark.parametrize("argv, want", README_OUTPUTS,
+                             ids=["tower", "induce", "pressure", "scan-out",
+                                  "scan-stdout", "diagnose"])
+    def test_readme_command_outputs_pinned(self, tmp_path, monkeypatch, capsys,
+                                           argv, want):
+        monkeypatch.chdir(tmp_path)
+        assert run(argv) == 0
+        got = {"stdout": hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()}
+        got.update((name, hashlib.sha256((tmp_path / name).read_bytes()).hexdigest())
+                   for name in want if name != "stdout")
+        assert got == want
+
+
 class TestPackageSurface:
     def test_import_alone_binds_the_cli(self):
         src = os.path.dirname(os.path.dirname(thermomap.__file__))
@@ -541,6 +606,9 @@ class TestPackageSurface:
         (gibbs, "scan_pressure"),
         (gibbs, "ScanConfig"),
         (gibbs, "PressureCurve"),
+        (gibbs, "TransitionReport"),
+        (gibbs, "detect_phase_transition"),
+        (cli, "detect_phase_transition"),
         (thermomap.thermo, "markov_oracle"),
         (inducing, "build_scheme"),
         (inducing, "default_base_cylinder"),

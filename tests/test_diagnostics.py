@@ -152,10 +152,20 @@ class TestNeighbourhoodChecks:
 
     def test_csv_rows(self, quad_map):
         g = dg.critical_orbit_growth(quad_map, 25, 0.9)
-        rows = dg.growth_csv_rows(g.records[0])
+        header, rows = dg.growth_table(g.records)
+        assert header == ("n", "deriv")
         assert rows[0] == (1, pytest.approx(4.0))
         b = dg.binding_analysis(quad_map, 0.25, 0.1, 25)
-        assert len(dg.binding_csv_rows(b)) == 25
+        header, rows = dg.binding_table(b)
+        assert header == ("n", "gamma", "partial_sum") and len(rows) == 25
+
+    def test_growth_table_pads_a_cut_orbit_with_nan(self):
+        cut = dg.GrowthRecord(0.25, (2.0, 4.0), *[math.nan] * 4, truncated_at=2)
+        full = dg.GrowthRecord(0.75, (3.0, 9.0, 27.0), *[math.nan] * 4, None)
+        header, rows = dg.growth_table([cut, full])
+        assert header == ("n", 0.25, 0.75)
+        assert rows[:2] == [(1, 2.0, 3.0), (2, 4.0, 9.0)]
+        assert rows[2][0] == 3 and math.isnan(rows[2][1]) and rows[2][2] == 27.0
 
 
 class TestOrbitReuse:

@@ -13,7 +13,7 @@ from conftest import (JOIN_MAP, SINE_SPEC, column_depth2, counting_inverses,
 from thermomap import hofbauer, inducing
 from thermomap.errors import DegenerateBranchError, DomainError
 from thermomap.inducing import (InducingScheme, SchemeBranch, _fit_neighbourhood,
-                                default_base_cylinder, scheme_to_csv_rows)
+                                default_base_cylinder, scheme_table)
 from thermomap.interval_map import (derivative_along, derivative_along_word,
                                     derivative_along_words, eval_along_word,
                                     eval_orbit, parse_map_spec, pullback_word)
@@ -96,10 +96,10 @@ class TestFirstReturn:
         x = default_base_cylinder(m, 0.6, 3)
         # the scheme builds its tower to the cap, deep enough for every
         # return: a deeper tower gives the same scheme
-        rows = [scheme_to_csv_rows(tm.first_return_scheme(m, x, 14))]
+        rows = [scheme_table(tm.first_return_scheme(m, x, 14))[1]]
         monkeypatch.setattr(inducing, "build_tower",
                             lambda m, R: hofbauer.build_tower(m, R + 5))
-        rows.append(scheme_to_csv_rows(tm.first_return_scheme(m, x, 14)))
+        rows.append(scheme_table(tm.first_return_scheme(m, x, 14))[1])
         assert len(rows[0]) == 82 and rows[1] == rows[0]
 
     def test_coverage_monotone_in_cap(self, tent_map):
@@ -184,7 +184,7 @@ class TestExtendibleReturn:
             m = tm.make_plinear([0, 0.25, 0.5, 1], [(0, 0.3), (0.3, 1), (0, 1)],
                                 [1, 1, -1])
             sch = tm.extendible_return_scheme(m, (0.0, 0.5), 0.25, 8)
-        rows = repr(scheme_to_csv_rows(sch)).encode()
+        rows = repr(scheme_table(sch)[1]).encode()
         assert hashlib.sha256(rows).hexdigest() == sha
         assert sch.conflicts == conflicts
         assert sch.escaping_mass_bound == escape
@@ -198,7 +198,7 @@ class TestExtendibleReturn:
 
 def scheme_outputs(sch):
     """Everything a pruned refinement must leave as the full one had it."""
-    return (scheme_to_csv_rows(sch),
+    return (scheme_table(sch)[1],
             [(b.word, b.parts) for b in sch.branches],
             sch.conflicts, sch.escaping_mass_bound, sch.exhausted)
 
@@ -661,8 +661,8 @@ class TestValidateScheme:
         assert not rep.ok
 
     def test_csv_rows(self, golden_scheme):
-        from thermomap.inducing import scheme_to_csv_rows
-        rows = scheme_to_csv_rows(golden_scheme)
+        header, rows = scheme_table(golden_scheme)
+        assert header == ("i", "lo", "hi", "tau", "inf_DF", "sup_DF", "ext_lo", "ext_hi")
         assert len(rows) == 2
         assert rows[0][3] == 1 and rows[1][3] == 2
 

@@ -14,7 +14,8 @@ from conftest import (ORBIT_MAPS, SINE_SPEC, hexes, looping_apply,
                       looping_branch_index, looping_deriv, plinear_maps,
                       stepwise_derivative_along, stepwise_derivative_prefixes)
 from thermomap.errors import CriticalOrbitError, DomainError, SchemaError
-from thermomap.interval_map import (SNAP_TOL, InverseSteps, _chain, _walk,
+from thermomap.interval_map import (SNAP_TOL, BranchSpec, InverseSteps,
+                                    _chain, _validate, _walk,
                                     derivative_along_word,
                                     derivative_along_words,
                                     derivative_prefixes, pullback_word,
@@ -377,6 +378,23 @@ class TestParseMapSpec:
         text = "kind = custom\nexpr = x*x - x\nbreakpoints = 0, 1\ncrit = 0.5:2\n"
         with pytest.raises(SchemaError):
             tm.parse_map_spec(text)
+
+    def test_derivative_pole_at_a_branch_end_rejected(self):
+        # f' = pi cos(pi sqrt x) / (2 sqrt x) cannot be evaluated at x = 0
+        text = ("kind = custom\nexpr = sin(pi*sqrt(x))\n"
+                "breakpoints = 0, 1/4, 1\ncrit = 1/4:2\n")
+        with pytest.raises(SchemaError, match="^expr: cannot evaluate"):
+            tm.parse_map_spec(text)
+
+    @pytest.mark.parametrize("end", [0.0, 1.0])
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_non_finite_derivative_at_a_branch_end_rejected(self, end, value):
+        ident = lambda x: x  # noqa: E731
+        branch = BranchSpec(0.0, 1.0, 1, ident,
+                            lambda x: value if x == end else 1.0, ident)
+        with pytest.raises(SchemaError, match=r"^branches\[0\]: derivative .* "
+                                              r"is not finite"):
+            _validate(tm.IntervalMap((0.0, 1.0), (branch,), (), "custom", {}))
 
     def test_image_escape_rejected(self):
         text = "kind = plinear\nbreakpoints = 0, 1/2, 1\nimages = [0,2], [0,1]\n"
