@@ -230,6 +230,9 @@ def _dispatch(args) -> int:
             print(f"  c={_fmt(rec.c)}: alpha={_fmt(rec.alpha)} "
                   f"(R2={_fmt(rec.alpha_r2)}), beta={_fmt(rec.beta)} "
                   f"(R2={_fmt(rec.beta_r2)})")
+        if args.out:
+            _write(args.out + "_growth.csv",
+                   csv_text(*diagnostics.growth_table(growth.records)))
         comps = diagnostics.critical_neighbourhood(m, args.eps)
         if comps:
             binding = diagnostics.binding_analysis(
@@ -241,8 +244,6 @@ def _dispatch(args) -> int:
             print(f"expansion outside U: {_fmt(lam1)}  first-entry bound: {_fmt(bval)}  "
                   f"nice={nice.nice}")
             if args.out:
-                _write(args.out + "_growth.csv",
-                       csv_text(*diagnostics.growth_table(growth.records)))
                 _write(args.out + "_binding.csv",
                        csv_text(*diagnostics.binding_table(binding)))
         else:

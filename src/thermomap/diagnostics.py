@@ -16,7 +16,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DomainError
-from .interval_map import (IntervalMap, _chain, _walk, derivative_prefixes,
+from .interval_map import (IntervalMap, _chain, _step_factor,
+                           _vanishing_points, _walk, derivative_prefixes,
                            eval_orbit, pullback_word)
 from .thermo import _fit_line
 
@@ -217,7 +218,10 @@ def _composition_sums(crits, growth, gammas, p_u, n_max) -> list[float]:
 # ---------------------------------------------------------------------------
 
 def _in_any(x: float, comps: Sequence[tuple[float, float]]) -> bool:
-    return any(lo < x < hi for lo, hi in comps)
+    for lo, hi in comps:
+        if lo < x < hi:
+            return True
+    return False
 
 
 def mane_expansion_estimate(m: IntervalMap, comps: Sequence[tuple[float, float]],
@@ -232,24 +236,35 @@ def mane_expansion_estimate(m: IntervalMap, comps: Sequence[tuple[float, float]]
     because no orbit steps outside U or because none of the windows
     outside it returns: on quad4 at eps 1e-9, U is 3.2e-5 wide, and with
     seeds 0 and 1 no sampled orbit comes back to it.
+
+    Each orbit is walked once: |Df^k| of the open window is multiplied
+    step by step as ``_chain`` multiplies it, from 1.0 at the window's
+    first point, snapped, and the window's last step is its return to U.
     """
     rng = np.random.default_rng(seed)
     lo, hi = m.domain
+    vanish = _vanishing_points(m)
     best = math.inf
     seen = False
     for _ in range(MANE_ORBITS):
-        window = []  # the walk's steps out of U since it last left U
+        k = 0  # the walk's steps out of U since it last left U
+        d = w = None  # |Df^k| of the window (None once cut), its last point
         walk = _walk(m, float(rng.uniform(lo, hi)))
-        for step in islice(walk, MANE_ORBIT_LEN + 1):
-            if not _in_any(step[0], comps):
-                window.append(step)
+        for z, i, u in islice(walk, MANE_ORBIT_LEN + 1):
+            if k and d is not None:
+                df = _step_factor(m, vanish, w, i, u)
+                d = None if df == 0.0 else d * df
+            if not _in_any(z, comps):
+                if k:
+                    w = z
+                else:
+                    d, w = 1.0, m.snap(z)
+                k += 1
                 continue
-            if len(window) >= MANE_K_MIN:  # chain it to its return to U
-                *_, (_, d) = _chain(m, window + [step])
-                if d is not None:
-                    best = min(best, math.log(d) / len(window))
-                    seen = True
-            window = []
+            if k >= MANE_K_MIN and d is not None:
+                best = min(best, math.log(d) / k)
+                seen = True
+            k = 0
     return best if seen else math.nan
 
 

@@ -210,15 +210,29 @@ def _chain(m: IntervalMap, steps: Iterable[tuple[float, int | None, float | None
     and None from the step that leaves a point w on a critical point where
     f' vanishes (w the first point snapped, later ones as walked) or where
     f' == 0."""
-    vanish = [c.c for c in m.crit if c.vanishing]
+    vanish = _vanishing_points(m)
     d, w = 1.0, None
     for z, i, u in steps:
         if w is not None and d is not None:
-            hit = any(abs(w - c) <= SNAP_TOL for c in vanish)
-            df = 0.0 if hit else m.branches[i].deriv(u)
-            d = None if df == 0.0 else d * abs(df)
+            df = _step_factor(m, vanish, w, i, u)
+            d = None if df == 0.0 else d * df
         yield z, d
         w = m.snap(z) if w is None else z
+
+
+def _vanishing_points(m: IntervalMap) -> tuple[float, ...]:
+    """The critical points of m where f' vanishes."""
+    return tuple(c.c for c in m.crit if c.vanishing)
+
+
+def _step_factor(m: IntervalMap, vanish: Sequence[float], w: float, i: int,
+                 u: float) -> float:
+    """|f'| for a walk's step out of w, located on branch i at u: 0.0 where
+    w is within SNAP_TOL of a point of ``vanish``, which cuts the chain."""
+    for c in vanish:
+        if abs(w - c) <= SNAP_TOL:
+            return 0.0
+    return abs(m.branches[i].deriv(u))
 
 
 def eval_orbit(m: IntervalMap, x: float, n: int) -> list[float]:
@@ -563,21 +577,9 @@ def make_custom(expr: str, breakpoints: Sequence[float],
         f, df = compile_expr(expr)
         branches = []
         for lo, hi in zip(pts, pts[1:]):
-            mid_d = df(0.5 * (lo + hi))
-            ori = 1 if mid_d > 0 else -1
-
-            def inv(y: float, lo=lo, hi=hi, ori=ori, f=f) -> float:
-                a, b = lo, hi
-                c = 0.5 * (a + b)
-                while c != a and c != b:  # until the midpoint can move no more
-                    if (f(c) - y) * ori < 0:
-                        a = c
-                    else:
-                        b = c
-                    c = 0.5 * (a + b)
-                return c
-
-            branches.append(BranchSpec(lo, hi, ori, f, df, inv))
+            ori = 1 if df(0.5 * (lo + hi)) > 0 else -1
+            branches.append(BranchSpec(lo, hi, ori, f, df,
+                                       _custom_inverse(f, df, lo, hi, ori)))
         m = IntervalMap((pts[0], pts[-1]), tuple(branches), tuple(crit),
                         "custom", {"expr": expr})
         _validate(m)
@@ -587,6 +589,116 @@ def make_custom(expr: str, breakpoints: Sequence[float],
         raise SchemaError(f"expr: cannot evaluate {expr!r} on "
                           f"[{pts[0]}, {pts[-1]}]: {exc!r}") from exc
     return m
+
+
+def _custom_inverse(f: Callable[[float], float], df: Callable[[float], float],
+                    lo: float, hi: float, ori: int) -> Callable[[float], float]:
+    """The inverse of f on the branch [lo, hi] of orientation ``ori``.
+
+    Write P(x) for the float predicate ``(f(x) - y) * ori < 0``.  The
+    inverse keeps a bracket [a, b] with P(a) true or a = lo, and P(b)
+    false or b = hi, and returns ``0.5 * (a + b)`` once that can move no
+    more.  Bisection from [lo, hi] ends there as well, so wherever P is
+    monotone on the branch the result is bisection's float.
+
+    The bracket closes in three stages.  (1) From the chord through the
+    branch ends, Newton steps, each corrected for curvature by the secant
+    of f' through the last two points; a midpoint step is taken instead
+    when the step leaves the bracket or is not at most half the step
+    before it (the bracket has stopped shrinking).  A chord at or past an
+    end of [lo, hi] (y at or past an end of the image, ±inf) starts at
+    that end.  (2) From the last Newton point, probes outward in doubling
+    steps, from one ulp or, where f is flat in floats, from a quarter of
+    y's ulp over |f'|, until P changes.  (3) The midpoint loop closes what
+    is left.  On sin(pi x) this takes about 12 evaluations of f and f'
+    per call where bisection takes 53 or more.
+
+    Every float y, nan and ±inf included, ends within 6 (H + 2)
+    evaluations, H = ceil(log2(hi - lo)) + 1074: a Newton step is at most
+    half the one before and more than an ulp, a midpoint step or probe
+    halves or doubles a width of at least 2**-1074, so each kind is taken
+    at most H + 1 times, and a step of (1) costs at most two evaluations.
+    """
+    f_lo = f(lo)
+    scale = (hi - lo) / (f(hi) - f_lo)
+
+    def slope(x: float) -> float:
+        try:
+            return df(x)
+        except (ArithmeticError, ValueError):  # a pole of f' inside
+            return math.nan
+
+    def inv(y: float) -> float:
+        a, b = lo, hi
+        x = lo + (y - f_lo) * scale
+        d = 0.0
+        if x <= lo:
+            x, up = lo, True
+        elif x >= hi:
+            x, up = hi, False
+        else:  # (1); a nan chord takes the midpoint
+            if not x < hi:
+                x = 0.5 * (lo + hi)
+            r = f(x) - y
+            if r * ori < 0:
+                a = x
+            else:
+                b = x
+            d = slope(x)
+            x_old = d_old = math.nan
+            last = math.inf  # size of the last Newton step taken
+            while True:
+                step = r / d if d else math.nan
+                if abs(step) <= math.ulp(x):
+                    break
+                k = (d - d_old) / (x - x_old)  # nan before a second point
+                disc = d * d - 2.0 * k * r
+                if disc > 0.0:  # the root of the local quadratic
+                    step = 2.0 * r / (d + math.copysign(math.sqrt(disc), d))
+                z = x - step
+                newton = a < z < b and abs(step) <= 0.5 * last
+                if not newton:
+                    z = 0.5 * (a + b)
+                    if z == a or z == b:
+                        break
+                rz = f(z) - y
+                if rz * ori < 0:
+                    a = z
+                else:
+                    b = z
+                if newton:
+                    last = abs(step)
+                elif not abs(rz) < abs(r):
+                    continue  # the midpoint only shrinks the bracket
+                x_old, d_old = x, d
+                x, r, d = z, rz, slope(z)
+            up = r * ori < 0
+        # (2) from x, on P(x)'s side of the change
+        h = math.ulp(x)
+        if d and abs(d) < math.inf:
+            h = max(h, 0.25 * math.ulp(y) / abs(d))
+        s = h if up else -h
+        while a < x + s < b:
+            q = x + s
+            below = (f(q) - y) * ori < 0  # P(q)
+            if below:
+                a = q
+            else:
+                b = q
+            if below != up:
+                break
+            s += s
+        # (3)
+        c = 0.5 * (a + b)
+        while c != a and c != b:  # until the midpoint can move no more
+            if (f(c) - y) * ori < 0:
+                a = c
+            else:
+                b = c
+            c = 0.5 * (a + b)
+        return c
+
+    return inv
 
 
 def _validate(m: IntervalMap) -> None:

@@ -108,6 +108,33 @@ def counting_inverses(m):
                                      for a, b in enumerate(m.branches))), calls
 
 
+def bisection_inverse(branch, y: float) -> float:
+    """A custom branch's inverse as it was when it only halved [lo, hi]
+    on the sign of ``(f(c) - y) * orientation`` until the midpoint could
+    move no more: an oracle for the Newton-finished inverse."""
+    a, b = branch.lo, branch.hi
+    c = 0.5 * (a + b)
+    while c != a and c != b:
+        if (branch.fwd(c) - y) * branch.orientation < 0:
+            a = c
+        else:
+            b = c
+        c = 0.5 * (a + b)
+    return c
+
+
+def inverse_grid(branch) -> list[float]:
+    """The y at which a custom inverse is checked against bisection: k/997,
+    10^-k down to the last subnormal, 1 - 2^-k, each also scaled by the
+    top of the image where that is not 1, the image ends, ±0.0, 5e-324
+    and nan."""
+    base = [k / 997 for k in range(998)] + [10.0 ** -k for k in range(324)]
+    base += [1.0 - 2.0 ** -k for k in range(1, 60)]
+    top = max(abs(v) for v in branch.image)
+    scaled = [top * v for v in base] if top != 1.0 else []
+    return base + scaled + [*branch.image, 0.0, -0.0, 5e-324, math.nan]
+
+
 def counting_lookups(m):
     """A copy of m, and two lists it records to: the point of each
     ``_locate`` call (a lookup), and that of each branch forward map

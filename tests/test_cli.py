@@ -515,6 +515,18 @@ class TestRunCli:
         out = capsys.readouterr().out
         assert "binding skipped" in out
 
+    def test_diagnose_without_vanishing_crit_writes_the_growth(self, tmp_path,
+                                                               capsys):
+        prefix = str(tmp_path / "t2")
+        assert run(["diagnose", "--map", "tent2", "--n-max", "25",
+                    "--out", prefix]) == 0
+        assert "binding skipped" in capsys.readouterr().out
+        lines = (tmp_path / "t2_growth.csv").read_text().splitlines()
+        # c = 1/2 maps to the fixed point 0 of slope 2
+        assert lines[0] == "n,deriv" and len(lines) == 26
+        assert lines[1:3] == ["1,2", "2,4"]
+        assert not (tmp_path / "t2_binding.csv").exists()
+
     def test_scan_stdout_when_no_out(self, capsys):
         assert run(["scan", "--map", "tent2", "--x-depth", "0", "--t-min", "0",
                     "--t-max", "1", "--steps", "3"]) == 0

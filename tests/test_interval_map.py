@@ -10,9 +10,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import thermomap as tm
-from conftest import (ORBIT_MAPS, SINE_SPEC, hexes, looping_apply,
+from conftest import (ORBIT_MAPS, SINE_SPEC, _inflection_map,
+                      bisection_inverse, hexes, inverse_grid, looping_apply,
                       looping_branch_index, looping_deriv, plinear_maps,
                       stepwise_derivative_along, stepwise_derivative_prefixes)
+from thermomap import interval_map
 from thermomap.errors import CriticalOrbitError, DomainError, SchemaError
 from thermomap.interval_map import (SNAP_TOL, BranchSpec, InverseSteps,
                                     _chain, _validate, _walk,
@@ -348,6 +350,121 @@ class TestBranchData:
             assert abs(left.inv(y) - want) <= 4 * math.ulp(want), k
         assert left.inv(0.0) == 0.0
         assert left.inv(5e-324) == 0.0
+
+
+def _custom(expr: str, breakpoints: str, crit: str):
+    return tm.parse_map_spec(f"kind = custom\nexpr = {expr}\n"
+                             f"breakpoints = {breakpoints}\ncrit = {crit}\n")
+
+
+#: Custom maps whose inverse is checked against bisection.  On the two
+#: sines the float predicate (f(x) - y) * orientation < 0 is monotone on
+#: each branch; 4x(1 - x) and the inflection map round it non-monotone
+#: at some crossings and near y = 1, where f is flat to rounding.
+ORACLE_MAPS = {
+    "sine": lambda: tm.parse_map_spec(SINE_SPEC),
+    "wide_sine": lambda: _custom("2048*sin(pi*x/2048)", "0, 1024, 2048", "1024:2"),
+    "quad": lambda: _custom("4*x*(1-x)", "0, 1/2, 1", "1/2:2"),
+    "inflection": _inflection_map,
+}
+
+
+def predicate_is_monotone_near(br, y: float, xs) -> bool:
+    """Whether P(x) = (f(x) - y) * orientation < 0 is true then false along
+    the floats within one of the points ``xs``."""
+    pts = sorted({v for x in xs for v in (math.nextafter(x, -math.inf), x,
+                                          math.nextafter(x, math.inf))
+                  if br.lo < v < br.hi})
+    flags = [(br.fwd(v) - y) * br.orientation < 0 for v in pts]
+    return flags == sorted(flags, reverse=True)
+
+
+@pytest.fixture
+def counted_sine(monkeypatch):
+    """sin(pi x) built through parse_map_spec with f and f' counting their
+    calls into one list."""
+    calls = []
+
+    def counting(text):
+        f, df = compile_expr(text)
+
+        def fc(x):
+            calls.append(x)
+            return f(x)
+
+        def dfc(x):
+            calls.append(x)
+            return df(x)
+        return fc, dfc
+
+    compile_expr = interval_map.compile_expr
+    monkeypatch.setattr(interval_map, "compile_expr", counting)
+    m = tm.parse_map_spec(SINE_SPEC)
+
+    def evaluations(call, *args):
+        calls.clear()
+        call(*args)
+        return len(calls)
+    return m, evaluations
+
+
+class TestCustomInverse:
+    @pytest.mark.parametrize("name", sorted(ORACLE_MAPS))
+    def test_bisection_floats(self, name):
+        m = ORACLE_MAPS[name]()
+        differ, unexplained = [], []
+        for i, br in enumerate(m.branches):
+            for y in inverse_grid(br):
+                got, want = br.inv(y), bisection_inverse(br, y)
+                if got == want or (got != got and want != want):
+                    continue
+                differ.append((i, y, want, got))
+                if predicate_is_monotone_near(br, y, (got, want)):
+                    unexplained.append((i, y, want, got))
+        # (branch, y, bisection's x, the inverse's x) for every y that differs
+        assert not unexplained, unexplained
+        if name in ("sine", "wide_sine"):
+            assert not differ, differ
+
+    def test_evaluations_per_call(self, counted_sine):
+        m, evaluations = counted_sine
+        grid = [k / 997 for k in range(998)]
+        for br in m.branches:
+            counts = [evaluations(br.inv, y) for y in grid]
+            assert sum(counts) / len(counts) <= 24, br.lo  # bisection: 54.5
+            for y in inverse_grid(br):
+                assert evaluations(br.inv, y) <= 1.5 * evaluations(
+                    bisection_inverse, br, y), (br.lo, y)
+
+    def test_every_float_ends_within_the_bound(self, counted_sine):
+        m, evaluations = counted_sine
+        rng = np.random.default_rng(0)
+        bits = rng.integers(0, 2 ** 64, 4000, dtype=np.uint64)
+        ys = bits.view(np.float64).tolist() + [
+            math.nan, -math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324,
+            -5e-324, -1.0, 2.0, 1.0 + 2 ** -52, -1e-300, 1e308, -1e308]
+        for br in m.branches:
+            h = math.ceil(math.log2(br.hi - br.lo) + 1074)
+            worst = 0
+            for y in ys:
+                worst = max(worst, evaluations(br.inv, y))
+                assert br.lo <= br.inv(y) <= br.hi, y
+            assert worst <= 6 * (h + 2), (br.lo, worst)
+            # y at an image end: one probe next to that end of the branch
+            assert evaluations(br.inv, br.image[0]) <= 2
+
+    def test_a_pole_of_f_prime_inside_a_branch(self):
+        # f' = ... * 0.0 ** -0.25 raises at x = 0.3, where f is increasing
+        m = _custom("(x + ((x - 0.3)**2)**0.75)/1.75", "0, 1.2", "")
+        br = m.branches[0]
+        f_lo, f_hi = br.fwd(br.lo), br.fwd(br.hi)
+        scale = (br.hi - br.lo) / (f_hi - f_lo)
+        y = f_lo + (0.3 - br.lo) / scale
+        y = next(v for v in (y + k * math.ulp(y) for k in range(-20, 21))
+                 if br.lo + (v - f_lo) * scale == 0.3)  # the chord's point
+        with pytest.raises(ZeroDivisionError):
+            br.deriv(0.3)
+        assert br.inv(y) == bisection_inverse(br, y)
 
 
 class TestParseMapSpec:
